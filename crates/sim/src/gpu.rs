@@ -1415,6 +1415,92 @@ mod tests {
         ));
     }
 
+    /// `obj[key]`, mutably.
+    fn field<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Object(fields) = obj else {
+            panic!("{key}: parent is not an object");
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+
+    /// `arr[i]`, mutably.
+    fn item(arr: &mut Json, i: usize) -> &mut Json {
+        let Json::Array(items) = arr else {
+            panic!("not an array");
+        };
+        &mut items[i]
+    }
+
+    /// A corrupt slot index used to be accepted by `Sm::restore` and to
+    /// panic on the first tick that indexed a table with it (a writeback
+    /// entry at `warp_uids[wslot]`). Each must be refused at resume.
+    #[test]
+    fn resume_rejects_out_of_range_slot_indices() {
+        let k = streaming_kernel(8, 64);
+        let cfg = small_cfg();
+        let cut = |cycles: u64| -> Json {
+            let out = GpuSim::new(&cfg, &k)
+                .unwrap()
+                .execute(
+                    None,
+                    &mut NullSink,
+                    &RunBudget::unlimited().with_max_cycles(cycles),
+                    None,
+                )
+                .unwrap();
+            let RunOutcome::Truncated(t) = out else {
+                panic!("expected truncation");
+            };
+            Json::parse(&t.checkpoint.to_text()).unwrap()
+        };
+        let resume = |doc: &Json| {
+            let ckpt = Checkpoint::parse(&doc.pretty()).expect("header intact");
+            GpuSim::resume(&cfg, &k, &ckpt).map(|_| ())
+        };
+        // ALU results in flight at cycle 4, loads in flight at cycle 60.
+        let early = cut(4);
+        let late = cut(60);
+        assert!(resume(&early).is_ok() && resume(&late).is_ok());
+
+        type Corrupt = fn(&mut Json);
+        let cases: [(&str, &Json, Corrupt); 7] = [
+            ("writeback", &early, |sm| {
+                *item(item(field(sm, "writebacks"), 0), 1) = Json::UInt(9999);
+            }),
+            ("sched_last", &early, |sm| {
+                *item(field(sm, "sched_last"), 0) = Json::UInt(9999);
+            }),
+            ("CTA warp list", &early, |sm| {
+                *item(field(item(field(sm, "ctas"), 0), "warps"), 0) = Json::UInt(9999);
+            }),
+            ("warp", &early, |sm| {
+                *field(item(field(sm, "warps"), 0), "cta_slot") = Json::UInt(9999);
+            }),
+            ("free warp list", &early, |sm| {
+                *field(sm, "free_warp_slots") = Json::Array(vec![Json::UInt(9999)]);
+            }),
+            ("free CTA list", &early, |sm| {
+                *field(sm, "free_cta_slots") = Json::Array(vec![Json::UInt(9999)]);
+            }),
+            ("LD/ST unit", &late, |sm| {
+                *item(item(field(field(sm, "ldst"), "groups"), 0), 1) = Json::UInt(9999);
+            }),
+        ];
+        for (what, base, corrupt) in cases {
+            let mut doc = base.clone();
+            corrupt(field(item(field(&mut doc, "lanes"), 0), "sm"));
+            match resume(&doc) {
+                Err(SimError::Checkpoint { reason }) => {
+                    assert!(
+                        reason.starts_with(what),
+                        "{what}: wrong diagnostic {reason:?}"
+                    );
+                }
+                other => panic!("{what}: corrupt slot index not refused: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn completion_wins_over_budget_tie() {
         let k = streaming_kernel(2, 32);

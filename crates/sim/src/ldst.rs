@@ -381,6 +381,16 @@ impl LdstUnit {
         self.queue.is_empty() && self.groups.is_empty() && self.smem_inflight.is_empty()
     }
 
+    /// Every warp slot a queued or in-flight access will report an event
+    /// for; [`crate::sm::Sm::restore`] bounds them against its warp table.
+    pub(crate) fn warp_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.queue
+            .iter()
+            .map(|w| w.warp_slot)
+            .chain(self.groups.values().map(|g| g.warp_slot))
+            .chain(self.smem_inflight.iter().map(|e| e.1))
+    }
+
     /// Serializes the unit for checkpointing. The in-order queue and the
     /// shared-memory latency pipe keep their exact order; the load-group
     /// tables are emitted sorted by token/request id (nothing iterates

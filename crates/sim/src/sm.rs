@@ -112,6 +112,45 @@ pub struct Sm {
     /// (which must not touch the shared [`MemImage`]), applied by
     /// [`Sm::apply_deferred`] in issue order at the cycle's merge point.
     deferred: Vec<DeferredAccess>,
+    /// Bumped by [`Sm::touch`] at every mutation that can change a
+    /// residency, scheduling or classification decision; see [`Settled`].
+    epoch: u64,
+    /// The outcome of the last tick, if that tick was a fixed point.
+    /// Never serialised: a restored SM starts unsettled.
+    settled: Option<Settled>,
+}
+
+/// What an SM-cycle that issued nothing is charged to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IdleClass {
+    /// No resident warps. The sub-split depends on the dispatcher, not on
+    /// this SM, so it is taken from the cycle's [`EmptyAttr`] at charge
+    /// time rather than stored.
+    Empty,
+    /// Resident warps, none of which issued: the idle bucket `reason`
+    /// maps to, blamed on the instruction at `blame` when profiling.
+    Stalled {
+        reason: StallReason,
+        blame: Option<usize>,
+    },
+}
+
+/// Record of a tick that issued nothing *and changed nothing*. Residency,
+/// warp pick and classification read only SM state and the clock, so such
+/// a tick is a fixed point: until a mutation (`epoch` moves) or a timed
+/// input expires (`now >= until`), every following tick decides exactly
+/// the same and [`Sm::tick_phase`] replays `class` instead of rescanning.
+#[derive(Debug, Clone, Copy)]
+struct Settled {
+    /// [`Sm::epoch`] when the tick ended.
+    epoch: u64,
+    /// Earliest cycle at which a clock comparison made by the decision
+    /// changes its answer (see [`Sm::next_timed_input`]).
+    until: u64,
+    class: IdleClass,
+    /// Whether `class.blame` was computed (`PROFILED` of the recording
+    /// tick); a tick of the other kind does not replay it.
+    profiled: bool,
 }
 
 /// One warp global-memory instruction whose functional effect is deferred
@@ -182,7 +221,15 @@ impl Sm {
             window_issues: 0,
             mode_ipc_est: [None, None],
             deferred: Vec::new(),
+            epoch: 0,
+            settled: None,
         }
+    }
+
+    /// Marks a mutation that can change what a later tick decides,
+    /// invalidating any [`Settled`] record.
+    fn touch(&mut self) {
+        self.epoch += 1;
     }
 
     // ----- admission ------------------------------------------------------
@@ -309,6 +356,7 @@ impl Sm {
         self.resident_ctas += 1;
         self.ctas[cta_slot] = cta;
         self.issue_dirty = true;
+        self.touch();
         if S::ENABLED {
             sink.emit(
                 now,
@@ -376,6 +424,7 @@ impl Sm {
             let Some((slot, has_context)) = candidate else {
                 return;
             };
+            self.touch();
             let n_warps = self.ctas[slot].warps.len() as u32;
             self.slot_ctas += 1;
             self.slot_warps += n_warps;
@@ -433,6 +482,7 @@ impl Sm {
         self.ctas[slot].phase = CtaPhase::Active;
         self.active_phase_warps += self.ctas[slot].warps.len() as u32;
         self.issue_dirty = true;
+        self.touch();
         if S::ENABLED {
             let (sm, cta_slot, cta_id) = (self.id as u32, slot as u32, self.ctas[slot].cta_id);
             sink.emit(
@@ -483,6 +533,7 @@ impl Sm {
                     self.ctas[slot].phase = CtaPhase::Inactive { has_context: true };
                     self.ctas[slot].inactive_since = now;
                     self.swapping_ctas -= 1;
+                    self.touch();
                     if S::ENABLED {
                         sink.emit(
                             now,
@@ -549,6 +600,7 @@ impl Sm {
                 }
                 self.window_issues = 0;
                 self.throttle_window_end = now + window;
+                self.touch();
             }
             if self.throttle_hold {
                 return;
@@ -584,6 +636,7 @@ impl Sm {
                 self.active_phase_warps -= n_warps;
                 self.swapping_ctas += 1;
                 self.issue_dirty = true;
+                self.touch();
                 stats.swaps.swaps_out += 1;
                 stats.swap_duration.record(u64::from(swap.save_cycles));
                 if S::ENABLED {
@@ -715,6 +768,14 @@ impl Sm {
     /// engine sets it up at construction when `CoreConfig::profile` is
     /// on); the recording calls are no-ops otherwise.
     ///
+    /// The tick is event-driven (DESIGN.md §18): writebacks and the LD/ST
+    /// unit run every cycle, but once a tick has issued nothing and
+    /// changed nothing, residency, warp pick and stall classification are
+    /// skipped and that tick's accounting is replayed until a mutation or
+    /// an expiring timer can change the outcome. This relies on `kernel`,
+    /// `core` and `res` being the same on every tick of one SM, as they
+    /// are within a run.
+    ///
     /// # Errors
     ///
     /// Returns [`ExecError`] if a warp traps on a fault detectable from
@@ -738,6 +799,7 @@ impl Sm {
                 break;
             }
             self.writebacks.pop();
+            self.touch();
             if self.warp_uids[wslot] == uid {
                 self.warps[wslot].scoreboard.clear(Reg(reg));
             }
@@ -746,7 +808,9 @@ impl Sm {
         // 2. Memory events (shared latency, global responses, long-stall
         //    notifications). Events may outlive their CTA — a warp can
         //    exit with loads in flight — so uids filter stale records.
+        let had_space = self.ldst.has_space();
         for event in self.ldst.tick_traced(now, front, sink) {
+            self.touch();
             match event {
                 LdstEvent::Completed(c) => {
                     // Latency is observed per issue site, before the uid
@@ -783,6 +847,25 @@ impl Sm {
                 }
             }
         }
+        // The queue drains without an event; `readiness` reads only
+        // whether it has room.
+        if self.ldst.has_space() != had_space {
+            self.touch();
+        }
+
+        // Replay: nothing has changed since a tick that decided nothing,
+        // so steps 3-5 would decide nothing again.
+        if let Some(settled) = self.replayable(now, PROFILED) {
+            if cfg!(debug_assertions) {
+                self.assert_fixed_point::<S, PROFILED>(
+                    now, kernel, core, res, stats, sink, settled,
+                );
+            }
+            self.charge_cycle(stats);
+            charge_idle::<PROFILED>(stats, settled.class, attr);
+            return Ok(());
+        }
+        let epoch_in = self.epoch;
 
         // 3. CTA residency: swap completions, trigger, activations.
         self.update_residency(now, kernel, core, res, stats, sink);
@@ -792,25 +875,116 @@ impl Sm {
             self.rebuild_issue_list();
         }
         let schedulers = self.sched_last.len();
-        let mut issued = 0u32;
         let mut first_issue_pc = None;
         for s in 0..schedulers {
             if let Some(wslot) = self.pick_warp(s, now, kernel, core) {
-                if PROFILED && first_issue_pc.is_none() {
+                if first_issue_pc.is_none() {
                     // Read before issue: the stack advances on issue.
                     first_issue_pc = Some(self.warps[wslot].stack.pc());
                 }
+                self.touch();
                 self.issue_warp::<S, PROFILED>(wslot, s, now, kernel, core, res, stats, sink)?;
                 self.sched_last[s] = Some(wslot);
-                issued += 1;
+                self.window_issues += 1;
             }
         }
 
-        self.window_issues += u64::from(issued);
-
         // 5. Stats.
-        self.accumulate_stats::<PROFILED>(now, issued, first_issue_pc, kernel, stats, attr);
+        self.charge_cycle(stats);
+        if let Some(pc) = first_issue_pc {
+            stats.issue_cycles += 1;
+            // The cycle's one issue tally goes to the first PC that
+            // issued, so per-PC `issued` sums exactly to `issue_cycles`.
+            if PROFILED {
+                if let Some(h) = stats.hotspots.as_mut() {
+                    h.record_issue_cycle(pc);
+                }
+            }
+            return Ok(());
+        }
+        let class = self.classify::<PROFILED>(now, kernel);
+        charge_idle::<PROFILED>(stats, class, attr);
+        self.settled = (self.epoch == epoch_in).then(|| Settled {
+            epoch: self.epoch,
+            until: self.next_timed_input(now, res),
+            class,
+            profiled: PROFILED,
+        });
         Ok(())
+    }
+
+    /// The settled record, if a tick at `now` whose steps 1-2 changed
+    /// nothing may replay it.
+    fn replayable(&self, now: u64, profiled: bool) -> Option<Settled> {
+        self.settled
+            .filter(|s| s.epoch == self.epoch && now < s.until && s.profiled == profiled)
+    }
+
+    /// The earliest cycle after `now` at which one of the clock
+    /// comparisons steps 3-5 make changes its answer: the SFU initiation
+    /// interval (`readiness`), a context switch completing and the
+    /// throttle window rolling over (`update_residency`). Writebacks and
+    /// LD/ST latencies are not here because steps 1-2 run on every tick.
+    fn next_timed_input(&self, now: u64, res: &ResidencyConfig) -> u64 {
+        let mut until = u64::MAX;
+        if self.sfu_free_at > now {
+            until = self.sfu_free_at;
+        }
+        if self.swapping_ctas > 0 {
+            for cta in &self.ctas {
+                if let CtaPhase::SwappingOut { done_at } | CtaPhase::SwappingIn { done_at } =
+                    cta.phase
+                {
+                    until = until.min(done_at);
+                }
+            }
+        }
+        if res.swap.is_some_and(|swap| swap.throttle.is_some()) {
+            until = until.min(self.throttle_window_end);
+        }
+        until
+    }
+
+    /// Debug cross-check of a replayed tick: the slow decision, run on
+    /// the same state, must change nothing, pick nothing and classify
+    /// the cycle as recorded. A mutation site that forgets
+    /// [`Sm::touch`] fails here instead of drifting a golden.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_fixed_point<S: TraceSink, const PROFILED: bool>(
+        &mut self,
+        now: u64,
+        kernel: &Kernel,
+        core: &CoreConfig,
+        res: &ResidencyConfig,
+        stats: &mut RunStats,
+        sink: &mut S,
+        settled: Settled,
+    ) {
+        self.update_residency(now, kernel, core, res, stats, sink);
+        assert_eq!(
+            self.epoch, settled.epoch,
+            "SM {} cycle {now}: residency changed on a replayed tick",
+            self.id
+        );
+        assert!(
+            !self.issue_dirty,
+            "SM {} cycle {now}: issue list dirty on a replayed tick",
+            self.id
+        );
+        for s in 0..self.sched_last.len() {
+            assert_eq!(
+                self.pick_warp(s, now, kernel, core),
+                None,
+                "SM {} cycle {now}: scheduler {s} can issue on a replayed tick",
+                self.id
+            );
+        }
+        assert_eq!(
+            self.classify::<PROFILED>(now, kernel),
+            settled.class,
+            "SM {} cycle {now}: replayed tick classifies differently",
+            self.id
+        );
     }
 
     fn rebuild_issue_list(&mut self) {
@@ -1410,7 +1584,8 @@ impl Sm {
         let cta = &mut self.ctas[cta_slot];
         if cta.live_warps > 0 && cta.barrier_arrived >= cta.live_warps {
             cta.barrier_arrived = 0;
-            for &w in &cta.warps.clone() {
+            for i in 0..self.ctas[cta_slot].warps.len() {
+                let w = self.ctas[cta_slot].warps[i];
                 if self.warps[w].waiting_barrier {
                     self.warps[w].waiting_barrier = false;
                     stats
@@ -1523,14 +1698,13 @@ impl Sm {
         self.resident_smem_bytes -= self.ctas[cta_slot].smem_bytes;
         self.resident_warps -= n_warps;
         self.resident_ctas -= 1;
-        for &w in &self.ctas[cta_slot].warps.clone() {
+        for w in self.ctas[cta_slot].warps.drain(..) {
             // Invalidate the slot's uid so in-flight completions and
             // writebacks for this warp are dropped.
             self.warp_uids[w] = 0;
             self.free_warp_slots.push(w);
         }
         self.ctas[cta_slot].phase = CtaPhase::Finished;
-        self.ctas[cta_slot].warps.clear();
         self.free_cta_slots.push(cta_slot);
         self.issue_dirty = true;
         stats.ctas_completed += 1;
@@ -1540,15 +1714,9 @@ impl Sm {
 
     // ----- stats -------------------------------------------------------------
 
-    fn accumulate_stats<const PROFILED: bool>(
-        &self,
-        now: u64,
-        issued: u32,
-        first_issue_pc: Option<usize>,
-        kernel: &Kernel,
-        stats: &mut RunStats,
-        attr: EmptyAttr,
-    ) {
+    /// The accounting every SM-cycle gets, issued or not: occupancy
+    /// integrals, swap-engine busy time and the LD/ST queue sample.
+    fn charge_cycle(&self, stats: &mut RunStats) {
         let occ = &mut stats.occupancy;
         occ.sm_cycles += 1;
         occ.resident_warp_cycles += u64::from(self.resident_warps);
@@ -1561,54 +1729,37 @@ impl Sm {
             stats.swaps.swap_busy_cycles += 1;
         }
         stats.ldst_queue.sample(self.ldst.queue_len() as u64);
-        if issued > 0 {
-            stats.issue_cycles += 1;
-            // The cycle's one issue tally goes to the first PC that
-            // issued, so per-PC `issued` sums exactly to `issue_cycles`.
-            if PROFILED {
-                if let (Some(h), Some(pc)) = (stats.hotspots.as_mut(), first_issue_pc) {
-                    h.record_issue_cycle(pc);
-                }
-            }
-            return;
-        }
-        // Idle cycle: classify.
+    }
+
+    /// Classifies a cycle in which nothing issued. Reads SM state and the
+    /// clock only; blame PCs are computed when `PROFILED`.
+    fn classify<const PROFILED: bool>(&self, now: u64, kernel: &Kernel) -> IdleClass {
         if self.resident_warps == 0 {
-            stats.idle.no_warps += 1;
-            // Empty sub-split (keeps `empty.total() == idle.no_warps`):
-            // with undispatched CTAs left the SM is starved by whichever
-            // limit family governs admission; otherwise it is draining.
-            if !attr.work_left {
-                stats.empty.drain += 1;
-            } else if attr.scheduling_limited {
-                stats.empty.scheduling += 1;
-            } else {
-                stats.empty.capacity += 1;
-            }
-            return;
+            return IdleClass::Empty;
         }
         if self.active_phase_warps == 0 {
             if self.swapping_ctas > 0 {
-                stats.idle.swapping += 1;
                 // Context-switch overhead has no instruction to blame.
-                if PROFILED {
-                    charge_stall(stats, None, StallReason::Swap);
-                }
-            } else {
-                // Everything resident is inactive and waiting on memory.
-                stats.idle.memory += 1;
-                if PROFILED {
-                    // Blame the oldest inactive warp with loads in flight.
-                    let pc = self
-                        .warps
-                        .iter()
-                        .filter(|w| !w.done && w.pending_loads > 0)
-                        .min_by_key(|w| w.age)
-                        .map(|w| w.stack.pc());
-                    charge_stall(stats, pc, StallReason::Memory);
-                }
+                return IdleClass::Stalled {
+                    reason: StallReason::Swap,
+                    blame: None,
+                };
             }
-            return;
+            // Everything resident is inactive and waiting on memory:
+            // blame the oldest inactive warp with loads in flight.
+            let blame = if PROFILED {
+                self.warps
+                    .iter()
+                    .filter(|w| !w.done && w.pending_loads > 0)
+                    .min_by_key(|w| w.age)
+                    .map(|w| w.stack.pc())
+            } else {
+                None
+            };
+            return IdleClass::Stalled {
+                reason: StallReason::Memory,
+                blame,
+            };
         }
         let (mut mem_b, mut pipe_b, mut barrier_b) = (false, false, false);
         let mut all_barrier = true;
@@ -1652,21 +1803,18 @@ impl Sm {
                 }
             }
         }
-        let (bucket, blame, reason) = if mem_b {
-            (&mut stats.idle.memory, first_mem, StallReason::Memory)
+        let (reason, blame) = if mem_b {
+            (StallReason::Memory, first_mem)
         } else if barrier_b && all_barrier {
-            (&mut stats.idle.barrier, first_barrier, StallReason::Barrier)
+            (StallReason::Barrier, first_barrier)
         } else if pipe_b {
-            (&mut stats.idle.pipeline, first_pipe, StallReason::Pipeline)
+            (StallReason::Pipeline, first_pipe)
         } else {
             // Structural hazards (LD/ST queue, SFU interval, scheduler
             // partition imbalance) and anything unclassified.
-            (&mut stats.idle.other, first_other, StallReason::Structural)
+            (StallReason::Structural, first_other)
         };
-        *bucket += 1;
-        if PROFILED {
-            charge_stall(stats, blame, reason);
-        }
+        IdleClass::Stalled { reason, blame }
     }
 
     // ----- introspection -------------------------------------------------------
@@ -1905,9 +2053,41 @@ impl Sm {
         if warp_uids.len() != warps.len() {
             return Err("warp uid table length mismatch".to_string());
         }
+        // Every restored slot index is later used to index the warp or
+        // CTA table unchecked, so each is bounded here, at the boundary.
+        let bounded = |what: &str, table: &str, slot: usize, len: usize| {
+            if slot < len {
+                Ok(slot)
+            } else {
+                Err(format!(
+                    "{what} names {table} slot {slot}, but the SM has {len} {table} slots"
+                ))
+            }
+        };
+        let warp_slot = |what: &str, slot: usize| bounded(what, "warp", slot, warps.len());
+        let cta_slot = |what: &str, slot: usize| bounded(what, "CTA", slot, ctas.len());
+        for cta in &ctas {
+            for &w in &cta.warps {
+                warp_slot("CTA warp list", w)?;
+            }
+        }
+        for warp in &warps {
+            cta_slot("warp", warp.cta_slot)?;
+        }
+        let free_cta_slots = usize_vec(v, "free_cta_slots")?;
+        for &s in &free_cta_slots {
+            cta_slot("free CTA list", s)?;
+        }
+        let free_warp_slots = usize_vec(v, "free_warp_slots")?;
+        for &s in &free_warp_slots {
+            warp_slot("free warp list", s)?;
+        }
         let mut sched_last = Vec::new();
         for item in req_array(v, "sched_last")? {
-            sched_last.push(opt_u64(item, "sched_last slot")?.map(|s| s as usize));
+            sched_last.push(match opt_u64(item, "sched_last slot")? {
+                Some(s) => Some(warp_slot("sched_last", s as usize)?),
+                None => None,
+            });
         }
         if sched_last.is_empty() {
             return Err("SM has no schedulers".to_string());
@@ -1917,10 +2097,14 @@ impl Sm {
             let a = item.as_array().ok_or("writeback is not an array")?;
             writebacks.push(Reverse((
                 elem_u64(a, 0)?,
-                elem_u64(a, 1)? as usize,
+                warp_slot("writeback", elem_u64(a, 1)? as usize)?,
                 elem_u64(a, 2)? as u16,
                 elem_u64(a, 3)?,
             )));
+        }
+        let ldst = LdstUnit::restore(req(v, "ldst")?)?;
+        for s in ldst.warp_slots() {
+            warp_slot("LD/ST unit", s)?;
         }
         let est = req_array(v, "mode_ipc_est")?;
         if est.len() != 2 {
@@ -1930,9 +2114,9 @@ impl Sm {
             id: req_u64(v, "id")? as usize,
             line_bytes: req_u64(v, "line_bytes")? as u32,
             ctas,
-            free_cta_slots: usize_vec(v, "free_cta_slots")?,
+            free_cta_slots,
             warps,
-            free_warp_slots: usize_vec(v, "free_warp_slots")?,
+            free_warp_slots,
             warp_uids,
             resident_reg_bytes: req_u64(v, "resident_reg_bytes")? as u32,
             resident_smem_bytes: req_u64(v, "resident_smem_bytes")? as u32,
@@ -1951,7 +2135,7 @@ impl Sm {
             },
             sched_last,
             sfu_free_at: req_u64(v, "sfu_free_at")?,
-            ldst: LdstUnit::restore(req(v, "ldst")?)?,
+            ldst,
             writebacks,
             issue_list: Vec::new(),
             issue_dirty: true,
@@ -1969,6 +2153,8 @@ impl Sm {
                 opt_u64(&est[1], "mode_ipc_est[1]")?,
             ],
             deferred: Vec::new(),
+            epoch: 0,
+            settled: None,
         })
     }
 }
@@ -1989,12 +2175,36 @@ enum MemOp {
     },
 }
 
-/// Charges one stall cycle of `reason` to `pc` in the hotspot profile
-/// (unattributed when no instruction is blamable). Only called on
-/// `PROFILED = true` paths.
-fn charge_stall(stats: &mut RunStats, pc: Option<usize>, reason: StallReason) {
-    if let Some(h) = stats.hotspots.as_mut() {
-        h.record_stall(pc, reason);
+/// Charges one SM-cycle that issued nothing to the idle and empty
+/// breakdowns and, when `PROFILED`, to the per-PC profile (unattributed
+/// when no instruction is blamable).
+fn charge_idle<const PROFILED: bool>(stats: &mut RunStats, class: IdleClass, attr: EmptyAttr) {
+    let IdleClass::Stalled { reason, blame } = class else {
+        stats.idle.no_warps += 1;
+        // Empty sub-split (keeps `empty.total() == idle.no_warps`):
+        // with undispatched CTAs left the SM is starved by whichever
+        // limit family governs admission; otherwise it is draining.
+        if !attr.work_left {
+            stats.empty.drain += 1;
+        } else if attr.scheduling_limited {
+            stats.empty.scheduling += 1;
+        } else {
+            stats.empty.capacity += 1;
+        }
+        return;
+    };
+    let idle = &mut stats.idle;
+    *match reason {
+        StallReason::Memory => &mut idle.memory,
+        StallReason::Pipeline => &mut idle.pipeline,
+        StallReason::Barrier => &mut idle.barrier,
+        StallReason::Swap => &mut idle.swapping,
+        StallReason::Structural => &mut idle.other,
+    } += 1;
+    if PROFILED {
+        if let Some(h) = stats.hotspots.as_mut() {
+            h.record_stall(blame, reason);
+        }
     }
 }
 
@@ -2004,5 +2214,371 @@ fn thread_ctx(w: &WarpRt, lane: u32, kernel: &Kernel, ctas: &[CtaRt]) -> ThreadC
         ctaid: ctas[w.cta_slot].cta_id,
         ntid: kernel.threads_per_cta(),
         ncta: kernel.num_ctas(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{SwapConfig, ThrottleConfig};
+    use crate::hotspots::PcProfile;
+    use vt_isa::op::{SfuOp, Sreg};
+    use vt_isa::KernelBuilder;
+    use vt_mem::MemConfig;
+
+    /// One SM driven the way the engine drives it: memory tick, SM tick,
+    /// and an optional one-CTA-per-cycle dispatcher.
+    struct Rig {
+        kernel: Kernel,
+        core: CoreConfig,
+        res: ResidencyConfig,
+        mem: MemSystem,
+        image: MemImage,
+        sm: Sm,
+        stats: RunStats,
+        now: u64,
+        next_cta: u32,
+    }
+
+    impl Rig {
+        fn new(kernel: Kernel, core: CoreConfig, res: ResidencyConfig, profiled: bool) -> Rig {
+            let mem_cfg = MemConfig::default();
+            Rig {
+                mem: MemSystem::new(&mem_cfg, 1),
+                image: kernel.global_mem().clone(),
+                sm: Sm::new(0, &core, mem_cfg.line_bytes),
+                stats: RunStats {
+                    hotspots: profiled.then(|| PcProfile::new(kernel.program().len())),
+                    ..RunStats::default()
+                },
+                kernel,
+                core,
+                res,
+                now: 0,
+                next_cta: 0,
+            }
+        }
+
+        fn admit(&mut self) {
+            self.sm.admit(
+                self.next_cta,
+                &self.kernel,
+                &self.core,
+                &self.res,
+                self.now,
+                &mut self.stats,
+            );
+            self.next_cta += 1;
+        }
+
+        fn tick_with(&mut self, attr: EmptyAttr) {
+            self.mem.tick(self.now);
+            self.sm
+                .tick(
+                    self.now,
+                    &self.kernel,
+                    &self.core,
+                    &self.res,
+                    &mut self.mem,
+                    &mut self.image,
+                    &mut self.stats,
+                    attr,
+                )
+                .unwrap();
+            self.now += 1;
+        }
+
+        fn tick(&mut self) {
+            self.tick_with(EmptyAttr::drained());
+        }
+
+        /// Whether the next tick replays, provided its writeback and
+        /// LD/ST steps find nothing — which the caller confirms by
+        /// seeing `sm.epoch` unchanged after it.
+        fn will_replay(&self) -> bool {
+            self.sm
+                .replayable(self.now, self.stats.hotspots.is_some())
+                .is_some()
+        }
+
+        /// Ticks once and asserts the tick was a replay.
+        fn tick_replayed(&mut self) {
+            assert!(self.will_replay(), "cycle {}: not settled", self.now);
+            let epoch = self.sm.epoch;
+            self.tick();
+            assert_eq!(self.sm.epoch, epoch, "cycle {}: woke early", self.now - 1);
+        }
+
+        /// Runs the whole grid, dispatching like the engine (after the
+        /// tick, one CTA per cycle). `unsettle` drops the settled record
+        /// before every tick, so that twin never replays.
+        fn run(mut self, unsettle: bool) -> RunStats {
+            loop {
+                if unsettle {
+                    self.sm.settled = None;
+                }
+                let work_left = self.next_cta < self.kernel.num_ctas();
+                self.tick_with(EmptyAttr {
+                    work_left,
+                    scheduling_limited: false,
+                });
+                if work_left && self.sm.can_admit(&self.kernel, &self.core, &self.res) {
+                    self.admit();
+                }
+                let drained = self.next_cta >= self.kernel.num_ctas();
+                if drained && self.sm.idle() && self.mem.quiesced() {
+                    return self.stats;
+                }
+                assert!(self.now < 1_000_000, "rig run did not finish");
+            }
+        }
+    }
+
+    fn vt_residency(swap_cycles: u32, throttle: Option<ThrottleConfig>) -> ResidencyConfig {
+        ResidencyConfig {
+            admission: AdmissionPolicy::CapacityOnly {
+                max_resident_ctas: None,
+            },
+            active: ActivePolicy::SchedulingLimit,
+            swap: Some(SwapConfig {
+                trigger: SwapTrigger::AllWarpsStalled,
+                save_cycles: swap_cycles,
+                restore_cycles: swap_cycles,
+                fresh_activation_cycles: swap_cycles,
+                throttle,
+            }),
+        }
+    }
+
+    /// One warp per CTA: a load from a fixed address, then its consumer.
+    fn load_then_use(ctas: u32) -> Kernel {
+        let mut b = KernelBuilder::new("load_then_use");
+        let xs = b.alloc_global_init(&[7; 32]);
+        let v = b.reg();
+        b.ld_global(v, Operand::Imm(0), xs as i32);
+        b.add(v, Operand::Reg(v), Operand::Imm(1));
+        b.exit();
+        b.build(ctas, 32).unwrap()
+    }
+
+    /// Strided loads in a loop, an SFU op, a barrier-fenced shared-memory
+    /// exchange and a store: every `Readiness` and every CTA phase occurs
+    /// once the limits are shrunk enough for VT to swap.
+    fn mixed_kernel(ctas: u32) -> Kernel {
+        let threads = 64u32;
+        let n = (ctas * threads) as usize;
+        let mut b = KernelBuilder::new("mixed");
+        let xs = b.alloc_global_init(&(0..(n * 32) as u32).collect::<Vec<_>>());
+        let out = b.alloc_global(n);
+        let buf = b.alloc_shared(threads);
+        let (gid, off, soff, acc, v, i) = (b.reg(), b.reg(), b.reg(), b.reg(), b.reg(), b.reg());
+        b.global_thread_id(gid);
+        b.shl(off, Operand::Reg(gid), Operand::Imm(7));
+        b.shl(soff, Operand::Sreg(Sreg::Tid), Operand::Imm(2));
+        b.mov(acc, Operand::Imm(0));
+        b.for_range(i, Operand::Imm(0), Operand::Imm(3), 1, |b, _| {
+            b.ld_global(v, Operand::Reg(off), xs as i32);
+            b.add(acc, Operand::Reg(acc), Operand::Reg(v));
+            b.sfu(SfuOp::Sqrt, v, Operand::Reg(acc));
+            b.st_shared(Operand::Reg(soff), buf as i32, Operand::Reg(v));
+            b.bar();
+            b.ld_shared(v, Operand::Reg(soff), buf as i32);
+            b.add(acc, Operand::Reg(acc), Operand::Reg(v));
+            b.add(off, Operand::Reg(off), Operand::Imm(4));
+        });
+        b.shl(off, Operand::Reg(gid), Operand::Imm(2));
+        b.st_global(Operand::Reg(off), out as i32, Operand::Reg(acc));
+        b.exit();
+        b.build(ctas, threads).unwrap()
+    }
+
+    #[test]
+    fn load_stalled_warp_settles_after_two_ticks_until_its_response() {
+        let mut rig = Rig::new(
+            load_then_use(1),
+            CoreConfig::default(),
+            ResidencyConfig::baseline(),
+            false,
+        );
+        rig.admit();
+        rig.tick(); // issues the load
+        assert!(rig.sm.settled.is_none(), "an issuing tick is not settled");
+        rig.tick(); // the LD/ST unit injects it (miss event); nothing issues
+        assert_eq!(rig.stats.warp_instrs, 1);
+        let mut replayed = 0;
+        while rig.sm.warps[0].pending_loads > 0 {
+            let epoch = rig.sm.epoch;
+            let expect_replay = rig.will_replay();
+            rig.tick();
+            if rig.sm.epoch == epoch {
+                assert!(expect_replay, "cycle {}: quiet but unsettled", rig.now - 1);
+                replayed += 1;
+            }
+        }
+        // The response's tick is the only one that was not a replay, and
+        // the consumer issued in it.
+        assert_eq!(replayed, rig.now - 3);
+        assert_eq!(rig.stats.warp_instrs, 2);
+        assert_eq!(rig.stats.idle.memory, rig.now - 2);
+        assert_eq!(rig.stats.idle.total() + rig.stats.issue_cycles, rig.now);
+    }
+
+    #[test]
+    fn never_settling_twin_ends_with_identical_stats() {
+        let core = CoreConfig {
+            max_ctas_per_sm: 2,
+            ..CoreConfig::default()
+        };
+        let throttle = ThrottleConfig {
+            window_cycles: 64,
+            phase_windows: 2,
+            probe_every_phases: 2,
+        };
+        let cases = [
+            ("baseline", ResidencyConfig::baseline()),
+            ("vt", vt_residency(6, None)),
+            ("vt+throttle", vt_residency(6, Some(throttle))),
+        ];
+        for (label, res) in cases {
+            for profiled in [false, true] {
+                let replaying = Rig::new(mixed_kernel(10), core.clone(), res, profiled).run(false);
+                let never = Rig::new(mixed_kernel(10), core.clone(), res, profiled).run(true);
+                assert_eq!(replaying, never, "{label}, profiled={profiled}");
+                assert_eq!(replaying.ctas_completed, 10);
+                if res.swap.is_some() {
+                    assert!(replaying.swaps.swaps_out > 0, "{label}: VT never swapped");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sfu_initiation_interval_expires_a_settled_sm() {
+        // Two warps, one per scheduler, both starting on an SFU op: warp 0
+        // takes the unit, warp 1 waits out the interval while warp 0 waits
+        // for its own result.
+        let mut b = KernelBuilder::new("sfu");
+        let v = b.reg();
+        b.sfu(SfuOp::Rcp, v, Operand::Imm(0x4000_0000));
+        b.add(v, Operand::Reg(v), Operand::Imm(1));
+        b.exit();
+        let core = CoreConfig {
+            sfu_init_interval: 6,
+            ..CoreConfig::default()
+        };
+        let mut rig = Rig::new(
+            b.build(1, 64).unwrap(),
+            core,
+            ResidencyConfig::baseline(),
+            false,
+        );
+        rig.admit();
+        rig.tick();
+        assert_eq!(rig.stats.warp_instrs, 1, "one SFU issue per interval");
+        rig.tick();
+        assert_eq!(rig.sm.settled.map(|s| s.until), Some(6));
+        while rig.now < 6 {
+            rig.tick_replayed();
+        }
+        assert!(!rig.will_replay());
+        rig.tick();
+        assert_eq!(rig.stats.warp_instrs, 2, "warp 1 issues at cycle 6 exactly");
+        assert_eq!(rig.stats.idle.pipeline, 5);
+    }
+
+    #[test]
+    fn swap_completion_expires_a_settled_sm() {
+        let mut rig = Rig::new(
+            load_then_use(1),
+            CoreConfig::default(),
+            vt_residency(5, None),
+            false,
+        );
+        rig.admit(); // fresh activation takes 5 cycles
+        rig.tick();
+        assert_eq!(rig.sm.settled.map(|s| s.until), Some(5));
+        while rig.now < 5 {
+            rig.tick_replayed();
+        }
+        assert!(!rig.will_replay());
+        rig.tick();
+        assert_eq!(rig.stats.idle.swapping, 5);
+        assert_eq!(rig.stats.swaps.swap_busy_cycles, 5);
+        assert_eq!(rig.stats.issue_cycles, 1, "activated and issued at cycle 5");
+    }
+
+    #[test]
+    fn throttle_window_boundary_expires_a_settled_sm() {
+        let throttle = ThrottleConfig {
+            window_cycles: 16,
+            phase_windows: 2,
+            probe_every_phases: 2,
+        };
+        let mut rig = Rig::new(
+            load_then_use(1),
+            CoreConfig::default(),
+            vt_residency(0, Some(throttle)),
+            false,
+        );
+        rig.admit();
+        let mut replayed = 0;
+        while rig.stats.warp_instrs < 2 {
+            let epoch = rig.sm.epoch;
+            rig.tick();
+            replayed += u64::from(rig.sm.epoch == epoch);
+            // The window rolls over on its boundary, never late.
+            assert_eq!(rig.sm.throttle_window_end, (rig.now - 1) / 16 * 16 + 16);
+        }
+        assert!(rig.now > 3 * 16, "the load must span several windows");
+        assert!(replayed > rig.now / 2);
+    }
+
+    #[test]
+    fn admit_between_ticks_unsettles() {
+        // One active slot, held by a CTA stalled on a miss: the swap
+        // trigger only lacks a replacement. Admission supplies one without
+        // activating anything, so the admit itself must wake the SM.
+        let core = CoreConfig {
+            max_ctas_per_sm: 1,
+            ..CoreConfig::default()
+        };
+        let mut rig = Rig::new(load_then_use(2), core, vt_residency(0, None), false);
+        rig.admit();
+        rig.tick();
+        rig.tick();
+        rig.tick_replayed();
+        assert_eq!(rig.sm.warps[0].long_pending_loads, 1);
+        rig.admit();
+        assert_eq!(rig.sm.slot_ctas(), 1, "the admitted CTA found no free slot");
+        assert!(!rig.will_replay());
+        rig.tick();
+        assert_eq!(rig.stats.swaps.swaps_out, 1, "swapped for the new CTA");
+        assert_eq!(rig.stats.warp_instrs, 2, "whose load issues at once");
+    }
+
+    #[test]
+    fn empty_sm_follows_the_live_attribution() {
+        let mut rig = Rig::new(
+            load_then_use(1),
+            CoreConfig::default(),
+            ResidencyConfig::baseline(),
+            false,
+        );
+        let starved = EmptyAttr {
+            work_left: true,
+            scheduling_limited: true,
+        };
+        rig.tick_with(starved);
+        for _ in 0..3 {
+            assert!(rig.will_replay());
+            rig.tick_with(starved);
+        }
+        for _ in 0..2 {
+            assert!(rig.will_replay());
+            rig.tick_with(EmptyAttr::drained());
+        }
+        assert_eq!(rig.stats.empty.scheduling, 4);
+        assert_eq!(rig.stats.empty.drain, 2);
+        assert_eq!(rig.stats.idle.no_warps, 6);
     }
 }

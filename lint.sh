@@ -136,6 +136,12 @@ cargo test -q -p vt-tests --test traces
 echo "== property suite (random kernels: lint-clean, all-arch completion)"
 cargo test -q -p vt-tests --test properties
 
+# Release build of benchmark/'s own workspace; every check the full
+# benchmark makes (interpreter image, CPI conservation, pooled == unpooled,
+# sliced == uninterrupted) on all six workloads at smoke scale, < 10 s warm.
+echo "== benchmark smoke (all six workloads' correctness checks)"
+benchmark/run.sh --smoke >/dev/null
+
 echo "== public API surface (tools/api.txt must match the source)"
 if ! diff -u tools/api.txt <(tools/api_surface.sh); then
   echo "lint: public API changed; review the diff above and re-bless" >&2

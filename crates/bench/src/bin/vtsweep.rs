@@ -1,17 +1,15 @@
 //! `vtsweep` — parallel sweep runner for the experiment grid.
 //!
-//! Runs the suite-kernels × architectures grid on the deterministic
-//! worker pool, either fanning whole grid cells across threads
-//! (`--engine grid`, the default) or sharding the SMs of each run
-//! (`--engine sm`). Results are bit-identical to a sequential run at any
-//! thread count; `--check` verifies exactly that.
+//! Runs the suite-kernels × architectures grid, fanning whole grid cells
+//! across the deterministic worker pool. Results are bit-identical to a
+//! sequential run at any thread count; `--check` verifies exactly that.
 //!
 //! Long runs can be bounded and sliced: `--budget` / `--deadline` stop
 //! each cell after a cycle or wall-clock allowance, `--checkpoint FILE`
 //! saves the truncated simulator state, and `--resume FILE` continues it
-//! bit-identically. Budgeted runs also install a Ctrl-C handler that
-//! cancels the active simulation at the next cycle boundary instead of
-//! killing the process.
+//! bit-identically. Such runs simulate one cell at a time on one thread
+//! and install a Ctrl-C handler that cancels the active simulation at
+//! the next cycle boundary instead of killing the process.
 //!
 //! ```text
 //! cargo run --release -p vt-bench --bin vtsweep                  # full grid
@@ -54,27 +52,25 @@ options:
                                      (default all)
   --scale test|small|paper           problem scale (default test)
   --sms N                            number of SMs (default config's 15)
-  --threads N                        worker threads (default $VT_THREADS,
-                                     else the machine's parallelism;
-                                     1 = fully sequential)
-  --engine grid|sm                   what to parallelise: independent grid
-                                     cells (default) or the SMs inside
-                                     each simulation
+  --threads N                        worker threads for the unbudgeted grid
+                                     (default $VT_THREADS, else the
+                                     machine's parallelism; 1 = fully
+                                     sequential). With --budget, --deadline,
+                                     --resume or --progress cells run one
+                                     at a time on one thread, whatever N
   --budget CYCLES                    stop each cell after CYCLES simulated
                                      cycles, reporting partial stats
-                                     (implies the sm engine)
   --deadline SECS                    stop each cell after SECS wall-clock
-                                     seconds (implies the sm engine;
-                                     partial stats are not deterministic)
+                                     seconds (partial stats are not
+                                     deterministic)
   --checkpoint FILE                  write the truncated cell's state to
                                      FILE (requires one kernel, one arch)
   --resume FILE                      continue a checkpointed run from FILE
                                      (requires one kernel, one arch)
   --progress                         live stderr ticker (cycle/budget,
                                      windowed IPC, resident CTAs) for each
-                                     cell (implies the sm engine; automatic
-                                     when stderr is a terminal and the sm
-                                     engine is active)
+                                     cell (automatic when stderr is a
+                                     terminal and cells run one at a time)
   --check                            re-run the grid single-threaded and
                                      fail (exit 1) unless every cell is
                                      bit-identical
@@ -82,19 +78,12 @@ options:
   --list                             list suite kernel names and exit
   -h, --help                         this help";
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    Grid,
-    Sm,
-}
-
 struct Opts {
     kernels: Vec<String>,
     archs: Vec<Architecture>,
     scale: Scale,
     sms: Option<u32>,
     threads: usize,
-    engine: Engine,
     budget: Option<u64>,
     deadline: Option<Duration>,
     checkpoint: Option<String>,
@@ -109,11 +98,7 @@ impl Opts {
     /// [`Session`] (as opposed to fanning completed cells across the
     /// pool).
     fn uses_sessions(&self) -> bool {
-        self.engine == Engine::Sm
-            || self.budget.is_some()
-            || self.deadline.is_some()
-            || self.resume.is_some()
-            || self.progress
+        self.budget.is_some() || self.deadline.is_some() || self.resume.is_some() || self.progress
     }
 
     /// Whether cells show a live stderr ticker: `--progress` forces it,
@@ -165,7 +150,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
         scale: Scale::test(),
         sms: None,
         threads: default_threads(),
-        engine: Engine::Grid,
         budget: None,
         deadline: None,
         checkpoint: None,
@@ -203,13 +187,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?;
                 o.threads = if n == 0 { default_threads() } else { n };
-            }
-            "--engine" => {
-                o.engine = match value("--engine")?.as_str() {
-                    "grid" => Engine::Grid,
-                    "sm" => Engine::Sm,
-                    other => return Err(format!("unknown engine `{other}`")),
-                };
             }
             "--budget" => {
                 let n: u64 = value("--budget")?
@@ -322,7 +299,8 @@ fn base_config(opts: &Opts) -> GpuConfig {
 /// are invisible in the wall-clock profile.
 const TICK_EVERY: u64 = 4096;
 
-/// Runs the full grid, returning cells in kernel-major order.
+/// Runs the full grid, returning cells in kernel-major order. `threads`
+/// shards the unbudgeted grid; session cells run one at a time.
 fn run_grid(
     opts: &Opts,
     picked: &[&Workload],
@@ -342,8 +320,8 @@ fn run_grid(
             .collect();
     }
 
-    // Budgeted / cancellable / SM-parallel path: one session per
-    // architecture, each cell run to its budget. The ticker label is
+    // Budgeted / cancellable path: one session per architecture, each
+    // cell run to its budget. The ticker label is
     // shared with every session's callback and rewritten per cell.
     let label: Rc<RefCell<String>> = Rc::default();
     let mut sessions: Vec<Session> = opts
@@ -355,9 +333,6 @@ fn run_grid(
                 ..cfg.clone()
             })
             .with_budget(opts.run_budget());
-            if threads > 1 {
-                s = s.with_pool(Pool::new(threads));
-            }
             if let Some(token) = cancel {
                 s = s.with_cancel(token.clone());
             }
@@ -541,11 +516,17 @@ fn main() -> ExitCode {
         token
     });
 
+    // Threads actually used: only the unbudgeted grid is sharded.
+    let threads = if opts.uses_sessions() {
+        1
+    } else {
+        opts.threads
+    };
     let started = Instant::now();
     let grid = run_grid(
         &opts,
         &picked,
-        opts.threads,
+        threads,
         resume.as_ref(),
         cancel.as_ref(),
         opts.wants_ticker(),
@@ -607,10 +588,9 @@ fn main() -> ExitCode {
         println!("{}", Json::Array(records).pretty());
     } else {
         println!(
-            "{} cells, {} thread(s), engine {}, {:.2}s",
+            "{} cells, {} thread(s), {:.2}s",
             grid.len(),
-            opts.threads,
-            if opts.uses_sessions() { "sm" } else { "grid" },
+            threads,
             elapsed.as_secs_f64()
         );
     }
@@ -654,7 +634,7 @@ fn main() -> ExitCode {
         println!(
             "check: ok ({} cells bit-identical at {} thread(s))",
             grid.len(),
-            opts.threads
+            threads
         );
     }
     if cancelled {

@@ -10,8 +10,8 @@
 //! * `vttrace --run FILE` replays the trace through the simulator with
 //!   the recorded launch geometry and prints a deterministic stats
 //!   fingerprint (cycles, instruction counts, barriers, and an FNV-1a
-//!   digest of the final memory image). The fingerprint is identical
-//!   for any `--threads` value, so recorded replays can gate CI.
+//!   digest of the final memory image), so recorded replays can gate
+//!   CI.
 //!
 //! ```text
 //! cargo run --release -p vt-bench --bin vttrace -- --check traces/*.trace
@@ -23,7 +23,7 @@
 
 use std::process::ExitCode;
 use vt_bench::cli;
-use vt_core::{Architecture, GpuConfig, MemSwapParams, Pool, Report, RunRequest, Session};
+use vt_core::{Architecture, GpuConfig, MemSwapParams, Report, RunRequest, Session};
 use vt_traces::parse_file;
 
 const USAGE: &str = "\
@@ -37,8 +37,6 @@ the simulator and prints a deterministic stats fingerprint.
 options (--run):
   --arch baseline|vt|ideal|memswap   architecture (default vt)
   --sms N               number of SMs (default 4)
-  --threads N           worker threads (default sequential; the
-                        fingerprint is identical for any value)
   --json                print the fingerprint as JSON
   -h, --help            this help";
 
@@ -51,7 +49,6 @@ struct Opts {
     mode: Mode,
     arch: Architecture,
     sms: u32,
-    threads: Option<usize>,
     json: bool,
 }
 
@@ -59,7 +56,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
     let mut mode: Option<Mode> = None;
     let mut arch = Architecture::virtual_thread();
     let mut sms = 4u32;
-    let mut threads = None;
     let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -86,15 +82,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
                 };
             }
             "--sms" => sms = value("--sms")?.parse().map_err(|e| format!("--sms: {e}"))?,
-            "--threads" => {
-                let n: usize = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                threads = Some(n);
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -103,7 +90,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
         mode,
         arch,
         sms,
-        threads,
         json,
     }))
 }
@@ -147,11 +133,7 @@ fn run(file: &str, o: &Opts) -> Result<(), String> {
     let kernel = trace.lower().map_err(|e| format!("{file}: {e}"))?;
     let mut cfg = GpuConfig::with_arch(o.arch);
     cfg.core.num_sms = o.sms.max(1);
-    let mut session = Session::new(cfg);
-    if let Some(n) = o.threads {
-        session = session.with_pool(Pool::new(n));
-    }
-    let report = session
+    let report = Session::new(cfg)
         .run(RunRequest::kernel(&kernel))
         .and_then(|out| out.completed())
         .map_err(|e| format!("{file}: replay failed: {e}"))?

@@ -89,6 +89,44 @@ fn io_and_validation_problems_exit_two() {
     assert_eq!(code(&out), 2, "vtbench bad --sms value");
 }
 
+/// The selectors of the removed per-cycle SM-parallel engine are unknown
+/// options now, and `--threads` cannot change a budgeted cell's record.
+#[test]
+fn no_option_selects_a_parallel_engine() {
+    for (bin, args) in [
+        ("vtsweep", &["--engine", "sm"][..]),
+        ("vttrace", &["--run", "x.trace", "--threads", "2"][..]),
+    ] {
+        let out = run(bin, args);
+        assert_eq!(code(&out), 2, "{bin} {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown"), "{bin} {args:?}:\n{stderr}");
+    }
+
+    let record = |threads: &str| {
+        let out = run(
+            "vtsweep",
+            &[
+                "spmv",
+                "--arch",
+                "vt",
+                "--sms",
+                "2",
+                "--budget",
+                "2000",
+                "--json",
+                "--threads",
+                threads,
+            ],
+        );
+        assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("JSON is UTF-8")
+    };
+    let one = record("1");
+    assert!(one.contains("\"truncated\": true"), "{one}");
+    assert_eq!(record("2"), one);
+}
+
 /// `vttrace --check` on a rejected file is a finding: exit 1, with a
 /// per-file diagnostic rather than a crash.
 #[test]

@@ -5,10 +5,9 @@ use crate::arch::Architecture;
 use vt_isa::kernel::MemImage;
 use vt_isa::Kernel;
 use vt_mem::MemConfig;
-use vt_par::Pool;
 use vt_sim::{
     check_launchable, occupancy, CoreConfig, GpuSim, LaunchError, OccupancyAnalysis,
-    ResidencyConfig, RunBudget, RunStats, SimConfig, SimError,
+    ResidencyConfig, RunStats, SimConfig, SimError,
 };
 
 /// Full configuration of a simulated GPU: hardware shape plus the CTA
@@ -143,82 +142,14 @@ impl Gpu {
     /// Runs `kernel` to completion under the configured architecture.
     ///
     /// This is the one-shot convenience; anything beyond a single
-    /// untraced, unbudgeted run (pools, tracing, budgets, cancellation,
-    /// chains, resume) goes through [`crate::Session`].
+    /// untraced, unbudgeted run (tracing, budgets, cancellation, chains,
+    /// resume, grids) goes through [`crate::Session`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] on launch failure, a functional trap, or
     /// watchdog expiry.
     pub fn run(&self, kernel: &Kernel) -> Result<Report, SimError> {
-        self.run_inner(kernel, None, &mut vt_trace::NullSink)
-    }
-
-    /// [`Gpu::run`] with the per-cycle SM phase sharded across `pool`'s
-    /// workers. Results are bit-identical to [`Gpu::run`] at any thread
-    /// count; `None` runs inline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on launch failure, a functional trap, or
-    /// watchdog expiry.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Session::with_pool + Session::run instead"
-    )]
-    pub fn run_on(&self, kernel: &Kernel, pool: Option<&Pool>) -> Result<Report, SimError> {
-        self.run_inner(kernel, pool, &mut vt_trace::NullSink)
-    }
-
-    /// [`Gpu::run`] with an explicit trace sink receiving every simulation
-    /// event; with [`vt_trace::NullSink`] the instrumentation compiles
-    /// away.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on launch failure, a functional trap, or
-    /// watchdog expiry.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Session::with_sink + Session::run instead"
-    )]
-    pub fn run_traced<S: vt_trace::TraceSink>(
-        &self,
-        kernel: &Kernel,
-        sink: &mut S,
-    ) -> Result<Report, SimError> {
-        self.run_inner(kernel, None, sink)
-    }
-
-    /// Tracing plus optional SM-level parallelism. Stats, traces and the
-    /// final memory image are identical for every `pool` choice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on launch failure, a functional trap, or
-    /// watchdog expiry.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Session::with_pool + Session::with_sink + Session::run instead"
-    )]
-    pub fn run_traced_on<S: vt_trace::TraceSink>(
-        &self,
-        kernel: &Kernel,
-        pool: Option<&Pool>,
-        sink: &mut S,
-    ) -> Result<Report, SimError> {
-        self.run_inner(kernel, pool, sink)
-    }
-
-    /// The shared single-launch body behind [`Gpu::run`] and the
-    /// deprecated shims: lower the architecture to a residency policy and
-    /// run the engine to completion.
-    fn run_inner<S: vt_trace::TraceSink>(
-        &self,
-        kernel: &Kernel,
-        pool: Option<&Pool>,
-        sink: &mut S,
-    ) -> Result<Report, SimError> {
         let residency = self
             .cfg
             .arch
@@ -228,9 +159,7 @@ impl Gpu {
             mem: self.cfg.mem.clone(),
             residency,
         };
-        let result = GpuSim::new(&sim_cfg, kernel)?
-            .execute(pool, sink, &RunBudget::unlimited(), None)?
-            .completed()?;
+        let result = GpuSim::new(&sim_cfg, kernel)?.run()?;
         Ok(Report {
             kernel: kernel.name().to_string(),
             arch: self.cfg.arch,
@@ -266,36 +195,6 @@ pub fn compare(
         .collect()
 }
 
-/// Runs the full `kernels` × `archs` grid, fanning independent cells
-/// across `pool`'s workers. Returns one result per cell in kernel-major
-/// order (`kernels[0]` under every architecture, then `kernels[1]`, …),
-/// regardless of which worker finished first — each cell is an isolated
-/// simulation, so the grid is deterministic at any thread count.
-///
-/// Per-cell failures are reported in place rather than aborting the grid,
-/// so a sweep can present partial results.
-///
-/// Deprecated shim: builds a [`crate::Session`] over a pool of the same
-/// width (results are deterministic, so which pool instance runs the grid
-/// is unobservable) and delegates to [`crate::Session::sweep`].
-#[deprecated(since = "0.2.0", note = "use Session::sweep instead")]
-pub fn run_matrix(
-    pool: &Pool,
-    core: &CoreConfig,
-    mem: &MemConfig,
-    archs: &[Architecture],
-    kernels: &[Kernel],
-) -> Vec<Result<Report, SimError>> {
-    let cfg = GpuConfig {
-        core: core.clone(),
-        mem: mem.clone(),
-        arch: Architecture::Baseline, // per-cell archs come from `archs`
-    };
-    crate::session::Session::new(cfg)
-        .with_pool(Pool::new(pool.threads()))
-        .sweep(archs, kernels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,6 +202,7 @@ mod tests {
     use crate::session::{RunRequest, Session};
     use vt_isa::op::Operand;
     use vt_isa::KernelBuilder;
+    use vt_par::Pool;
 
     /// A memory-latency-bound pointer-chase-flavoured kernel with small
     /// CTAs: the scheduling-limited shape VT accelerates.
@@ -492,32 +392,6 @@ mod tests {
                 assert_eq!(got.mem_image, want.mem_image);
             }
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_session_paths() {
-        let k = latency_bound_kernel(16);
-        let cfg = GpuConfig {
-            core: small_core(),
-            mem: MemConfig::default(),
-            arch: Architecture::virtual_thread(),
-        };
-        let gpu = Gpu::new(cfg.clone());
-        let want = gpu.run(&k).unwrap();
-        let pool = Pool::new(2);
-        let via_on = gpu.run_on(&k, Some(&pool)).unwrap();
-        assert_eq!(via_on.stats, want.stats);
-        let via_traced = gpu.run_traced(&k, &mut vt_trace::NullSink).unwrap();
-        assert_eq!(via_traced.stats, want.stats);
-        let grid = run_matrix(
-            &pool,
-            &cfg.core,
-            &cfg.mem,
-            &[Architecture::virtual_thread()],
-            std::slice::from_ref(&k),
-        );
-        assert_eq!(grid[0].as_ref().unwrap().stats, want.stats);
     }
 
     #[test]

@@ -59,8 +59,6 @@ pub mod session;
 
 pub use arch::{Architecture, MemSwapParams, VtParams};
 pub use energy::{estimate as estimate_energy, EnergyEstimate, EnergyParams};
-#[allow(deprecated)]
-pub use gpu::run_matrix;
 pub use gpu::{compare, Gpu, GpuConfig, Report};
 pub use overhead::{context_buffer, OverheadBreakdown};
 pub use session::{RunRequest, Session, SessionOutcome};
@@ -81,6 +79,6 @@ pub use vt_trace::MetricsRegistry;
 
 pub use vt_mem::MemConfig;
 
-// The deterministic executor, so downstream tools need not depend on
-// vt-par directly.
+// The deterministic grid executor, so downstream tools need not depend
+// on vt-par directly.
 pub use vt_par::{default_threads, sweep, Pool};

@@ -1,12 +1,11 @@
 //! Sessions: the single entry point for running kernels.
 //!
 //! A [`Session`] owns everything one series of runs shares — the GPU
-//! configuration, an optional worker [`Pool`], a trace sink, a default
-//! [`RunBudget`] and a [`CancelToken`] — and consumes [`RunRequest`]s.
-//! One request runs one kernel or a dependent chain of kernels, may
-//! override the budget, and may resume from a [`Checkpoint`]. This
-//! replaces the old `run`/`run_on`/`run_traced`/`run_traced_on`/
-//! `run_chain`/`run_matrix` surface with one orthogonal builder.
+//! configuration, a trace sink, a default [`RunBudget`], a
+//! [`CancelToken`] and, for [`Session::sweep`] grids, an optional worker
+//! [`Pool`] — and consumes [`RunRequest`]s. One request runs one kernel
+//! or a dependent chain of kernels, may override the budget, and may
+//! resume from a [`Checkpoint`].
 //!
 //! ```
 //! use vt_core::{Architecture, GpuConfig, RunRequest, Session, SessionOutcome};
@@ -52,7 +51,7 @@ use vt_trace::{NullSink, TraceSink};
 ///
 /// A chain threads each launch's final memory image into the next
 /// launch, so every kernel must address the same global-memory layout.
-/// The chain inherits the session's pool, sink and cancellation token.
+/// The chain inherits the session's sink and cancellation token.
 #[derive(Debug, Clone)]
 pub struct RunRequest<'a> {
     kernels: Vec<&'a Kernel>,
@@ -137,10 +136,12 @@ impl SessionOutcome {
 }
 
 /// A run context owning the pieces every launch shares: configuration,
-/// worker pool, trace sink, default budget, cancellation token.
+/// trace sink, default budget, cancellation token, and the worker pool
+/// that shards [`Session::sweep`] cells.
 ///
-/// Results are bit-identical at any pool size: the engine's concurrent
-/// phase shares nothing between SMs and its merge order is fixed.
+/// A pool never changes what [`Session::run`] executes — one launch is one
+/// sequential cycle loop — and sweep cells are isolated simulations, so
+/// results are bit-identical at any pool size.
 ///
 /// See the [module docs](self) for an example, and
 /// [`Session::cancel_token`] / [`RunRequest::with_budget`] /
@@ -172,7 +173,8 @@ impl Session<NullSink> {
 }
 
 impl<S: TraceSink> Session<S> {
-    /// Shards the per-cycle SM phase (and sweep cells) across `pool`.
+    /// Shards [`Session::sweep`] cells across `pool`. [`Session::run`]
+    /// does not use it.
     pub fn with_pool(mut self, pool: Pool) -> Session<S> {
         self.pool = Some(pool);
         self
@@ -247,8 +249,8 @@ impl<S: TraceSink> Session<S> {
     }
 
     /// Runs a request: each kernel in order, threading the memory image
-    /// through chains, under the session's pool/sink/cancellation and
-    /// the request's (or session's) budget.
+    /// through chains, under the session's sink and cancellation token
+    /// and the request's (or session's) budget.
     ///
     /// On truncation the outcome carries the completed chain prefix,
     /// partial statistics for the stopped kernel and a [`Checkpoint`];
@@ -300,13 +302,8 @@ impl<S: TraceSink> Session<S> {
                 .progress
                 .as_mut()
                 .map(|(every, cb)| ProgressHook::new(*every, cb.as_mut()));
-            let outcome = sim.execute_with_progress(
-                self.pool.as_ref(),
-                &mut self.sink,
-                &budget,
-                Some(&self.cancel),
-                hook,
-            )?;
+            let outcome =
+                sim.execute_with_progress(&mut self.sink, &budget, Some(&self.cancel), hook)?;
             match outcome {
                 RunOutcome::Completed(r) => {
                     image = Some(r.mem_image.clone());

@@ -13,20 +13,21 @@
 //! cycle) and drain completions with [`MemSystem::pop_response`].
 //! Responses are matched by the opaque `id` the SM chose at submission.
 //!
-//! ## Parallel-engine split
+//! ## Per-SM front-ends
 //!
-//! To let the GPU model tick SMs on worker threads, the per-SM state is
-//! factored into [`SmFront`]: everything `try_submit`/`pop_response`
-//! touch is private to one SM, *except* the SM→partition interconnect.
-//! A front therefore never pushes into the interconnect directly — it
-//! appends accepted requests to its **outbox**, and the (sequential)
-//! merge step calls [`MemSystem::merge_outboxes`] to flush all outboxes
-//! in `(sm_id, submission order)`. Because [`Icnt::push`] computes the
-//! arrival cycle purely from its arguments and preserves push order, the
-//! deferred flush is cycle-for-cycle identical to the pre-split
-//! immediate push, for any thread count. The sequential compatibility
-//! wrappers ([`MemSystem::try_submit`] etc.) flush the outbox
-//! immediately, preserving the original single-threaded call shape.
+//! The per-SM state is factored into [`SmFront`]: everything
+//! `try_submit`/`pop_response` touch is private to one SM, *except* the
+//! SM→partition interconnect. A front never pushes into the
+//! interconnect directly — it appends accepted requests to its
+//! **outbox**, and once every SM has ticked the engine calls
+//! [`MemSystem::merge_outboxes`] to flush all outboxes in `(sm_id,
+//! submission order)`. Because [`Icnt::push`] computes the arrival cycle
+//! purely from its arguments and preserves push order, the deferred
+//! flush is cycle-for-cycle identical to an immediate push. The
+//! whole-system wrappers ([`MemSystem::try_submit`] etc.) flush the
+//! outbox immediately. (The split was made for a per-cycle parallel
+//! engine that has since been removed; it stays because it is part of
+//! the checkpoint format.)
 
 use crate::cache::{Cache, Probe};
 use crate::config::MemConfig;
@@ -429,14 +430,14 @@ impl MemSystem {
         self.cfg.line_bytes
     }
 
-    /// SM `sm`'s front-end, for thread-parallel submission. The caller is
+    /// SM `sm`'s front-end. The caller is
     /// responsible for flushing outboxes afterwards (see
     /// [`MemSystem::merge_outboxes`]).
     pub fn front_mut(&mut self, sm: usize) -> &mut SmFront {
         &mut self.fronts[sm]
     }
 
-    /// All front-ends, for sharding across worker threads.
+    /// All front-ends, in SM order.
     pub fn fronts_mut(&mut self) -> &mut [SmFront] {
         &mut self.fronts
     }

@@ -1,142 +1,46 @@
-//! vt-par: a deterministic, std-only thread pool for the simulator.
+//! vt-par: a deterministic, std-only (the build is offline) fork/join
+//! for the experiment grid. Two usage shapes are exported:
 //!
-//! The container the simulator builds in is offline, so this crate
-//! deliberately has **zero dependencies**: a fixed set of persistent
-//! worker threads, a condvar-based fork/join protocol, and an atomic
-//! work-stealing index. Two usage shapes are exported:
+//! * [`Pool::run`] — index-parallel fork/join over scoped threads. Which
+//!   thread executes which index is *not* deterministic, so callers must
+//!   only touch disjoint state per index and order any merge themselves.
+//! * [`sweep`] — deterministic job fan-out: independent closures whose
+//!   results are collected *by index*, so the output is identical however
+//!   the jobs interleaved. The kernel×arch experiment grid uses this.
 //!
-//! * [`Pool::run`] — index-parallel fork/join. Every call hands the pool
-//!   a closure over `0..items`; which thread executes which index is
-//!   *not* deterministic, so callers must only touch disjoint state per
-//!   index (see [`DisjointMut`]) and establish ordering themselves when
-//!   merging. The simulator's per-cycle SM phase uses this.
-//! * [`sweep`] — deterministic job fan-out: a vector of independent
-//!   closures whose results are collected *by index*, so the output is
-//!   identical no matter how the jobs were interleaved. The kernel×arch
-//!   experiment grid uses this.
+//! A pool forks once per sweep, around whole simulations, never inside
+//! one — the simulator's cycle loop is sequential (DESIGN.md §11) — so
+//! `run` spawns its threads per call with [`std::thread::scope`]; there
+//! are no persistent workers to hand borrowed jobs to.
 //!
-//! Determinism contract: neither primitive makes results depend on
-//! scheduling. `Pool::run` guarantees every index runs exactly once and
-//! all effects are visible to the caller when it returns; `sweep`
-//! additionally orders results positionally. A pool with one thread
-//! (or a single-item `run`) executes inline on the caller with no
-//! synchronization at all — `threads == 1` is exactly the sequential
-//! code path.
-
-#![deny(unsafe_op_in_unsafe_fn)]
+//! Determinism contract: `Pool::run` runs every index exactly once and all
+//! effects are visible to the caller when it returns; `sweep` additionally
+//! orders results positionally. A one-thread pool (or a single-item `run`)
+//! executes inline on the caller: exactly the sequential code path.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
-/// Payload of the first panic observed during a [`Pool::run`] call; it is
-/// re-raised on the calling thread once all workers have quiesced.
-type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
-
-/// State shared between the pool owner and its worker threads, guarded by
-/// the mutex half of the fork/join protocol.
-struct Shared {
-    /// Incremented once per `run` call; workers sleep until it changes.
-    epoch: u64,
-    /// The job of the current epoch. `None` outside `run`. The `'static`
-    /// lifetime is a lie told by `Pool::run`, which transmutes a stack
-    /// borrow; soundness comes from `run` not returning until `active`
-    /// drops to zero, after which no worker dereferences the pointer.
-    job: Option<&'static JobFn>,
-    /// Workers still executing the current epoch's job.
-    active: usize,
-    /// Set by `Drop` to terminate the worker loops.
-    shutdown: bool,
-}
-
-type JobFn = dyn Fn(usize) + Sync;
-
-struct Inner {
-    state: Mutex<Shared>,
-    /// Signals workers that a new epoch (or shutdown) is available.
-    go: Condvar,
-    /// Signals the owner that `active` reached zero.
-    done: Condvar,
-    /// Next unclaimed item index of the current epoch.
-    next: AtomicUsize,
-    /// Item count of the current epoch.
-    total: AtomicUsize,
-    /// First panic payload observed this epoch, if any.
-    panic: Mutex<Option<PanicPayload>>,
-}
-
-impl Inner {
-    /// Claims and runs items until the index range is exhausted or a
-    /// panic is captured. Returns `true` if a panic was captured.
-    fn drain(&self, job: &JobFn) -> bool {
-        let total = self.total.load(Ordering::Acquire);
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                return false;
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(i))) {
-                let mut slot = self.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-                return true;
-            }
-        }
-    }
-}
-
-/// A fixed-size pool of persistent worker threads.
-///
-/// `Pool::new(n)` spawns `n - 1` workers; the calling thread participates
-/// in every `run`, so `n` is the total parallelism. The pool joins its
-/// workers on drop.
+/// A degree of parallelism. `Pool::new(n)` means `n` threads in total:
+/// each `run` spawns up to `n - 1` scoped workers named `vt-par-1`,
+/// `vt-par-2`, … and the calling thread participates.
+#[derive(Debug)]
 pub struct Pool {
-    inner: std::sync::Arc<Inner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    /// Serializes concurrent `run` calls (the fork/join protocol supports
-    /// one epoch at a time; `run` takes `&self` so pools can be shared).
-    run_lock: Mutex<()>,
+    threads: usize,
 }
 
 impl Pool {
-    /// Creates a pool with `threads` total threads of parallelism
-    /// (clamped to at least 1). `Pool::new(1)` spawns nothing and runs
-    /// every job inline on the caller.
+    /// A pool of `threads` total threads (at least 1; 1 runs inline).
     pub fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
-        let inner = std::sync::Arc::new(Inner {
-            state: Mutex::new(Shared {
-                epoch: 0,
-                job: None,
-                active: 0,
-                shutdown: false,
-            }),
-            go: Condvar::new(),
-            done: Condvar::new(),
-            next: AtomicUsize::new(0),
-            total: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-        });
-        let workers = (1..threads)
-            .map(|i| {
-                let inner = std::sync::Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("vt-par-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn vt-par worker")
-            })
-            .collect();
         Pool {
-            inner,
-            workers,
-            run_lock: Mutex::new(()),
+            threads: threads.max(1),
         }
     }
 
     /// Total parallelism of the pool (workers + the calling thread).
     pub fn threads(&self) -> usize {
-        self.workers.len() + 1
+        self.threads
     }
 
     /// Runs `job(i)` for every `i in 0..items`, returning once all items
@@ -146,180 +50,46 @@ impl Pool {
     /// panics, the first panic is re-raised here after all workers have
     /// stopped.
     pub fn run(&self, items: usize, job: &(dyn Fn(usize) + Sync)) {
-        if self.workers.is_empty() || items <= 1 {
+        // No more workers than there are items beyond the caller's own.
+        let workers = self.threads.min(items).saturating_sub(1);
+        if workers == 0 {
             for i in 0..items {
                 job(i);
             }
             return;
         }
-        // Tolerate poisoning: a prior `run` that re-raised a job panic
-        // unwound with this guard held, which poisons the lock without
-        // leaving any protected state inconsistent.
-        let _guard = self
-            .run_lock
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // SAFETY: workers only dereference `job` between the epoch bump
-        // below and their `active` decrement; we block until `active`
-        // returns to zero before `job`'s real lifetime ends.
-        let job_static: &'static JobFn = unsafe { std::mem::transmute(job) };
-        self.inner.next.store(0, Ordering::Release);
-        self.inner.total.store(items, Ordering::Release);
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.epoch += 1;
-            st.job = Some(job_static);
-            st.active = self.workers.len();
-            self.inner.go.notify_all();
-        }
-        self.inner.drain(job_static);
-        let mut st = self.inner.state.lock().unwrap();
-        while st.active > 0 {
-            st = self.inner.done.wait(st).unwrap();
-        }
-        st.job = None;
-        drop(st);
-        // Drop the guard before unwinding so the mutex is not poisoned.
-        let payload = self
-            .inner
-            .panic
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .take();
+        let next = AtomicUsize::new(0);
+        let first_panic = Mutex::new(None);
+        // Claims items until none are left or a job panics; the payload
+        // is kept, not lost to `scope`'s "a scoped thread panicked".
+        let drain = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items {
+                return;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(i))) {
+                first_panic
+                    .lock()
+                    .expect("no panic while the payload slot is held")
+                    .get_or_insert(payload);
+                return;
+            }
+        };
+        std::thread::scope(|scope| {
+            for w in 1..=workers {
+                std::thread::Builder::new()
+                    .name(format!("vt-par-{w}"))
+                    .spawn_scoped(scope, drain)
+                    .expect("spawn vt-par worker");
+            }
+            drain();
+        });
+        let payload = first_panic
+            .into_inner()
+            .expect("no panic while the payload slot is held");
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
-    }
-
-    /// Runs `job(i, &mut a[i], &mut b[i])` for every `i in 0..a.len()`,
-    /// in parallel. This is the safe wrapper around [`DisjointMut`] for
-    /// the common "tick two parallel arrays in lock-step" shape (the
-    /// simulator's per-cycle SM phase): the pool hands each index to
-    /// exactly one thread, so the per-index mutable borrows never alias
-    /// and no caller-side `unsafe` is needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length, and re-raises the first
-    /// panic of any `job` invocation like [`Pool::run`].
-    pub fn run_pairs<A, B>(
-        &self,
-        a: &mut [A],
-        b: &mut [B],
-        job: &(dyn Fn(usize, &mut A, &mut B) + Sync),
-    ) where
-        A: Send,
-        B: Send,
-    {
-        assert_eq!(a.len(), b.len(), "run_pairs slices must zip exactly");
-        let items = a.len();
-        let a = DisjointMut::new(a);
-        let b = DisjointMut::new(b);
-        self.run(items, &|i| {
-            // SAFETY: `Pool::run` claims each index on exactly one thread,
-            // so these are the only live borrows of elements `i`.
-            let ai = unsafe { a.index_mut(i) };
-            let bi = unsafe { b.index_mut(i) };
-            job(i, ai, bi);
-        });
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.shutdown = true;
-            self.inner.go.notify_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(inner: &Inner) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = inner.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen_epoch {
-                    seen_epoch = st.epoch;
-                    break st.job.expect("epoch bumped with a job installed");
-                }
-                st = inner.go.wait(st).unwrap();
-            }
-        };
-        inner.drain(job);
-        let mut st = inner.state.lock().unwrap();
-        st.active -= 1;
-        if st.active == 0 {
-            inner.done.notify_all();
-        }
-    }
-}
-
-/// Shared mutable access to disjoint slice elements across pool workers.
-///
-/// `Pool::run`'s dynamic index assignment guarantees each index is
-/// claimed by exactly one thread, so handing each worker `&mut slice[i]`
-/// for *its* `i` is race-free — but the borrow checker cannot see that
-/// through a shared closure. This wrapper carries the raw parts and puts
-/// the burden on the (unsafe) accessor.
-pub struct DisjointMut<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: `DisjointMut` only hands out element references through the
-// unsafe `index_mut`, whose contract forbids aliasing across threads;
-// sending/sharing the wrapper itself is then safe for `Send` elements.
-unsafe impl<T: Send> Sync for DisjointMut<'_, T> {}
-unsafe impl<T: Send> Send for DisjointMut<'_, T> {}
-
-impl<'a, T> DisjointMut<'a, T> {
-    /// Wraps `slice` for disjoint-index access.
-    pub fn new(slice: &'a mut [T]) -> DisjointMut<'a, T> {
-        DisjointMut {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of wrapped elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the wrapped slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Returns `&mut slice[i]`.
-    ///
-    /// # Safety
-    ///
-    /// For the lifetime of the returned borrow no other thread may hold a
-    /// reference (mutable or shared) to element `i`. Under `Pool::run`
-    /// this holds when each invocation touches only its own index.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn index_mut(&self, i: usize) -> &mut T {
-        assert!(
-            i < self.len,
-            "DisjointMut index {i} out of bounds {}",
-            self.len
-        );
-        // SAFETY: `i < len` was asserted, so the pointer stays inside the
-        // wrapped slice; exclusivity of the borrow is the caller's
-        // contract (see the `# Safety` section above).
-        unsafe { &mut *self.ptr.add(i) }
     }
 }
 
@@ -402,14 +172,17 @@ mod tests {
 
     #[test]
     fn every_index_runs_exactly_once() {
-        let pool = Pool::new(4);
-        for items in [0usize, 1, 3, 7, 64, 1000] {
-            let counts: Vec<AtomicU64> = (0..items).map(|_| AtomicU64::new(0)).collect();
-            pool.run(items, &|i| {
-                counts[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, c) in counts.iter().enumerate() {
-                assert_eq!(c.load(Ordering::Relaxed), 1, "index {i} of {items}");
+        // Includes fewer items than threads, and more threads than this
+        // machine has cores.
+        for threads in [4, 8] {
+            let pool = Pool::new(threads);
+            for items in [0usize, 1, 2, 3, 7, 64, 1000] {
+                let counts: Vec<AtomicU64> = (0..items).map(|_| AtomicU64::new(0)).collect();
+                pool.run(items, &|i| {
+                    counts[i].fetch_add(1, Ordering::Relaxed);
+                });
+                let seen: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+                assert_eq!(seen, vec![1; items], "{items} items, {threads} threads");
             }
         }
     }
@@ -424,21 +197,6 @@ mod tests {
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 50 * 55);
-    }
-
-    #[test]
-    fn disjoint_mut_writes_are_visible_after_run() {
-        let pool = Pool::new(4);
-        let mut data = vec![0u64; 256];
-        let view = DisjointMut::new(&mut data);
-        pool.run(view.len(), &|i| {
-            // SAFETY: each index is claimed by exactly one thread.
-            let slot = unsafe { view.index_mut(i) };
-            *slot = (i as u64) * 3 + 1;
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, (i as u64) * 3 + 1);
-        }
     }
 
     #[test]

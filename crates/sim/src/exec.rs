@@ -11,8 +11,7 @@
 //! * [`CancelToken`] — a thread-safe flag polled once per cycle, for
 //!   Ctrl-C handlers and supervisor threads.
 //! * [`Checkpoint`] — the full serialized simulator state. Resuming a
-//!   checkpoint continues bit-identically to the uninterrupted run, at
-//!   any worker count.
+//!   checkpoint continues bit-identically to the uninterrupted run.
 
 use crate::gpu::{RunResult, SimError};
 use crate::stats::RunStats;
@@ -213,7 +212,7 @@ pub const CHECKPOINT_VERSION: u64 = 4;
 /// scoreboards, CTA residency and swap state, LD/ST unit), the memory
 /// hierarchy (L1/L2 caches, MSHRs, interconnect, DRAM), the functional
 /// memory image, and all statistics. Produced at a cycle boundary;
-/// resuming continues bit-identically at any worker count.
+/// resuming continues bit-identically.
 ///
 /// The representation is `vt-json` text, so checkpoints can be written
 /// to disk and inspected with ordinary tools.

@@ -1,9 +1,7 @@
 //! The whole-GPU simulation: CTA dispatcher, SMs, memory system and the
 //! main clock loop.
 
-use crate::config::{
-    check_launchable, AdmissionPolicy, CoreConfig, LaunchError, ResidencyConfig, SimConfig,
-};
+use crate::config::{check_launchable, AdmissionPolicy, LaunchError, SimConfig};
 use crate::exec::{
     CancelToken, Checkpoint, Progress, ProgressHook, RunBudget, RunOutcome, StopReason, Truncation,
     CHECKPOINT_VERSION,
@@ -19,9 +17,9 @@ use vt_isa::error::ExecError;
 use vt_isa::kernel::MemImage;
 use vt_isa::Kernel;
 use vt_json::{req, req_array, req_str, req_u64, Json};
-use vt_mem::{MemSystem, SmFront};
+use vt_mem::MemSystem;
 use vt_par::Pool;
-use vt_trace::{BufSink, NullSink, TimedEvent, TraceSink};
+use vt_trace::{NullSink, TraceSink};
 
 /// Why a simulation could not complete.
 ///
@@ -159,61 +157,13 @@ pub struct GpuSim<'k> {
     sampler: Option<MetricsSampler>,
 }
 
-/// One SM plus everything it is allowed to mutate during the concurrent
-/// phase of a cycle: a private stats block and a private trace buffer.
-/// Keeping these per-lane means the phase shares nothing between SMs, so
-/// lanes can tick on worker threads without locks while the sequential
-/// merge (in SM order) keeps every observable output bit-identical to a
-/// single-threaded run.
+/// One SM and the stats block it accumulates into. Per-SM blocks feed
+/// the windowed per-SM series and are folded into the global block, in SM
+/// order, at the epilogue.
 #[derive(Debug)]
 struct SmLane {
     sm: Sm,
     stats: RunStats,
-    events: Vec<TimedEvent>,
-    err: Option<ExecError>,
-}
-
-/// Advances one SM by one cycle against its private memory front.
-/// Functional global-memory effects are deferred inside the SM and trace
-/// events are buffered in the lane; both are drained by the merge phase.
-/// `PROFILED` monomorphizes the per-PC hotspot recording in or out.
-#[allow(clippy::too_many_arguments)]
-fn tick_lane<const PROFILED: bool>(
-    lane: &mut SmLane,
-    front: &mut SmFront,
-    cycle: u64,
-    trace: bool,
-    kernel: &Kernel,
-    core: &CoreConfig,
-    res: &ResidencyConfig,
-    attr: EmptyAttr,
-) {
-    let r = if trace {
-        lane.sm.tick_phase::<_, PROFILED>(
-            cycle,
-            kernel,
-            core,
-            res,
-            front,
-            &mut lane.stats,
-            &mut BufSink(&mut lane.events),
-            attr,
-        )
-    } else {
-        lane.sm.tick_phase::<_, PROFILED>(
-            cycle,
-            kernel,
-            core,
-            res,
-            front,
-            &mut lane.stats,
-            &mut NullSink,
-            attr,
-        )
-    };
-    if let Err(e) = r {
-        lane.err = Some(e);
-    }
 }
 
 impl<'k> GpuSim<'k> {
@@ -246,8 +196,6 @@ impl<'k> GpuSim<'k> {
                         hotspots: profile.clone(),
                         ..RunStats::default()
                     },
-                    events: Vec::new(),
-                    err: None,
                 })
                 .collect(),
             next_cta: 0,
@@ -276,75 +224,21 @@ impl<'k> GpuSim<'k> {
             .completed()
     }
 
-    /// [`GpuSim::run`] with the concurrent SM phase sharded across `pool`'s
-    /// workers. `None` (or a one-thread pool) runs everything inline; any
-    /// pool produces bit-identical results because only the merge order —
-    /// which is always ascending SM id — is observable.
+    /// The full engine: tracing and execution control (budget,
+    /// cancellation).
     ///
-    /// # Errors
+    /// Each cycle ticks the memory system, then every SM in ascending id
+    /// order — each emitting straight into `sink` and reading and writing
+    /// the memory image as its warps issue — then moves the SMs' outbound
+    /// requests into the interconnect and dispatches CTAs. SM order alone
+    /// therefore fixes the order of image accesses, trace events and
+    /// which trap a run reports (DESIGN.md §11).
     ///
-    /// Returns [`SimError::Exec`] on a functional trap and
-    /// [`SimError::Watchdog`] if `core.max_cycles` elapses first.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use GpuSim::execute (or vt-core's Session) instead"
-    )]
-    pub fn run_on(self, pool: Option<&Pool>) -> Result<RunResult, SimError> {
-        self.execute(pool, &mut NullSink, &RunBudget::unlimited(), None)?
-            .completed()
-    }
-
-    /// [`GpuSim::run`] with an explicit trace sink receiving every
-    /// simulation event. With [`NullSink`] (what [`GpuSim::run`] passes)
-    /// the sink calls compile away entirely.
+    /// `pool` is accepted and unused: the engine has no parallel path, and
+    /// the parameter remains only for `benchmark/`, which is frozen (see
+    /// ROADMAP.md).
     ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Exec`] on a functional trap and
-    /// [`SimError::Watchdog`] if `core.max_cycles` elapses first.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use GpuSim::execute (or vt-core's Session) instead"
-    )]
-    pub fn run_traced<S: TraceSink>(self, sink: &mut S) -> Result<RunResult, SimError> {
-        self.execute(None, sink, &RunBudget::unlimited(), None)?
-            .completed()
-    }
-
-    /// [`GpuSim::run`] with a trace sink and optional SM-level
-    /// parallelism.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Exec`] on a functional trap and
-    /// [`SimError::Watchdog`] if `core.max_cycles` elapses first.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use GpuSim::execute (or vt-core's Session) instead"
-    )]
-    pub fn run_traced_on<S: TraceSink>(
-        self,
-        pool: Option<&Pool>,
-        sink: &mut S,
-    ) -> Result<RunResult, SimError> {
-        self.execute(pool, sink, &RunBudget::unlimited(), None)?
-            .completed()
-    }
-
-    /// The full engine: tracing, optional SM-level parallelism, and
-    /// execution control (budget, cancellation).
-    ///
-    /// Each cycle has two phases. Phase A ticks every SM against its
-    /// private [`SmFront`], buffering trace events and deferring functional
-    /// global-memory effects; with a pool, lanes run on worker threads.
-    /// The merge phase then walks SMs in ascending id order — flushing
-    /// buffered events, applying deferred accesses to the memory image and
-    /// surfacing traps — before outbound memory requests enter the
-    /// interconnect in the same (SM, issue) order a sequential run uses.
-    /// Stats, traces and the final image are therefore identical at any
-    /// thread count.
-    ///
-    /// `budget` and `cancel` are polled once per cycle at the phase
+    /// `budget` and `cancel` are polled once per cycle at the cycle
     /// boundary. When one trips, the run returns
     /// [`RunOutcome::Truncated`] carrying partial statistics (which obey
     /// the same invariants as a completed run's, e.g. `idle.total() +
@@ -358,16 +252,16 @@ impl<'k> GpuSim<'k> {
     /// [`SimError::Watchdog`] if `core.max_cycles` elapses first.
     pub fn execute<S: TraceSink>(
         self,
-        pool: Option<&Pool>,
+        _pool: Option<&Pool>,
         sink: &mut S,
         budget: &RunBudget,
         cancel: Option<&CancelToken>,
     ) -> Result<RunOutcome, SimError> {
-        self.execute_with_progress(pool, sink, budget, cancel, None)
+        self.execute_with_progress(sink, budget, cancel, None)
     }
 
     /// [`GpuSim::execute`] with an optional periodic [`ProgressHook`].
-    /// The hook fires at the top-of-cycle phase boundary every
+    /// The hook fires at the top of the cycle every
     /// `hook.every` cycles with live counters (cycle, IPC, residency);
     /// observation never changes simulation state, so metered, hooked and
     /// plain runs produce bit-identical results.
@@ -378,7 +272,6 @@ impl<'k> GpuSim<'k> {
     /// [`SimError::Watchdog`] if `core.max_cycles` elapses first.
     pub fn execute_with_progress<S: TraceSink>(
         self,
-        pool: Option<&Pool>,
         sink: &mut S,
         budget: &RunBudget,
         cancel: Option<&CancelToken>,
@@ -388,24 +281,15 @@ impl<'k> GpuSim<'k> {
         // tracing: the unmetered/unprofiled instantiations contain no
         // sampler or per-PC recording code at all.
         match (self.sampler.is_some(), self.cfg.core.profile) {
-            (true, true) => {
-                self.execute_inner::<S, true, true>(pool, sink, budget, cancel, progress)
-            }
-            (true, false) => {
-                self.execute_inner::<S, true, false>(pool, sink, budget, cancel, progress)
-            }
-            (false, true) => {
-                self.execute_inner::<S, false, true>(pool, sink, budget, cancel, progress)
-            }
-            (false, false) => {
-                self.execute_inner::<S, false, false>(pool, sink, budget, cancel, progress)
-            }
+            (true, true) => self.execute_inner::<S, true, true>(sink, budget, cancel, progress),
+            (true, false) => self.execute_inner::<S, true, false>(sink, budget, cancel, progress),
+            (false, true) => self.execute_inner::<S, false, true>(sink, budget, cancel, progress),
+            (false, false) => self.execute_inner::<S, false, false>(sink, budget, cancel, progress),
         }
     }
 
     fn execute_inner<S: TraceSink, const METERED: bool, const PROFILED: bool>(
         mut self,
-        pool: Option<&Pool>,
         sink: &mut S,
         budget: &RunBudget,
         cancel: Option<&CancelToken>,
@@ -481,54 +365,24 @@ impl<'k> GpuSim<'k> {
             }
             self.mem.tick_traced(cycle, sink);
 
-            // Empty-cycle attribution context, fixed before Phase A so
-            // every lane observes the same dispatcher state at any
-            // worker count.
+            // Empty-cycle attribution context: the dispatcher state at the
+            // top of the cycle, the same for every SM.
             let attr = EmptyAttr {
                 work_left: self.next_cta < self.kernel.num_ctas(),
                 scheduling_limited: self.sched_limited,
             };
-
-            // Phase A: every SM advances one cycle touching only its own
-            // lane and memory front.
-            let parallel = pool.is_some_and(|p| p.threads() > 1) && self.lanes.len() > 1;
-            if parallel {
-                let pool = pool.expect("checked above");
-                let kernel = self.kernel;
-                let core = &self.cfg.core;
-                let res = &self.cfg.residency;
-                pool.run_pairs(&mut self.lanes, self.mem.fronts_mut(), &|_, lane, front| {
-                    tick_lane::<PROFILED>(lane, front, cycle, S::ENABLED, kernel, core, res, attr);
-                });
-            } else {
-                for (lane, front) in self.lanes.iter_mut().zip(self.mem.fronts_mut()) {
-                    tick_lane::<PROFILED>(
-                        lane,
-                        front,
-                        cycle,
-                        S::ENABLED,
-                        self.kernel,
-                        &self.cfg.core,
-                        &self.cfg.residency,
-                        attr,
-                    );
-                }
-            }
-
-            // Merge phase, strictly in ascending SM order: flush the
-            // buffered trace events, apply the deferred functional memory
-            // ops, and surface the first trap exactly where a sequential
-            // run would.
-            for lane in &mut self.lanes {
-                if S::ENABLED {
-                    for e in lane.events.drain(..) {
-                        sink.emit(e.t, e.ev);
-                    }
-                }
-                lane.sm.apply_deferred(&mut self.image)?;
-                if let Some(e) = lane.err.take() {
-                    return Err(SimError::Exec(e));
-                }
+            for (lane, front) in self.lanes.iter_mut().zip(self.mem.fronts_mut()) {
+                lane.sm.tick::<S, PROFILED>(
+                    cycle,
+                    self.kernel,
+                    &self.cfg.core,
+                    &self.cfg.residency,
+                    front,
+                    &mut self.image,
+                    &mut lane.stats,
+                    sink,
+                    attr,
+                )?;
             }
             self.mem.merge_outboxes();
 
@@ -540,7 +394,7 @@ impl<'k> GpuSim<'k> {
             if self.cycle >= self.cfg.core.max_cycles {
                 return Err(SimError::Watchdog { cycle: self.cycle });
             }
-            // Execution-control checks, once per cycle at the phase
+            // Execution-control checks, once per cycle at the cycle
             // boundary. Completion (the break above) wins ties.
             let reason = if cycle_limit.is_some_and(|limit| self.cycle >= limit) {
                 Some(StopReason::CycleBudget)
@@ -594,8 +448,7 @@ impl<'k> GpuSim<'k> {
     /// boundary. The result can be stored as text
     /// ([`Checkpoint::to_text`]) and later revived with
     /// [`Checkpoint::parse`] + [`GpuSim::resume`], which continues the
-    /// run bit-identically to one that was never interrupted — at any
-    /// worker count.
+    /// run bit-identically to one that was never interrupted.
     pub fn checkpoint(&self) -> Checkpoint {
         let lanes = self
             .lanes
@@ -699,8 +552,6 @@ impl<'k> GpuSim<'k> {
             lanes.push(SmLane {
                 sm: Sm::restore(req(doc, "sm").map_err(bad)?).map_err(bad)?,
                 stats: RunStats::restore(req(doc, "stats").map_err(bad)?).map_err(bad)?,
-                events: Vec::new(),
-                err: None,
             });
         }
         let image_words = req_array(v, "image")
@@ -1088,6 +939,101 @@ mod tests {
         ));
     }
 
+    /// A global load at `lo` by whoever has selector 0 and at `hi` by
+    /// whoever has selector 1, the selector being the warp index within
+    /// the CTA plus the CTA id. Returns the kernel and the load's PC.
+    fn two_address_load(ctas: u32, threads: u32, lo: u32, hi: u32) -> (Kernel, usize) {
+        let mut b = KernelBuilder::new("two-address");
+        b.alloc_global(64);
+        let sel = b.reg();
+        let addr = b.reg();
+        b.shr(sel, Operand::Sreg(Sreg::Tid), Operand::Imm(5));
+        b.add(sel, Operand::Reg(sel), Operand::Sreg(Sreg::CtaId));
+        b.mad(
+            addr,
+            Operand::Reg(sel),
+            Operand::Imm(hi.wrapping_sub(lo)),
+            Operand::Imm(lo),
+        );
+        let pc = b.here();
+        b.ld_global(addr, Operand::Reg(addr), 0);
+        b.exit();
+        (b.build(ctas, threads).unwrap(), pc)
+    }
+
+    /// The cycles at which the load at `pc` issued, one per warp, from a
+    /// traced run of a kernel that does not trap.
+    fn load_issue_cycles(kernel: &Kernel, pc: usize) -> Vec<u64> {
+        let mut events = Vec::new();
+        GpuSim::new(&small_cfg(), kernel)
+            .unwrap()
+            .execute(
+                None,
+                &mut vt_trace::BufSink(&mut events),
+                &RunBudget::unlimited(),
+                None,
+            )
+            .unwrap();
+        events
+            .iter()
+            .filter(|e| matches!(e.ev, vt_trace::TraceEvent::WarpIssue { pc: p, .. } if p as usize == pc))
+            .map(|e| e.t)
+            .collect()
+    }
+
+    /// Which trap a run reports when several are raised in one cycle:
+    /// within an instruction alignment outranks range, within an SM the
+    /// lower scheduler wins, across SMs the lower SM id wins.
+    #[test]
+    fn simultaneous_traps_report_in_lane_scheduler_and_sm_order() {
+        const OOR: u32 = 1 << 26;
+        let trap = |k: &Kernel| match simulate(&small_cfg(), k).unwrap_err() {
+            SimError::Exec(e) => e,
+            other => panic!("expected a trap, got {other:?}"),
+        };
+
+        // (a) One instruction: lane 0 out of range, lane 5 unaligned.
+        let mut b = KernelBuilder::new("lanes");
+        let (far, odd) = (b.reg(), b.reg());
+        b.set_eq(far, Operand::Sreg(Sreg::Tid), Operand::Imm(0));
+        b.shl(far, Operand::Reg(far), Operand::Imm(26));
+        b.set_eq(odd, Operand::Sreg(Sreg::Tid), Operand::Imm(5));
+        b.shl(odd, Operand::Reg(odd), Operand::Imm(1));
+        b.add(far, Operand::Reg(far), Operand::Reg(odd));
+        b.ld_global(far, Operand::Reg(far), 0);
+        let k = b.build(1, 32).unwrap();
+        assert_eq!(trap(&k), ExecError::Unaligned { addr: 2 });
+
+        // (b) Two warps of one CTA, one per scheduler, and (c) two
+        // one-warp CTAs, one per SM. In both the two loads issue in the
+        // same cycle, which the benign twin's trace confirms.
+        for (what, ctas, threads) in [("schedulers", 1, 64), ("SMs", 2, 32)] {
+            let (benign, pc) = two_address_load(ctas, threads, 0, 4);
+            let issued = load_issue_cycles(&benign, pc);
+            assert_eq!(issued.len(), 2, "{what}");
+            assert_eq!(issued[0], issued[1], "{what}: loads must coincide");
+
+            let (k, _) = two_address_load(ctas, threads, OOR, OOR + 4);
+            assert_eq!(
+                trap(&k),
+                ExecError::GlobalOutOfRange { addr: OOR },
+                "{what}"
+            );
+            let (k, _) = two_address_load(ctas, threads, OOR, 2);
+            assert_eq!(
+                trap(&k),
+                ExecError::GlobalOutOfRange { addr: OOR },
+                "{what}: range trap first, alignment trap second"
+            );
+            let (k, _) = two_address_load(ctas, threads, 2, OOR);
+            assert_eq!(
+                trap(&k),
+                ExecError::Unaligned { addr: 2 },
+                "{what}: alignment trap first, range trap second"
+            );
+        }
+    }
+
     #[test]
     fn partial_warps_simulate_correctly() {
         let k = streaming_kernel(3, 40); // 40 threads: second warp partial
@@ -1144,7 +1090,6 @@ mod tests {
         let out = GpuSim::new(&small_cfg(), &k)
             .unwrap()
             .execute_with_progress(
-                None,
                 &mut NullSink,
                 &RunBudget::unlimited(),
                 None,
@@ -1383,7 +1328,7 @@ mod tests {
             panic!("expected truncation");
         };
         assert_eq!(t.reason, StopReason::Cancelled);
-        assert_eq!(t.stats.cycles, 1, "polled at the first phase boundary");
+        assert_eq!(t.stats.cycles, 1, "polled at the first cycle boundary");
     }
 
     #[test]
@@ -1433,7 +1378,9 @@ mod tests {
 
     /// A corrupt slot index used to be accepted by `Sm::restore` and to
     /// panic on the first tick that indexed a table with it (a writeback
-    /// entry at `warp_uids[wslot]`). Each must be refused at resume.
+    /// entry at `warp_uids[wslot]`); a register number of 256..=65535 used
+    /// to panic in the scoreboard the same way, and a larger one to alias
+    /// another register. Each must be refused at resume.
     #[test]
     fn resume_rejects_out_of_range_slot_indices() {
         let k = streaming_kernel(8, 64);
@@ -1463,7 +1410,7 @@ mod tests {
         assert!(resume(&early).is_ok() && resume(&late).is_ok());
 
         type Corrupt = fn(&mut Json);
-        let cases: [(&str, &Json, Corrupt); 7] = [
+        let cases: [(&str, &Json, Corrupt); 10] = [
             ("writeback", &early, |sm| {
                 *item(item(field(sm, "writebacks"), 0), 1) = Json::UInt(9999);
             }),
@@ -1485,6 +1432,15 @@ mod tests {
             ("LD/ST unit", &late, |sm| {
                 *item(item(field(field(sm, "ldst"), "groups"), 0), 1) = Json::UInt(9999);
             }),
+            ("register", &early, |sm| {
+                *item(item(field(sm, "writebacks"), 0), 2) = Json::UInt(300);
+            }),
+            ("register", &early, |sm| {
+                *item(item(field(sm, "writebacks"), 0), 2) = Json::UInt(65536 + 3);
+            }),
+            ("register", &late, |sm| {
+                *item(item(field(field(sm, "ldst"), "groups"), 0), 3) = Json::UInt(300);
+            }),
         ];
         for (what, base, corrupt) in cases {
             let mut doc = base.clone();
@@ -1496,7 +1452,7 @@ mod tests {
                         "{what}: wrong diagnostic {reason:?}"
                     );
                 }
-                other => panic!("{what}: corrupt slot index not refused: {other:?}"),
+                other => panic!("{what}: corrupt checkpoint not refused: {other:?}"),
             }
         }
     }

@@ -27,8 +27,8 @@
 //!   and are not attributed at all.
 //!
 //! The profile is per-SM-lane state merged additively in ascending SM
-//! order, so results are bit-identical at any worker count, and it rides
-//! [`crate::stats::RunStats`] through checkpoint/resume.
+//! order, and it rides [`crate::stats::RunStats`] through
+//! checkpoint/resume.
 
 use vt_json::{req, req_array, req_u64, Json};
 use vt_trace::Histogram;

@@ -1,6 +1,7 @@
 //! The SM's LD/ST unit: an in-order queue of warp memory instructions
 //! feeding shared memory (with bank-conflict serialisation) and the L1D.
 
+use crate::scoreboard::reg_from_u64;
 use std::collections::{HashMap, VecDeque};
 use vt_isa::Reg;
 use vt_json::{elem, elem_bool, elem_u64, req_array, req_u64, Json};
@@ -17,9 +18,9 @@ fn reg_json(r: Option<Reg>) -> Json {
 fn reg_from(v: &Json) -> Result<Option<Reg>, String> {
     match v {
         Json::Null => Ok(None),
-        other => Ok(Some(Reg(
-            other.as_u64().ok_or("register is not a u64")? as u16
-        ))),
+        other => Ok(Some(reg_from_u64(
+            other.as_u64().ok_or("register is not a u64")?,
+        )?)),
     }
 }
 

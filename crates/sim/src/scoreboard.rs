@@ -13,6 +13,20 @@ pub struct Scoreboard {
     count: u32,
 }
 
+/// Registers a [`Scoreboard`] can track: four 64-bit words.
+const TRACKED_REGS: u64 = 256;
+
+/// Decodes a checkpointed register number, refusing one the scoreboard
+/// cannot index (which `as u16` would accept or silently alias).
+pub(crate) fn reg_from_u64(n: u64) -> Result<Reg, String> {
+    match u16::try_from(n) {
+        Ok(r) if n < TRACKED_REGS => Ok(Reg(r)),
+        _ => Err(format!(
+            "register number {n} is out of range (the scoreboard tracks {TRACKED_REGS})"
+        )),
+    }
+}
+
 impl Scoreboard {
     /// An empty scoreboard.
     pub fn new() -> Scoreboard {

@@ -6,6 +6,7 @@ use crate::config::{ActivePolicy, AdmissionPolicy, CoreConfig, ResidencyConfig, 
 use crate::cta::{CtaPhase, CtaRt};
 use crate::hotspots::StallReason;
 use crate::ldst::{LdstEvent, LdstUnit};
+use crate::scoreboard::reg_from_u64;
 use crate::stats::RunStats;
 use crate::warp::WarpRt;
 use std::cmp::Reverse;
@@ -16,7 +17,7 @@ use vt_isa::kernel::MemImage;
 use vt_isa::op::{BranchIf, MemSpace, Operand};
 use vt_isa::{Instr, Kernel, Reg, WARP_SIZE};
 use vt_mem::coalesce::{coalesce, shared_bank_conflicts};
-use vt_mem::{MemSystem, ReqKind, SmFront};
+use vt_mem::{ReqKind, SmFront};
 use vt_trace::{NullSink, SwapDir, TraceEvent, TraceSink};
 
 /// Why a warp cannot issue this cycle; used for scheduling and for the
@@ -38,9 +39,8 @@ enum Readiness {
 
 /// Per-cycle context for attributing *empty* SM-cycles (zero resident
 /// warps) to a cause in the [`crate::stats::EmptyBreakdown`]. Computed
-/// once per cycle by the engine — before the concurrent SM phase, so
-/// every lane sees the same value regardless of worker count — and
-/// passed by value into [`Sm::tick_phase`].
+/// once per cycle by the engine, before any SM ticks, and passed by value
+/// into [`Sm::tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmptyAttr {
     /// Undispatched CTAs remained in the grid at the top of this cycle.
@@ -108,10 +108,6 @@ pub struct Sm {
     window_issues: u64,
     // Issue-rate estimate per mode, scaled by 2^16: [rotate, hold].
     mode_ipc_est: [Option<u64>; 2],
-    /// Global-memory functional effects recorded during [`Sm::tick_phase`]
-    /// (which must not touch the shared [`MemImage`]), applied by
-    /// [`Sm::apply_deferred`] in issue order at the cycle's merge point.
-    deferred: Vec<DeferredAccess>,
     /// Bumped by [`Sm::touch`] at every mutation that can change a
     /// residency, scheduling or classification decision; see [`Settled`].
     epoch: u64,
@@ -139,7 +135,7 @@ enum IdleClass {
 /// warp pick and classification read only SM state and the clock, so such
 /// a tick is a fixed point: until a mutation (`epoch` moves) or a timed
 /// input expires (`now >= until`), every following tick decides exactly
-/// the same and [`Sm::tick_phase`] replays `class` instead of rescanning.
+/// the same and [`Sm::tick`] replays `class` instead of rescanning.
 #[derive(Debug, Clone, Copy)]
 struct Settled {
     /// [`Sm::epoch`] when the tick ended.
@@ -151,36 +147,6 @@ struct Settled {
     /// Whether `class.blame` was computed (`PROFILED` of the recording
     /// tick); a tick of the other kind does not replay it.
     profiled: bool,
-}
-
-/// One warp global-memory instruction whose functional effect is deferred
-/// to the sequential merge phase. Addresses and source operand values are
-/// resolved at issue (phase A) — a warp issues at most one instruction
-/// per cycle and registers are private to the warp, so no later
-/// same-cycle write can change them — while the [`MemImage`]
-/// read/modify/write happens at merge in `(sm_id, issue order)`, exactly
-/// the order the sequential engine applies them in.
-#[derive(Debug)]
-struct DeferredAccess {
-    wslot: usize,
-    mask: u32,
-    addrs: [u32; WARP_SIZE as usize],
-    body: DeferredBody,
-}
-
-#[derive(Debug)]
-enum DeferredBody {
-    Load {
-        dst: Reg,
-    },
-    Store {
-        vals: [u32; WARP_SIZE as usize],
-    },
-    Atomic {
-        op: vt_isa::AtomOp,
-        dst: Option<Reg>,
-        vals: [u32; WARP_SIZE as usize],
-    },
 }
 
 impl Sm {
@@ -220,7 +186,6 @@ impl Sm {
             phases_since_probe: 0,
             window_issues: 0,
             mode_ipc_est: [None, None],
-            deferred: Vec::new(),
             epoch: 0,
             settled: None,
         }
@@ -703,64 +668,13 @@ impl Sm {
 
     // ----- per-cycle operation --------------------------------------------
 
-    /// Advances the SM one cycle against the whole memory system and
-    /// image (sequential compatibility path): runs the per-SM phase,
-    /// flushes this SM's request outbox, and applies the deferred
-    /// functional memory effects immediately.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] if a warp traps (out-of-range or unaligned
-    /// access).
-    #[allow(clippy::too_many_arguments)]
-    pub fn tick(
-        &mut self,
-        now: u64,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        mem: &mut MemSystem,
-        image: &mut MemImage,
-        stats: &mut RunStats,
-        attr: EmptyAttr,
-    ) -> Result<(), ExecError> {
-        let id = self.id;
-        let phase = if stats.hotspots.is_some() {
-            self.tick_phase::<NullSink, true>(
-                now,
-                kernel,
-                core,
-                res,
-                mem.front_mut(id),
-                stats,
-                &mut NullSink,
-                attr,
-            )
-        } else {
-            self.tick_phase::<NullSink, false>(
-                now,
-                kernel,
-                core,
-                res,
-                mem.front_mut(id),
-                stats,
-                &mut NullSink,
-                attr,
-            )
-        };
-        mem.flush_outbox(id);
-        self.apply_deferred(image)?;
-        phase
-    }
-
-    /// The per-SM half of a cycle: writebacks, LD/ST events, residency,
-    /// issue and stats. Touches only this SM's state plus its private
-    /// memory front-end, so distinct SMs may run this phase on distinct
-    /// threads. Global-memory functional effects are *recorded*, not
-    /// applied — the engine must call [`Sm::apply_deferred`] afterwards,
-    /// in SM order, to keep the shared [`MemImage`] bit-identical to the
-    /// sequential schedule. With [`NullSink`] this monomorphizes to the
-    /// untraced fast path, and with `PROFILED = false` every per-PC
+    /// Advances the SM one cycle: writebacks, LD/ST events, residency,
+    /// issue and stats. Memory requests go to this SM's `front` (the
+    /// caller flushes its outbox into the interconnect); global loads,
+    /// stores and atomics read and write `image` as they issue, so the
+    /// engine ticking SMs in ascending id order fixes the order of every
+    /// image access. With [`NullSink`] this monomorphizes to the untraced
+    /// fast path, and with `PROFILED = false` every per-PC
     /// hotspot-profiling branch compiles out — unprofiled runs pay
     /// nothing and stay bit-identical.
     ///
@@ -778,17 +692,17 @@ impl Sm {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] if a warp traps on a fault detectable from
-    /// per-SM state (unaligned or shared-memory out-of-range accesses);
-    /// global out-of-range faults surface from [`Sm::apply_deferred`].
+    /// Returns [`ExecError`] if a warp traps (unaligned or out-of-range
+    /// access); the tick stops at the trapping instruction.
     #[allow(clippy::too_many_arguments)]
-    pub fn tick_phase<S: TraceSink, const PROFILED: bool>(
+    pub fn tick<S: TraceSink, const PROFILED: bool>(
         &mut self,
         now: u64,
         kernel: &Kernel,
         core: &CoreConfig,
         res: &ResidencyConfig,
         front: &mut SmFront,
+        image: &mut MemImage,
         stats: &mut RunStats,
         sink: &mut S,
         attr: EmptyAttr,
@@ -883,7 +797,9 @@ impl Sm {
                     first_issue_pc = Some(self.warps[wslot].stack.pc());
                 }
                 self.touch();
-                self.issue_warp::<S, PROFILED>(wslot, s, now, kernel, core, res, stats, sink)?;
+                self.issue_warp::<S, PROFILED>(
+                    wslot, s, now, kernel, core, res, image, stats, sink,
+                )?;
                 self.sched_last[s] = Some(wslot);
                 self.window_issues += 1;
             }
@@ -1106,6 +1022,7 @@ impl Sm {
         kernel: &Kernel,
         core: &CoreConfig,
         res: &ResidencyConfig,
+        image: &mut MemImage,
         stats: &mut RunStats,
         sink: &mut S,
     ) -> Result<(), ExecError> {
@@ -1190,6 +1107,7 @@ impl Sm {
                     addr,
                     offset,
                     MemOp::Load { dst },
+                    image,
                     stats,
                     sink,
                 )?;
@@ -1212,6 +1130,7 @@ impl Sm {
                     addr,
                     offset,
                     MemOp::Store { src },
+                    image,
                     stats,
                     sink,
                 )?;
@@ -1235,6 +1154,7 @@ impl Sm {
                     addr,
                     offset,
                     MemOp::Atomic { op, dst, val },
+                    image,
                     stats,
                     sink,
                 )?;
@@ -1350,15 +1270,15 @@ impl Sm {
         addr: Operand,
         offset: i32,
         op: MemOp,
+        image: &mut MemImage,
         stats: &mut RunStats,
         sink: &mut S,
     ) -> Result<(), ExecError> {
-        // Compute lane addresses and resolve source operand values now;
-        // the LD/ST unit and memory system model only the timing.
-        // Shared-memory effects (per-CTA, per-SM state) also apply now,
-        // but global-memory effects are *recorded* and applied by
-        // [`Sm::apply_deferred`] at the cycle's ordered merge, so this
-        // phase never touches state shared between SMs.
+        // Functional side first; the LD/ST unit and memory system model
+        // only the timing. Every lane's address is resolved (and
+        // shared-memory effects applied) before any lane touches the
+        // global image, so an alignment or shared-range fault on any lane
+        // outranks a global-range fault on a lower one.
         let mut addrs = [0u32; WARP_SIZE as usize];
         let mut vals = [0u32; WARP_SIZE as usize];
         {
@@ -1410,17 +1330,32 @@ impl Sm {
             }
         }
         if space == MemSpace::Global {
-            let body = match op {
-                MemOp::Load { dst } => DeferredBody::Load { dst },
-                MemOp::Store { .. } => DeferredBody::Store { vals },
-                MemOp::Atomic { op, dst, .. } => DeferredBody::Atomic { op, dst, vals },
-            };
-            self.deferred.push(DeferredAccess {
-                wslot,
-                mask,
-                addrs,
-                body,
-            });
+            let oob = |a| ExecError::GlobalOutOfRange { addr: a };
+            let w = &mut self.warps[wslot];
+            let mut m = mask;
+            while m != 0 {
+                let lane = m.trailing_zeros();
+                m &= m - 1;
+                let a = addrs[lane as usize];
+                match op {
+                    MemOp::Load { dst } => {
+                        let v = image.load(a).ok_or(oob(a))?;
+                        w.set_reg(lane, dst.0, v);
+                    }
+                    MemOp::Store { .. } => {
+                        if !image.store(a, vals[lane as usize]) {
+                            return Err(oob(a));
+                        }
+                    }
+                    MemOp::Atomic { op, dst, .. } => {
+                        let old = image.load(a).ok_or(oob(a))?;
+                        image.store(a, exec::eval_atom(op, old, vals[lane as usize]));
+                        if let Some(d) = dst {
+                            w.set_reg(lane, d.0, old);
+                        }
+                    }
+                }
+            }
         }
 
         // Timing side.
@@ -1514,64 +1449,6 @@ impl Sm {
             }
         }
         Ok(())
-    }
-
-    /// Applies the global-memory functional effects recorded by this
-    /// cycle's [`Sm::tick_phase`] to the shared image, in issue order.
-    /// The engine calls this once per SM per cycle, in SM order, before
-    /// dispatch — which is exactly the order the fully sequential engine
-    /// interleaved these effects, so the image (and every value a later
-    /// load observes) is bit-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::GlobalOutOfRange`] when a recorded access
-    /// falls outside the image — the sequential engine's trap, surfacing
-    /// one merge step later.
-    pub fn apply_deferred(&mut self, image: &mut MemImage) -> Result<(), ExecError> {
-        let deferred = std::mem::take(&mut self.deferred);
-        let mut result = Ok(());
-        'outer: for acc in &deferred {
-            let w = &mut self.warps[acc.wslot];
-            let mut m = acc.mask;
-            while m != 0 {
-                let lane = m.trailing_zeros();
-                m &= m - 1;
-                let a = acc.addrs[lane as usize];
-                match acc.body {
-                    DeferredBody::Load { dst } => match image.load(a) {
-                        Some(v) => w.set_reg(lane, dst.0, v),
-                        None => {
-                            result = Err(ExecError::GlobalOutOfRange { addr: a });
-                            break 'outer;
-                        }
-                    },
-                    DeferredBody::Store { ref vals } => {
-                        if !image.store(a, vals[lane as usize]) {
-                            result = Err(ExecError::GlobalOutOfRange { addr: a });
-                            break 'outer;
-                        }
-                    }
-                    DeferredBody::Atomic { op, dst, ref vals } => match image.load(a) {
-                        Some(old) => {
-                            image.store(a, exec::eval_atom(op, old, vals[lane as usize]));
-                            if let Some(d) = dst {
-                                w.set_reg(lane, d.0, old);
-                            }
-                        }
-                        None => {
-                            result = Err(ExecError::GlobalOutOfRange { addr: a });
-                            break 'outer;
-                        }
-                    },
-                }
-            }
-        }
-        // Hand the buffer back so its capacity is reused next cycle.
-        let mut deferred = deferred;
-        deferred.clear();
-        self.deferred = deferred;
-        result
     }
 
     fn check_barrier_release<S: TraceSink>(
@@ -1863,20 +1740,12 @@ impl Sm {
 
     /// Serializes the complete SM state — CTA and warp tables (including
     /// freed slots awaiting reuse), scheduler pointers, LD/ST unit,
-    /// writeback pipe and throttle state — for checkpointing. Must be
-    /// called at a cycle boundary (after [`Sm::apply_deferred`]); the
-    /// transient issue list is rebuilt on restore.
-    ///
-    /// # Panics
-    ///
-    /// Panics if deferred memory effects are still queued, which would
-    /// mean the caller is mid-cycle.
+    /// writeback pipe and throttle state — for checkpointing. The SM
+    /// holds no mid-cycle state, so any point between two [`Sm::tick`]
+    /// calls is a cycle boundary; the transient issue list is rebuilt on
+    /// restore.
     pub fn snapshot(&self) -> vt_json::Json {
         use vt_json::Json;
-        assert!(
-            self.deferred.is_empty(),
-            "SM snapshot taken mid-cycle (deferred effects queued)"
-        );
         let opt_u64 = |o: Option<u64>| match o {
             Some(x) => Json::UInt(x),
             None => Json::Null,
@@ -2098,7 +1967,7 @@ impl Sm {
             writebacks.push(Reverse((
                 elem_u64(a, 0)?,
                 warp_slot("writeback", elem_u64(a, 1)? as usize)?,
-                elem_u64(a, 2)? as u16,
+                reg_from_u64(elem_u64(a, 2)?)?.0,
                 elem_u64(a, 3)?,
             )));
         }
@@ -2152,7 +2021,6 @@ impl Sm {
                 opt_u64(&est[0], "mode_ipc_est[0]")?,
                 opt_u64(&est[1], "mode_ipc_est[1]")?,
             ],
-            deferred: Vec::new(),
             epoch: 0,
             settled: None,
         })
@@ -2224,7 +2092,7 @@ mod tests {
     use crate::hotspots::PcProfile;
     use vt_isa::op::{SfuOp, Sreg};
     use vt_isa::KernelBuilder;
-    use vt_mem::MemConfig;
+    use vt_mem::{MemConfig, MemSystem};
 
     /// One SM driven the way the engine drives it: memory tick, SM tick,
     /// and an optional one-CTA-per-cycle dispatcher.
@@ -2273,19 +2141,29 @@ mod tests {
 
         fn tick_with(&mut self, attr: EmptyAttr) {
             self.mem.tick(self.now);
+            if self.stats.hotspots.is_some() {
+                self.tick_sm::<true>(attr);
+            } else {
+                self.tick_sm::<false>(attr);
+            }
+            self.mem.flush_outbox(0);
+            self.now += 1;
+        }
+
+        fn tick_sm<const PROFILED: bool>(&mut self, attr: EmptyAttr) {
             self.sm
-                .tick(
+                .tick::<_, PROFILED>(
                     self.now,
                     &self.kernel,
                     &self.core,
                     &self.res,
-                    &mut self.mem,
+                    self.mem.front_mut(0),
                     &mut self.image,
                     &mut self.stats,
+                    &mut NullSink,
                     attr,
                 )
                 .unwrap();
-            self.now += 1;
         }
 
         fn tick(&mut self) {

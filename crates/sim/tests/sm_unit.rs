@@ -11,6 +11,7 @@ use vt_sim::config::{
 };
 use vt_sim::sm::{EmptyAttr, Sm};
 use vt_sim::stats::RunStats;
+use vt_trace::NullSink;
 
 /// One-warp CTAs that immediately issue a (missing) global load, then a
 /// dependent add — the canonical long-latency stall.
@@ -72,17 +73,19 @@ impl Rig {
     fn tick(&mut self, kernel: &Kernel) {
         self.mem.tick(self.cycle);
         self.sm
-            .tick(
+            .tick::<_, false>(
                 self.cycle,
                 kernel,
                 &self.core,
                 &self.res,
-                &mut self.mem,
+                self.mem.front_mut(0),
                 &mut self.image,
                 &mut self.stats,
+                &mut NullSink,
                 EmptyAttr::drained(),
             )
             .expect("no traps");
+        self.mem.flush_outbox(0);
         self.cycle += 1;
     }
 

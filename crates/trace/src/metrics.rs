@@ -15,7 +15,7 @@
 //!   boundary (e.g. the per-SM issue balance).
 //!
 //! Every stored value is an integer, so series compare bit-identically
-//! across worker counts and checkpoint/resume stitches (the engine seals
+//! across checkpoint/resume stitches (the engine seals
 //! whole windows only; a partial window rides inside the checkpoint as
 //! the rates' cumulative baselines). The registry exports to Prometheus
 //! text format ([`MetricsRegistry::to_prometheus`]) and vt-json

@@ -96,10 +96,8 @@ impl TraceSink for RingSink {
     }
 }
 
-/// An unbounded sink appending into a borrowed `Vec`. Used by the
-/// parallel engine to buffer each SM's events privately during the
-/// concurrent phase, then flush them into the real sink in a fixed order
-/// so traces stay deterministic.
+/// An unbounded sink appending into a borrowed `Vec`, for callers that
+/// want a run's whole event stream in memory (tests, mostly).
 #[derive(Debug)]
 pub struct BufSink<'a>(pub &'a mut Vec<TimedEvent>);
 

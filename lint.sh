@@ -10,7 +10,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== unsafe audit (forbid everywhere; par's sites SAFETY-commented)"
+echo "== unsafe audit (one SAFETY-commented block, install_sigint; forbid everywhere else)"
 tools/unsafe_audit.sh
 
 echo "== vtlint --suite"
@@ -111,10 +111,10 @@ cargo run -q --release -p vt-bench --bin vtbench -- \
 cargo run -q --release -p vt-bench --bin vtdiff -- \
   "$VTBENCH_TMP/now.json" "$VTBENCH_TMP/again.json" --assert-zero >/dev/null
 
-# Note: `cargo test -- --test-threads` parallelizes the *test harness*;
-# engine parallelism is a separate axis (vtsweep --threads / VT_THREADS)
-# and is what --check verifies against the sequential run below.
-echo "== vtsweep --check (2-thread determinism smoke)"
+# The only parallelism in the repository is grid-level: `--threads`
+# shards whole cells across a pool. --check re-runs the grid on one
+# thread and requires every cell to be bit-identical.
+echo "== vtsweep --check (2-thread grid determinism smoke)"
 cargo run -q --release -p vt-bench --bin vtsweep -- \
   spmv bfs --threads 2 --sms 4 --check >/dev/null
 

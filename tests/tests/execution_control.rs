@@ -1,8 +1,8 @@
 //! End-to-end tests of the execution-control layer through the `Session`
 //! API: budget truncation yields valid partial statistics, checkpoints
-//! resume bit-identically at every worker count (traced and untraced),
-//! cancellation from another thread stops a run without hangs or
-//! panics, and kernel chains inherit the session's pool.
+//! resume bit-identically (traced and untraced), cancellation from
+//! another thread stops a run without hangs or panics, and kernel chains
+//! are unaffected by a session's pool.
 
 use std::time::Duration;
 use vt_core::{
@@ -27,18 +27,11 @@ fn long_kernel() -> vt_isa::Kernel {
     .build()
 }
 
-/// Runs `kernel` uninterrupted on `threads` workers with a buffering
-/// sink, returning the report and the full event stream.
-fn uninterrupted(
-    arch: Architecture,
-    kernel: &vt_isa::Kernel,
-    threads: usize,
-) -> (Report, Vec<TimedEvent>) {
+/// Runs `kernel` uninterrupted with a buffering sink, returning the
+/// report and the full event stream.
+fn uninterrupted(arch: Architecture, kernel: &vt_isa::Kernel) -> (Report, Vec<TimedEvent>) {
     let mut events = Vec::new();
     let mut session = Session::new(small_config(arch)).with_sink(BufSink(&mut events));
-    if threads > 1 {
-        session = session.with_pool(Pool::new(threads));
-    }
     let report = session
         .run(RunRequest::kernel(kernel))
         .and_then(|o| o.completed())
@@ -49,70 +42,65 @@ fn uninterrupted(
 }
 
 /// The tentpole contract: truncate at several cycle points, round-trip
-/// the checkpoint through its text form, resume on 1/2/4 workers with
-/// tracing attached, and require the stitched run to be bit-identical to
-/// the uninterrupted one — stats, memory image and event stream.
+/// the checkpoint through its text form, resume with tracing attached,
+/// and require the stitched run to be bit-identical to the uninterrupted
+/// one — stats, memory image and event stream.
 #[test]
 fn resume_is_bit_identical_across_cuts_and_worker_counts() {
     let kernel = long_kernel();
     let arch = Architecture::virtual_thread();
-    let (want, want_events) = uninterrupted(arch, &kernel, 1);
+    let (want, want_events) = uninterrupted(arch, &kernel);
     assert!(
         want.stats.cycles > 512,
         "kernel too short ({} cycles) for the cut points below",
         want.stats.cycles
     );
-    for threads in [1usize, 2, 4] {
-        for cut in [1u64, 64, 512] {
-            let mut events = Vec::new();
-            let mut session = Session::new(small_config(arch)).with_sink(BufSink(&mut events));
-            if threads > 1 {
-                session = session.with_pool(Pool::new(threads));
-            }
-            let label = format!("cut {cut} on {threads} worker(s)");
-            let outcome = session
-                .run(
-                    RunRequest::kernel(&kernel)
-                        .with_budget(RunBudget::unlimited().with_max_cycles(cut)),
-                )
-                .expect(&label);
-            let SessionOutcome::Truncated { truncation, .. } = outcome else {
-                panic!("{label}: expected truncation");
-            };
-            assert_eq!(truncation.reason, StopReason::CycleBudget, "{label}");
-            assert_eq!(truncation.stats.cycles, cut, "{label}");
+    for cut in [1u64, 64, 512] {
+        let mut events = Vec::new();
+        let mut session = Session::new(small_config(arch)).with_sink(BufSink(&mut events));
+        let label = format!("cut {cut}");
+        let outcome = session
+            .run(
+                RunRequest::kernel(&kernel)
+                    .with_budget(RunBudget::unlimited().with_max_cycles(cut)),
+            )
+            .expect(&label);
+        let SessionOutcome::Truncated { truncation, .. } = outcome else {
+            panic!("{label}: expected truncation");
+        };
+        assert_eq!(truncation.reason, StopReason::CycleBudget, "{label}");
+        assert_eq!(truncation.stats.cycles, cut, "{label}");
 
-            // The checkpoint must survive its own text representation.
-            let ckpt = Checkpoint::parse(&truncation.checkpoint.to_text()).expect(&label);
-            assert_eq!(ckpt.cycle().expect(&label), cut, "{label}");
-            assert_eq!(ckpt.kernel_name().expect(&label), kernel.name(), "{label}");
+        // The checkpoint must survive its own text representation.
+        let ckpt = Checkpoint::parse(&truncation.checkpoint.to_text()).expect(&label);
+        assert_eq!(ckpt.cycle().expect(&label), cut, "{label}");
+        assert_eq!(ckpt.kernel_name().expect(&label), kernel.name(), "{label}");
 
-            let resumed = match session
-                .run(RunRequest::kernel(&kernel).resume_from(&ckpt))
-                .expect(&label)
-            {
-                SessionOutcome::Completed(mut reports) => reports.remove(0),
-                SessionOutcome::Truncated { .. } => panic!("{label}: unlimited resume truncated"),
-            };
-            drop(session);
-            assert_eq!(resumed.stats, want.stats, "{label}: stats diverge");
-            assert_eq!(
-                resumed.mem_image, want.mem_image,
-                "{label}: memory image diverges"
-            );
-            assert_eq!(
-                events, want_events,
-                "{label}: stitched trace diverges from uninterrupted trace"
-            );
-        }
+        let resumed = match session
+            .run(RunRequest::kernel(&kernel).resume_from(&ckpt))
+            .expect(&label)
+        {
+            SessionOutcome::Completed(mut reports) => reports.remove(0),
+            SessionOutcome::Truncated { .. } => panic!("{label}: unlimited resume truncated"),
+        };
+        drop(session);
+        assert_eq!(resumed.stats, want.stats, "{label}: stats diverge");
+        assert_eq!(
+            resumed.mem_image, want.mem_image,
+            "{label}: memory image diverges"
+        );
+        assert_eq!(
+            events, want_events,
+            "{label}: stitched trace diverges from uninterrupted trace"
+        );
     }
 }
 
 /// Metered runs stitch too: with a metrics window enabled, the resumed
 /// run's windowed series (carried inside `RunStats`, so covered by the
 /// stats equality) must equal the uninterrupted run's byte-for-byte at
-/// every cut point and worker count — including cuts that land mid-window
-/// and exactly on a window boundary.
+/// every cut point — including cuts that land mid-window and exactly on
+/// a window boundary.
 #[test]
 fn metered_resume_stitches_series_bit_identically() {
     let kernel = long_kernel();
@@ -133,89 +121,79 @@ fn metered_resume_stitches_series_bit_identically() {
     );
 
     // Cuts: mid-window (1, 100) and exactly on a boundary (64, 128).
-    for threads in [1usize, 2, 4] {
-        for cut in [1u64, 64, 100, 128] {
-            let label = format!("cut {cut} on {threads} worker(s)");
-            let mut session = Session::new(cfg.clone());
-            if threads > 1 {
-                session = session.with_pool(Pool::new(threads));
-            }
-            let SessionOutcome::Truncated { truncation, .. } = session
-                .run(
-                    RunRequest::kernel(&kernel)
-                        .with_budget(RunBudget::unlimited().with_max_cycles(cut)),
-                )
-                .expect(&label)
-            else {
-                panic!("{label}: expected truncation");
-            };
-            // Partial series never contain a half-sealed window: exactly
-            // the boundaries strictly before the cut are sealed.
-            let partial = truncation.stats.metrics().expect("metrics enabled");
-            assert_eq!(
-                partial.windows(),
-                (cut - 1) / 64,
-                "{label}: sealed windows in the partial stats"
-            );
+    for cut in [1u64, 64, 100, 128] {
+        let label = format!("cut {cut}");
+        let mut session = Session::new(cfg.clone());
+        let SessionOutcome::Truncated { truncation, .. } = session
+            .run(
+                RunRequest::kernel(&kernel)
+                    .with_budget(RunBudget::unlimited().with_max_cycles(cut)),
+            )
+            .expect(&label)
+        else {
+            panic!("{label}: expected truncation");
+        };
+        // Partial series never contain a half-sealed window: exactly
+        // the boundaries strictly before the cut are sealed.
+        let partial = truncation.stats.metrics().expect("metrics enabled");
+        assert_eq!(
+            partial.windows(),
+            (cut - 1) / 64,
+            "{label}: sealed windows in the partial stats"
+        );
 
-            let ckpt = Checkpoint::parse(&truncation.checkpoint.to_text()).expect(&label);
-            let resumed = session
-                .run(RunRequest::kernel(&kernel).resume_from(&ckpt))
-                .and_then(|o| o.completed())
-                .expect(&label)
-                .remove(0);
-            assert_eq!(
-                resumed.stats, want.stats,
-                "{label}: stitched stats (incl. metric series) diverge"
-            );
-            assert_eq!(resumed.mem_image, want.mem_image, "{label}");
-        }
+        let ckpt = Checkpoint::parse(&truncation.checkpoint.to_text()).expect(&label);
+        let resumed = session
+            .run(RunRequest::kernel(&kernel).resume_from(&ckpt))
+            .and_then(|o| o.completed())
+            .expect(&label)
+            .remove(0);
+        assert_eq!(
+            resumed.stats, want.stats,
+            "{label}: stitched stats (incl. metric series) diverge"
+        );
+        assert_eq!(resumed.mem_image, want.mem_image, "{label}");
     }
 }
 
 /// The resume contract over the *grown* suite: every workload — core
 /// and zoo alike — truncated at a random (per-kernel, seeded) cycle cut
-/// and resumed must stitch bit-identically to the uninterrupted run at
-/// 1, 2 and 4 workers: stats, memory image and trace stream. This is
-/// what lets long zoo/trace experiments checkpoint safely.
+/// and resumed must stitch bit-identically to the uninterrupted run:
+/// stats, memory image and trace stream. This is what lets long
+/// zoo/trace experiments checkpoint safely.
 #[test]
 fn grown_suite_resumes_bit_identically_from_random_cuts() {
     let mut r = Prng::new(0x7e57);
     let arch = Architecture::virtual_thread();
     for w in full_suite(&Scale { ctas: 6, iters: 2 }) {
-        let (want, want_events) = uninterrupted(arch, &w.kernel, 1);
+        let (want, want_events) = uninterrupted(arch, &w.kernel);
         assert!(want.stats.cycles > 2, "{}: too short to cut", w.name);
         let cut = u64::from(r.gen_range(1..want.stats.cycles as u32));
-        for threads in [1usize, 2, 4] {
-            let label = format!("{} cut {cut} on {threads} worker(s)", w.name);
-            let mut events = Vec::new();
-            let mut session = Session::new(small_config(arch)).with_sink(BufSink(&mut events));
-            if threads > 1 {
-                session = session.with_pool(Pool::new(threads));
-            }
-            let outcome = session
-                .run(
-                    RunRequest::kernel(&w.kernel)
-                        .with_budget(RunBudget::unlimited().with_max_cycles(cut)),
-                )
-                .expect(&label);
-            let SessionOutcome::Truncated { truncation, .. } = outcome else {
-                panic!("{label}: expected truncation");
-            };
-            let ckpt = Checkpoint::parse(&truncation.checkpoint.to_text()).expect(&label);
-            let resumed = session
-                .run(RunRequest::kernel(&w.kernel).resume_from(&ckpt))
-                .and_then(|o| o.completed())
-                .unwrap_or_else(|e| panic!("{label}: {e}"))
-                .remove(0);
-            drop(session);
-            assert_eq!(resumed.stats, want.stats, "{label}: stats diverge");
-            assert_eq!(
-                resumed.mem_image, want.mem_image,
-                "{label}: memory diverges"
-            );
-            assert_eq!(events, want_events, "{label}: stitched trace diverges");
-        }
+        let label = format!("{} cut {cut}", w.name);
+        let mut events = Vec::new();
+        let mut session = Session::new(small_config(arch)).with_sink(BufSink(&mut events));
+        let outcome = session
+            .run(
+                RunRequest::kernel(&w.kernel)
+                    .with_budget(RunBudget::unlimited().with_max_cycles(cut)),
+            )
+            .expect(&label);
+        let SessionOutcome::Truncated { truncation, .. } = outcome else {
+            panic!("{label}: expected truncation");
+        };
+        let ckpt = Checkpoint::parse(&truncation.checkpoint.to_text()).expect(&label);
+        let resumed = session
+            .run(RunRequest::kernel(&w.kernel).resume_from(&ckpt))
+            .and_then(|o| o.completed())
+            .unwrap_or_else(|e| panic!("{label}: {e}"))
+            .remove(0);
+        drop(session);
+        assert_eq!(resumed.stats, want.stats, "{label}: stats diverge");
+        assert_eq!(
+            resumed.mem_image, want.mem_image,
+            "{label}: memory diverges"
+        );
+        assert_eq!(events, want_events, "{label}: stitched trace diverges");
     }
 }
 
@@ -324,9 +302,8 @@ fn pre_cancelled_session_truncates_immediately() {
     assert_eq!(truncation.stats.cycles, 1, "stops after the first cycle");
 }
 
-/// Chains run each launch under the session's pool, bit-identically to a
-/// pool-less session — `run_chain`'s old sequential-only limitation is
-/// gone.
+/// A session's pool shards `sweep` cells only: a chain run on a pooled
+/// session is bit-identical to one on a pool-less session.
 #[test]
 fn chains_inherit_the_session_pool() {
     let kernel = long_kernel();

@@ -1,15 +1,14 @@
 //! Per-PC hotspot profiles: the per-instruction conservation identity
 //! (per-PC issue and stall buckets sum exactly to the kernel-level CPI
-//! stack, reason by reason) across the full suite × every architecture
-//! × 1/2/4 workers, bit-identical merges at any worker count, survival
-//! of random checkpoint/resume cuts, and the zero-perturbation guarantee
-//! that profiling never changes the stats it observes.
+//! stack, reason by reason) across the full suite × every architecture,
+//! survival of random checkpoint/resume cuts, and the zero-perturbation
+//! guarantee that profiling never changes the stats it observes.
 
 use std::fs;
 use std::path::PathBuf;
 use vt_bench::hotspot::ProfileRecord;
 use vt_core::{
-    Checkpoint, CpiStack, PcProfile, Pool, Report, RunBudget, RunRequest, RunStats, Session,
+    Checkpoint, CpiStack, PcProfile, Report, RunBudget, RunRequest, RunStats, Session,
     SessionOutcome, StallReason,
 };
 use vt_isa::Kernel;
@@ -58,22 +57,17 @@ fn profiled_request(kernel: &Kernel) -> RunRequest<'_> {
     RunRequest::kernel(kernel)
 }
 
-fn run_profiled(kernel: &Kernel, cfg: vt_core::GpuConfig, threads: Option<usize>) -> Report {
-    let mut session = Session::new(cfg);
-    if let Some(n) = threads {
-        session = session.with_pool(Pool::new(n));
-    }
-    session
+fn run_profiled(kernel: &Kernel, cfg: vt_core::GpuConfig) -> Report {
+    Session::new(cfg)
         .run(profiled_request(kernel))
         .and_then(|o| o.completed())
         .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()))
         .remove(0)
 }
 
-/// For every suite kernel × architecture × 1/2/4 workers: the per-PC
-/// buckets sum exactly to the kernel-level `cpi_stack()`, the profile
-/// covers every instruction, and the merged profile is bit-identical at
-/// every worker count.
+/// For every suite kernel × architecture: the per-PC buckets sum exactly
+/// to the kernel-level `cpi_stack()` and the profile covers every
+/// instruction.
 #[test]
 fn suite_per_pc_buckets_conserve_across_archs_and_workers() {
     for w in full_suite(&Scale::test()) {
@@ -82,32 +76,20 @@ fn suite_per_pc_buckets_conserve_across_archs_and_workers() {
             cfg.core.profile = true;
             let label = format!("{} under {}", w.name, arch.label());
 
-            let want = run_profiled(&w.kernel, cfg.clone(), None);
+            let want = run_profiled(&w.kernel, cfg.clone());
             let profile = assert_pc_conserved(&want.stats, &label);
             assert_eq!(
                 profile.len(),
                 w.kernel.program().len(),
                 "{label}: one counter row per instruction"
             );
-
-            for threads in [2usize, 4] {
-                let par = run_profiled(&w.kernel, cfg.clone(), Some(threads));
-                let par_profile =
-                    assert_pc_conserved(&par.stats, &format!("{label} on {threads} workers"));
-                assert_eq!(
-                    par_profile, profile,
-                    "{label}: merged profile differs on {threads} workers"
-                );
-                assert_eq!(par.stats, want.stats, "{label} on {threads} workers");
-            }
         }
     }
 }
 
 /// Random checkpoint/resume cuts: partial profiles already satisfy the
 /// conservation identity, and the resumed run stitches back to the
-/// uninterrupted profile byte-identically (snapshot equality) at both
-/// sequential and parallel resume.
+/// uninterrupted profile byte-identically (snapshot equality).
 #[test]
 fn conservation_survives_random_checkpoint_cuts() {
     let mut rng = Prng::new(0x907_5907_5907);
@@ -117,12 +99,12 @@ fn conservation_survives_random_checkpoint_cuts() {
         cfg.core.profile = true;
         let label = format!("{} under {}", w.name, arch.label());
 
-        let want = run_profiled(&w.kernel, cfg.clone(), None);
+        let want = run_profiled(&w.kernel, cfg.clone());
         let want_profile = assert_pc_conserved(&want.stats, &label);
 
         let limit = want.stats.cycles.clamp(2, u64::from(u32::MAX)) as u32;
         let cut = u64::from(1 + rng.gen_range(0..limit - 1));
-        let mut session = Session::new(cfg.clone());
+        let mut session = Session::new(cfg);
         let SessionOutcome::Truncated { truncation, .. } = session
             .run(
                 profiled_request(&w.kernel)
@@ -135,27 +117,21 @@ fn conservation_survives_random_checkpoint_cuts() {
         assert_pc_conserved(&truncation.stats, &format!("{label} cut {cut}"));
 
         // The profile must round-trip through the checkpoint text and
-        // stitch back to the uninterrupted run at any worker count.
+        // stitch back to the uninterrupted run.
         let ckpt = Checkpoint::parse(&truncation.checkpoint.to_text())
             .unwrap_or_else(|e| panic!("{label}: {e}"));
-        for threads in [None, Some(2usize)] {
-            let mut session = Session::new(cfg.clone());
-            if let Some(n) = threads {
-                session = session.with_pool(Pool::new(n));
-            }
-            let resumed = session
-                .run(profiled_request(&w.kernel).resume_from(&ckpt))
-                .and_then(|o| o.completed())
-                .unwrap_or_else(|e| panic!("{label} resume: {e}"))
-                .remove(0);
-            let resumed_profile = assert_pc_conserved(&resumed.stats, &format!("{label} resumed"));
-            assert_eq!(
-                resumed_profile.snapshot().pretty(),
-                want_profile.snapshot().pretty(),
-                "{label}: resumed profile diverges from the uninterrupted run"
-            );
-            assert_eq!(resumed.stats, want.stats, "{label}: resumed stats diverge");
-        }
+        let resumed = session
+            .run(profiled_request(&w.kernel).resume_from(&ckpt))
+            .and_then(|o| o.completed())
+            .unwrap_or_else(|e| panic!("{label} resume: {e}"))
+            .remove(0);
+        let resumed_profile = assert_pc_conserved(&resumed.stats, &format!("{label} resumed"));
+        assert_eq!(
+            resumed_profile.snapshot().pretty(),
+            want_profile.snapshot().pretty(),
+            "{label}: resumed profile diverges from the uninterrupted run"
+        );
+        assert_eq!(resumed.stats, want.stats, "{label}: resumed stats diverge");
     }
 }
 
@@ -176,7 +152,7 @@ fn archetype_profiles_match_goldens() {
         }
         let mut cfg = small_config(arch);
         cfg.core.profile = true;
-        let report = run_profiled(&w.kernel, cfg, None);
+        let report = run_profiled(&w.kernel, cfg);
         let rec = ProfileRecord::from_run(w.name, arch.label(), w.kernel.program(), &report.stats)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         rec.check_conservation()
@@ -225,7 +201,7 @@ fn profiling_never_perturbs_the_run() {
 
             let mut cfg = small_config(arch);
             cfg.core.profile = true;
-            let mut profiled = run_profiled(&w.kernel, cfg, None);
+            let mut profiled = run_profiled(&w.kernel, cfg);
             assert!(profiled.stats.hotspots.is_some(), "{label}");
             profiled.stats.hotspots = None;
             assert_eq!(

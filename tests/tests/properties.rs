@@ -134,10 +134,10 @@ fn random_vt_parameters_preserve_functionality() {
     }
 }
 
-/// Random synthetic kernels must be thread-count invariant: the parallel
-/// engine at 2, 4 and 8 workers must reproduce the sequential run's
-/// statistics and final memory bit-for-bit, whatever shape the kernel
-/// takes.
+/// Random synthetic kernels must be thread-count invariant: a session
+/// with a worker pool attached (which shards `sweep` cells, never a
+/// single run) must reproduce the pool-less run's statistics and final
+/// memory bit-for-bit, whatever shape the kernel takes.
 #[test]
 fn thread_count_invariance_on_random_kernels() {
     let mut r = Prng::new(0x9a7);
@@ -158,34 +158,33 @@ fn thread_count_invariance_on_random_kernels() {
         let kernel = p.build();
         for arch in [Architecture::Baseline, Architecture::virtual_thread()] {
             let seq = run(arch, &kernel);
-            for threads in [2, 4, 8] {
-                let mut session = Session::new(small_config(arch)).with_pool(Pool::new(threads));
-                let par = session
-                    .run(RunRequest::kernel(&kernel))
-                    .and_then(|o| o.completed())
-                    .unwrap_or_else(|e| panic!("case {case}: {e}"))
-                    .remove(0);
-                assert_eq!(
-                    par.stats,
-                    seq.stats,
-                    "case {case}: stats drift at {threads} threads under {} ({p:?})",
-                    arch.label()
-                );
-                assert_eq!(
-                    par.mem_image,
-                    seq.mem_image,
-                    "case {case}: memory drift at {threads} threads under {}",
-                    arch.label()
-                );
-            }
+            let par = Session::new(small_config(arch))
+                .with_pool(Pool::new(4))
+                .run(RunRequest::kernel(&kernel))
+                .and_then(|o| o.completed())
+                .unwrap_or_else(|e| panic!("case {case}: {e}"))
+                .remove(0);
+            assert_eq!(
+                par.stats,
+                seq.stats,
+                "case {case}: stats drift with a pool under {} ({p:?})",
+                arch.label()
+            );
+            assert_eq!(
+                par.mem_image,
+                seq.mem_image,
+                "case {case}: memory drift with a pool under {}",
+                arch.label()
+            );
         }
     }
 }
 
-/// The swap protocol survives the parallel engine: a CTA may only enter
-/// the active phase once its context transfer has completed — every
-/// `CtaActivate` must be preceded by a `SwapEnd{In}` for the same
-/// (SM, slot, CTA), with no unconsumed transfer left over.
+/// The swap protocol on random kernels: a CTA may only enter the active
+/// phase once its context transfer has completed — every `CtaActivate`
+/// must be preceded by a `SwapEnd{In}` for the same (SM, slot, CTA), with
+/// no unconsumed transfer left over. (The test's name predates the
+/// removal of the per-cycle parallel engine it used to run under.)
 #[test]
 fn swap_protocol_holds_under_parallel_engine() {
     let mut r = Prng::new(0x3c1);
@@ -206,7 +205,6 @@ fn swap_protocol_holds_under_parallel_engine() {
         let kernel = p.build();
         let mut events = Vec::new();
         let mut session = Session::new(small_config(Architecture::virtual_thread()))
-            .with_pool(Pool::new(4))
             .with_sink(BufSink(&mut events));
         session
             .run(RunRequest::kernel(&kernel))

@@ -1,12 +1,12 @@
 //! The trace frontend end-to-end: the committed corpus parses, lowers,
-//! lints clean and replays bit-identically to its recorded fingerprints
-//! at every worker count; the corrupt corpus is rejected with a
+//! lints clean and replays bit-identically to its recorded fingerprints;
+//! the corrupt corpus is rejected with a
 //! `TraceError` (never a panic); and fuzz-style truncation/mutation of
 //! valid sources can never panic the parser or the lowerer.
 
 use std::path::{Path, PathBuf};
 use vt_analysis::{analyze, Severity};
-use vt_core::{Architecture, GpuConfig, Pool, Report, RunRequest, Session};
+use vt_core::{Architecture, GpuConfig, Report, RunRequest, Session};
 use vt_isa::interp::Interpreter;
 use vt_json::Json;
 use vt_prng::Prng;
@@ -165,10 +165,10 @@ fn mem_digest(report: &Report) -> u64 {
 }
 
 /// Round-trip gate: replaying the committed corpus under the pinned
-/// configuration reproduces the committed fingerprints exactly, at 1, 2
-/// and 4 workers. A mismatch means the simulator's timing or functional
-/// behaviour drifted (re-record with `vttrace --run --json` only when
-/// that is intended).
+/// configuration reproduces the committed fingerprints exactly. A
+/// mismatch means the simulator's timing or functional behaviour drifted
+/// (re-record with `vttrace --run --json` only when that is intended).
+/// (The test's name predates the removal of the worker-count axis.)
 #[test]
 fn committed_fingerprints_reproduce_at_1_2_4_workers() {
     let text = std::fs::read_to_string(repo_root().join("traces/fingerprints.json")).unwrap();
@@ -191,29 +191,22 @@ fn committed_fingerprints_reproduce_at_1_2_4_workers() {
     for (rel, fp) in entries {
         let kernel = load(&repo_root().join(rel)).lower().unwrap();
         let want = |k: &str| fp.get(k).and_then(Json::as_u64).unwrap();
-        for threads in [1usize, 2, 4] {
-            let mut cfg = GpuConfig::with_arch(Architecture::virtual_thread());
-            cfg.core.num_sms = sms;
-            let mut session = Session::new(cfg);
-            if threads > 1 {
-                session = session.with_pool(Pool::new(threads));
-            }
-            let report = session
-                .run(RunRequest::kernel(&kernel))
-                .and_then(|o| o.completed())
-                .unwrap_or_else(|e| panic!("{rel}: {e}"))
-                .remove(0);
-            let label = format!("{rel} at {threads} worker(s)");
-            assert_eq!(report.stats.cycles, want("cycles"), "{label}");
-            assert_eq!(report.stats.warp_instrs, want("warp_instrs"), "{label}");
-            assert_eq!(report.stats.thread_instrs, want("thread_instrs"), "{label}");
-            assert_eq!(report.stats.barriers, want("barriers"), "{label}");
-            let fnv = fp.get("mem_fnv").and_then(Json::as_str).unwrap();
-            assert_eq!(
-                format!("{:016x}", mem_digest(&report)),
-                fnv,
-                "{label}: functional image drifted"
-            );
-        }
+        let mut cfg = GpuConfig::with_arch(Architecture::virtual_thread());
+        cfg.core.num_sms = sms;
+        let report = Session::new(cfg)
+            .run(RunRequest::kernel(&kernel))
+            .and_then(|o| o.completed())
+            .unwrap_or_else(|e| panic!("{rel}: {e}"))
+            .remove(0);
+        assert_eq!(report.stats.cycles, want("cycles"), "{rel}");
+        assert_eq!(report.stats.warp_instrs, want("warp_instrs"), "{rel}");
+        assert_eq!(report.stats.thread_instrs, want("thread_instrs"), "{rel}");
+        assert_eq!(report.stats.barriers, want("barriers"), "{rel}");
+        let fnv = fp.get("mem_fnv").and_then(Json::as_str).unwrap();
+        assert_eq!(
+            format!("{:016x}", mem_digest(&report)),
+            fnv,
+            "{rel}: functional image drifted"
+        );
     }
 }

@@ -29,7 +29,7 @@ use vt_bench::cli;
 use vt_bench::cpi::Attribution;
 use vt_bench::record::{self, RECORD_VERSION};
 use vt_bench::{geomean, Table};
-use vt_core::{Architecture, Gpu, GpuConfig, MemSwapParams};
+use vt_core::{Architecture, Gpu, GpuConfig};
 use vt_json::{req_f64, Json};
 use vt_workloads::{full_suite, Scale};
 
@@ -90,7 +90,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -98,44 +97,28 @@ fn parse_args() -> Result<Option<Opts>, String> {
             }
             "--json" => o.json = true,
             "--explain" => o.explain = true,
-            "--out" => o.out = Some(PathBuf::from(value("--out")?)),
-            "--arch" => {
-                o.arch = match value("--arch")?.as_str() {
-                    "baseline" => Architecture::Baseline,
-                    "vt" => Architecture::virtual_thread(),
-                    "ideal" => Architecture::Ideal,
-                    "memswap" => Architecture::MemSwap(MemSwapParams::default()),
-                    other => return Err(format!("unknown architecture `{other}`")),
-                };
-            }
-            "--sms" => o.sms = value("--sms")?.parse().map_err(|e| format!("--sms: {e}"))?,
-            "--window" => {
-                o.window = value("--window")?
-                    .parse()
-                    .map_err(|e| format!("--window: {e}"))?;
-            }
+            "--out" => o.out = Some(cli::value(&mut args, "--out")?),
+            "--arch" => o.arch = cli::arch(&cli::value::<String>(&mut args, "--arch")?)?,
+            "--sms" => o.sms = cli::value(&mut args, "--sms")?,
+            "--window" => o.window = cli::value(&mut args, "--window")?,
             "--threshold" => {
-                o.threshold = value("--threshold")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?;
+                o.threshold = cli::value(&mut args, "--threshold")?;
                 if !o.threshold.is_finite() || o.threshold < 0.0 {
                     return Err("--threshold must be a nonnegative percentage".into());
                 }
             }
             "--diff" => {
-                let old = value("--diff (OLD)")?;
-                let new = value("--diff (NEW)")?;
+                let old = cli::value(&mut args, "--diff (OLD)")?;
+                let new = cli::value(&mut args, "--diff (NEW)")?;
                 o.mode = Mode::Diff(old, new);
             }
             "--degrade" => {
-                let pct: f64 = value("--degrade (PCT)")?
-                    .parse()
-                    .map_err(|e| format!("--degrade: {e}"))?;
+                let pct: f64 = cli::value(&mut args, "--degrade (PCT)")?;
                 if !pct.is_finite() || !(0.0..100.0).contains(&pct) {
                     return Err("--degrade PCT must be in [0, 100)".into());
                 }
-                let input = value("--degrade (IN)")?;
-                let output = value("--degrade (OUT)")?;
+                let input = cli::value(&mut args, "--degrade (IN)")?;
+                let output = cli::value(&mut args, "--degrade (OUT)")?;
                 o.mode = Mode::Degrade(pct, input, output);
             }
             other => return Err(format!("unknown argument `{other}`")),
@@ -378,12 +361,12 @@ fn degrade(pct: f64, input: &str, output: &str) -> Result<(), String> {
 fn main() -> ExitCode {
     let opts = match cli::parsed("vtbench", USAGE, parse_args()) {
         Ok(o) => o,
-        Err(code) => return cli::code(code),
+        Err(code) => return ExitCode::from(code),
     };
     let result = match &opts.mode {
         Mode::Run => run_suite(&opts).map(|()| true),
         Mode::Diff(old, new) => diff(old, new, opts.threshold, opts.explain),
         Mode::Degrade(pct, input, output) => degrade(*pct, input, output).map(|()| true),
     };
-    cli::code(cli::finish("vtbench", result))
+    ExitCode::from(cli::finish("vtbench", result))
 }

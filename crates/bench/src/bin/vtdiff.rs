@@ -78,14 +78,7 @@ fn parse_args() -> Result<Option<Opts>, String> {
             "--pc" => pc = true,
             "--json" => json = true,
             "--assert-zero" => assert_zero = true,
-            "--top" => {
-                top = Some(
-                    args.next()
-                        .ok_or("--top needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--top: {e}"))?,
-                );
-            }
+            "--top" => top = Some(cli::value(&mut args, "--top")?),
             other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
             path => paths.push(path.to_string()),
         }
@@ -377,7 +370,7 @@ fn run(o: &Opts) -> Result<bool, String> {
 fn main() -> ExitCode {
     let opts = match cli::parsed("vtdiff", USAGE, parse_args()) {
         Ok(o) => o,
-        Err(code) => return cli::code(code),
+        Err(code) => return ExitCode::from(code),
     };
-    cli::code(cli::finish("vtdiff", run(&opts)))
+    ExitCode::from(cli::finish("vtdiff", run(&opts)))
 }

@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use vt_bench::cli;
 use vt_bench::cpi::{stack_report, CpiRecord};
 use vt_bench::hotspot::{self, ProfileRecord};
-use vt_core::{Architecture, GpuConfig, MemSwapParams, RunRequest, Session};
+use vt_core::{Architecture, GpuConfig, RunRequest, Session};
 use vt_json::Json;
 use vt_trace::{
     to_chrome_json_with, validate, validate_metrics, Gauge, Histogram, RingSink, TimedEvent,
@@ -112,7 +112,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
     let mut args = std::env::args().skip(1);
     let mut list = false;
     while let Some(a) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -131,38 +130,20 @@ fn parse_args() -> Result<Option<Opts>, String> {
                 o.flame = true;
             }
             "--json" => o.json = true,
-            "--arch" => {
-                o.arch = match value("--arch")?.as_str() {
-                    "baseline" => Architecture::Baseline,
-                    "vt" => Architecture::virtual_thread(),
-                    "ideal" => Architecture::Ideal,
-                    "memswap" => Architecture::MemSwap(MemSwapParams::default()),
-                    other => return Err(format!("unknown architecture `{other}`")),
-                };
-            }
+            "--arch" => o.arch = cli::arch(&cli::value::<String>(&mut args, "--arch")?)?,
             "--scale" => {
-                o.scale = match value("--scale")?.as_str() {
+                o.scale = match cli::value::<String>(&mut args, "--scale")?.as_str() {
                     "test" => Scale::test(),
                     "small" => Scale::small(),
                     "paper" => Scale::paper(),
                     other => return Err(format!("unknown scale `{other}`")),
                 };
             }
-            "--sms" => {
-                o.sms = Some(value("--sms")?.parse().map_err(|e| format!("--sms: {e}"))?);
-            }
-            "--out" => o.out = PathBuf::from(value("--out")?),
-            "--metrics" => o.metrics = Some(PathBuf::from(value("--metrics")?)),
-            "--window" => {
-                o.window = value("--window")?
-                    .parse()
-                    .map_err(|e| format!("--window: {e}"))?;
-            }
-            "--ring" => {
-                o.ring = value("--ring")?
-                    .parse()
-                    .map_err(|e| format!("--ring: {e}"))?;
-            }
+            "--sms" => o.sms = Some(cli::value(&mut args, "--sms")?),
+            "--out" => o.out = cli::value(&mut args, "--out")?,
+            "--metrics" => o.metrics = Some(cli::value(&mut args, "--metrics")?),
+            "--window" => o.window = cli::value(&mut args, "--window")?,
+            "--ring" => o.ring = cli::value(&mut args, "--ring")?,
             other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
             name => o.kernels.push(name.to_string()),
         }
@@ -174,20 +155,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
         return Ok(None);
     }
     Ok(Some(o))
-}
-
-fn select<'a>(all: &'a [Workload], names: &[String]) -> Result<Vec<&'a Workload>, String> {
-    if names.is_empty() {
-        return Ok(all.iter().collect());
-    }
-    names
-        .iter()
-        .map(|n| {
-            all.iter()
-                .find(|w| w.name == n)
-                .ok_or(format!("unknown kernel `{n}` (try --list)"))
-        })
-        .collect()
 }
 
 fn hist_json(h: &Histogram) -> Json {
@@ -479,12 +446,12 @@ fn profile_one(
 fn main() -> ExitCode {
     let opts = match cli::parsed("vtprof", USAGE, parse_args()) {
         Ok(o) => o,
-        Err(code) => return cli::code(code),
+        Err(code) => return ExitCode::from(code),
     };
     let all = suite(&opts.scale);
-    let picked = match select(&all, &opts.kernels) {
+    let picked = match cli::select(&all, &opts.kernels, |w| w.name) {
         Ok(p) => p,
-        Err(e) => return cli::code(cli::fail("vtprof", &e)),
+        Err(e) => return ExitCode::from(cli::finish("vtprof", Err(e))),
     };
     let mut cfg = GpuConfig::with_arch(opts.arch);
     if let Some(sms) = opts.sms {
@@ -499,7 +466,7 @@ fn main() -> ExitCode {
                 failed |= out.check_failed;
                 records.push(out.metrics);
             }
-            Err(e) => return cli::code(cli::fail("vtprof", &e)),
+            Err(e) => return ExitCode::from(cli::finish("vtprof", Err(e))),
         }
     }
     if opts.json {
@@ -508,5 +475,5 @@ fn main() -> ExitCode {
     if failed {
         eprintln!("vtprof: --check failed");
     }
-    cli::code(cli::finish("vtprof", Ok(!failed)))
+    ExitCode::from(cli::finish("vtprof", Ok(!failed)))
 }

@@ -30,11 +30,10 @@ use std::process::ExitCode;
 use std::rc::Rc;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-use vt_bench::cli;
+use vt_bench::{cli, standard_archs};
 use vt_core::{
-    default_threads, Architecture, CancelToken, Checkpoint, GpuConfig, MemSwapParams, Pool,
-    Progress, Report, RunBudget, RunRequest, RunStats, Session, SessionOutcome, SimError,
-    StopReason, Truncation,
+    default_threads, Architecture, CancelToken, Checkpoint, GpuConfig, Pool, Progress, Report,
+    RunBudget, RunRequest, RunStats, Session, SessionOutcome, SimError, StopReason, Truncation,
 };
 use vt_json::Json;
 use vt_workloads::{suite, Scale, Workload};
@@ -121,32 +120,15 @@ impl Opts {
 
 fn parse_archs(list: &str) -> Result<Vec<Architecture>, String> {
     if list == "all" {
-        return Ok(all_archs());
+        return Ok(standard_archs());
     }
-    list.split(',')
-        .map(|a| match a.trim() {
-            "baseline" => Ok(Architecture::Baseline),
-            "vt" => Ok(Architecture::virtual_thread()),
-            "ideal" => Ok(Architecture::Ideal),
-            "memswap" => Ok(Architecture::MemSwap(MemSwapParams::default())),
-            other => Err(format!("unknown architecture `{other}`")),
-        })
-        .collect()
-}
-
-fn all_archs() -> Vec<Architecture> {
-    vec![
-        Architecture::Baseline,
-        Architecture::virtual_thread(),
-        Architecture::Ideal,
-        Architecture::MemSwap(MemSwapParams::default()),
-    ]
+    list.split(',').map(|a| cli::arch(a.trim())).collect()
 }
 
 fn parse_args() -> Result<Option<Opts>, String> {
     let mut o = Opts {
         kernels: Vec::new(),
-        archs: all_archs(),
+        archs: standard_archs(),
         scale: Scale::test(),
         sms: None,
         threads: default_threads(),
@@ -161,7 +143,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
     let mut args = std::env::args().skip(1);
     let mut list = false;
     while let Some(a) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -170,44 +151,36 @@ fn parse_args() -> Result<Option<Opts>, String> {
             "--list" => list = true,
             "--check" => o.check = true,
             "--json" => o.json = true,
-            "--arch" => o.archs = parse_archs(&value("--arch")?)?,
+            "--arch" => o.archs = parse_archs(&cli::value::<String>(&mut args, "--arch")?)?,
             "--scale" => {
-                o.scale = match value("--scale")?.as_str() {
+                o.scale = match cli::value::<String>(&mut args, "--scale")?.as_str() {
                     "test" => Scale::test(),
                     "small" => Scale::small(),
                     "paper" => Scale::paper(),
                     other => return Err(format!("unknown scale `{other}`")),
                 };
             }
-            "--sms" => {
-                o.sms = Some(value("--sms")?.parse().map_err(|e| format!("--sms: {e}"))?);
-            }
+            "--sms" => o.sms = Some(cli::value(&mut args, "--sms")?),
             "--threads" => {
-                let n: usize = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
+                let n: usize = cli::value(&mut args, "--threads")?;
                 o.threads = if n == 0 { default_threads() } else { n };
             }
             "--budget" => {
-                let n: u64 = value("--budget")?
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?;
+                let n: u64 = cli::value(&mut args, "--budget")?;
                 if n == 0 {
                     return Err("--budget must be at least 1 cycle".to_string());
                 }
                 o.budget = Some(n);
             }
             "--deadline" => {
-                let s: f64 = value("--deadline")?
-                    .parse()
-                    .map_err(|e| format!("--deadline: {e}"))?;
+                let s: f64 = cli::value(&mut args, "--deadline")?;
                 if !s.is_finite() || s <= 0.0 {
                     return Err("--deadline must be positive seconds".to_string());
                 }
                 o.deadline = Some(Duration::from_secs_f64(s));
             }
-            "--checkpoint" => o.checkpoint = Some(value("--checkpoint")?),
-            "--resume" => o.resume = Some(value("--resume")?),
+            "--checkpoint" => o.checkpoint = Some(cli::value(&mut args, "--checkpoint")?),
+            "--resume" => o.resume = Some(cli::value(&mut args, "--resume")?),
             "--progress" => o.progress = true,
             other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
             name => o.kernels.push(name.to_string()),
@@ -220,20 +193,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
         return Ok(None);
     }
     Ok(Some(o))
-}
-
-fn select<'a>(all: &'a [Workload], names: &[String]) -> Result<Vec<&'a Workload>, String> {
-    if names.is_empty() {
-        return Ok(all.iter().collect());
-    }
-    names
-        .iter()
-        .map(|n| {
-            all.iter()
-                .find(|w| w.name == n)
-                .ok_or(format!("unknown kernel `{n}` (try --list)"))
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------- Ctrl-C
@@ -390,47 +349,24 @@ fn run_grid(
 /// report.
 fn diff_stats(got: &RunStats, want: &RunStats) -> Vec<String> {
     let mut out = Vec::new();
-    let mut field = |name: &str, a: String, b: String| {
-        if a != b {
-            out.push(format!("{name}: {a} != {b}"));
-        }
-    };
-    field(
-        "cycles",
-        format!("{}", got.cycles),
-        format!("{}", want.cycles),
+    macro_rules! compare {
+        ($($field:ident),+) => {$(
+            let (a, b) = (format!("{:?}", got.$field), format!("{:?}", want.$field));
+            if a != b {
+                out.push(format!("{}: {a} != {b}", stringify!($field)));
+            }
+        )+};
+    }
+    compare!(
+        cycles,
+        warp_instrs,
+        thread_instrs,
+        issue_cycles,
+        idle,
+        occupancy,
+        swaps,
+        mem
     );
-    field(
-        "warp_instrs",
-        format!("{}", got.warp_instrs),
-        format!("{}", want.warp_instrs),
-    );
-    field(
-        "thread_instrs",
-        format!("{}", got.thread_instrs),
-        format!("{}", want.thread_instrs),
-    );
-    field(
-        "issue_cycles",
-        format!("{}", got.issue_cycles),
-        format!("{}", want.issue_cycles),
-    );
-    field(
-        "idle",
-        format!("{:?}", got.idle),
-        format!("{:?}", want.idle),
-    );
-    field(
-        "occupancy",
-        format!("{:?}", got.occupancy),
-        format!("{:?}", want.occupancy),
-    );
-    field(
-        "swaps",
-        format!("{:?}", got.swaps),
-        format!("{:?}", want.swaps),
-    );
-    field("mem", format!("{:?}", got.mem), format!("{:?}", want.mem));
     if out.is_empty() && got != want {
         out.push("other fields differ (histograms/gauges/metric series)".to_string());
     }
@@ -475,24 +411,24 @@ fn cell_json(cell: &Cell) -> Json {
 fn main() -> ExitCode {
     let opts = match cli::parsed("vtsweep", USAGE, parse_args()) {
         Ok(o) => o,
-        Err(code) => return cli::code(code),
+        Err(code) => return ExitCode::from(code),
     };
     let all = suite(&opts.scale);
-    let picked = match select(&all, &opts.kernels) {
+    let picked = match cli::select(&all, &opts.kernels, |w| w.name) {
         Ok(p) => p,
-        Err(e) => return cli::code(cli::fail("vtsweep", &e)),
+        Err(e) => return ExitCode::from(cli::finish("vtsweep", Err(e))),
     };
     if (opts.checkpoint.is_some() || opts.resume.is_some())
         && (picked.len() != 1 || opts.archs.len() != 1)
     {
-        return cli::code(cli::fail(
+        return ExitCode::from(cli::finish(
             "vtsweep",
-            &format!(
+            Err(format!(
                 "--checkpoint/--resume need exactly one kernel and one \
                  --arch (got {} kernel(s), {} arch(s))",
                 picked.len(),
                 opts.archs.len()
-            ),
+            )),
         ));
     }
     let resume = match &opts.resume {
@@ -502,7 +438,9 @@ fn main() -> ExitCode {
                 .and_then(|text| Checkpoint::parse(&text).map_err(|e| format!("{path}: {e}")));
             match parsed {
                 Ok(c) => Some(c),
-                Err(e) => return cli::code(cli::fail("vtsweep", &format!("--resume {e}"))),
+                Err(e) => {
+                    return ExitCode::from(cli::finish("vtsweep", Err(format!("--resume {e}"))))
+                }
             }
         }
         None => None,
@@ -582,7 +520,7 @@ fn main() -> ExitCode {
         }
     }
     if sim_failed {
-        return cli::code(cli::EXIT_ERROR);
+        return ExitCode::from(cli::EXIT_ERROR);
     }
     if opts.json {
         println!("{}", Json::Array(records).pretty());
@@ -629,7 +567,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "vtsweep: --check failed: {mismatches} cell(s) diverge from the sequential run"
             );
-            return cli::code(cli::EXIT_FINDING);
+            return ExitCode::from(cli::EXIT_FINDING);
         }
         println!(
             "check: ok ({} cells bit-identical at {} thread(s))",
@@ -643,5 +581,5 @@ fn main() -> ExitCode {
         // (checkpointed) sweep from a finished or failed one.
         return ExitCode::from(130);
     }
-    cli::code(cli::EXIT_OK)
+    ExitCode::from(cli::EXIT_OK)
 }

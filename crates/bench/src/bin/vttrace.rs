@@ -23,7 +23,7 @@
 
 use std::process::ExitCode;
 use vt_bench::cli;
-use vt_core::{Architecture, GpuConfig, MemSwapParams, Report, RunRequest, Session};
+use vt_core::{Architecture, GpuConfig, Report, RunRequest, Session};
 use vt_traces::parse_file;
 
 const USAGE: &str = "\
@@ -59,7 +59,6 @@ fn parse_args() -> Result<Option<Opts>, String> {
     let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
             "-h" | "--help" => {
                 println!("{USAGE}");
@@ -67,21 +66,13 @@ fn parse_args() -> Result<Option<Opts>, String> {
             }
             "--json" => json = true,
             "--check" => {
-                let mut files = vec![value("--check")?];
+                let mut files = vec![cli::value(&mut args, "--check")?];
                 files.extend(args.by_ref());
                 mode = Some(Mode::Check(files));
             }
-            "--run" => mode = Some(Mode::Run(value("--run")?)),
-            "--arch" => {
-                arch = match value("--arch")?.as_str() {
-                    "baseline" => Architecture::Baseline,
-                    "vt" => Architecture::virtual_thread(),
-                    "ideal" => Architecture::Ideal,
-                    "memswap" => Architecture::MemSwap(MemSwapParams::default()),
-                    other => return Err(format!("unknown architecture `{other}`")),
-                };
-            }
-            "--sms" => sms = value("--sms")?.parse().map_err(|e| format!("--sms: {e}"))?,
+            "--run" => mode = Some(Mode::Run(cli::value(&mut args, "--run")?)),
+            "--arch" => arch = cli::arch(&cli::value::<String>(&mut args, "--arch")?)?,
+            "--sms" => sms = cli::value(&mut args, "--sms")?,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -172,11 +163,11 @@ fn run(file: &str, o: &Opts) -> Result<(), String> {
 fn main() -> ExitCode {
     let opts = match cli::parsed("vttrace", USAGE, parse_args()) {
         Ok(o) => o,
-        Err(code) => return cli::code(code),
+        Err(code) => return ExitCode::from(code),
     };
     let result = match &opts.mode {
         Mode::Check(files) => Ok(check(files)),
         Mode::Run(file) => run(file, &opts).map(|()| true),
     };
-    cli::code(cli::finish("vttrace", result))
+    ExitCode::from(cli::finish("vttrace", result))
 }

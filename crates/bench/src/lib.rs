@@ -1,38 +1,36 @@
 //! # vt-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`). Every
-//! binary prints the human-readable table or ASCII figure, writes a
-//! machine-readable JSON record under `results/`, and — in `--quick`
-//! mode — asserts its acceptance criterion from `DESIGN.md §5` so CI can
-//! smoke-test the whole evaluation.
+//! [`experiments`] holds the paper's seventeen tables and figures as
+//! data; the `vtfig` binary runs any of them: it prints each table or
+//! ASCII figure, writes each machine-readable JSON record under
+//! `results/`, and checks each acceptance criterion from `DESIGN.md §5`,
+//! simulating every distinct cell once across all cores. The other
+//! binaries (`vtprof`, `vtdiff`, `vtbench`, `vtsweep`, `vttrace`) are
+//! profiling and regression tools.
 //!
 //! ```text
-//! cargo run --release -p vt-bench --bin fig03_speedup          # paper scale
-//! cargo run --release -p vt-bench --bin fig03_speedup -- --quick
+//! cargo run --release -p vt-bench --bin vtfig                       # paper scale
+//! cargo run --release -p vt-bench --bin vtfig -- fig03_speedup --quick
 //! ```
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod cpi;
+pub mod experiments;
 pub mod hotspot;
 pub mod record;
 
-use std::fs;
-use std::path::PathBuf;
-use std::time::Instant;
-use vt_core::{Architecture, CoreConfig, Gpu, GpuConfig, MemConfig, Report};
-use vt_isa::Kernel;
-use vt_json::ToJson;
-use vt_workloads::{suite, Scale, Workload};
+use vt_core::{Architecture, CoreConfig, MemConfig};
+use vt_workloads::Scale;
 
-/// Common experiment context: hardware configuration, problem scale and
-/// output directory.
+/// Common experiment context: problem scale and hardware configuration.
 #[derive(Debug, Clone)]
 pub struct Harness {
-    /// Reduced problem size and relaxed assertions for CI smoke runs.
+    /// Quick mode (CI smoke runs): shorter sensitivity sweeps; `new` also
+    /// picks a reduced `scale`.
     pub quick: bool,
-    /// Directory JSON records are written to.
-    pub out_dir: PathBuf,
+    /// The problem scale experiments run at.
+    pub scale: Scale,
     /// Core configuration shared by every run.
     pub core: CoreConfig,
     /// Memory configuration shared by every run.
@@ -40,89 +38,23 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Builds a harness from `std::env::args` (`--quick`,
-    /// `--out <dir>`).
-    pub fn from_env() -> Harness {
-        let mut quick = false;
-        let mut out_dir = PathBuf::from("results");
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--out" => {
-                    if let Some(d) = args.next() {
-                        out_dir = PathBuf::from(d);
-                    }
-                }
-                other => eprintln!("ignoring unknown argument `{other}`"),
-            }
-        }
+    /// The default machine at paper scale or, with `quick`, at a scale
+    /// that still oversubscribes every SM (the phenomenon under study
+    /// needs more CTAs than the scheduling limit admits) but with fewer
+    /// waves and shorter inner loops.
+    pub fn new(quick: bool) -> Harness {
         Harness {
             quick,
-            out_dir,
+            scale: if quick {
+                Scale {
+                    ctas: 240,
+                    iters: 4,
+                }
+            } else {
+                Scale::paper()
+            },
             core: CoreConfig::default(),
             mem: MemConfig::default(),
-        }
-    }
-
-    /// The problem scale experiments run at. Quick mode still
-    /// oversubscribes every SM (the phenomenon under study needs more
-    /// CTAs than the scheduling limit admits) but with fewer waves and
-    /// shorter inner loops.
-    pub fn scale(&self) -> Scale {
-        if self.quick {
-            Scale {
-                ctas: 240,
-                iters: 4,
-            }
-        } else {
-            Scale::paper()
-        }
-    }
-
-    /// The benchmark suite at this harness's scale.
-    pub fn suite(&self) -> Vec<Workload> {
-        suite(&self.scale())
-    }
-
-    /// Runs `kernel` under `arch`, logging wall time to stderr.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation fails; experiment inputs are all valid by
-    /// construction, so a failure is a harness bug worth a loud stop.
-    pub fn run(&self, arch: Architecture, kernel: &Kernel) -> Report {
-        let t0 = Instant::now();
-        let report = Gpu::new(GpuConfig {
-            core: self.core.clone(),
-            mem: self.mem.clone(),
-            arch,
-        })
-        .run(kernel)
-        .unwrap_or_else(|e| panic!("{} under {}: {e}", kernel.name(), arch.label()));
-        eprintln!(
-            "  [{} / {}: {} cycles, {:.2}s]",
-            kernel.name(),
-            arch.label(),
-            report.stats.cycles,
-            t0.elapsed().as_secs_f64()
-        );
-        report
-    }
-
-    /// Prints the experiment output and writes its JSON record.
-    pub fn emit<T: ToJson>(&self, name: &str, human: &str, record: &T) {
-        println!("{human}");
-        if let Err(e) = fs::create_dir_all(&self.out_dir) {
-            eprintln!("cannot create {}: {e}", self.out_dir.display());
-            return;
-        }
-        let path = self.out_dir.join(format!("{name}.json"));
-        let json = record.to_json().pretty();
-        if let Err(e) = fs::write(&path, json) {
-            eprintln!("cannot write {}: {e}", path.display());
-        } else {
-            eprintln!("  [record: {}]", path.display());
         }
     }
 }

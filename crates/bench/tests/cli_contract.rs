@@ -1,4 +1,4 @@
-//! Exit-code contract tests for the five vt-bench binaries.
+//! Exit-code contract tests for the six vt-bench binaries.
 //!
 //! The shared contract (implemented by `vt_bench::cli`, documented in
 //! each binary's module docs):
@@ -23,6 +23,7 @@ fn run(bin: &str, args: &[&str]) -> Output {
         "vtbench" => env!("CARGO_BIN_EXE_vtbench"),
         "vtsweep" => env!("CARGO_BIN_EXE_vtsweep"),
         "vttrace" => env!("CARGO_BIN_EXE_vttrace"),
+        "vtfig" => env!("CARGO_BIN_EXE_vtfig"),
         other => panic!("unknown binary {other}"),
     };
     Command::new(exe)
@@ -35,7 +36,7 @@ fn code(out: &Output) -> i32 {
     out.status.code().expect("binary terminated by signal")
 }
 
-const ALL_BINS: [&str; 5] = ["vtprof", "vtdiff", "vtbench", "vtsweep", "vttrace"];
+const ALL_BINS: [&str; 6] = ["vtprof", "vtdiff", "vtbench", "vtsweep", "vttrace", "vtfig"];
 
 /// `--help` prints usage on stdout and exits 0, for every binary.
 #[test]
@@ -87,6 +88,62 @@ fn io_and_validation_problems_exit_two() {
     // env; its remaining cheap error is a malformed flag value.
     let out = run("vtbench", &["--sms", "zero"]);
     assert_eq!(code(&out), 2, "vtbench bad --sms value");
+}
+
+/// A record nested far deeper than any the workspace writes is a parse
+/// error (exit 2), not a stack overflow (SIGABRT, exit 134).
+#[test]
+fn vtdiff_rejects_deeply_nested_json() {
+    let deep = fixture("deep.json", &"[".repeat(200_000));
+    let path = deep.to_str().unwrap();
+    let out = run("vtdiff", &[path, path]);
+    assert_eq!(code(&out), 2, "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(deep).ok();
+}
+
+/// `vtfig` refuses unknown experiment names and misspelled options
+/// instead of running anything, and writes exactly the records asked for.
+#[test]
+fn vtfig_runs_exactly_what_is_named() {
+    for args in [&["nosuch"][..], &["--quik"][..]] {
+        let out = run("vtfig", args);
+        assert_eq!(code(&out), 2, "vtfig {args:?}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("vt-cli-{}-vtfig", std::process::id()));
+    let out = run(
+        "vtfig",
+        &[
+            "tab01_config",
+            "tab03_overhead",
+            "--out",
+            dir.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let mut written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("--out directory created")
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["tab01_config.json", "tab03_overhead.json"]);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// The documented `./run_experiments.sh` must be executable as committed.
+#[test]
+fn run_experiments_script_is_executable() {
+    use std::os::unix::fs::PermissionsExt;
+    let script = concat!(env!("CARGO_MANIFEST_DIR"), "/../../run_experiments.sh");
+    let mode = std::fs::metadata(script)
+        .expect("script exists")
+        .permissions()
+        .mode();
+    assert_ne!(
+        mode & 0o100,
+        0,
+        "run_experiments.sh lacks the owner-execute bit"
+    );
 }
 
 /// The selectors of the removed per-cycle SM-parallel engine are unknown

@@ -306,7 +306,9 @@ impl<S: TraceSink> Session<S> {
                 sim.execute_with_progress(&mut self.sink, &budget, Some(&self.cancel), hook)?;
             match outcome {
                 RunOutcome::Completed(r) => {
-                    image = Some(r.mem_image.clone());
+                    if kernel_index + 1 < req.kernels.len() {
+                        image = Some(r.mem_image.clone());
+                    }
                     completed.push(Report {
                         kernel: kernel.name().to_string(),
                         arch: self.cfg.arch,

@@ -61,8 +61,19 @@ cargo test -q -p vt-tests --test cpi
 echo "== per-PC hotspot profiles (conservation suite, goldens, zero-perturbation)"
 cargo test -q -p vt-tests --test hotspots
 
-echo "== vt-bench CLI exit-code contract (vtprof/vtdiff/vtbench/vtsweep/vttrace)"
+echo "== vt-bench CLI exit-code contract (vtprof/vtdiff/vtbench/vtsweep/vttrace/vtfig)"
 cargo test -q -p vt-bench --test cli_contract
+
+# The paper's shape: all seventeen acceptance criteria at the CI scale,
+# with every simulated cell's image checked against the interpreter.
+echo "== vtfig --quick (every table and figure's acceptance criterion)"
+VTFIG_TMP="$(mktemp -d)"
+if ! cargo run -q --release -p vt-bench --bin vtfig -- --quick \
+  --out "$VTFIG_TMP" >/dev/null 2>"$VTFIG_TMP/stderr"; then
+  cat "$VTFIG_TMP/stderr" >&2
+  echo "lint: vtfig --quick failed" >&2
+  exit 1
+fi
 
 echo "== vtprof --annotate/--flame smoke (per-PC profile artifacts)"
 VTHOT_TMP="$(mktemp -d)"

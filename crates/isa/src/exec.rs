@@ -141,6 +141,58 @@ pub fn eval_sfu(op: SfuOp, a: u32) -> u32 {
     bits(r)
 }
 
+/// `f` applied lane-wise to one or more `[u32; 32]` operand vectors.
+macro_rules! lanes {
+    (|$($x:ident),+| $body:expr) => {
+        std::array::from_fn(|i| {
+            $(let $x = $x[i];)+
+            $body
+        })
+    };
+}
+
+/// [`eval_alu`] on every lane of a warp. `op` is matched once, outside
+/// the lane loop, so each arm is a straight loop over constant-op
+/// [`eval_alu`] calls. No evaluator traps, so computing lanes the caller
+/// then discards (inactive ones) is harmless.
+pub fn eval_alu_lanes(op: AluOp, a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
+    macro_rules! per_op {
+        ($($op:ident)*) => {
+            match op {
+                $(AluOp::$op => lanes!(|a, b| eval_alu(AluOp::$op, a, b)),)*
+            }
+        };
+    }
+    per_op!(
+        Mov Add Sub Mul MulHi Div Rem Min Max And Or Xor Shl Shr
+        SetLt SetLe SetEq SetNe SetGt SetGe SetLtS SetGeS
+        FAdd FSub FMul FMin FMax FSetLt FSetLe FSetGt U2F F2U
+    )
+}
+
+/// [`eval_mad`] on every lane of a warp.
+pub fn eval_mad_lanes(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
+    lanes!(|a, b, c| eval_mad(a, b, c))
+}
+
+/// [`eval_ffma`] on every lane of a warp.
+pub fn eval_ffma_lanes(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
+    lanes!(|a, b, c| eval_ffma(a, b, c))
+}
+
+/// [`eval_sfu`] on every lane of a warp, `op` matched once as in
+/// [`eval_alu_lanes`].
+pub fn eval_sfu_lanes(op: SfuOp, a: &[u32; 32]) -> [u32; 32] {
+    macro_rules! per_op {
+        ($($op:ident)*) => {
+            match op {
+                $(SfuOp::$op => lanes!(|a| eval_sfu(SfuOp::$op, a)),)*
+            }
+        };
+    }
+    per_op!(Rcp Sqrt Rsqrt Exp2 Log2 Sin)
+}
+
 /// Applies an atomic read-modify-write, returning the new memory value.
 /// The *old* value is what the instruction's destination receives.
 pub fn eval_atom(op: AtomOp, old: u32, val: u32) -> u32 {
@@ -232,6 +284,74 @@ mod tests {
         assert_eq!(f32::from_bits(eval_sfu(SfuOp::Sqrt, 9.0f32.to_bits())), 3.0);
         assert_eq!(f32::from_bits(eval_sfu(SfuOp::Exp2, 3.0f32.to_bits())), 8.0);
         assert_eq!(f32::from_bits(eval_sfu(SfuOp::Log2, 8.0f32.to_bits())), 3.0);
+    }
+
+    /// Bit-exact agreement of every lane evaluator with its scalar
+    /// evaluator, on random words and on the edge cases each op is picky
+    /// about: NaN, ±0, ±∞, division by zero, shifts of 32 and more.
+    #[test]
+    fn lane_evaluators_equal_scalar_evaluators() {
+        let edges = [
+            0,
+            1,
+            2,
+            31,
+            32,
+            33,
+            63,
+            u32::MAX,
+            i32::MIN as u32,
+            i32::MAX as u32,
+            f32::NAN.to_bits(),
+            (-f32::NAN).to_bits(),
+            0.0f32.to_bits(),
+            (-0.0f32).to_bits(),
+            f32::INFINITY.to_bits(),
+            f32::NEG_INFINITY.to_bits(),
+            1.0f32.to_bits(),
+            (-1.5f32).to_bits(),
+            f32::MIN_POSITIVE.to_bits(),
+            4_294_967_040.0f32.to_bits(),
+        ];
+        let mut rng = vt_prng::Prng::new(0x1a7e5);
+        let mut vectors: Vec<[u32; 32]> = Vec::new();
+        // Every ordered pair of edge values meets lane-for-lane in some
+        // (a, b) vector pair below.
+        for shift in 0..edges.len() {
+            vectors.push(std::array::from_fn(|i| edges[(i + shift) % edges.len()]));
+        }
+        for _ in 0..16 {
+            vectors.push(std::array::from_fn(|_| rng.next_u32()));
+        }
+        let same = |got: [u32; 32], want: [u32; 32], what: &str| {
+            assert_eq!(got, want, "{what}");
+        };
+        for a in &vectors {
+            for op in SfuOp::ALL {
+                same(
+                    eval_sfu_lanes(*op, a),
+                    a.map(|x| eval_sfu(*op, x)),
+                    op.mnemonic(),
+                );
+            }
+            for b in &vectors {
+                for op in AluOp::ALL {
+                    let want = std::array::from_fn(|i| eval_alu(*op, a[i], b[i]));
+                    same(eval_alu_lanes(*op, a, b), want, op.mnemonic());
+                }
+                let c = &vectors[(a[0] ^ b[1]) as usize % vectors.len()];
+                same(
+                    eval_mad_lanes(a, b, c),
+                    std::array::from_fn(|i| eval_mad(a[i], b[i], c[i])),
+                    "mad",
+                );
+                same(
+                    eval_ffma_lanes(a, b, c),
+                    std::array::from_fn(|i| eval_ffma(a[i], b[i], c[i])),
+                    "ffma",
+                );
+            }
+        }
     }
 
     #[test]

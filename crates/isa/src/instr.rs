@@ -132,7 +132,6 @@ impl Instr {
     }
 
     /// Source operands without allocating, `None`-padded to three slots.
-    /// This sits on the simulator's per-cycle scheduling path.
     pub fn sources_fixed(&self) -> [Option<Operand>; 3] {
         match self {
             Instr::Alu { a, b, .. } => [Some(*a), Some(*b), None],

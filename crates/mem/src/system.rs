@@ -539,11 +539,11 @@ impl MemSystem {
     }
 
     /// Flushes every front's outbox into the SM→partition interconnect in
-    /// `(sm_id, submission order)` — the sequential engine's exact
-    /// ordering. The parallel engine calls this once per cycle after the
-    /// SM phase; [`Icnt::push`] derives arrival purely from `(now, flits)`
-    /// and preserves push order, so deferring to end-of-cycle is
-    /// indistinguishable from pushing at submission time.
+    /// `(sm_id, submission order)`. The engine calls this once per cycle
+    /// after ticking every SM; [`Icnt::push`] derives arrival purely from
+    /// `(now, flits)` and preserves push order, so deferring to
+    /// end-of-cycle is indistinguishable from pushing at submission
+    /// time.
     pub fn merge_outboxes(&mut self) {
         let now = self.now;
         for f in &mut self.fronts {
@@ -553,9 +553,8 @@ impl MemSystem {
         }
     }
 
-    /// Flushes one front's outbox immediately (sequential compatibility
-    /// path for callers that drive a single front through
-    /// [`MemSystem::front_mut`]).
+    /// Flushes one front's outbox immediately, for callers that drive a
+    /// single front through [`MemSystem::front_mut`].
     pub fn flush_outbox(&mut self, sm: usize) {
         let now = self.now;
         for (flits, req) in self.fronts[sm].outbox.drain(..) {
@@ -972,8 +971,8 @@ mod tests {
     #[test]
     fn deferred_outbox_flush_matches_immediate_submission() {
         // Submitting through the front with an end-of-cycle
-        // `merge_outboxes` must be cycle-for-cycle identical to the
-        // immediate-flush compatibility path.
+        // `merge_outboxes` must be cycle-for-cycle identical to flushing
+        // each submission immediately.
         let cfg = MemConfig::default();
         let mut imm = MemSystem::new(&cfg, 2);
         let mut def = MemSystem::new(&cfg, 2);

@@ -11,16 +11,48 @@ use vt_mem::mshr::{Mshr, MshrAlloc};
 use vt_mem::{MemConfig, MemSystem, ReqKind};
 use vt_prng::Prng;
 
+/// Lane addresses drawn from a pool of `distinct` values below `limit`,
+/// so that small pools force repeated addresses (broadcasts, shared
+/// segments) and large ones scatter.
+fn pooled_addrs(r: &mut Prng, distinct: usize, limit: u32, align: u32) -> [u32; 32] {
+    let pool: Vec<u32> = (0..distinct)
+        .map(|_| r.gen_range(0..limit / align) * align)
+        .collect();
+    std::array::from_fn(|_| *r.choose(&pool))
+}
+
+/// A random active mask: full, empty, one lane or random bits.
+fn any_mask(r: &mut Prng) -> u32 {
+    match r.gen_range(0..4) {
+        0 => u32::MAX,
+        1 => 0,
+        2 => 1 << r.gen_range(0..32),
+        _ => r.next_u32(),
+    }
+}
+
 #[test]
 fn coalescer_partitions_the_active_mask() {
     let mut r = Prng::new(0xc0a1);
-    for _ in 0..256 {
-        let mut addrs = [0u32; 32];
-        for a in &mut addrs {
-            *a = r.gen_range(0..1 << 24);
+    for case in 0..768 {
+        let segment = [32u32, 64, 128][case % 3];
+        let shift = segment.trailing_zeros();
+        let distinct = r.gen_range_usize(1..33);
+        let addrs = pooled_addrs(&mut r, distinct, 1 << 24, 1);
+        let mask = any_mask(&mut r);
+        let txs: Vec<_> = coalesce(&addrs, mask, segment).collect();
+        // Oracle: walk the active lanes in order; a lane whose segment is
+        // not yet listed opens the next transaction (first-touch order).
+        let mut want: Vec<(u64, u32)> = Vec::new();
+        for lane in (0..32).filter(|l| mask & (1 << l) != 0) {
+            let line = u64::from(addrs[lane] >> shift);
+            match want.iter_mut().find(|(l, _)| *l == line) {
+                Some((_, m)) => *m |= 1 << lane,
+                None => want.push((line, 1 << lane)),
+            }
         }
-        let mask = r.next_u32();
-        let txs = coalesce(&addrs, mask, 128);
+        let got: Vec<(u64, u32)> = txs.iter().map(|t| (t.line_addr, t.lane_mask)).collect();
+        assert_eq!(got, want, "segment {segment}, mask {mask:#x}");
         let mut union = 0u32;
         for t in &txs {
             assert_eq!(union & t.lane_mask, 0, "lane in two transactions");
@@ -30,7 +62,7 @@ fn coalescer_partitions_the_active_mask() {
             while m != 0 {
                 let lane = m.trailing_zeros();
                 m &= m - 1;
-                assert_eq!(u64::from(addrs[lane as usize] >> 7), t.line_addr);
+                assert_eq!(u64::from(addrs[lane as usize] >> shift), t.line_addr);
             }
         }
         assert_eq!(union, mask);
@@ -44,14 +76,28 @@ fn coalescer_partitions_the_active_mask() {
 #[test]
 fn bank_conflict_rounds_are_bounded() {
     let mut r = Prng::new(0xba27);
-    for _ in 0..256 {
-        let mut addrs = [0u32; 32];
-        for a in &mut addrs {
-            *a = r.gen_range(0..1 << 16) * 4;
+    for case in 0..1024 {
+        let banks = [16u32, 32][case % 2];
+        // Small pools repeat words (broadcast) and, below 16 × 4 bytes of
+        // range, pile distinct words onto few banks.
+        let distinct = r.gen_range_usize(1..33);
+        let limit = [256u32, 1 << 18][r.gen_range_usize(0..2)];
+        let addrs = pooled_addrs(&mut r, distinct, limit, 4);
+        let mask = any_mask(&mut r);
+        let rounds = shared_bank_conflicts(&addrs, mask, banks);
+        // Oracle: distinct words per bank, maximised; one round minimum.
+        let mut per_bank: HashMap<u32, HashSet<u32>> = HashMap::new();
+        for lane in (0..32).filter(|l| mask & (1 << l) != 0) {
+            let word = addrs[lane] / 4;
+            per_bank.entry(word % banks).or_default().insert(word);
         }
-        let mask = r.next_u32();
-        let rounds = shared_bank_conflicts(&addrs, mask, 32);
-        assert!(rounds >= 1);
+        let want = per_bank
+            .values()
+            .map(|w| w.len() as u32)
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        assert_eq!(rounds, want, "{banks} banks, mask {mask:#x}, {addrs:?}");
         assert!(rounds <= mask.count_ones().max(1));
     }
 }

@@ -2,8 +2,8 @@
 //! checkpointing.
 //!
 //! A simulation is normally run to completion, but long sweeps need three
-//! extra controls, all of which stop the deterministic two-phase cycle
-//! loop *at a phase boundary* so the partial state is coherent:
+//! extra controls, all of which stop the deterministic cycle loop *at a
+//! cycle boundary* so the partial state is coherent:
 //!
 //! * [`RunBudget`] — a cycle and/or wall-clock ceiling. A run that hits
 //!   its budget returns [`RunOutcome::Truncated`] with valid partial
@@ -64,7 +64,7 @@ impl RunBudget {
 /// A thread-safe cooperative cancellation flag.
 ///
 /// Clones share the flag. The engine polls it once per cycle; after
-/// [`CancelToken::cancel`] the run stops at the next phase boundary and
+/// [`CancelToken::cancel`] the run stops at the next cycle boundary and
 /// returns [`RunOutcome::Truncated`] with [`StopReason::Cancelled`].
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
@@ -172,8 +172,7 @@ pub struct Progress {
 }
 
 /// A periodic progress callback: the engine invokes `callback` every
-/// `every` cycles (at the top-of-cycle phase boundary, where state is
-/// coherent). Independent of metrics sampling — a progress ticker does
+/// `every` cycles (at the top of the cycle, where state is coherent). Independent of metrics sampling — a progress ticker does
 /// not require a metered run.
 pub struct ProgressHook<'a> {
     /// Cycles between callbacks (clamped to ≥ 1).

@@ -549,8 +549,10 @@ impl<'k> GpuSim<'k> {
         }
         let mut lanes = Vec::with_capacity(num_sms);
         for doc in lane_docs {
+            let sm = Sm::restore(req(doc, "sm").map_err(bad)?).map_err(bad)?;
+            sm.check_kernel(kernel).map_err(bad)?;
             lanes.push(SmLane {
-                sm: Sm::restore(req(doc, "sm").map_err(bad)?).map_err(bad)?,
+                sm,
                 stats: RunStats::restore(req(doc, "stats").map_err(bad)?).map_err(bad)?,
             });
         }
@@ -1380,7 +1382,9 @@ mod tests {
     /// panic on the first tick that indexed a table with it (a writeback
     /// entry at `warp_uids[wslot]`); a register number of 256..=65535 used
     /// to panic in the scoreboard the same way, and a larger one to alias
-    /// another register. Each must be refused at resume.
+    /// another register. A scoreboard `count` that disagrees with its
+    /// pending bits, and a register file of the wrong size or frame width,
+    /// used to be accepted too. Each must be refused at resume.
     #[test]
     fn resume_rejects_out_of_range_slot_indices() {
         let k = streaming_kernel(8, 64);
@@ -1410,7 +1414,7 @@ mod tests {
         assert!(resume(&early).is_ok() && resume(&late).is_ok());
 
         type Corrupt = fn(&mut Json);
-        let cases: [(&str, &Json, Corrupt); 10] = [
+        let cases: [(&str, &Json, Corrupt); 13] = [
             ("writeback", &early, |sm| {
                 *item(item(field(sm, "writebacks"), 0), 1) = Json::UInt(9999);
             }),
@@ -1440,6 +1444,31 @@ mod tests {
             }),
             ("register", &late, |sm| {
                 *item(item(field(field(sm, "ldst"), "groups"), 0), 3) = Json::UInt(300);
+            }),
+            // A zero `count` beside pending bits let a warp issue past its
+            // hazards (the run diverged, finishing early).
+            ("scoreboard", &early, |sm| {
+                let Json::Array(warps) = field(sm, "warps") else {
+                    panic!("warps is not an array");
+                };
+                let board = warps
+                    .iter_mut()
+                    .map(|w| field(w, "scoreboard"))
+                    .find(|b| b.get("count").and_then(Json::as_u64) != Some(0))
+                    .expect("a warp with results in flight");
+                *field(board, "count") = Json::UInt(0);
+            }),
+            // Issue gathers all 32 lanes' frames: a short register file
+            // used to panic on the first issue.
+            ("registers", &early, |sm| {
+                *field(item(field(sm, "warps"), 0), "regs") = Json::Array(vec![Json::UInt(0)]);
+            }),
+            // Consistent in itself, but not the kernel's frame width.
+            ("registers", &early, |sm| {
+                let warp = item(field(sm, "warps"), 0);
+                let rpt = field(warp, "regs_per_thread").as_u64().unwrap() + 1;
+                *field(warp, "regs_per_thread") = Json::UInt(rpt);
+                *field(warp, "regs") = Json::Array(vec![Json::UInt(0); 32 * rpt as usize]);
             }),
         ];
         for (what, base, corrupt) in cases {

@@ -249,10 +249,10 @@ impl LdstUnit {
         });
     }
 
-    /// Advances the unit one cycle against the whole memory system
-    /// (sequential compatibility path: drives this SM's front and flushes
-    /// its outbox immediately). The engine's parallel SM phase uses
-    /// [`LdstUnit::tick_traced`] with the front alone.
+    /// Advances the unit one cycle against the whole memory system:
+    /// [`LdstUnit::tick_traced`] on this SM's front, then its outbox
+    /// flushed into the interconnect, as the engine does after ticking
+    /// every SM.
     pub fn tick(&mut self, now: u64, mem: &mut MemSystem) -> Vec<LdstEvent> {
         let sm = self.sm_id;
         let out = self.tick_traced(now, mem.front_mut(sm), &mut NullSink);
@@ -263,8 +263,9 @@ impl LdstUnit {
     /// Advances the unit one cycle: injects the front work's transactions
     /// into this SM's memory front-end and completes shared-memory
     /// accesses whose latency elapsed. Returns events for the SM to
-    /// apply. Touches only per-SM state — accepted requests park in the
-    /// front's outbox until the engine's ordered merge.
+    /// apply. Touches only per-SM state: accepted requests wait in the
+    /// front's outbox until the engine flushes every SM's outbox, in SM
+    /// order, at the end of the cycle.
     pub fn tick_traced<S: TraceSink>(
         &mut self,
         now: u64,

@@ -1,5 +1,5 @@
 //! The engine-side metrics sampler: wires a [`MetricsRegistry`] to the
-//! two-phase cycle loop.
+//! cycle loop.
 //!
 //! [`MetricsSampler::new`] registers the standard series layout —
 //! aggregate rates over the run counters (issued instructions, issue

@@ -91,14 +91,23 @@ impl Scoreboard {
         for (i, w) in words.iter().enumerate() {
             pending[i] = w.as_u64().ok_or("scoreboard word is not a u64")?;
         }
+        // `count` is redundant, and issue trusts it (`count == 0` admits
+        // everything), so a disagreeing one would diverge the run.
+        let count = req_u64(v, "count")?;
+        let set: u32 = pending.iter().map(|w| w.count_ones()).sum();
+        if count != u64::from(set) {
+            return Err(format!(
+                "scoreboard count {count} disagrees with its {set} pending registers"
+            ));
+        }
         Ok(Scoreboard {
             pending,
-            count: req_u64(v, "count")? as u32,
+            count: set,
         })
     }
 
     /// Whether `instr` can issue: none of its sources or its destination
-    /// may be pending.
+    /// may be pending. The specification of [`Scoreboard::can_issue_uses`].
     pub fn can_issue(&self, instr: &Instr) -> bool {
         if self.count == 0 {
             return true;
@@ -115,12 +124,42 @@ impl Scoreboard {
             .filter_map(|o| o.reg())
             .all(|r| !self.is_pending(r))
     }
+
+    /// [`Scoreboard::can_issue`] for an instruction decoded to
+    /// [`reg_uses`]: four ANDs.
+    pub(crate) fn can_issue_uses(&self, uses: &[u64; 4]) -> bool {
+        self.count == 0 || self.pending.iter().zip(uses).all(|(p, u)| p & u == 0)
+    }
+}
+
+/// The registers `instr` touches (its destination and its register
+/// sources) as a scoreboard bit set, for [`Scoreboard::can_issue_uses`].
+pub(crate) fn reg_uses(instr: &Instr) -> [u64; 4] {
+    let mut uses = [0u64; 4];
+    let srcs = instr
+        .sources_fixed()
+        .into_iter()
+        .flatten()
+        .filter_map(|o| o.reg());
+    for reg in instr.dst().into_iter().chain(srcs) {
+        let (i, m) = Scoreboard::slot(reg);
+        uses[i] |= m;
+    }
+    uses
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vt_isa::{AluOp, Operand};
+
+    /// `s.can_issue(i)`, checked against the decoded form the simulator
+    /// actually uses.
+    fn issues(s: &Scoreboard, i: &Instr) -> bool {
+        let spec = s.can_issue(i);
+        assert_eq!(s.can_issue_uses(&reg_uses(i)), spec, "{i}");
+        spec
+    }
 
     fn add(dst: u16, a: u16, b: u16) -> Instr {
         Instr::Alu {
@@ -151,15 +190,15 @@ mod tests {
     fn raw_hazard_blocks_issue() {
         let mut s = Scoreboard::new();
         s.set_pending(Reg(1));
-        assert!(!s.can_issue(&add(3, 1, 2)), "source pending");
-        assert!(s.can_issue(&add(3, 2, 2)));
+        assert!(!issues(&s, &add(3, 1, 2)), "source pending");
+        assert!(issues(&s, &add(3, 2, 2)));
     }
 
     #[test]
     fn waw_hazard_blocks_issue() {
         let mut s = Scoreboard::new();
         s.set_pending(Reg(3));
-        assert!(!s.can_issue(&add(3, 1, 2)), "destination pending");
+        assert!(!issues(&s, &add(3, 1, 2)), "destination pending");
     }
 
     #[test]
@@ -168,14 +207,14 @@ mod tests {
         s.set_pending(Reg(200));
         assert!(s.is_pending(Reg(200)));
         assert!(!s.is_pending(Reg(201)));
-        assert!(!s.can_issue(&add(0, 200, 0)));
+        assert!(!issues(&s, &add(0, 200, 0)));
     }
 
     #[test]
     fn barriers_and_branches_always_issue() {
         let mut s = Scoreboard::new();
         s.set_pending(Reg(0));
-        assert!(s.can_issue(&Instr::Bar));
-        assert!(s.can_issue(&Instr::Exit));
+        assert!(issues(&s, &Instr::Bar));
+        assert!(issues(&s, &Instr::Exit));
     }
 }

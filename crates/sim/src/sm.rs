@@ -2,15 +2,16 @@
 //! functional execution, barriers, and the CTA residency / context-switch
 //! machinery at the heart of the Virtual Thread architecture.
 
-use crate::config::{ActivePolicy, AdmissionPolicy, CoreConfig, ResidencyConfig, SwapTrigger};
+use crate::config::{
+    ActivePolicy, AdmissionPolicy, CoreConfig, ResidencyConfig, SchedPolicy, SwapTrigger,
+};
 use crate::cta::{CtaPhase, CtaRt};
 use crate::hotspots::StallReason;
 use crate::ldst::{LdstEvent, LdstUnit};
-use crate::scoreboard::reg_from_u64;
+use crate::scoreboard::{reg_from_u64, reg_uses};
 use crate::stats::RunStats;
 use crate::warp::WarpRt;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use vt_isa::error::ExecError;
 use vt_isa::exec::{self, ThreadCtx};
 use vt_isa::kernel::MemImage;
@@ -35,6 +36,29 @@ enum Readiness {
     LdstFull,
     /// Structural: SFU initiation interval.
     SfuBusy,
+}
+
+/// What scheduling needs to know about the instruction at one PC,
+/// decoded once per run instead of on every readiness probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Decoded {
+    /// Destination and register sources as scoreboard bits
+    /// ([`reg_uses`]).
+    uses: [u64; 4],
+    /// [`Instr::is_mem`]: needs room in the LD/ST queue.
+    is_mem: bool,
+    /// An [`Instr::Sfu`]: needs the SFU past its initiation interval.
+    is_sfu: bool,
+}
+
+impl Decoded {
+    fn of(instr: &Instr) -> Decoded {
+        Decoded {
+            uses: reg_uses(instr),
+            is_mem: instr.is_mem(),
+            is_sfu: matches!(instr, Instr::Sfu { .. }),
+        }
+    }
 }
 
 /// Per-cycle context for attributing *empty* SM-cycles (zero resident
@@ -91,10 +115,21 @@ pub struct Sm {
     sched_ptr: Vec<usize>,
     sfu_free_at: u64,
     ldst: LdstUnit,
-    // (ready cycle, warp slot, reg, warp uid)
-    writebacks: BinaryHeap<Reverse<(u64, usize, u16, u64)>>,
+    /// (ready cycle, warp slot, reg, warp uid), in ready order. Entries
+    /// due in the same cycle pop in any order: each clears its own
+    /// scoreboard bit.
+    writebacks: VecDeque<(u64, usize, u16, u64)>,
+    /// Active, unfinished warps in age order; `partitions[s]` is the
+    /// part scheduler `s` owns (slot index mod schedulers) and
+    /// `listed[slot]` says whether a slot is on the list. All three are
+    /// rebuilt together when `issue_dirty`.
     issue_list: Vec<usize>,
+    partitions: Vec<Vec<usize>>,
+    listed: Vec<bool>,
     issue_dirty: bool,
+    /// `kernel.program()` decoded, one entry per PC; built on the first
+    /// tick and never serialised.
+    decoded: Vec<Decoded>,
     next_uid: u64,
     cta_seq: u64,
     max_simt_depth: usize,
@@ -153,6 +188,7 @@ impl Sm {
     /// Creates SM `id` under configuration `core`; `line_bytes` is the
     /// memory system's coalescing segment size.
     pub fn new(id: usize, core: &CoreConfig, line_bytes: u32) -> Sm {
+        let schedulers = core.schedulers_per_sm.max(1) as usize;
         Sm {
             id,
             line_bytes,
@@ -169,13 +205,16 @@ impl Sm {
             slot_warps: 0,
             active_phase_warps: 0,
             swapping_ctas: 0,
-            sched_last: vec![None; core.schedulers_per_sm.max(1) as usize],
-            sched_ptr: vec![0; core.schedulers_per_sm.max(1) as usize],
+            sched_last: vec![None; schedulers],
+            sched_ptr: vec![0; schedulers],
             sfu_free_at: 0,
             ldst: LdstUnit::new(id, core.ldst_queue_depth, core.smem_latency),
-            writebacks: BinaryHeap::new(),
+            writebacks: VecDeque::new(),
             issue_list: Vec::new(),
+            partitions: vec![Vec::new(); schedulers],
+            listed: Vec::new(),
             issue_dirty: true,
+            decoded: Vec::new(),
             next_uid: 0,
             cta_seq: 0,
             max_simt_depth: 0,
@@ -651,8 +690,7 @@ impl Sm {
             // Only *long-latency* stalls (L1 misses in flight) qualify;
             // a warp waiting out an L1 hit will resume within ~20 cycles
             // and swapping for it would thrash.
-            let blocked_on_mem = w.long_pending_loads > 0
-                && !w.scoreboard.can_issue(kernel.program().fetch(w.stack.pc()));
+            let blocked_on_mem = w.long_pending_loads > 0 && !self.next_instr(w, kernel).1;
             if blocked_on_mem {
                 any_mem_stalled = true;
             } else {
@@ -707,12 +745,16 @@ impl Sm {
         sink: &mut S,
         attr: EmptyAttr,
     ) -> Result<(), ExecError> {
+        if self.decoded.len() != kernel.program().len() {
+            self.decoded = kernel.program().instrs().iter().map(Decoded::of).collect();
+        }
+
         // 1. Short-latency writebacks.
-        while let Some(&Reverse((ready, wslot, reg, uid))) = self.writebacks.peek() {
+        while let Some(&(ready, wslot, reg, uid)) = self.writebacks.front() {
             if ready > now {
                 break;
             }
-            self.writebacks.pop();
+            self.writebacks.pop_front();
             self.touch();
             if self.warp_uids[wslot] == uid {
                 self.warps[wslot].scoreboard.clear(Reg(reg));
@@ -918,7 +960,44 @@ impl Sm {
         // LRR rotation deterministic.
         let warps = &self.warps;
         self.issue_list.sort_by_key(|&w| warps[w].age);
+        let schedulers = self.partitions.len();
+        for part in &mut self.partitions {
+            part.clear();
+        }
+        self.listed.clear();
+        self.listed.resize(self.warps.len(), false);
+        for &w in &self.issue_list {
+            self.partitions[w % schedulers].push(w);
+            self.listed[w] = true;
+        }
         self.issue_dirty = false;
+    }
+
+    /// The decoded instruction at warp `w`'s PC, and whether `w`'s
+    /// scoreboard lets it issue. Debug builds check both answers against
+    /// the instruction itself ([`Decoded::of`], [`Scoreboard::can_issue`]).
+    ///
+    /// [`Scoreboard::can_issue`]: crate::scoreboard::Scoreboard::can_issue
+    fn next_instr(&self, w: &WarpRt, kernel: &Kernel) -> (Decoded, bool) {
+        let pc = w.stack.pc();
+        let d = self.decoded[pc];
+        let clear = w.scoreboard.can_issue_uses(&d.uses);
+        if cfg!(debug_assertions) {
+            let instr = kernel.program().fetch(pc);
+            assert_eq!(
+                d,
+                Decoded::of(instr),
+                "SM {}: pc {pc} decoded stale",
+                self.id
+            );
+            assert_eq!(
+                clear,
+                w.scoreboard.can_issue(instr),
+                "SM {}: pc {pc}: decoded scoreboard check disagrees",
+                self.id
+            );
+        }
+        (d, clear)
     }
 
     fn readiness(&self, wslot: usize, now: u64, kernel: &Kernel) -> Readiness {
@@ -929,26 +1008,27 @@ impl Sm {
         if w.waiting_barrier {
             return Readiness::Barrier;
         }
-        let instr = kernel.program().fetch(w.stack.pc());
-        if !w.scoreboard.can_issue(instr) {
+        let (instr, clear) = self.next_instr(w, kernel);
+        if !clear {
             return if w.pending_loads > 0 {
                 Readiness::BlockedMem
             } else {
                 Readiness::BlockedPipe
             };
         }
-        if instr.is_mem() && !self.ldst.has_space() {
+        if instr.is_mem && !self.ldst.has_space() {
             return Readiness::LdstFull;
         }
-        if matches!(instr, Instr::Sfu { .. }) && now < self.sfu_free_at {
+        if instr.is_sfu && now < self.sfu_free_at {
             return Readiness::SfuBusy;
         }
         Readiness::Ready
     }
 
-    /// Picks a warp for scheduler `s` (warps are statically partitioned
-    /// across schedulers by slot index). Allocation-free: this runs once
-    /// per scheduler per cycle.
+    /// Picks a warp for scheduler `s` from its own partition (warps are
+    /// statically partitioned across schedulers by slot index).
+    /// Allocation-free: this runs once per scheduler per cycle. Debug
+    /// builds check every pick against [`Sm::pick_by_full_scan`].
     fn pick_warp(
         &mut self,
         s: usize,
@@ -956,57 +1036,75 @@ impl Sm {
         kernel: &Kernel,
         core: &CoreConfig,
     ) -> Option<usize> {
+        let reference =
+            cfg!(debug_assertions).then(|| self.pick_by_full_scan(s, now, kernel, core));
+        let ready = |w: usize| self.readiness(w, now, kernel) == Readiness::Ready;
+        let part = &self.partitions[s];
+        let pick = match core.scheduler {
+            SchedPolicy::Gto => {
+                // Greedy: the last warp keeps the scheduler while it is
+                // still listed and ready; then the oldest ready one.
+                let greedy = self.sched_last[s]
+                    .filter(|&w| w % self.partitions.len() == s && self.listed[w] && ready(w));
+                greedy.or_else(|| part.iter().copied().find(|&w| ready(w)))
+            }
+            SchedPolicy::Lrr => {
+                // Rotate through the partition: positions start.. then ..start.
+                let n = part.len();
+                let start = if n == 0 { 0 } else { self.sched_ptr[s] % n };
+                let pos = (start..n).chain(0..start).find(|&i| ready(part[i]));
+                if let Some(pos) = pos {
+                    self.sched_ptr[s] = (pos + 1) % n;
+                }
+                pos.map(|i| self.partitions[s][i])
+            }
+        };
+        if let Some(reference) = reference {
+            assert_eq!(
+                pick, reference,
+                "SM {} cycle {now}: scheduler {s} picks differently from the full-list scan",
+                self.id
+            );
+        }
+        pick
+    }
+
+    /// The specification of [`Sm::pick_warp`]: the whole issue list
+    /// scanned, filtering by partition on every entry. Reads the LRR
+    /// pointer but does not advance it.
+    fn pick_by_full_scan(
+        &self,
+        s: usize,
+        now: u64,
+        kernel: &Kernel,
+        core: &CoreConfig,
+    ) -> Option<usize> {
         let schedulers = self.sched_last.len();
         let in_partition = |w: usize| w % schedulers == s;
+        let ready = |w: usize| self.readiness(w, now, kernel) == Readiness::Ready;
         match core.scheduler {
-            crate::config::SchedPolicy::Gto => {
+            SchedPolicy::Gto => {
                 if let Some(last) = self.sched_last[s] {
-                    if in_partition(last)
-                        && self.issue_list.contains(&last)
-                        && self.readiness(last, now, kernel) == Readiness::Ready
-                    {
+                    if in_partition(last) && self.issue_list.contains(&last) && ready(last) {
                         return Some(last);
                     }
                 }
-                // Oldest ready: the issue list is already age-sorted.
                 self.issue_list
                     .iter()
                     .copied()
-                    .filter(|&w| in_partition(w))
-                    .find(|&w| self.readiness(w, now, kernel) == Readiness::Ready)
+                    .find(|&w| in_partition(w) && ready(w))
             }
-            crate::config::SchedPolicy::Lrr => {
+            SchedPolicy::Lrr => {
                 let n = self.issue_list.iter().filter(|&&w| in_partition(w)).count();
                 if n == 0 {
                     return None;
                 }
                 let start = self.sched_ptr[s] % n;
-                // Rotate through the partition: positions start.. then 0..start.
-                let mut pick = None;
-                for round in 0..2 {
-                    let mut idx = 0;
-                    for &w in &self.issue_list {
-                        if !in_partition(w) {
-                            continue;
-                        }
-                        let in_range = if round == 0 {
-                            idx >= start
-                        } else {
-                            idx < start
-                        };
-                        if in_range && self.readiness(w, now, kernel) == Readiness::Ready {
-                            pick = Some((idx, w));
-                            break;
-                        }
-                        idx += 1;
-                    }
-                    if pick.is_some() {
-                        break;
-                    }
-                }
-                let (pos, w) = pick?;
-                self.sched_ptr[s] = (pos + 1) % n;
-                Some(w)
+                let members = || self.issue_list.iter().copied().filter(|&w| in_partition(w));
+                members()
+                    .skip(start)
+                    .chain(members().take(start))
+                    .find(|&w| ready(w))
             }
         }
     }
@@ -1049,46 +1147,27 @@ impl Sm {
         }
 
         match instr {
+            // ALU-class: each operand resolved once for the whole warp,
+            // then one lane-vector evaluation.
             Instr::Alu { op, dst, a, b } => {
-                self.exec_lanes(wslot, kernel, mask, |regs, ctx| {
-                    let va = exec::resolve(a, regs, ctx);
-                    let vb = exec::resolve(b, regs, ctx);
-                    Some((dst, exec::eval_alu(op, va, vb)))
-                });
-                self.retire_alu(wslot, dst, now + u64::from(core.alu_latency));
-                self.advance(wslot);
+                let [a, b] = [a, b].map(|o| self.operand(wslot, kernel, o));
+                let values = exec::eval_alu_lanes(op, &a, &b);
+                self.retire_alu(wslot, dst, mask, &values, now + u64::from(core.alu_latency));
             }
             Instr::Mad { dst, a, b, c } => {
-                self.exec_lanes(wslot, kernel, mask, |regs, ctx| {
-                    let (va, vb, vc) = (
-                        exec::resolve(a, regs, ctx),
-                        exec::resolve(b, regs, ctx),
-                        exec::resolve(c, regs, ctx),
-                    );
-                    Some((dst, exec::eval_mad(va, vb, vc)))
-                });
-                self.retire_alu(wslot, dst, now + u64::from(core.alu_latency));
-                self.advance(wslot);
+                let [a, b, c] = [a, b, c].map(|o| self.operand(wslot, kernel, o));
+                let values = exec::eval_mad_lanes(&a, &b, &c);
+                self.retire_alu(wslot, dst, mask, &values, now + u64::from(core.alu_latency));
             }
             Instr::Ffma { dst, a, b, c } => {
-                self.exec_lanes(wslot, kernel, mask, |regs, ctx| {
-                    let (va, vb, vc) = (
-                        exec::resolve(a, regs, ctx),
-                        exec::resolve(b, regs, ctx),
-                        exec::resolve(c, regs, ctx),
-                    );
-                    Some((dst, exec::eval_ffma(va, vb, vc)))
-                });
-                self.retire_alu(wslot, dst, now + u64::from(core.alu_latency));
-                self.advance(wslot);
+                let [a, b, c] = [a, b, c].map(|o| self.operand(wslot, kernel, o));
+                let values = exec::eval_ffma_lanes(&a, &b, &c);
+                self.retire_alu(wslot, dst, mask, &values, now + u64::from(core.alu_latency));
             }
             Instr::Sfu { op, dst, a } => {
-                self.exec_lanes(wslot, kernel, mask, |regs, ctx| {
-                    Some((dst, exec::eval_sfu(op, exec::resolve(a, regs, ctx))))
-                });
-                self.retire_alu(wslot, dst, now + u64::from(core.sfu_latency));
+                let values = exec::eval_sfu_lanes(op, &self.operand(wslot, kernel, a));
+                self.retire_alu(wslot, dst, mask, &values, now + u64::from(core.sfu_latency));
                 self.sfu_free_at = now + u64::from(core.sfu_init_interval);
-                self.advance(wslot);
             }
             Instr::Ld {
                 space,
@@ -1190,24 +1269,14 @@ impl Sm {
                 target,
                 reconv,
             } => {
-                let mut taken = 0u32;
-                {
-                    let w = &self.warps[wslot];
-                    let mut m = mask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros();
-                        m &= m - 1;
-                        let ctx = thread_ctx(w, lane, kernel, &self.ctas);
-                        let v = exec::resolve(pred, w.lane_regs(lane), &ctx);
-                        let t = match when {
-                            BranchIf::NonZero => v != 0,
-                            BranchIf::Zero => v == 0,
-                        };
-                        if t {
-                            taken |= 1 << lane;
-                        }
-                    }
-                }
+                let pred = self.operand(wslot, kernel, pred);
+                let taken = (0..WARP_SIZE)
+                    .filter(|&lane| match when {
+                        BranchIf::NonZero => pred[lane as usize] != 0,
+                        BranchIf::Zero => pred[lane as usize] == 0,
+                    })
+                    .fold(0u32, |taken, lane| taken | 1 << lane)
+                    & mask;
                 let divergent = self.warps[wslot].stack.branch(taken, target, reconv);
                 if divergent {
                     stats.divergent_branches += 1;
@@ -1226,31 +1295,29 @@ impl Sm {
         Ok(())
     }
 
-    /// Runs `f` over every active lane, writing its result register.
-    fn exec_lanes(
-        &mut self,
-        wslot: usize,
-        kernel: &Kernel,
-        mask: u32,
-        mut f: impl FnMut(&[u32], &ThreadCtx) -> Option<(Reg, u32)>,
-    ) {
-        let ctas = &self.ctas;
-        let w = &mut self.warps[wslot];
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros();
-            m &= m - 1;
-            let ctx = thread_ctx(w, lane, kernel, ctas);
-            if let Some((dst, v)) = f(w.lane_regs(lane), &ctx) {
-                w.set_reg(lane, dst.0, v);
-            }
-        }
+    /// Operand `op` on all 32 lanes of warp `wslot`.
+    fn operand(&self, wslot: usize, kernel: &Kernel, op: Operand) -> [u32; 32] {
+        let w = &self.warps[wslot];
+        let lane0 = ThreadCtx {
+            tid: w.first_tid,
+            ctaid: self.ctas[w.cta_slot].cta_id,
+            ntid: kernel.threads_per_cta(),
+            ncta: kernel.num_ctas(),
+        };
+        w.operand_lanes(op, &lane0)
     }
 
-    fn retire_alu(&mut self, wslot: usize, dst: Reg, ready: u64) {
-        self.warps[wslot].scoreboard.set_pending(dst);
+    /// Completes an ALU-class issue: writes `values` to `dst` on the
+    /// active lanes, holds `dst` on the scoreboard until `ready` and
+    /// advances the warp.
+    fn retire_alu(&mut self, wslot: usize, dst: Reg, mask: u32, values: &[u32; 32], ready: u64) {
+        let w = &mut self.warps[wslot];
+        w.set_lanes(dst, mask, values);
+        w.scoreboard.set_pending(dst);
+        w.stack.advance();
+        let at = self.writebacks.partition_point(|&(r, ..)| r <= ready);
         self.writebacks
-            .push(Reverse((ready, wslot, dst.0, self.warp_uids[wslot])));
+            .insert(at, (ready, wslot, dst.0, self.warp_uids[wslot]));
     }
 
     fn advance(&mut self, wslot: usize) {
@@ -1279,8 +1346,13 @@ impl Sm {
         // shared-memory effects applied) before any lane touches the
         // global image, so an alignment or shared-range fault on any lane
         // outranks a global-range fault on a lower one.
+        let base = self.operand(wslot, kernel, addr);
+        let vals = match op {
+            MemOp::Load { .. } => [0; WARP_SIZE as usize],
+            MemOp::Store { src } => self.operand(wslot, kernel, src),
+            MemOp::Atomic { val, .. } => self.operand(wslot, kernel, val),
+        };
         let mut addrs = [0u32; WARP_SIZE as usize];
-        let mut vals = [0u32; WARP_SIZE as usize];
         {
             let (warps, ctas) = (&mut self.warps, &mut self.ctas);
             let w = &mut warps[wslot];
@@ -1289,42 +1361,29 @@ impl Sm {
             while m != 0 {
                 let lane = m.trailing_zeros();
                 m &= m - 1;
-                let ctx = ThreadCtx {
-                    tid: w.first_tid + lane,
-                    ctaid: cta.cta_id,
-                    ntid: kernel.threads_per_cta(),
-                    ncta: kernel.num_ctas(),
-                };
-                let a = exec::resolve(addr, w.lane_regs(lane), &ctx).wrapping_add(offset as u32);
+                let a = base[lane as usize].wrapping_add(offset as u32);
                 if !a.is_multiple_of(4) {
                     return Err(ExecError::Unaligned { addr: a });
                 }
                 addrs[lane as usize] = a;
-                match op {
-                    MemOp::Load { dst } => {
-                        if space == MemSpace::Shared {
+                if space == MemSpace::Shared {
+                    match op {
+                        MemOp::Load { dst } => {
                             let v = *cta
                                 .smem
                                 .get((a / 4) as usize)
                                 .ok_or(ExecError::SharedOutOfRange { addr: a })?;
                             w.set_reg(lane, dst.0, v);
                         }
-                    }
-                    MemOp::Store { src } => {
-                        let v = exec::resolve(src, w.lane_regs(lane), &ctx);
-                        match space {
-                            MemSpace::Global => vals[lane as usize] = v,
-                            MemSpace::Shared => {
-                                let word = cta
-                                    .smem
-                                    .get_mut((a / 4) as usize)
-                                    .ok_or(ExecError::SharedOutOfRange { addr: a })?;
-                                *word = v;
-                            }
+                        MemOp::Store { .. } => {
+                            let word = cta
+                                .smem
+                                .get_mut((a / 4) as usize)
+                                .ok_or(ExecError::SharedOutOfRange { addr: a })?;
+                            *word = vals[lane as usize];
                         }
-                    }
-                    MemOp::Atomic { val, .. } => {
-                        vals[lane as usize] = exec::resolve(val, w.lane_regs(lane), &ctx);
+                        // Atomics are global-only.
+                        MemOp::Atomic { .. } => {}
                     }
                 }
             }
@@ -1378,8 +1437,9 @@ impl Sm {
                     .push_shared(wslot, self.warp_uids[wslot], rounds, dst, pc as u32, now);
             }
             MemSpace::Global => {
-                let txs = coalesce(&addrs, mask, self.line_bytes);
-                let lines: Vec<u64> = txs.iter().map(|t| t.line_addr).collect();
+                let lines: Vec<u64> = coalesce(&addrs, mask, self.line_bytes)
+                    .map(|t| t.line_addr)
+                    .collect();
                 if PROFILED {
                     if let Some(h) = stats.hotspots.as_mut() {
                         h.record_coalesce(pc, lines.len() as u64);
@@ -1750,8 +1810,7 @@ impl Sm {
             Some(x) => Json::UInt(x),
             None => Json::Null,
         };
-        let mut writebacks: Vec<(u64, usize, u16, u64)> =
-            self.writebacks.iter().map(|r| r.0).collect();
+        let mut writebacks: Vec<(u64, usize, u16, u64)> = self.writebacks.iter().copied().collect();
         writebacks.sort_unstable();
         Json::Object(vec![
             ("id".into(), Json::UInt(self.id as u64)),
@@ -1961,16 +2020,17 @@ impl Sm {
         if sched_last.is_empty() {
             return Err("SM has no schedulers".to_string());
         }
-        let mut writebacks = BinaryHeap::new();
+        let mut writebacks = Vec::new();
         for item in req_array(v, "writebacks")? {
             let a = item.as_array().ok_or("writeback is not an array")?;
-            writebacks.push(Reverse((
+            writebacks.push((
                 elem_u64(a, 0)?,
                 warp_slot("writeback", elem_u64(a, 1)? as usize)?,
                 reg_from_u64(elem_u64(a, 2)?)?.0,
                 elem_u64(a, 3)?,
-            )));
+            ));
         }
+        writebacks.sort_unstable();
         let ldst = LdstUnit::restore(req(v, "ldst")?)?;
         for s in ldst.warp_slots() {
             warp_slot("LD/ST unit", s)?;
@@ -2002,12 +2062,14 @@ impl Sm {
                 }
                 p
             },
-            sched_last,
             sfu_free_at: req_u64(v, "sfu_free_at")?,
             ldst,
-            writebacks,
+            writebacks: writebacks.into(),
             issue_list: Vec::new(),
+            partitions: vec![Vec::new(); sched_last.len()],
+            listed: Vec::new(),
             issue_dirty: true,
+            decoded: Vec::new(),
             next_uid: req_u64(v, "next_uid")?,
             cta_seq: req_u64(v, "cta_seq")?,
             max_simt_depth: req_u64(v, "max_simt_depth")? as usize,
@@ -2021,9 +2083,24 @@ impl Sm {
                 opt_u64(&est[0], "mode_ipc_est[0]")?,
                 opt_u64(&est[1], "mode_ipc_est[1]")?,
             ],
+            sched_last,
             epoch: 0,
             settled: None,
         })
+    }
+
+    /// Checks restored state against the kernel it is resumed with:
+    /// every warp's register frame must have the kernel's width, since
+    /// issue indexes frames by the kernel's register numbers.
+    pub(crate) fn check_kernel(&self, kernel: &Kernel) -> Result<(), String> {
+        let want = kernel.regs_per_thread();
+        match self.warps.iter().find(|w| w.regs_per_thread != want) {
+            Some(w) => Err(format!(
+                "registers: a warp has {} per thread, the kernel {want}",
+                w.regs_per_thread
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -2073,15 +2150,6 @@ fn charge_idle<const PROFILED: bool>(stats: &mut RunStats, class: IdleClass, att
         if let Some(h) = stats.hotspots.as_mut() {
             h.record_stall(blame, reason);
         }
-    }
-}
-
-fn thread_ctx(w: &WarpRt, lane: u32, kernel: &Kernel, ctas: &[CtaRt]) -> ThreadCtx {
-    ThreadCtx {
-        tid: w.first_tid + lane,
-        ctaid: ctas[w.cta_slot].cta_id,
-        ntid: kernel.threads_per_cta(),
-        ncta: kernel.num_ctas(),
     }
 }
 

@@ -456,10 +456,10 @@ impl RunStats {
     /// merge, `cycles` and `max_simt_depth` take the maximum, and the
     /// metric series (a whole-GPU product of the sampler, not a per-SM
     /// quantity) is kept from `self`. The per-PC profile merges
-    /// additively (each SM lane carries its own slice of it). The
-    /// parallel engine uses this to fold per-SM stat lanes into the run
-    /// total; because every field is either additive or a max, the fold
-    /// is independent of lane order.
+    /// additively (each SM lane carries its own slice of it). The engine
+    /// uses this to fold per-SM stat lanes into the run total; because
+    /// every field is either additive or a max, the fold is independent
+    /// of lane order.
     pub fn merge(&mut self, o: &RunStats) {
         self.cycles = self.cycles.max(o.cycles);
         self.warp_instrs += o.warp_instrs;

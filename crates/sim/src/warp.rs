@@ -1,7 +1,8 @@
 //! Per-warp runtime state.
 
 use crate::scoreboard::Scoreboard;
-use vt_isa::{SimtEntry, SimtStack, WARP_SIZE};
+use vt_isa::exec::{self, ThreadCtx};
+use vt_isa::{Operand, Reg, SimtEntry, SimtStack, WARP_SIZE};
 use vt_json::{elem_u64, req, req_array, req_bool, req_u64, Json};
 
 /// The runtime state of one warp resident on an SM.
@@ -89,6 +90,40 @@ impl WarpRt {
     /// Writes register `reg` of `lane`.
     pub fn set_reg(&mut self, lane: u32, reg: u16, value: u32) {
         self.regs[lane as usize * self.regs_per_thread as usize + reg as usize] = value;
+    }
+
+    /// Operand `op` on all 32 lanes: a register is a row gather, an
+    /// immediate a splat, and a special register is computed per lane
+    /// from `ctx`, lane 0's context.
+    pub(crate) fn operand_lanes(&self, op: Operand, ctx: &ThreadCtx) -> [u32; 32] {
+        match op {
+            Operand::Reg(r) => {
+                let mut row = [0u32; 32];
+                let frames = self.regs.chunks_exact(self.regs_per_thread as usize);
+                for (v, frame) in row.iter_mut().zip(frames) {
+                    *v = frame[r.0 as usize];
+                }
+                row
+            }
+            Operand::Imm(v) => [v; 32],
+            Operand::Sreg(_) => std::array::from_fn(|lane| {
+                let lane_ctx = ThreadCtx {
+                    tid: ctx.tid + lane as u32,
+                    ..*ctx
+                };
+                exec::resolve(op, &[], &lane_ctx)
+            }),
+        }
+    }
+
+    /// Writes `values[lane]` to register `reg` of every lane in `mask`.
+    pub(crate) fn set_lanes(&mut self, reg: Reg, mask: u32, values: &[u32; 32]) {
+        let mut m = mask;
+        while m != 0 {
+            let lane = m.trailing_zeros();
+            m &= m - 1;
+            self.set_reg(lane, reg.0, values[lane as usize]);
+        }
     }
 
     /// Serializes the complete warp state — scheduling state (SIMT stack,
@@ -179,6 +214,16 @@ impl WarpRt {
             .iter()
             .map(|r| r.as_u64().map(|x| x as u32).ok_or("reg is not a u64"))
             .collect::<Result<Vec<u32>, &str>>()?;
+        let regs_per_thread = u16::try_from(req_u64(v, "regs_per_thread")?)
+            .map_err(|_| "registers: regs_per_thread is out of range".to_string())?;
+        // Issue reads and writes every lane's frame by index.
+        let words = WARP_SIZE as usize * regs_per_thread as usize;
+        if regs.len() != words {
+            return Err(format!(
+                "registers: warp holds {} words, expected {WARP_SIZE} lanes x {regs_per_thread}",
+                regs.len()
+            ));
+        }
         Ok(WarpRt {
             cta_slot: req_u64(v, "cta_slot")? as usize,
             warp_in_cta: req_u64(v, "warp_in_cta")? as u32,
@@ -186,7 +231,7 @@ impl WarpRt {
             stack,
             scoreboard: Scoreboard::restore(req(v, "scoreboard")?)?,
             regs,
-            regs_per_thread: req_u64(v, "regs_per_thread")? as u16,
+            regs_per_thread,
             waiting_barrier: req_bool(v, "waiting_barrier")?,
             barrier_since: req_u64(v, "barrier_since")?,
             pending_loads: req_u64(v, "pending_loads")? as u32,

@@ -4,8 +4,9 @@
 //! correctness of the whole stack: ISA semantics, SIMT divergence,
 //! barriers, shared memory, atomics and the CTA residency machinery.
 
+use vt_core::{Architecture, Gpu, SchedPolicy};
 use vt_isa::interp::Interpreter;
-use vt_tests::{all_archs, run};
+use vt_tests::{all_archs, run, small_config};
 use vt_workloads::{full_suite, Scale};
 
 #[test]
@@ -47,6 +48,40 @@ fn instruction_counts_match_interpreter() {
             "{}: thread instruction count mismatch",
             w.name
         );
+    }
+}
+
+/// Every other test runs the default two schedulers per SM. Partitions
+/// of one, three and four warps-mod-n change which warp each scheduler
+/// may pick (and, in debug builds, every pick is checked against the
+/// full-list scan it replaces); none may change what the kernel computes.
+#[test]
+fn scheduler_partitions_match_interpreter() {
+    let picked = ["bfs", "sgemm", "histo", "reduction", "bankstorm"];
+    for w in full_suite(&Scale::test())
+        .into_iter()
+        .filter(|w| picked.contains(&w.name))
+    {
+        let reference = Interpreter::new(&w.kernel).unwrap().run().unwrap();
+        for scheduler in [SchedPolicy::Lrr, SchedPolicy::Gto] {
+            for schedulers_per_sm in [1, 3, 4] {
+                let mut cfg = small_config(Architecture::virtual_thread());
+                cfg.core.scheduler = scheduler;
+                cfg.core.schedulers_per_sm = schedulers_per_sm;
+                let report = Gpu::new(cfg).run(&w.kernel).unwrap();
+                let what = format!("{} under {scheduler:?} x {schedulers_per_sm}", w.name);
+                assert_eq!(
+                    report.mem_image.as_words(),
+                    reference.mem().as_words(),
+                    "{what}: diverged functionally"
+                );
+                assert_eq!(
+                    report.stats.warp_instrs,
+                    reference.warp_instrs(),
+                    "{what}: warp instruction count mismatch"
+                );
+            }
+        }
     }
 }
 

@@ -62,8 +62,21 @@ fn f(v: u32) -> f32 {
     f32::from_bits(v)
 }
 
+/// The canonical NaN every float result that is NaN becomes: the pattern
+/// NVIDIA hardware writes.
+const CANONICAL_NAN: u32 = 0x7FFF_FFFF;
+
+/// The bits of a float result. Rust leaves the payload of a NaN result
+/// unspecified (LLVM may commute an `fadd`, and the payload follows the
+/// operand order), so every NaN becomes [`CANONICAL_NAN`] here. The
+/// interpreter's scalar path and the simulator's lane path then agree by
+/// construction, at any optimisation level.
 fn bits(v: f32) -> u32 {
-    v.to_bits()
+    if v.is_nan() {
+        CANONICAL_NAN
+    } else {
+        v.to_bits()
+    }
 }
 
 fn flag(b: bool) -> u32 {
@@ -289,6 +302,31 @@ mod tests {
     /// Bit-exact agreement of every lane evaluator with its scalar
     /// evaluator, on random words and on the edge cases each op is picky
     /// about: NaN, ±0, ±∞, division by zero, shifts of 32 and more.
+    #[test]
+    fn nan_results_are_canonical() {
+        // Quiet NaNs with distinct payloads and signs, in both operand
+        // orders: the result's payload must not depend on either.
+        let nans = [0x7FC0_0001, 0xFFC0_1234, 0x7FA0_0000, f32::NAN.to_bits()];
+        for &a in &nans {
+            for &b in &nans {
+                for op in [AluOp::FAdd, AluOp::FSub, AluOp::FMul, AluOp::FMin] {
+                    assert_eq!(eval_alu(op, a, b), CANONICAL_NAN, "{op:?} {a:#x} {b:#x}");
+                }
+                assert_eq!(eval_ffma(a, b, 1.0f32.to_bits()), CANONICAL_NAN);
+            }
+            assert_eq!(eval_alu(AluOp::FAdd, a, 1.0f32.to_bits()), CANONICAL_NAN);
+        }
+        assert_eq!(eval_sfu(SfuOp::Sqrt, (-1.0f32).to_bits()), CANONICAL_NAN);
+        assert_eq!(eval_sfu(SfuOp::Log2, (-1.0f32).to_bits()), CANONICAL_NAN);
+        let inf = f32::INFINITY.to_bits();
+        assert_eq!(eval_alu(AluOp::FSub, inf, inf), CANONICAL_NAN);
+        // Non-NaN results keep their bits, signs of zero included.
+        assert_eq!(
+            eval_alu(AluOp::FMul, (-0.0f32).to_bits(), 1.0f32.to_bits()),
+            0x8000_0000
+        );
+    }
+
     #[test]
     fn lane_evaluators_equal_scalar_evaluators() {
         let edges = [

@@ -1,5 +1,6 @@
 //! Per-CTA runtime state and the active/inactive phase machine.
 
+use crate::warp::Trigger;
 use vt_json::{req, req_array, req_u64, Json};
 
 /// Lifecycle phase of a resident CTA.
@@ -108,6 +109,12 @@ pub struct CtaRt {
     /// Cycle the CTA last became inactive (admission or swap-out
     /// completion); measures the gap until its next swap-in starts.
     pub inactive_since: u64,
+    /// Warps counted [`Trigger::BlockedLong`]. Derived: `Sm` keeps it at
+    /// every event that changes a warp's class, and it is not serialised.
+    pub(crate) warps_blocked_long: u32,
+    /// Warps counted [`Trigger::Unblocked`]; derived like
+    /// `warps_blocked_long`.
+    pub(crate) warps_unblocked: u32,
 }
 
 impl CtaRt {
@@ -127,6 +134,30 @@ impl CtaRt {
     /// Whether the CTA is schedulable right now.
     pub fn is_active(&self) -> bool {
         self.phase == CtaPhase::Active
+    }
+
+    /// Moves one warp's share of the trigger counters from class `old`
+    /// to class `new`.
+    pub(crate) fn recount(&mut self, old: Trigger, new: Trigger) {
+        match old {
+            Trigger::BlockedLong => self.warps_blocked_long -= 1,
+            Trigger::Unblocked => self.warps_unblocked -= 1,
+            Trigger::Parked => {}
+        }
+        match new {
+            Trigger::BlockedLong => self.warps_blocked_long += 1,
+            Trigger::Unblocked => self.warps_unblocked += 1,
+            Trigger::Parked => {}
+        }
+    }
+
+    /// Which swap triggers this CTA's warps meet, as
+    /// `[AllWarpsStalled, AnyWarpStalled]`: some warp is stalled on a long
+    /// load and, for the first, every other live warp is stalled too (on
+    /// memory or at the barrier).
+    pub(crate) fn stalls(&self) -> [bool; 2] {
+        let mem_stalled = self.warps_blocked_long > 0;
+        [mem_stalled && self.warps_unblocked == 0, mem_stalled]
     }
 
     /// Serializes the CTA — phase machine, warp-slot list and functional
@@ -194,6 +225,8 @@ impl CtaRt {
             pending_loads: req_u64(v, "pending_loads")? as u32,
             seq: req_u64(v, "seq")?,
             inactive_since: req_u64(v, "inactive_since")?,
+            warps_blocked_long: 0,
+            warps_unblocked: 0,
         })
     }
 }
@@ -215,6 +248,8 @@ mod tests {
             pending_loads: 0,
             seq: 0,
             inactive_since: 0,
+            warps_blocked_long: 0,
+            warps_unblocked: 2,
         }
     }
 
@@ -228,5 +263,18 @@ mod tests {
         assert!(!cta(CtaPhase::Finished).is_resident());
         assert!(cta(CtaPhase::Inactive { has_context: true }).is_resident());
         assert!(!cta(CtaPhase::SwappingIn { done_at: 1 }).is_active());
+    }
+
+    #[test]
+    fn trigger_counters() {
+        let mut c = cta(CtaPhase::Active);
+        assert_eq!(c.stalls(), [false, false]);
+        c.recount(Trigger::Unblocked, Trigger::BlockedLong);
+        assert_eq!(c.stalls(), [false, true]);
+        c.recount(Trigger::Unblocked, Trigger::Parked); // the other warp at a barrier
+        assert_eq!(c.stalls(), [true, true]);
+        c.recount(Trigger::BlockedLong, Trigger::Unblocked);
+        assert_eq!((c.warps_blocked_long, c.warps_unblocked), (0, 1));
+        assert_eq!(c.stalls(), [false, false]);
     }
 }

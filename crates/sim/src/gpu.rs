@@ -1414,7 +1414,7 @@ mod tests {
         assert!(resume(&early).is_ok() && resume(&late).is_ok());
 
         type Corrupt = fn(&mut Json);
-        let cases: [(&str, &Json, Corrupt); 13] = [
+        let cases: [(&str, &Json, Corrupt); 22] = [
             ("writeback", &early, |sm| {
                 *item(item(field(sm, "writebacks"), 0), 1) = Json::UInt(9999);
             }),
@@ -1469,6 +1469,41 @@ mod tests {
                 let rpt = field(warp, "regs_per_thread").as_u64().unwrap() + 1;
                 *field(warp, "regs_per_thread") = Json::UInt(rpt);
                 *field(warp, "regs") = Json::Array(vec![Json::UInt(0); 32 * rpt as usize]);
+            }),
+            // Occupancy counters that disagree with the CTA table: each of
+            // the first five used to be accepted and then panic with a
+            // subtract overflow, and the last to run forever.
+            ("occupancy", &early, |sm| {
+                *field(sm, "resident_ctas") = Json::UInt(0);
+            }),
+            ("occupancy", &early, |sm| {
+                *field(sm, "resident_warps") = Json::UInt(0);
+            }),
+            ("occupancy", &early, |sm| {
+                *field(sm, "resident_warps") = Json::UInt(7);
+            }),
+            ("occupancy", &early, |sm| {
+                *field(sm, "active_phase_warps") = Json::UInt(0);
+            }),
+            ("occupancy", &early, |sm| {
+                *field(sm, "active_phase_warps") = Json::UInt(7);
+            }),
+            ("occupancy", &early, |sm| {
+                *field(sm, "slot_ctas") = Json::UInt(0);
+            }),
+            ("occupancy", &early, |sm| {
+                *field(sm, "resident_ctas") = Json::UInt(7);
+            }),
+            // A warp listed by a CTA it does not name: the trigger
+            // counters follow the warp, occupancy the list.
+            ("CTA warp list", &early, |sm| {
+                let two_warps = field(item(field(sm, "ctas"), 0), "warps");
+                *two_warps = Json::Array(vec![Json::UInt(0), Json::UInt(0)]);
+            }),
+            // The first tick decodes every live warp's PC.
+            ("pc", &early, |sm| {
+                let stack = field(item(field(sm, "warps"), 0), "stack");
+                *item(item(stack, 0), 0) = Json::UInt(9999);
             }),
         ];
         for (what, base, corrupt) in cases {

@@ -10,7 +10,7 @@ use crate::hotspots::StallReason;
 use crate::ldst::{LdstEvent, LdstUnit};
 use crate::scoreboard::{reg_from_u64, reg_uses};
 use crate::stats::RunStats;
-use crate::warp::WarpRt;
+use crate::warp::{Trigger, WarpRt};
 use std::collections::VecDeque;
 use vt_isa::error::ExecError;
 use vt_isa::exec::{self, ThreadCtx};
@@ -21,8 +21,8 @@ use vt_mem::coalesce::{coalesce, shared_bank_conflicts};
 use vt_mem::{ReqKind, SmFront};
 use vt_trace::{NullSink, SwapDir, TraceEvent, TraceSink};
 
-/// Why a warp cannot issue this cycle; used for scheduling and for the
-/// idle-cycle breakdown.
+/// Why a warp cannot issue this cycle: the specification the partition
+/// masks are kept equal to (DESIGN.md §18).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Readiness {
     Ready,
@@ -59,6 +59,104 @@ impl Decoded {
             is_sfu: matches!(instr, Instr::Sfu { .. }),
         }
     }
+}
+
+// A warp's status: one bit per mask class of a [`Partition`]. A done warp
+// has none; the structural hazards are applied at pick time.
+/// The scoreboard clears the next instruction (`Ready`, `LdstFull` or
+/// `SfuBusy`).
+const CLEAR: usize = 0;
+/// The next instruction needs room in the LD/ST queue.
+const MEM: usize = 1;
+/// The next instruction is an SFU op.
+const SFU: usize = 2;
+/// `Readiness::BlockedMem`.
+const BLOCKED_MEM: usize = 3;
+/// `Readiness::BlockedPipe`.
+const BLOCKED_PIPE: usize = 4;
+/// `Readiness::Barrier`.
+const BARRIER: usize = 5;
+const CLASSES: usize = 6;
+
+/// `Sm::slot_pos` of a warp slot that is not on the issue list.
+const UNLISTED: u32 = u32::MAX;
+
+/// The status of a fresh warp, computed when it is first listed.
+const UNKNOWN: u8 = u8::MAX;
+
+/// A warp slot as the derived state last counted it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counted {
+    /// The warp's age (fixed for its life), the issue list's sort key.
+    age: u64,
+    /// Its status bits, or [`UNKNOWN`].
+    status: u8,
+    /// Its class in its CTA's trigger counters.
+    trigger: Trigger,
+}
+
+/// One scheduler's part of the issue list, with one bit mask per status
+/// class over its age-ordered positions, so that pick and classification
+/// read bits instead of probing warps. Multi-word: an `Unlimited` active
+/// policy can list any number of warps.
+#[derive(Debug, Clone, Default)]
+struct Partition {
+    /// Listed warp slots, oldest first; a warp's position is its bit.
+    warps: Vec<usize>,
+    /// `masks[k][c]`: the positions `64k..64k + 63` in class `c`.
+    masks: Vec<[u64; CLASSES]>,
+}
+
+impl Partition {
+    /// Sets the bits of position `pos` to `status`.
+    fn set(&mut self, pos: usize, status: u8) {
+        let word = &mut self.masks[pos / 64];
+        let bit = 1u64 << (pos % 64);
+        for (c, mask) in word.iter_mut().enumerate() {
+            if status >> c & 1 != 0 {
+                *mask |= bit;
+            } else {
+                *mask &= !bit;
+            }
+        }
+    }
+
+    /// Whether position `pos` (possibly [`UNLISTED`]) has its bit set in
+    /// `select(word)`.
+    fn has(&self, pos: u32, select: impl Fn(&[u64; CLASSES]) -> u64) -> bool {
+        let pos = pos as usize;
+        self.masks
+            .get(pos / 64)
+            .is_some_and(|word| select(word) >> (pos % 64) & 1 != 0)
+    }
+
+    /// The first position at or after `from` whose bit is set in
+    /// `select(word)`.
+    fn first(&self, from: usize, select: impl Fn(&[u64; CLASSES]) -> u64) -> Option<usize> {
+        let mut keep = !0u64 << (from % 64);
+        for (k, word) in self.masks.iter().enumerate().skip(from / 64) {
+            let m = select(word) & keep;
+            if m != 0 {
+                return Some(k * 64 + m.trailing_zeros() as usize);
+            }
+            keep = !0;
+        }
+        None
+    }
+}
+
+/// The warps of a mask word that can issue now: scoreboard-clear, minus
+/// memory instructions while the LD/ST queue is `full` and SFU ops while
+/// the SFU is `busy`.
+fn issuable(word: &[u64; CLASSES], full: bool, busy: bool) -> u64 {
+    let mut m = word[CLEAR];
+    if full {
+        m &= !word[MEM];
+    }
+    if busy {
+        m &= !word[SFU];
+    }
+    m
 }
 
 /// Per-cycle context for attributing *empty* SM-cycles (zero resident
@@ -119,17 +217,6 @@ pub struct Sm {
     /// due in the same cycle pop in any order: each clears its own
     /// scoreboard bit.
     writebacks: VecDeque<(u64, usize, u16, u64)>,
-    /// Active, unfinished warps in age order; `partitions[s]` is the
-    /// part scheduler `s` owns (slot index mod schedulers) and
-    /// `listed[slot]` says whether a slot is on the list. All three are
-    /// rebuilt together when `issue_dirty`.
-    issue_list: Vec<usize>,
-    partitions: Vec<Vec<usize>>,
-    listed: Vec<bool>,
-    issue_dirty: bool,
-    /// `kernel.program()` decoded, one entry per PC; built on the first
-    /// tick and never serialised.
-    decoded: Vec<Decoded>,
     next_uid: u64,
     cta_seq: u64,
     max_simt_depth: usize,
@@ -143,12 +230,34 @@ pub struct Sm {
     window_issues: u64,
     // Issue-rate estimate per mode, scaled by 2^16: [rotate, hold].
     mode_ipc_est: [Option<u64>; 2],
-    /// Bumped by [`Sm::touch`] at every mutation that can change a
-    /// residency, scheduling or classification decision; see [`Settled`].
-    epoch: u64,
-    /// The outcome of the last tick, if that tick was a fixed point.
-    /// Never serialised: a restored SM starts unsettled.
-    settled: Option<Settled>,
+
+    // Derived state (DESIGN.md §18): never serialised, rebuilt from the
+    // tables above whenever `decoded` is (on the first tick of a fresh or
+    // restored SM), and kept current at every event in between.
+    /// `kernel.program()` decoded, one entry per PC.
+    decoded: Vec<Decoded>,
+    /// Active, unfinished warps in age order: what the specification
+    /// [`Sm::pick_by_full_scan`] scans. `partitions[s]` is the part
+    /// scheduler `s` owns (slot index mod schedulers) and `slot_pos[slot]`
+    /// a listed slot's position in it. All three are rebuilt together
+    /// when `issue_dirty`; a warp's mask bits are refreshed
+    /// ([`Sm::refresh`]) at every event that changes it.
+    issue_list: Vec<usize>,
+    partitions: Vec<Partition>,
+    slot_pos: Vec<u32>,
+    issue_dirty: bool,
+    /// Each warp slot as counted in its partition's masks and its CTA's
+    /// trigger counters.
+    counted: Vec<Counted>,
+    /// Active CTAs whose warps meet each swap trigger, indexed like
+    /// [`CtaRt::stalls`] (`AllWarpsStalled`, `AnyWarpStalled`).
+    active_stalls: [u32; 2],
+    /// The inactive CTAs that [`Sm::cta_ready`] holds ready, as
+    /// `(seq, slot)`, oldest first.
+    ready_ctas: Vec<(u64, usize)>,
+    /// No CTA mid-swap finishes before this cycle (`u64::MAX`: none
+    /// swaps).
+    swap_due: u64,
 }
 
 /// What an SM-cycle that issued nothing is charged to.
@@ -164,24 +273,6 @@ enum IdleClass {
         reason: StallReason,
         blame: Option<usize>,
     },
-}
-
-/// Record of a tick that issued nothing *and changed nothing*. Residency,
-/// warp pick and classification read only SM state and the clock, so such
-/// a tick is a fixed point: until a mutation (`epoch` moves) or a timed
-/// input expires (`now >= until`), every following tick decides exactly
-/// the same and [`Sm::tick`] replays `class` instead of rescanning.
-#[derive(Debug, Clone, Copy)]
-struct Settled {
-    /// [`Sm::epoch`] when the tick ended.
-    epoch: u64,
-    /// Earliest cycle at which a clock comparison made by the decision
-    /// changes its answer (see [`Sm::next_timed_input`]).
-    until: u64,
-    class: IdleClass,
-    /// Whether `class.blame` was computed (`PROFILED` of the recording
-    /// tick); a tick of the other kind does not replay it.
-    profiled: bool,
 }
 
 impl Sm {
@@ -210,11 +301,6 @@ impl Sm {
             sfu_free_at: 0,
             ldst: LdstUnit::new(id, core.ldst_queue_depth, core.smem_latency),
             writebacks: VecDeque::new(),
-            issue_list: Vec::new(),
-            partitions: vec![Vec::new(); schedulers],
-            listed: Vec::new(),
-            issue_dirty: true,
-            decoded: Vec::new(),
             next_uid: 0,
             cta_seq: 0,
             max_simt_depth: 0,
@@ -225,15 +311,16 @@ impl Sm {
             phases_since_probe: 0,
             window_issues: 0,
             mode_ipc_est: [None, None],
-            epoch: 0,
-            settled: None,
+            decoded: Vec::new(),
+            issue_list: Vec::new(),
+            partitions: vec![Partition::default(); schedulers],
+            slot_pos: Vec::new(),
+            issue_dirty: true,
+            counted: Vec::new(),
+            active_stalls: [0; 2],
+            ready_ctas: Vec::new(),
+            swap_due: u64::MAX,
         }
-    }
-
-    /// Marks a mutation that can change what a later tick decides,
-    /// invalidating any [`Settled`] record.
-    fn touch(&mut self) {
-        self.epoch += 1;
     }
 
     // ----- admission ------------------------------------------------------
@@ -317,6 +404,8 @@ impl Sm {
                     pending_loads: 0,
                     seq: 0,
                     inactive_since: 0,
+                    warps_blocked_long: 0,
+                    warps_unblocked: 0,
                 });
                 self.ctas.len() - 1
             }
@@ -326,15 +415,23 @@ impl Sm {
             let lanes = (nthreads - w * WARP_SIZE).min(WARP_SIZE);
             self.next_uid += 1;
             let warp = WarpRt::new(cta_slot, w, lanes, kernel.regs_per_thread(), self.next_uid);
+            // A fresh warp is live and has no loads.
+            let counted = Counted {
+                age: self.next_uid,
+                status: UNKNOWN,
+                trigger: Trigger::Unblocked,
+            };
             let slot = match self.free_warp_slots.pop() {
                 Some(s) => {
                     self.warps[s] = warp;
                     self.warp_uids[s] = self.next_uid;
+                    self.counted[s] = counted;
                     s
                 }
                 None => {
                     self.warps.push(warp);
                     self.warp_uids.push(self.next_uid);
+                    self.counted.push(counted);
                     self.warps.len() - 1
                 }
             };
@@ -353,14 +450,15 @@ impl Sm {
             pending_loads: 0,
             seq: self.cta_seq,
             inactive_since: now,
+            warps_blocked_long: 0,
+            warps_unblocked: wpc,
         };
         self.resident_reg_bytes += cta.reg_bytes;
         self.resident_smem_bytes += cta.smem_bytes;
         self.resident_warps += wpc;
         self.resident_ctas += 1;
         self.ctas[cta_slot] = cta;
-        self.issue_dirty = true;
-        self.touch();
+        self.mark_ready(cta_slot);
         if S::ENABLED {
             sink.emit(
                 now,
@@ -384,19 +482,29 @@ impl Sm {
         }
     }
 
-    /// Whether an inactive CTA could make forward progress if activated.
+    /// Whether an inactive CTA could make forward progress if activated:
+    /// the specification of membership in `ready_ctas`.
     fn cta_ready(&self, cta: &CtaRt) -> bool {
         match cta.phase {
             CtaPhase::Inactive { has_context: false } => true,
-            CtaPhase::Inactive { has_context: true } => cta.warps.iter().any(|&w| {
-                let warp = &self.warps[w];
-                !warp.done && !warp.waiting_barrier && warp.pending_loads == 0
-            }),
+            CtaPhase::Inactive { has_context: true } => {
+                cta.warps.iter().any(|&w| self.warps[w].runnable())
+            }
             _ => false,
         }
     }
 
-    /// Activates ready inactive CTAs while active slots are available.
+    /// Adds CTA `slot` to the ready set, keeping it ordered by `seq`.
+    fn mark_ready(&mut self, slot: usize) {
+        let key = (self.ctas[slot].seq, slot);
+        if let Err(at) = self.ready_ctas.binary_search(&key) {
+            self.ready_ctas.insert(at, key);
+        }
+    }
+
+    /// Activates ready inactive CTAs, oldest first (partially-run CTAs
+    /// drain capacity sooner, fresh CTAs keep the pipeline fed), while
+    /// active slots are available.
     fn try_activate<S: TraceSink>(
         &mut self,
         now: u64,
@@ -407,28 +515,15 @@ impl Sm {
         sink: &mut S,
     ) {
         let wpc = kernel.warps_per_cta();
-        loop {
+        while let Some(&(_, slot)) = self.ready_ctas.first() {
             if !self.active_slot_available(wpc, core, res) {
                 return;
             }
-            // Oldest ready CTA first: partially-run CTAs drain capacity
-            // sooner, fresh CTAs keep the pipeline fed.
-            let candidate = self
-                .ctas
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| self.cta_ready(c))
-                .min_by_key(|(_, c)| c.seq)
-                .map(|(i, c)| {
-                    (
-                        i,
-                        matches!(c.phase, CtaPhase::Inactive { has_context: true }),
-                    )
-                });
-            let Some((slot, has_context)) = candidate else {
-                return;
-            };
-            self.touch();
+            self.ready_ctas.remove(0);
+            let has_context = matches!(
+                self.ctas[slot].phase,
+                CtaPhase::Inactive { has_context: true }
+            );
             let n_warps = self.ctas[slot].warps.len() as u32;
             self.slot_ctas += 1;
             self.slot_warps += n_warps;
@@ -468,6 +563,7 @@ impl Sm {
                             done_at: now + cost,
                         };
                         self.swapping_ctas += 1;
+                        self.swap_due = self.swap_due.min(now + cost);
                     }
                 }
                 None => {
@@ -484,9 +580,9 @@ impl Sm {
 
     fn finish_activation<S: TraceSink>(&mut self, slot: usize, now: u64, sink: &mut S) {
         self.ctas[slot].phase = CtaPhase::Active;
+        self.count_stalls(slot, true);
         self.active_phase_warps += self.ctas[slot].warps.len() as u32;
         self.issue_dirty = true;
-        self.touch();
         if S::ENABLED {
             let (sm, cta_slot, cta_id) = (self.id as u32, slot as u32, self.ctas[slot].cta_id);
             sink.emit(
@@ -523,39 +619,13 @@ impl Sm {
         let Some(swap) = res.swap else {
             // No swapping: still activate parked CTAs when slots free up
             // (e.g. after a CTA finished).
-            if self.issue_dirty {
-                self.try_activate(now, kernel, core, res, stats, sink);
-            }
+            self.try_activate(now, kernel, core, res, stats, sink);
             return;
         };
 
         // 1. Complete in-flight transitions.
-        for slot in 0..self.ctas.len() {
-            match self.ctas[slot].phase {
-                CtaPhase::SwappingOut { done_at } if done_at <= now => {
-                    // The slot was already released when the save started.
-                    self.ctas[slot].phase = CtaPhase::Inactive { has_context: true };
-                    self.ctas[slot].inactive_since = now;
-                    self.swapping_ctas -= 1;
-                    self.touch();
-                    if S::ENABLED {
-                        sink.emit(
-                            now,
-                            TraceEvent::SwapEnd {
-                                sm: self.id as u32,
-                                cta_slot: slot as u32,
-                                cta_id: self.ctas[slot].cta_id,
-                                dir: SwapDir::Out,
-                            },
-                        );
-                    }
-                }
-                CtaPhase::SwappingIn { done_at } if done_at <= now => {
-                    self.swapping_ctas -= 1;
-                    self.finish_activation(slot, now, sink);
-                }
-                _ => {}
-            }
+        if now >= self.swap_due {
+            self.complete_swaps(now, sink);
         }
 
         // 2. Fill any free active slots with ready CTAs.
@@ -604,7 +674,6 @@ impl Sm {
                 }
                 self.window_issues = 0;
                 self.throttle_window_end = now + window;
-                self.touch();
             }
             if self.throttle_hold {
                 return;
@@ -613,11 +682,13 @@ impl Sm {
 
         // 4. Trigger: swap out stalled active CTAs, one per ready
         //    replacement waiting in the inactive pool.
-        if swap.trigger == SwapTrigger::Never {
-            return;
-        }
-        let mut ready_replacements = self.ctas.iter().filter(|c| self.cta_ready(c)).count();
-        if ready_replacements == 0 {
+        let trigger = match swap.trigger {
+            SwapTrigger::AllWarpsStalled => 0,
+            SwapTrigger::AnyWarpStalled => 1,
+            SwapTrigger::Never => return,
+        };
+        let mut ready_replacements = self.ready_ctas.len();
+        if self.active_stalls[trigger] == 0 || ready_replacements == 0 {
             return;
         }
         let mut swapped_any = false;
@@ -625,49 +696,47 @@ impl Sm {
             if ready_replacements == 0 {
                 break;
             }
-            if self.ctas[slot].phase != CtaPhase::Active {
+            let cta = &self.ctas[slot];
+            if !cta.is_active() || !cta.stalls()[trigger] {
                 continue;
             }
-            if self.swap_trigger_met(slot, swap.trigger, kernel) {
-                let n_warps = self.ctas[slot].warps.len() as u32;
-                self.ctas[slot].phase = CtaPhase::SwappingOut {
-                    done_at: now + u64::from(swap.save_cycles),
-                };
-                // Release the slot immediately: the incoming CTA's restore
-                // overlaps with this save through the context buffer.
-                self.slot_ctas -= 1;
-                self.slot_warps -= n_warps;
-                self.active_phase_warps -= n_warps;
-                self.swapping_ctas += 1;
-                self.issue_dirty = true;
-                self.touch();
-                stats.swaps.swaps_out += 1;
-                stats.swap_duration.record(u64::from(swap.save_cycles));
-                if S::ENABLED {
-                    let (sm, cta_slot, cta_id) =
-                        (self.id as u32, slot as u32, self.ctas[slot].cta_id);
-                    sink.emit(
-                        now,
-                        TraceEvent::CtaDeactivate {
-                            sm,
-                            cta_slot,
-                            cta_id,
-                        },
-                    );
-                    sink.emit(
-                        now,
-                        TraceEvent::SwapBegin {
-                            sm,
-                            cta_slot,
-                            cta_id,
-                            dir: SwapDir::Out,
-                            fresh: false,
-                        },
-                    );
-                }
-                ready_replacements -= 1;
-                swapped_any = true;
+            let n_warps = cta.warps.len() as u32;
+            let done_at = now + u64::from(swap.save_cycles);
+            self.count_stalls(slot, false);
+            self.ctas[slot].phase = CtaPhase::SwappingOut { done_at };
+            self.swap_due = self.swap_due.min(done_at);
+            // Release the slot immediately: the incoming CTA's restore
+            // overlaps with this save through the context buffer.
+            self.slot_ctas -= 1;
+            self.slot_warps -= n_warps;
+            self.active_phase_warps -= n_warps;
+            self.swapping_ctas += 1;
+            self.issue_dirty = true;
+            stats.swaps.swaps_out += 1;
+            stats.swap_duration.record(u64::from(swap.save_cycles));
+            if S::ENABLED {
+                let (sm, cta_slot, cta_id) = (self.id as u32, slot as u32, self.ctas[slot].cta_id);
+                sink.emit(
+                    now,
+                    TraceEvent::CtaDeactivate {
+                        sm,
+                        cta_slot,
+                        cta_id,
+                    },
+                );
+                sink.emit(
+                    now,
+                    TraceEvent::SwapBegin {
+                        sm,
+                        cta_slot,
+                        cta_id,
+                        dir: SwapDir::Out,
+                        fresh: false,
+                    },
+                );
             }
+            ready_replacements -= 1;
+            swapped_any = true;
         }
         if swapped_any {
             // Refill the freed slots in the same cycle (overlapped swap).
@@ -675,33 +744,43 @@ impl Sm {
         }
     }
 
-    fn swap_trigger_met(&self, cta_slot: usize, trigger: SwapTrigger, kernel: &Kernel) -> bool {
-        let cta = &self.ctas[cta_slot];
-        let mut any_mem_stalled = false;
-        let mut all_stalled = true;
-        for &wslot in &cta.warps {
-            let w = &self.warps[wslot];
-            if w.done {
-                continue;
-            }
-            if w.waiting_barrier {
-                continue; // stalled, but not the memory kind
-            }
-            // Only *long-latency* stalls (L1 misses in flight) qualify;
-            // a warp waiting out an L1 hit will resume within ~20 cycles
-            // and swapping for it would thrash.
-            let blocked_on_mem = w.long_pending_loads > 0 && !self.next_instr(w, kernel).1;
-            if blocked_on_mem {
-                any_mem_stalled = true;
-            } else {
-                all_stalled = false;
+    /// Completes every swap due at `now` and moves `swap_due` to the next
+    /// one.
+    fn complete_swaps<S: TraceSink>(&mut self, now: u64, sink: &mut S) {
+        let mut due = u64::MAX;
+        for slot in 0..self.ctas.len() {
+            match self.ctas[slot].phase {
+                CtaPhase::SwappingOut { done_at } if done_at <= now => {
+                    // The slot was already released when the save started.
+                    self.ctas[slot].phase = CtaPhase::Inactive { has_context: true };
+                    self.ctas[slot].inactive_since = now;
+                    self.swapping_ctas -= 1;
+                    if self.cta_ready(&self.ctas[slot]) {
+                        self.mark_ready(slot);
+                    }
+                    if S::ENABLED {
+                        sink.emit(
+                            now,
+                            TraceEvent::SwapEnd {
+                                sm: self.id as u32,
+                                cta_slot: slot as u32,
+                                cta_id: self.ctas[slot].cta_id,
+                                dir: SwapDir::Out,
+                            },
+                        );
+                    }
+                }
+                CtaPhase::SwappingIn { done_at } if done_at <= now => {
+                    self.swapping_ctas -= 1;
+                    self.finish_activation(slot, now, sink);
+                }
+                CtaPhase::SwappingOut { done_at } | CtaPhase::SwappingIn { done_at } => {
+                    due = due.min(done_at);
+                }
+                _ => {}
             }
         }
-        match trigger {
-            SwapTrigger::AllWarpsStalled => any_mem_stalled && all_stalled,
-            SwapTrigger::AnyWarpStalled => any_mem_stalled,
-            SwapTrigger::Never => false,
-        }
+        self.swap_due = due;
     }
 
     // ----- per-cycle operation --------------------------------------------
@@ -720,13 +799,12 @@ impl Sm {
     /// engine sets it up at construction when `CoreConfig::profile` is
     /// on); the recording calls are no-ops otherwise.
     ///
-    /// The tick is event-driven (DESIGN.md §18): writebacks and the LD/ST
-    /// unit run every cycle, but once a tick has issued nothing and
-    /// changed nothing, residency, warp pick and stall classification are
-    /// skipped and that tick's accounting is replayed until a mutation or
-    /// an expiring timer can change the outcome. This relies on `kernel`,
-    /// `core` and `res` being the same on every tick of one SM, as they
-    /// are within a run.
+    /// The tick's host cost follows events, not residents (DESIGN.md
+    /// §18): pick, residency and classification read ready masks, CTA
+    /// counters and a ready-CTA set that every event keeps current, so a
+    /// parked warp or CTA costs nothing until the event that unblocks it.
+    /// This relies on `kernel`, `core` and `res` being the same on every
+    /// tick of one SM, as they are within a run.
     ///
     /// # Errors
     ///
@@ -747,6 +825,7 @@ impl Sm {
     ) -> Result<(), ExecError> {
         if self.decoded.len() != kernel.program().len() {
             self.decoded = kernel.program().instrs().iter().map(Decoded::of).collect();
+            self.rebuild_derived();
         }
 
         // 1. Short-latency writebacks.
@@ -755,18 +834,16 @@ impl Sm {
                 break;
             }
             self.writebacks.pop_front();
-            self.touch();
             if self.warp_uids[wslot] == uid {
                 self.warps[wslot].scoreboard.clear(Reg(reg));
+                self.refresh(wslot);
             }
         }
 
         // 2. Memory events (shared latency, global responses, long-stall
         //    notifications). Events may outlive their CTA — a warp can
         //    exit with loads in flight — so uids filter stale records.
-        let had_space = self.ldst.has_space();
         for event in self.ldst.tick_traced(now, front, sink) {
-            self.touch();
             match event {
                 LdstEvent::Completed(c) => {
                     // Latency is observed per issue site, before the uid
@@ -789,9 +866,17 @@ impl Sm {
                         if c.was_long {
                             w.long_pending_loads -= 1;
                         }
-                        let cta = &mut self.ctas[w.cta_slot];
+                        let cta_slot = w.cta_slot;
+                        let runnable = w.runnable();
+                        let cta = &mut self.ctas[cta_slot];
                         cta.pending_loads -= 1;
+                        // The one way a swapped-out CTA becomes ready:
+                        // its warps' state moves only on load responses.
+                        if runnable && cta.phase == (CtaPhase::Inactive { has_context: true }) {
+                            self.mark_ready(cta_slot);
+                        }
                     }
+                    self.refresh(c.warp_slot);
                 }
                 LdstEvent::MissObserved {
                     warp_slot,
@@ -799,29 +884,11 @@ impl Sm {
                 } => {
                     if self.warp_uids[warp_slot] == warp_uid {
                         self.warps[warp_slot].long_pending_loads += 1;
+                        self.refresh(warp_slot);
                     }
                 }
             }
         }
-        // The queue drains without an event; `readiness` reads only
-        // whether it has room.
-        if self.ldst.has_space() != had_space {
-            self.touch();
-        }
-
-        // Replay: nothing has changed since a tick that decided nothing,
-        // so steps 3-5 would decide nothing again.
-        if let Some(settled) = self.replayable(now, PROFILED) {
-            if cfg!(debug_assertions) {
-                self.assert_fixed_point::<S, PROFILED>(
-                    now, kernel, core, res, stats, sink, settled,
-                );
-            }
-            self.charge_cycle(stats);
-            charge_idle::<PROFILED>(stats, settled.class, attr);
-            return Ok(());
-        }
-        let epoch_in = self.epoch;
 
         // 3. CTA residency: swap completions, trigger, activations.
         self.update_residency(now, kernel, core, res, stats, sink);
@@ -829,6 +896,9 @@ impl Sm {
         // 4. Issue.
         if self.issue_dirty {
             self.rebuild_issue_list();
+        }
+        if cfg!(debug_assertions) {
+            self.check_derived(now, kernel);
         }
         let schedulers = self.sched_last.len();
         let mut first_issue_pc = None;
@@ -838,10 +908,10 @@ impl Sm {
                     // Read before issue: the stack advances on issue.
                     first_issue_pc = Some(self.warps[wslot].stack.pc());
                 }
-                self.touch();
                 self.issue_warp::<S, PROFILED>(
                     wslot, s, now, kernel, core, res, image, stats, sink,
                 )?;
+                self.refresh(wslot);
                 self.sched_last[s] = Some(wslot);
                 self.window_issues += 1;
             }
@@ -860,117 +930,258 @@ impl Sm {
             }
             return Ok(());
         }
-        let class = self.classify::<PROFILED>(now, kernel);
+        let class = self.classify::<PROFILED>();
         charge_idle::<PROFILED>(stats, class, attr);
-        self.settled = (self.epoch == epoch_in).then(|| Settled {
-            epoch: self.epoch,
-            until: self.next_timed_input(now, res),
-            class,
-            profiled: PROFILED,
-        });
         Ok(())
     }
 
-    /// The settled record, if a tick at `now` whose steps 1-2 changed
-    /// nothing may replay it.
-    fn replayable(&self, now: u64, profiled: bool) -> Option<Settled> {
-        self.settled
-            .filter(|s| s.epoch == self.epoch && now < s.until && s.profiled == profiled)
+    // ----- derived state ----------------------------------------------------
+
+    /// Rebuilds every piece of derived state from the warp and CTA tables,
+    /// as after a restore: statuses, trigger counters, the ready-CTA set,
+    /// the next swap completion, and (on the next pick) the issue list and
+    /// masks. Needs `decoded`.
+    fn rebuild_derived(&mut self) {
+        self.reset_derived();
+        for w in 0..self.warps.len() {
+            // A done warp counts as nothing, wherever its stale CTA slot
+            // points.
+            if !self.warps[w].done {
+                let status = self.status(w);
+                self.counted[w].status = status;
+                self.recount(w, status);
+            }
+        }
     }
 
-    /// The earliest cycle after `now` at which one of the clock
-    /// comparisons steps 3-5 make changes its answer: the SFU initiation
-    /// interval (`readiness`), a context switch completing and the
-    /// throttle window rolling over (`update_residency`). Writebacks and
-    /// LD/ST latencies are not here because steps 1-2 run on every tick.
-    fn next_timed_input(&self, now: u64, res: &ResidencyConfig) -> u64 {
-        let mut until = u64::MAX;
-        if self.sfu_free_at > now {
-            until = self.sfu_free_at;
+    /// The part of [`Sm::rebuild_derived`] that needs no `decoded`, which
+    /// a restored SM does at once (admission may precede its first tick):
+    /// the ready-CTA set and `swap_due` exact, every warp counted as
+    /// parked (done) or not yet known (live).
+    fn reset_derived(&mut self) {
+        self.counted = (self.warps.iter())
+            .map(|w| Counted {
+                age: w.age,
+                status: if w.done { 0 } else { UNKNOWN },
+                trigger: Trigger::Parked,
+            })
+            .collect();
+        for cta in &mut self.ctas {
+            cta.warps_blocked_long = 0;
+            cta.warps_unblocked = 0;
         }
-        if self.swapping_ctas > 0 {
-            for cta in &self.ctas {
-                if let CtaPhase::SwappingOut { done_at } | CtaPhase::SwappingIn { done_at } =
-                    cta.phase
-                {
-                    until = until.min(done_at);
+        self.active_stalls = [0; 2];
+        self.ready_ctas = self.ready_ctas_by_scan();
+        self.swap_due = self
+            .ctas
+            .iter()
+            .filter_map(|c| match c.phase {
+                CtaPhase::SwappingOut { done_at } | CtaPhase::SwappingIn { done_at } => {
+                    Some(done_at)
+                }
+                _ => None,
+            })
+            .min()
+            .unwrap_or(u64::MAX);
+        self.issue_dirty = true;
+    }
+
+    /// The ready-CTA set as [`Sm::cta_ready`] defines it, by a scan.
+    fn ready_ctas_by_scan(&self) -> Vec<(u64, usize)> {
+        let mut ready: Vec<(u64, usize)> = (0..self.ctas.len())
+            .filter(|&slot| self.cta_ready(&self.ctas[slot]))
+            .map(|slot| (self.ctas[slot].seq, slot))
+            .collect();
+        ready.sort_unstable();
+        ready
+    }
+
+    /// Warp `w`'s status: which mask classes it is in (none when done).
+    fn status(&self, w: usize) -> u8 {
+        let warp = &self.warps[w];
+        if warp.done {
+            return 0;
+        }
+        if warp.waiting_barrier {
+            return 1 << BARRIER;
+        }
+        let d = &self.decoded[warp.stack.pc()];
+        if warp.scoreboard.can_issue_uses(&d.uses) {
+            1 << CLEAR | u8::from(d.is_mem) << MEM | u8::from(d.is_sfu) << SFU
+        } else if warp.pending_loads > 0 {
+            1 << BLOCKED_MEM
+        } else {
+            1 << BLOCKED_PIPE
+        }
+    }
+
+    /// Re-derives what scheduling reads from warp `w`: its bits in its
+    /// partition's masks (if listed) and its class in its CTA's trigger
+    /// counters. Called at every site that changes a warp's PC,
+    /// scoreboard, loads, barrier flag or done flag.
+    fn refresh(&mut self, w: usize) {
+        let status = self.status(w);
+        self.counted[w].status = status;
+        let pos = self.slot_pos.get(w).copied().unwrap_or(UNLISTED);
+        if pos != UNLISTED {
+            let schedulers = self.partitions.len();
+            self.partitions[w % schedulers].set(pos as usize, status);
+        }
+        self.recount(w, status);
+    }
+
+    /// Moves warp `w` to the trigger class `status` implies.
+    fn recount(&mut self, w: usize, status: u8) {
+        let warp = &self.warps[w];
+        let trigger = warp.trigger(status >> CLEAR & 1 != 0);
+        let old = std::mem::replace(&mut self.counted[w].trigger, trigger);
+        if old != trigger {
+            let slot = warp.cta_slot;
+            let active = self.ctas[slot].is_active();
+            if active {
+                self.count_stalls(slot, false);
+            }
+            self.ctas[slot].recount(old, trigger);
+            if active {
+                self.count_stalls(slot, true);
+            }
+        }
+    }
+
+    /// Adds CTA `slot`'s stalls to `active_stalls`, or removes them.
+    fn count_stalls(&mut self, slot: usize, add: bool) {
+        for (n, stalled) in self.active_stalls.iter_mut().zip(self.ctas[slot].stalls()) {
+            if stalled {
+                if add {
+                    *n += 1;
+                } else {
+                    *n -= 1;
                 }
             }
         }
-        if res.swap.is_some_and(|swap| swap.throttle.is_some()) {
-            until = until.min(self.throttle_window_end);
-        }
-        until
-    }
-
-    /// Debug cross-check of a replayed tick: the slow decision, run on
-    /// the same state, must change nothing, pick nothing and classify
-    /// the cycle as recorded. A mutation site that forgets
-    /// [`Sm::touch`] fails here instead of drifting a golden.
-    #[allow(clippy::too_many_arguments)]
-    fn assert_fixed_point<S: TraceSink, const PROFILED: bool>(
-        &mut self,
-        now: u64,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        stats: &mut RunStats,
-        sink: &mut S,
-        settled: Settled,
-    ) {
-        self.update_residency(now, kernel, core, res, stats, sink);
-        assert_eq!(
-            self.epoch, settled.epoch,
-            "SM {} cycle {now}: residency changed on a replayed tick",
-            self.id
-        );
-        assert!(
-            !self.issue_dirty,
-            "SM {} cycle {now}: issue list dirty on a replayed tick",
-            self.id
-        );
-        for s in 0..self.sched_last.len() {
-            assert_eq!(
-                self.pick_warp(s, now, kernel, core),
-                None,
-                "SM {} cycle {now}: scheduler {s} can issue on a replayed tick",
-                self.id
-            );
-        }
-        assert_eq!(
-            self.classify::<PROFILED>(now, kernel),
-            settled.class,
-            "SM {} cycle {now}: replayed tick classifies differently",
-            self.id
-        );
     }
 
     fn rebuild_issue_list(&mut self) {
         self.issue_list.clear();
         for cta in &self.ctas {
             if cta.is_active() {
-                for &w in &cta.warps {
-                    if !self.warps[w].done {
-                        self.issue_list.push(w);
-                    }
-                }
+                // A done warp's status is 0.
+                let live = cta.warps.iter().filter(|&&w| self.counted[w].status != 0);
+                self.issue_list.extend(live);
             }
         }
         // Age order gives the GTO scheduler its "oldest" notion and makes
         // LRR rotation deterministic.
-        let warps = &self.warps;
-        self.issue_list.sort_by_key(|&w| warps[w].age);
+        let counted = &self.counted;
+        self.issue_list.sort_by_key(|&w| counted[w].age);
         let schedulers = self.partitions.len();
         for part in &mut self.partitions {
-            part.clear();
+            part.warps.clear();
         }
-        self.listed.clear();
-        self.listed.resize(self.warps.len(), false);
+        self.slot_pos.clear();
+        self.slot_pos.resize(self.warps.len(), UNLISTED);
         for &w in &self.issue_list {
-            self.partitions[w % schedulers].push(w);
-            self.listed[w] = true;
+            let part = &mut self.partitions[w % schedulers];
+            self.slot_pos[w] = part.warps.len() as u32;
+            part.warps.push(w);
+        }
+        for part in &mut self.partitions {
+            part.masks.clear();
+            part.masks
+                .resize(part.warps.len().div_ceil(64), [0; CLASSES]);
+        }
+        for i in 0..self.issue_list.len() {
+            let w = self.issue_list[i];
+            if self.counted[w].status == UNKNOWN {
+                self.counted[w].status = self.status(w);
+            }
+            let status = self.counted[w].status;
+            self.partitions[w % schedulers].set(self.slot_pos[w] as usize, status);
         }
         self.issue_dirty = false;
+    }
+
+    /// Debug cross-check, run on every tick of a debug build once the
+    /// issue list is current: the masks, trigger counters, ready-CTA set
+    /// and `swap_due` equal what their specifications (`readiness`, the
+    /// per-warp trigger scan, `cta_ready`, the CTA table) compute from
+    /// scratch. A site that forgets [`Sm::refresh`] fails here instead of
+    /// drifting a golden.
+    fn check_derived(&self, now: u64, kernel: &Kernel) {
+        let id = self.id;
+        for (s, part) in self.partitions.iter().enumerate() {
+            let mut want = vec![[0u64; CLASSES]; part.masks.len()];
+            for (pos, &w) in part.warps.iter().enumerate() {
+                assert_eq!(
+                    self.slot_pos[w] as usize, pos,
+                    "SM {id}: slot {w} misplaced"
+                );
+                let classes: &[usize] = match self.readiness(w, now, kernel) {
+                    Readiness::Done => &[],
+                    Readiness::Barrier => &[BARRIER],
+                    Readiness::BlockedMem => &[BLOCKED_MEM],
+                    Readiness::BlockedPipe => &[BLOCKED_PIPE],
+                    Readiness::Ready | Readiness::LdstFull | Readiness::SfuBusy => {
+                        let (d, _) = self.next_instr(&self.warps[w], kernel);
+                        match (d.is_mem, d.is_sfu) {
+                            (true, _) => &[CLEAR, MEM],
+                            (_, true) => &[CLEAR, SFU],
+                            _ => &[CLEAR],
+                        }
+                    }
+                };
+                for &c in classes {
+                    want[pos / 64][c] |= 1 << (pos % 64);
+                }
+            }
+            assert_eq!(
+                part.masks, want,
+                "SM {id} cycle {now}: scheduler {s}'s masks are stale"
+            );
+        }
+        for (slot, cta) in self.ctas.iter().enumerate() {
+            let (mut blocked_long, mut unblocked) = (0, 0);
+            for &w in &cta.warps {
+                let warp = &self.warps[w];
+                if warp.done || warp.waiting_barrier {
+                    continue;
+                }
+                if warp.long_pending_loads > 0 && !self.next_instr(warp, kernel).1 {
+                    blocked_long += 1;
+                } else {
+                    unblocked += 1;
+                }
+            }
+            assert_eq!(
+                (cta.warps_blocked_long, cta.warps_unblocked),
+                (blocked_long, unblocked),
+                "SM {id} cycle {now}: CTA slot {slot}'s trigger counters are stale"
+            );
+        }
+        let mut stalls = [0u32; 2];
+        for cta in self.ctas.iter().filter(|c| c.is_active()) {
+            for (n, stalled) in stalls.iter_mut().zip(cta.stalls()) {
+                *n += u32::from(stalled);
+            }
+        }
+        assert_eq!(
+            self.active_stalls, stalls,
+            "SM {id} cycle {now}: the stalled-CTA counts are stale"
+        );
+        assert_eq!(
+            self.ready_ctas,
+            self.ready_ctas_by_scan(),
+            "SM {id} cycle {now}: the ready-CTA set is stale"
+        );
+        for cta in &self.ctas {
+            if let CtaPhase::SwappingOut { done_at } | CtaPhase::SwappingIn { done_at } = cta.phase
+            {
+                assert!(
+                    self.swap_due <= done_at,
+                    "SM {id} cycle {now}: a swap due at {done_at} is past swap_due"
+                );
+            }
+        }
     }
 
     /// The decoded instruction at warp `w`'s PC, and whether `w`'s
@@ -1025,10 +1236,11 @@ impl Sm {
         Readiness::Ready
     }
 
-    /// Picks a warp for scheduler `s` from its own partition (warps are
-    /// statically partitioned across schedulers by slot index).
-    /// Allocation-free: this runs once per scheduler per cycle. Debug
-    /// builds check every pick against [`Sm::pick_by_full_scan`].
+    /// Picks a warp for scheduler `s` from the masks of its own partition
+    /// (warps are statically partitioned across schedulers by slot
+    /// index), applying the LD/ST-full and SFU-busy hazards as it reads
+    /// them. Debug builds check every pick against
+    /// [`Sm::pick_by_full_scan`].
     fn pick_warp(
         &mut self,
         s: usize,
@@ -1038,25 +1250,29 @@ impl Sm {
     ) -> Option<usize> {
         let reference =
             cfg!(debug_assertions).then(|| self.pick_by_full_scan(s, now, kernel, core));
-        let ready = |w: usize| self.readiness(w, now, kernel) == Readiness::Ready;
+        let (full, busy) = (!self.ldst.has_space(), now < self.sfu_free_at);
         let part = &self.partitions[s];
+        let ready = |word: &[u64; CLASSES]| issuable(word, full, busy);
         let pick = match core.scheduler {
             SchedPolicy::Gto => {
                 // Greedy: the last warp keeps the scheduler while it is
                 // still listed and ready; then the oldest ready one.
-                let greedy = self.sched_last[s]
-                    .filter(|&w| w % self.partitions.len() == s && self.listed[w] && ready(w));
-                greedy.or_else(|| part.iter().copied().find(|&w| ready(w)))
+                let greedy = self.sched_last[s].filter(|&w| {
+                    let pos = self.slot_pos.get(w).copied().unwrap_or(UNLISTED);
+                    w % self.partitions.len() == s && part.has(pos, ready)
+                });
+                greedy.or_else(|| part.first(0, ready).map(|pos| part.warps[pos]))
             }
             SchedPolicy::Lrr => {
                 // Rotate through the partition: positions start.. then ..start.
-                let n = part.len();
+                let n = part.warps.len();
                 let start = if n == 0 { 0 } else { self.sched_ptr[s] % n };
-                let pos = (start..n).chain(0..start).find(|&i| ready(part[i]));
+                let pos = part.first(start, ready).or_else(|| part.first(0, ready));
+                let pick = pos.map(|pos| part.warps[pos]);
                 if let Some(pos) = pos {
                     self.sched_ptr[s] = (pos + 1) % n;
                 }
-                pos.map(|i| self.partitions[s][i])
+                pick
             }
         };
         if let Some(reference) = reference {
@@ -1070,8 +1286,8 @@ impl Sm {
     }
 
     /// The specification of [`Sm::pick_warp`]: the whole issue list
-    /// scanned, filtering by partition on every entry. Reads the LRR
-    /// pointer but does not advance it.
+    /// scanned with [`Sm::readiness`], filtering by partition on every
+    /// entry. Reads the LRR pointer but does not advance it.
     fn pick_by_full_scan(
         &self,
         s: usize,
@@ -1257,7 +1473,6 @@ impl Sm {
                     );
                 }
                 self.check_barrier_release(cta_slot, now, stats, sink);
-                self.issue_dirty = true;
             }
             Instr::Bra { target } => {
                 self.warps[wslot].stack.jump(target);
@@ -1298,13 +1513,12 @@ impl Sm {
     /// Operand `op` on all 32 lanes of warp `wslot`.
     fn operand(&self, wslot: usize, kernel: &Kernel, op: Operand) -> [u32; 32] {
         let w = &self.warps[wslot];
-        let lane0 = ThreadCtx {
+        w.operand_lanes(op, || ThreadCtx {
             tid: w.first_tid,
             ctaid: self.ctas[w.cta_slot].cta_id,
             ntid: kernel.threads_per_cta(),
             ncta: kernel.num_ctas(),
-        };
-        w.operand_lanes(op, &lane0)
+        })
     }
 
     /// Completes an ALU-class issue: writes `values` to `dst` on the
@@ -1525,6 +1739,7 @@ impl Sm {
                 let w = self.ctas[cta_slot].warps[i];
                 if self.warps[w].waiting_barrier {
                     self.warps[w].waiting_barrier = false;
+                    self.refresh(w);
                     stats
                         .barrier_wait
                         .record(now.saturating_sub(self.warps[w].barrier_since));
@@ -1540,7 +1755,6 @@ impl Sm {
                     }
                 }
             }
-            self.issue_dirty = true;
         }
     }
 
@@ -1620,6 +1834,7 @@ impl Sm {
             self.slot_ctas -= 1;
             self.slot_warps -= n_warps;
             if self.ctas[cta_slot].is_active() {
+                self.count_stalls(cta_slot, false);
                 self.active_phase_warps -= n_warps;
             } else {
                 self.swapping_ctas -= 1; // SwappingIn
@@ -1668,9 +1883,10 @@ impl Sm {
         stats.ldst_queue.sample(self.ldst.queue_len() as u64);
     }
 
-    /// Classifies a cycle in which nothing issued. Reads SM state and the
-    /// clock only; blame PCs are computed when `PROFILED`.
-    fn classify<const PROFILED: bool>(&self, now: u64, kernel: &Kernel) -> IdleClass {
+    /// Classifies a cycle in which nothing issued, from the partition
+    /// masks (the issue list is current: nothing issued since its
+    /// rebuild). Blame PCs are computed when `PROFILED`.
+    fn classify<const PROFILED: bool>(&self) -> IdleClass {
         if self.resident_warps == 0 {
             return IdleClass::Empty;
         }
@@ -1698,58 +1914,42 @@ impl Sm {
                 blame,
             };
         }
-        let (mut mem_b, mut pipe_b, mut barrier_b) = (false, false, false);
-        let mut all_barrier = true;
-        // Oldest blamable instruction per stall class; the issue list is
-        // age-sorted, so the first hit of each class is the oldest.
-        let (mut first_mem, mut first_pipe, mut first_barrier, mut first_other) =
-            (None, None, None, None);
-        for &w in &self.issue_list {
-            match self.readiness(w, now, kernel) {
-                Readiness::BlockedMem => {
-                    mem_b = true;
-                    all_barrier = false;
-                    if PROFILED && first_mem.is_none() {
-                        first_mem = Some(self.warps[w].stack.pc());
-                    }
-                }
-                Readiness::BlockedPipe => {
-                    pipe_b = true;
-                    all_barrier = false;
-                    if PROFILED && first_pipe.is_none() {
-                        first_pipe = Some(self.warps[w].stack.pc());
-                    }
-                }
-                Readiness::Barrier => {
-                    barrier_b = true;
-                    // The stack already advanced past the Bar: the charge
-                    // lands on the instruction waiting behind the barrier.
-                    if PROFILED && first_barrier.is_none() {
-                        first_barrier = Some(self.warps[w].stack.pc());
-                    }
-                }
-                Readiness::Done => {}
-                // LD/ST queue or SFU structural hazards, and ready warps
-                // a scheduler partition could not reach, fall through to
-                // the `other` bucket below.
-                Readiness::LdstFull | Readiness::SfuBusy | Readiness::Ready => {
-                    all_barrier = false;
-                    if PROFILED && first_other.is_none() {
-                        first_other = Some(self.warps[w].stack.pc());
-                    }
-                }
+        let mut any = [0u64; CLASSES];
+        for word in self.partitions.iter().flat_map(|p| &p.masks) {
+            for (a, m) in any.iter_mut().zip(word) {
+                *a |= m;
             }
         }
-        let (reason, blame) = if mem_b {
-            (StallReason::Memory, first_mem)
-        } else if barrier_b && all_barrier {
-            (StallReason::Barrier, first_barrier)
-        } else if pipe_b {
-            (StallReason::Pipeline, first_pipe)
+        let has = |c: usize| any[c] != 0;
+        // LD/ST queue or SFU structural hazards, and ready warps a
+        // scheduler partition could not reach, fall in the `other`
+        // (structural) bucket with the scoreboard-clear ones.
+        let reason = if has(BLOCKED_MEM) {
+            StallReason::Memory
+        } else if has(BARRIER) && !has(CLEAR) && !has(BLOCKED_PIPE) {
+            StallReason::Barrier
+        } else if has(BLOCKED_PIPE) {
+            StallReason::Pipeline
         } else {
-            // Structural hazards (LD/ST queue, SFU interval, scheduler
-            // partition imbalance) and anything unclassified.
-            (StallReason::Structural, first_other)
+            StallReason::Structural
+        };
+        // The oldest warp of the charged class; for a barrier, the stack
+        // already advanced past the `Bar`, so the charge lands on the
+        // instruction waiting behind it.
+        let blame = if PROFILED {
+            let class = match reason {
+                StallReason::Memory => BLOCKED_MEM,
+                StallReason::Barrier => BARRIER,
+                StallReason::Pipeline => BLOCKED_PIPE,
+                _ => CLEAR,
+            };
+            self.partitions
+                .iter()
+                .filter_map(|p| p.first(0, |word| word[class]).map(|pos| p.warps[pos]))
+                .min_by_key(|&w| self.warps[w].age)
+                .map(|w| self.warps[w].stack.pc())
+        } else {
+            None
         };
         IdleClass::Stalled { reason, blame }
     }
@@ -2035,11 +2235,42 @@ impl Sm {
         for s in ldst.warp_slots() {
             warp_slot("LD/ST unit", s)?;
         }
+        // The trigger counters follow a warp's `cta_slot`, occupancy and
+        // the issue list a CTA's warp list, so the two must agree: each
+        // slot on one resident CTA's list, naming that CTA, and every live
+        // warp on a list.
+        let mut owner = vec![None; warps.len()];
+        for (slot, cta) in ctas.iter().enumerate().filter(|(_, c)| c.is_resident()) {
+            for &w in &cta.warps {
+                if owner[w].replace(slot).is_some() || warps[w].cta_slot != slot {
+                    return Err(format!(
+                        "CTA warp list: warp slot {w} does not belong to CTA slot {slot} alone"
+                    ));
+                }
+            }
+        }
+        if let Some(w) = (0..warps.len()).find(|&w| owner[w].is_none() && !warps[w].done) {
+            return Err(format!(
+                "CTA warp list: live warp slot {w} is on no resident CTA's list"
+            ));
+        }
+        // The occupancy counters are redundant with the CTA table, and
+        // admission, activation and the derived state trust them.
+        let occupancy = occupancy_of(&ctas);
+        let counter = |i: usize| -> Result<u32, String> {
+            let (key, want) = (OCCUPANCY[i], occupancy[i]);
+            let got = req_u64(v, key)?;
+            u32::try_from(got)
+                .ok()
+                .filter(|_| got == want)
+                .ok_or_else(|| format!("occupancy: {key} is {got}, but the CTA table gives {want}"))
+        };
         let est = req_array(v, "mode_ipc_est")?;
         if est.len() != 2 {
             return Err("mode_ipc_est must have 2 entries".to_string());
         }
-        Ok(Sm {
+        let schedulers = sched_last.len();
+        let mut sm = Sm {
             id: req_u64(v, "id")? as usize,
             line_bytes: req_u64(v, "line_bytes")? as u32,
             ctas,
@@ -2047,14 +2278,14 @@ impl Sm {
             warps,
             free_warp_slots,
             warp_uids,
-            resident_reg_bytes: req_u64(v, "resident_reg_bytes")? as u32,
-            resident_smem_bytes: req_u64(v, "resident_smem_bytes")? as u32,
-            resident_warps: req_u64(v, "resident_warps")? as u32,
-            resident_ctas: req_u64(v, "resident_ctas")? as u32,
-            slot_ctas: req_u64(v, "slot_ctas")? as u32,
-            slot_warps: req_u64(v, "slot_warps")? as u32,
-            active_phase_warps: req_u64(v, "active_phase_warps")? as u32,
-            swapping_ctas: req_u64(v, "swapping_ctas")? as u32,
+            resident_reg_bytes: counter(0)?,
+            resident_smem_bytes: counter(1)?,
+            resident_warps: counter(2)?,
+            resident_ctas: counter(3)?,
+            slot_ctas: counter(4)?,
+            slot_warps: counter(5)?,
+            active_phase_warps: counter(6)?,
+            swapping_ctas: counter(7)?,
             sched_ptr: {
                 let p = usize_vec(v, "sched_ptr")?;
                 if p.len() != sched_last.len() {
@@ -2065,11 +2296,6 @@ impl Sm {
             sfu_free_at: req_u64(v, "sfu_free_at")?,
             ldst,
             writebacks: writebacks.into(),
-            issue_list: Vec::new(),
-            partitions: vec![Vec::new(); sched_last.len()],
-            listed: Vec::new(),
-            issue_dirty: true,
-            decoded: Vec::new(),
             next_uid: req_u64(v, "next_uid")?,
             cta_seq: req_u64(v, "cta_seq")?,
             max_simt_depth: req_u64(v, "max_simt_depth")? as usize,
@@ -2084,24 +2310,87 @@ impl Sm {
                 opt_u64(&est[1], "mode_ipc_est[1]")?,
             ],
             sched_last,
-            epoch: 0,
-            settled: None,
-        })
+            decoded: Vec::new(),
+            issue_list: Vec::new(),
+            partitions: vec![Partition::default(); schedulers],
+            slot_pos: Vec::new(),
+            issue_dirty: true,
+            counted: Vec::new(),
+            active_stalls: [0; 2],
+            ready_ctas: Vec::new(),
+            swap_due: u64::MAX,
+        };
+        sm.reset_derived();
+        Ok(sm)
     }
 
     /// Checks restored state against the kernel it is resumed with:
     /// every warp's register frame must have the kernel's width, since
-    /// issue indexes frames by the kernel's register numbers.
+    /// issue indexes frames by the kernel's register numbers, and every
+    /// live warp's PCs must lie in the program, since the first tick
+    /// decodes them.
     pub(crate) fn check_kernel(&self, kernel: &Kernel) -> Result<(), String> {
         let want = kernel.regs_per_thread();
-        match self.warps.iter().find(|w| w.regs_per_thread != want) {
-            Some(w) => Err(format!(
+        if let Some(w) = self.warps.iter().find(|w| w.regs_per_thread != want) {
+            return Err(format!(
                 "registers: a warp has {} per thread, the kernel {want}",
                 w.regs_per_thread
-            )),
-            None => Ok(()),
+            ));
+        }
+        let len = kernel.program().len();
+        for w in self.warps.iter().filter(|w| !w.done) {
+            if w.stack.is_done() {
+                return Err("pc: a live warp has an empty SIMT stack".to_string());
+            }
+            if let Some(e) = w.stack.entries().iter().find(|e| e.pc >= len) {
+                return Err(format!(
+                    "pc: a live warp is at pc {}, but the program has {len} instructions",
+                    e.pc
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The occupancy counters, as checkpointed, in the order
+/// [`occupancy_of`] computes them.
+const OCCUPANCY: [&str; 8] = [
+    "resident_reg_bytes",
+    "resident_smem_bytes",
+    "resident_warps",
+    "resident_ctas",
+    "slot_ctas",
+    "slot_warps",
+    "active_phase_warps",
+    "swapping_ctas",
+];
+
+/// The [`OCCUPANCY`] counters a CTA table implies.
+fn occupancy_of(ctas: &[CtaRt]) -> [u64; 8] {
+    let mut sums = [0u64; 8];
+    for cta in ctas.iter().filter(|c| c.is_resident()) {
+        let warps = cta.warps.len() as u64;
+        let slot = cta.holds_active_slot();
+        let swapping = matches!(
+            cta.phase,
+            CtaPhase::SwappingIn { .. } | CtaPhase::SwappingOut { .. }
+        );
+        let add = [
+            u64::from(cta.reg_bytes),
+            u64::from(cta.smem_bytes),
+            warps,
+            1,
+            u64::from(slot),
+            if slot { warps } else { 0 },
+            if cta.is_active() { warps } else { 0 },
+            u64::from(swapping),
+        ];
+        for (sum, x) in sums.iter_mut().zip(add) {
+            *sum += x;
         }
     }
+    sums
 }
 
 /// Memory micro-op discriminant used by `exec_mem`.
@@ -2153,6 +2442,10 @@ fn charge_idle<const PROFILED: bool>(stats: &mut RunStats, class: IdleClass, att
     }
 }
 
+/// The expiry tests keep the names they had when a stalled SM replayed
+/// a recorded tick: a *settled* SM is now one whose derived state shows
+/// no issuable warp and no waiting CTA (`Twins::parked`), and each test
+/// checks that the kept state expires exactly when a rebuilt one does.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2163,7 +2456,9 @@ mod tests {
     use vt_mem::{MemConfig, MemSystem};
 
     /// One SM driven the way the engine drives it: memory tick, SM tick,
-    /// and an optional one-CTA-per-cycle dispatcher.
+    /// and an optional one-CTA-per-cycle dispatcher. A `rebuilt` rig drops
+    /// its derived state before every tick, so each tick rebuilds masks,
+    /// counters and sets from the tables, as after a restore.
     struct Rig {
         kernel: Kernel,
         core: CoreConfig,
@@ -2174,6 +2469,7 @@ mod tests {
         stats: RunStats,
         now: u64,
         next_cta: u32,
+        rebuilt: bool,
     }
 
     impl Rig {
@@ -2192,6 +2488,7 @@ mod tests {
                 res,
                 now: 0,
                 next_cta: 0,
+                rebuilt: false,
             }
         }
 
@@ -2208,6 +2505,11 @@ mod tests {
         }
 
         fn tick_with(&mut self, attr: EmptyAttr) {
+            if self.rebuilt {
+                // The next tick re-decodes, which rebuilds everything
+                // derived.
+                self.sm.decoded.clear();
+            }
             self.mem.tick(self.now);
             if self.stats.hotspots.is_some() {
                 self.tick_sm::<true>(attr);
@@ -2234,35 +2536,10 @@ mod tests {
                 .unwrap();
         }
 
-        fn tick(&mut self) {
-            self.tick_with(EmptyAttr::drained());
-        }
-
-        /// Whether the next tick replays, provided its writeback and
-        /// LD/ST steps find nothing — which the caller confirms by
-        /// seeing `sm.epoch` unchanged after it.
-        fn will_replay(&self) -> bool {
-            self.sm
-                .replayable(self.now, self.stats.hotspots.is_some())
-                .is_some()
-        }
-
-        /// Ticks once and asserts the tick was a replay.
-        fn tick_replayed(&mut self) {
-            assert!(self.will_replay(), "cycle {}: not settled", self.now);
-            let epoch = self.sm.epoch;
-            self.tick();
-            assert_eq!(self.sm.epoch, epoch, "cycle {}: woke early", self.now - 1);
-        }
-
         /// Runs the whole grid, dispatching like the engine (after the
-        /// tick, one CTA per cycle). `unsettle` drops the settled record
-        /// before every tick, so that twin never replays.
-        fn run(mut self, unsettle: bool) -> RunStats {
+        /// tick, one CTA per cycle).
+        fn run(mut self) -> RunStats {
             loop {
-                if unsettle {
-                    self.sm.settled = None;
-                }
                 let work_left = self.next_cta < self.kernel.num_ctas();
                 self.tick_with(EmptyAttr {
                     work_left,
@@ -2277,6 +2554,69 @@ mod tests {
                 }
                 assert!(self.now < 1_000_000, "rig run did not finish");
             }
+        }
+    }
+
+    /// A rig that keeps its derived state incrementally, and its twin that
+    /// rebuilds it before every tick, driven in lockstep and compared
+    /// after every tick.
+    struct Twins {
+        kept: Rig,
+        rebuilt: Rig,
+    }
+
+    impl Twins {
+        fn new(kernel: Kernel, core: CoreConfig, res: ResidencyConfig) -> Twins {
+            let mut rebuilt = Rig::new(kernel.clone(), core.clone(), res, false);
+            rebuilt.rebuilt = true;
+            Twins {
+                kept: Rig::new(kernel, core, res, false),
+                rebuilt,
+            }
+        }
+
+        fn admit(&mut self) {
+            self.kept.admit();
+            self.rebuilt.admit();
+        }
+
+        fn tick_with(&mut self, attr: EmptyAttr) {
+            self.kept.tick_with(attr);
+            self.rebuilt.tick_with(attr);
+            assert_eq!(
+                self.kept.stats,
+                self.rebuilt.stats,
+                "cycle {}: the twins diverged",
+                self.kept.now - 1
+            );
+        }
+
+        fn tick(&mut self) {
+            self.tick_with(EmptyAttr::drained());
+        }
+
+        /// The kept rig's SM.
+        fn sm(&self) -> &Sm {
+            &self.kept.sm
+        }
+
+        fn stats(&self) -> &RunStats {
+            &self.kept.stats
+        }
+
+        fn now(&self) -> u64 {
+            self.kept.now
+        }
+
+        /// Whether no warp of the kept SM can issue and no CTA waits to
+        /// activate: a tick now costs no probe of any warp or CTA.
+        fn parked(&self) -> bool {
+            let sm = self.sm();
+            sm.partitions
+                .iter()
+                .flat_map(|p| &p.masks)
+                .all(|word| word[CLEAR] == 0)
+                && sm.ready_ctas.is_empty()
         }
     }
 
@@ -2340,33 +2680,28 @@ mod tests {
 
     #[test]
     fn load_stalled_warp_settles_after_two_ticks_until_its_response() {
-        let mut rig = Rig::new(
+        let mut t = Twins::new(
             load_then_use(1),
             CoreConfig::default(),
             ResidencyConfig::baseline(),
-            false,
         );
-        rig.admit();
-        rig.tick(); // issues the load
-        assert!(rig.sm.settled.is_none(), "an issuing tick is not settled");
-        rig.tick(); // the LD/ST unit injects it (miss event); nothing issues
-        assert_eq!(rig.stats.warp_instrs, 1);
-        let mut replayed = 0;
-        while rig.sm.warps[0].pending_loads > 0 {
-            let epoch = rig.sm.epoch;
-            let expect_replay = rig.will_replay();
-            rig.tick();
-            if rig.sm.epoch == epoch {
-                assert!(expect_replay, "cycle {}: quiet but unsettled", rig.now - 1);
-                replayed += 1;
-            }
+        t.admit();
+        t.tick(); // issues the load
+        t.tick(); // the LD/ST unit injects it (miss event); nothing issues
+        assert_eq!(t.stats().warp_instrs, 1);
+        let mut parked = 0;
+        while t.sm().warps[0].pending_loads > 0 {
+            assert!(t.parked(), "cycle {}: a blocked warp is issuable", t.now());
+            assert_eq!(t.sm().partitions[0].masks[0][BLOCKED_MEM], 1);
+            parked += 1;
+            t.tick();
         }
-        // The response's tick is the only one that was not a replay, and
-        // the consumer issued in it.
-        assert_eq!(replayed, rig.now - 3);
-        assert_eq!(rig.stats.warp_instrs, 2);
-        assert_eq!(rig.stats.idle.memory, rig.now - 2);
-        assert_eq!(rig.stats.idle.total() + rig.stats.issue_cycles, rig.now);
+        // The response's tick set the warp's bit, and the consumer issued
+        // in it.
+        assert_eq!(parked, t.now() - 2);
+        assert_eq!(t.stats().warp_instrs, 2);
+        assert_eq!(t.stats().idle.memory, t.now() - 2);
+        assert_eq!(t.stats().idle.total() + t.stats().issue_cycles, t.now());
     }
 
     #[test]
@@ -2387,12 +2722,13 @@ mod tests {
         ];
         for (label, res) in cases {
             for profiled in [false, true] {
-                let replaying = Rig::new(mixed_kernel(10), core.clone(), res, profiled).run(false);
-                let never = Rig::new(mixed_kernel(10), core.clone(), res, profiled).run(true);
-                assert_eq!(replaying, never, "{label}, profiled={profiled}");
-                assert_eq!(replaying.ctas_completed, 10);
+                let kept = Rig::new(mixed_kernel(10), core.clone(), res, profiled).run();
+                let mut rebuilt = Rig::new(mixed_kernel(10), core.clone(), res, profiled);
+                rebuilt.rebuilt = true;
+                assert_eq!(kept, rebuilt.run(), "{label}, profiled={profiled}");
+                assert_eq!(kept.ctas_completed, 10);
                 if res.swap.is_some() {
-                    assert!(replaying.swaps.swaps_out > 0, "{label}: VT never swapped");
+                    assert!(kept.swaps.swaps_out > 0, "{label}: VT never swapped");
                 }
             }
         }
@@ -2412,45 +2748,42 @@ mod tests {
             sfu_init_interval: 6,
             ..CoreConfig::default()
         };
-        let mut rig = Rig::new(
-            b.build(1, 64).unwrap(),
-            core,
-            ResidencyConfig::baseline(),
-            false,
-        );
-        rig.admit();
-        rig.tick();
-        assert_eq!(rig.stats.warp_instrs, 1, "one SFU issue per interval");
-        rig.tick();
-        assert_eq!(rig.sm.settled.map(|s| s.until), Some(6));
-        while rig.now < 6 {
-            rig.tick_replayed();
+        let mut t = Twins::new(b.build(1, 64).unwrap(), core, ResidencyConfig::baseline());
+        t.admit();
+        t.tick();
+        assert_eq!(t.stats().warp_instrs, 1, "one SFU issue per interval");
+        while t.now() < 6 {
+            // Warp 1 stays scoreboard-clear; only the interval holds it.
+            let part = &t.sm().partitions[1];
+            assert_eq!(part.masks[0][CLEAR] & part.masks[0][SFU], 1);
+            t.tick();
+            assert_eq!(t.stats().warp_instrs, 1, "cycle {}", t.now() - 1);
         }
-        assert!(!rig.will_replay());
-        rig.tick();
-        assert_eq!(rig.stats.warp_instrs, 2, "warp 1 issues at cycle 6 exactly");
-        assert_eq!(rig.stats.idle.pipeline, 5);
+        t.tick();
+        assert_eq!(t.stats().warp_instrs, 2, "warp 1 issues at cycle 6 exactly");
+        assert_eq!(t.stats().idle.pipeline, 5);
     }
 
     #[test]
     fn swap_completion_expires_a_settled_sm() {
-        let mut rig = Rig::new(
+        let mut t = Twins::new(
             load_then_use(1),
             CoreConfig::default(),
             vt_residency(5, None),
-            false,
         );
-        rig.admit(); // fresh activation takes 5 cycles
-        rig.tick();
-        assert_eq!(rig.sm.settled.map(|s| s.until), Some(5));
-        while rig.now < 5 {
-            rig.tick_replayed();
+        t.admit(); // fresh activation takes 5 cycles
+        t.tick();
+        assert_eq!(t.sm().swap_due, 5);
+        while t.now() < 5 {
+            assert!(t.parked());
+            t.tick();
         }
-        assert!(!rig.will_replay());
-        rig.tick();
-        assert_eq!(rig.stats.idle.swapping, 5);
-        assert_eq!(rig.stats.swaps.swap_busy_cycles, 5);
-        assert_eq!(rig.stats.issue_cycles, 1, "activated and issued at cycle 5");
+        assert_eq!(t.stats().issue_cycles, 0);
+        t.tick();
+        assert_eq!(t.sm().swap_due, u64::MAX, "no swap left in flight");
+        assert_eq!(t.stats().idle.swapping, 5);
+        assert_eq!(t.stats().swaps.swap_busy_cycles, 5);
+        assert_eq!(t.stats().issue_cycles, 1, "activated and issued at cycle 5");
     }
 
     #[test]
@@ -2460,71 +2793,131 @@ mod tests {
             phase_windows: 2,
             probe_every_phases: 2,
         };
-        let mut rig = Rig::new(
+        let mut t = Twins::new(
             load_then_use(1),
             CoreConfig::default(),
             vt_residency(0, Some(throttle)),
-            false,
         );
-        rig.admit();
-        let mut replayed = 0;
-        while rig.stats.warp_instrs < 2 {
-            let epoch = rig.sm.epoch;
-            rig.tick();
-            replayed += u64::from(rig.sm.epoch == epoch);
+        t.admit();
+        let mut parked = 0;
+        while t.stats().warp_instrs < 2 {
+            parked += u64::from(t.parked());
+            t.tick();
             // The window rolls over on its boundary, never late.
-            assert_eq!(rig.sm.throttle_window_end, (rig.now - 1) / 16 * 16 + 16);
+            assert_eq!(t.sm().throttle_window_end, (t.now() - 1) / 16 * 16 + 16);
         }
-        assert!(rig.now > 3 * 16, "the load must span several windows");
-        assert!(replayed > rig.now / 2);
+        assert!(t.now() > 3 * 16, "the load must span several windows");
+        assert!(parked > t.now() / 2);
     }
 
     #[test]
     fn admit_between_ticks_unsettles() {
         // One active slot, held by a CTA stalled on a miss: the swap
         // trigger only lacks a replacement. Admission supplies one without
-        // activating anything, so the admit itself must wake the SM.
+        // activating anything, so the admit itself must enter it in the
+        // ready set.
         let core = CoreConfig {
             max_ctas_per_sm: 1,
             ..CoreConfig::default()
         };
-        let mut rig = Rig::new(load_then_use(2), core, vt_residency(0, None), false);
-        rig.admit();
-        rig.tick();
-        rig.tick();
-        rig.tick_replayed();
-        assert_eq!(rig.sm.warps[0].long_pending_loads, 1);
-        rig.admit();
-        assert_eq!(rig.sm.slot_ctas(), 1, "the admitted CTA found no free slot");
-        assert!(!rig.will_replay());
-        rig.tick();
-        assert_eq!(rig.stats.swaps.swaps_out, 1, "swapped for the new CTA");
-        assert_eq!(rig.stats.warp_instrs, 2, "whose load issues at once");
+        let mut t = Twins::new(load_then_use(2), core, vt_residency(0, None));
+        t.admit();
+        t.tick();
+        t.tick();
+        t.tick();
+        assert!(t.parked());
+        assert_eq!(t.sm().warps[0].long_pending_loads, 1);
+        assert_eq!(t.sm().ctas[0].warps_blocked_long, 1);
+        t.admit();
+        assert_eq!(t.sm().slot_ctas(), 1, "the admitted CTA found no free slot");
+        assert_eq!(t.sm().ready_ctas, vec![(2, 1)]);
+        t.tick();
+        assert_eq!(t.stats().swaps.swaps_out, 1, "swapped for the new CTA");
+        assert_eq!(t.stats().warp_instrs, 2, "whose load issues at once");
     }
 
     #[test]
     fn empty_sm_follows_the_live_attribution() {
-        let mut rig = Rig::new(
+        let mut t = Twins::new(
             load_then_use(1),
             CoreConfig::default(),
             ResidencyConfig::baseline(),
-            false,
         );
         let starved = EmptyAttr {
             work_left: true,
             scheduling_limited: true,
         };
-        rig.tick_with(starved);
-        for _ in 0..3 {
-            assert!(rig.will_replay());
-            rig.tick_with(starved);
+        for _ in 0..4 {
+            t.tick_with(starved);
+            assert!(t.parked());
         }
         for _ in 0..2 {
-            assert!(rig.will_replay());
-            rig.tick_with(EmptyAttr::drained());
+            t.tick_with(EmptyAttr::drained());
         }
-        assert_eq!(rig.stats.empty.scheduling, 4);
-        assert_eq!(rig.stats.empty.drain, 2);
-        assert_eq!(rig.stats.idle.no_warps, 6);
+        assert_eq!(t.stats().empty.scheduling, 4);
+        assert_eq!(t.stats().empty.drain, 2);
+        assert_eq!(t.stats().idle.no_warps, 6);
+    }
+
+    #[test]
+    fn masks_span_more_than_one_word() {
+        // Ideal's unlimited active policy lists every resident warp: 80
+        // one-warp CTAs on one scheduler put positions past bit 63.
+        let core = CoreConfig {
+            schedulers_per_sm: 1,
+            max_warps_per_sm: 128,
+            max_ctas_per_sm: 128,
+            ..CoreConfig::default()
+        };
+        for scheduler in [SchedPolicy::Gto, SchedPolicy::Lrr] {
+            let core = CoreConfig {
+                scheduler,
+                ..core.clone()
+            };
+            let ideal = ResidencyConfig {
+                admission: AdmissionPolicy::CapacityOnly {
+                    max_resident_ctas: None,
+                },
+                active: ActivePolicy::Unlimited,
+                swap: None,
+            };
+            let mut t = Twins::new(load_then_use(80), core, ideal);
+            for _ in 0..80 {
+                t.admit();
+            }
+            t.tick();
+            assert_eq!(t.sm().partitions[0].masks.len(), 2);
+            while t.stats().ctas_completed < 80 {
+                t.tick();
+                assert!(t.now() < 100_000, "{scheduler:?}: did not finish");
+            }
+            assert_eq!(t.stats().warp_instrs, 80 * 3);
+        }
+    }
+
+    #[test]
+    fn restored_sm_admits_before_its_first_tick() {
+        // A restored SM decodes, and rebuilds most derived state, on its
+        // first tick; admission may come first and must already see the
+        // restored ready set: CTA 1 waits in it and stays first in line,
+        // ahead of the newly admitted CTA 2.
+        let core = CoreConfig {
+            max_ctas_per_sm: 1,
+            ..CoreConfig::default()
+        };
+        let mut rig = Rig::new(load_then_use(3), core.clone(), vt_residency(0, None), false);
+        rig.admit();
+        rig.tick_with(EmptyAttr::drained());
+        rig.admit();
+        assert_eq!(rig.sm.ready_ctas, vec![(2, 1)]);
+        let mut restored = Sm::restore(&rig.sm.snapshot()).unwrap();
+        assert_eq!(restored.ready_ctas, rig.sm.ready_ctas);
+        assert_eq!(restored.swap_due, rig.sm.swap_due);
+        for sm in [&mut rig.sm, &mut restored] {
+            let mut stats = RunStats::default();
+            sm.admit(2, &rig.kernel, &core, &rig.res, 1, &mut stats);
+            assert_eq!(sm.ready_ctas, vec![(2, 1), (3, 2)]);
+            assert_eq!(sm.counted.len(), sm.warps.len());
+        }
     }
 }

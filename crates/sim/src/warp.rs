@@ -24,9 +24,10 @@ pub struct WarpRt {
     pub stack: SimtStack,
     /// In-flight destination registers.
     pub scoreboard: Scoreboard,
-    /// Register values, `[lane * regs_per_thread + reg]`.
+    /// Register values, register-major: `[reg * 32 + lane]`, so one
+    /// register of the whole warp is one contiguous row.
     pub regs: Vec<u32>,
-    /// Registers per thread (row stride of `regs`).
+    /// Registers per thread (the number of rows of `regs`).
     pub regs_per_thread: u16,
     /// Waiting at a CTA barrier.
     pub waiting_barrier: bool,
@@ -36,7 +37,7 @@ pub struct WarpRt {
     /// Outstanding global load/atomic *instructions* (not transactions).
     pub pending_loads: u32,
     /// Outstanding loads known to have missed the L1 — the long-latency
-    /// stalls the Virtual Thread swap trigger reacts to.
+    /// stalls the Virtual Thread swap trigger reacts to ([`WarpRt::trigger`]).
     pub long_pending_loads: u32,
     /// All lanes exited.
     pub done: bool,
@@ -77,52 +78,82 @@ impl WarpRt {
 
     /// Register `reg` of `lane`.
     pub fn reg(&self, lane: u32, reg: u16) -> u32 {
-        self.regs[lane as usize * self.regs_per_thread as usize + reg as usize]
-    }
-
-    /// The register frame of `lane`.
-    pub fn lane_regs(&self, lane: u32) -> &[u32] {
-        let stride = self.regs_per_thread as usize;
-        let base = lane as usize * stride;
-        &self.regs[base..base + stride]
+        self.regs[Self::row(reg) + lane as usize]
     }
 
     /// Writes register `reg` of `lane`.
     pub fn set_reg(&mut self, lane: u32, reg: u16, value: u32) {
-        self.regs[lane as usize * self.regs_per_thread as usize + reg as usize] = value;
+        self.regs[Self::row(reg) + lane as usize] = value;
     }
 
-    /// Operand `op` on all 32 lanes: a register is a row gather, an
+    /// Index of register `reg`'s row in `regs`.
+    fn row(reg: u16) -> usize {
+        reg as usize * WARP_SIZE as usize
+    }
+
+    /// Operand `op` on all 32 lanes: a register is a row copy, an
     /// immediate a splat, and a special register is computed per lane
-    /// from `ctx`, lane 0's context.
-    pub(crate) fn operand_lanes(&self, op: Operand, ctx: &ThreadCtx) -> [u32; 32] {
+    /// from lane 0's context, which `lane0` builds.
+    pub(crate) fn operand_lanes(
+        &self,
+        op: Operand,
+        lane0: impl FnOnce() -> ThreadCtx,
+    ) -> [u32; 32] {
         match op {
             Operand::Reg(r) => {
-                let mut row = [0u32; 32];
-                let frames = self.regs.chunks_exact(self.regs_per_thread as usize);
-                for (v, frame) in row.iter_mut().zip(frames) {
-                    *v = frame[r.0 as usize];
-                }
-                row
+                let base = Self::row(r.0);
+                self.regs[base..base + WARP_SIZE as usize]
+                    .try_into()
+                    .expect("a register row is one warp wide")
             }
             Operand::Imm(v) => [v; 32],
-            Operand::Sreg(_) => std::array::from_fn(|lane| {
-                let lane_ctx = ThreadCtx {
-                    tid: ctx.tid + lane as u32,
-                    ..*ctx
-                };
-                exec::resolve(op, &[], &lane_ctx)
-            }),
+            Operand::Sreg(_) => {
+                let ctx = lane0();
+                std::array::from_fn(|lane| {
+                    let lane_ctx = ThreadCtx {
+                        tid: ctx.tid + lane as u32,
+                        ..ctx
+                    };
+                    exec::resolve(op, &[], &lane_ctx)
+                })
+            }
         }
     }
 
-    /// Writes `values[lane]` to register `reg` of every lane in `mask`.
+    /// Writes `values[lane]` to register `reg` of every lane in `mask`:
+    /// a branch-free select over the register's row.
     pub(crate) fn set_lanes(&mut self, reg: Reg, mask: u32, values: &[u32; 32]) {
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros();
-            m &= m - 1;
-            self.set_reg(lane, reg.0, values[lane as usize]);
+        let base = Self::row(reg.0);
+        let row = &mut self.regs[base..base + WARP_SIZE as usize];
+        for (lane, (r, &v)) in row.iter_mut().zip(values).enumerate() {
+            // All ones where the lane is inactive (keep), zero where it is
+            // active (take `v`).
+            let keep = ((mask >> lane) & 1).wrapping_sub(1);
+            *r = (*r & keep) | (v & !keep);
+        }
+    }
+
+    /// Whether the warp could issue if its CTA were active: live, not at
+    /// a barrier and not waiting on a global load. An inactive CTA with a
+    /// runnable warp is ready to swap in.
+    pub(crate) fn runnable(&self) -> bool {
+        !self.done && !self.waiting_barrier && self.pending_loads == 0
+    }
+
+    /// How this warp counts toward its CTA's swap trigger, given whether
+    /// the scoreboard clears its next instruction. Only a long-latency
+    /// stall counts as blocked: a load known to have missed the L1 still
+    /// in flight, with the next instruction waiting on a result. A warp
+    /// waiting out an L1 hit resumes within ~20 cycles, and swapping for
+    /// it would thrash. A warp that is done or at a barrier counts as
+    /// neither blocked nor unblocked.
+    pub(crate) fn trigger(&self, clear: bool) -> Trigger {
+        if self.done || self.waiting_barrier {
+            Trigger::Parked
+        } else if self.long_pending_loads > 0 && !clear {
+            Trigger::BlockedLong
+        } else {
+            Trigger::Unblocked
         }
     }
 
@@ -161,15 +192,7 @@ impl WarpRt {
                 Json::UInt(self.stack.max_depth() as u64),
             ),
             ("scoreboard".into(), self.scoreboard.snapshot()),
-            (
-                "regs".into(),
-                Json::Array(
-                    self.regs
-                        .iter()
-                        .map(|&r| Json::UInt(u64::from(r)))
-                        .collect(),
-                ),
-            ),
+            ("regs".into(), Json::Array(self.lane_major_regs())),
             (
                 "regs_per_thread".into(),
                 Json::UInt(u64::from(self.regs_per_thread)),
@@ -210,20 +233,9 @@ impl WarpRt {
             });
         }
         let stack = SimtStack::from_saved(entries, req_u64(v, "stack_max_depth")? as usize);
-        let regs = req_array(v, "regs")?
-            .iter()
-            .map(|r| r.as_u64().map(|x| x as u32).ok_or("reg is not a u64"))
-            .collect::<Result<Vec<u32>, &str>>()?;
         let regs_per_thread = u16::try_from(req_u64(v, "regs_per_thread")?)
             .map_err(|_| "registers: regs_per_thread is out of range".to_string())?;
-        // Issue reads and writes every lane's frame by index.
-        let words = WARP_SIZE as usize * regs_per_thread as usize;
-        if regs.len() != words {
-            return Err(format!(
-                "registers: warp holds {} words, expected {WARP_SIZE} lanes x {regs_per_thread}",
-                regs.len()
-            ));
-        }
+        let regs = register_major(req_array(v, "regs")?, regs_per_thread)?;
         Ok(WarpRt {
             cta_slot: req_u64(v, "cta_slot")? as usize,
             warp_in_cta: req_u64(v, "warp_in_cta")? as u32,
@@ -241,12 +253,53 @@ impl WarpRt {
         })
     }
 
-    /// Whether the warp is parked for a long-latency event: waiting at a
-    /// barrier or holding outstanding global loads. Used by the swap
-    /// trigger.
-    pub fn long_stalled(&self) -> bool {
-        self.waiting_barrier || self.pending_loads > 0
+    /// The register file in checkpoint order: lane-major,
+    /// `[lane * regs_per_thread + reg]`.
+    fn lane_major_regs(&self) -> Vec<Json> {
+        let mut out = Vec::with_capacity(self.regs.len());
+        for lane in 0..WARP_SIZE as usize {
+            for reg in 0..self.regs_per_thread as usize {
+                out.push(Json::UInt(u64::from(
+                    self.regs[reg * WARP_SIZE as usize + lane],
+                )));
+            }
+        }
+        out
     }
+}
+
+/// How a warp counts toward its CTA's swap trigger ([`WarpRt::trigger`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Trigger {
+    /// Done or at a barrier: neither blocked nor unblocked.
+    Parked,
+    /// Blocked behind a scoreboard hazard with an L1 miss in flight.
+    BlockedLong,
+    /// Live and not blocked that way.
+    Unblocked,
+}
+
+/// Decodes a checkpointed lane-major register file (32 frames of
+/// `regs_per_thread` words) into the register-major layout.
+fn register_major(words: &[Json], regs_per_thread: u16) -> Result<Vec<u32>, String> {
+    let rpt = regs_per_thread as usize;
+    // Issue reads and writes every lane of a register by index.
+    if words.len() != WARP_SIZE as usize * rpt {
+        return Err(format!(
+            "registers: warp holds {} words, expected {WARP_SIZE} lanes x {regs_per_thread}",
+            words.len()
+        ));
+    }
+    let mut regs = vec![0u32; words.len()];
+    if rpt == 0 {
+        return Ok(regs);
+    }
+    for (lane, frame) in words.chunks_exact(rpt).enumerate() {
+        for (reg, word) in frame.iter().enumerate() {
+            regs[reg * WARP_SIZE as usize + lane] = word.as_u64().ok_or("reg is not a u64")? as u32;
+        }
+    }
+    Ok(regs)
 }
 
 #[cfg(test)]
@@ -271,21 +324,46 @@ mod tests {
 
     #[test]
     fn reg_accessors_are_lane_major() {
+        // Accessors and the checkpoint address (lane, reg); the storage
+        // underneath is register-major.
         let mut w = WarpRt::new(0, 0, 32, 4, 0);
         w.set_reg(2, 3, 42);
         assert_eq!(w.reg(2, 3), 42);
-        assert_eq!(w.lane_regs(2), &[0, 0, 0, 42]);
         assert_eq!(w.reg(3, 3), 0);
+        assert_eq!(w.regs[3 * 32 + 2], 42);
+        let saved = w.snapshot();
+        let words = saved.get("regs").and_then(Json::as_array).unwrap();
+        assert_eq!(words[2 * 4 + 3].as_u64(), Some(42));
+        assert_eq!(words.iter().filter_map(Json::as_u64).sum::<u64>(), 42);
+        let back = WarpRt::restore(&saved).unwrap();
+        assert_eq!(back.regs, w.regs);
+    }
+
+    #[test]
+    fn masked_row_write_keeps_inactive_lanes() {
+        let mut w = WarpRt::new(0, 0, 32, 2, 0);
+        w.set_lanes(Reg(1), u32::MAX, &[7; 32]);
+        w.set_lanes(Reg(1), 0b1010, &std::array::from_fn(|l| l as u32));
+        let row = w.operand_lanes(Operand::Reg(Reg(1)), || unreachable!("no context"));
+        assert_eq!(&row[..4], &[7, 1, 7, 3]);
+        assert!(row[4..].iter().all(|&v| v == 7));
+        assert!(w.regs[..32].iter().all(|&v| v == 0), "register 0 untouched");
     }
 
     #[test]
     fn long_stall_detection() {
+        // The swap trigger's notion of a long stall: an L1 miss in flight
+        // *and* the next instruction waiting on the scoreboard.
         let mut w = WarpRt::new(0, 0, 32, 4, 0);
-        assert!(!w.long_stalled());
+        assert_eq!(w.trigger(false), Trigger::Unblocked, "short hazard only");
         w.pending_loads = 1;
-        assert!(w.long_stalled());
-        w.pending_loads = 0;
+        w.long_pending_loads = 1;
+        assert_eq!(w.trigger(false), Trigger::BlockedLong);
+        assert_eq!(w.trigger(true), Trigger::Unblocked, "can still issue");
         w.waiting_barrier = true;
-        assert!(w.long_stalled());
+        assert_eq!(w.trigger(false), Trigger::Parked);
+        w.waiting_barrier = false;
+        w.done = true;
+        assert_eq!(w.trigger(false), Trigger::Parked);
     }
 }

@@ -27,6 +27,9 @@ VTPROF_TMP="$(mktemp -d)"
 cargo run -q -p vt-bench --bin vtprof -- spmv --check \
   --metrics "$VTPROF_TMP/spmv.prom" --out "$VTPROF_TMP"
 
+echo "== vt-isa tests under --release (float results are canonical at any opt-level)"
+cargo test -q --release -p vt-isa
+
 echo "== golden stats (suite snapshots must not drift)"
 cargo test -q -p vt-tests --test golden
 

@@ -1,13 +1,17 @@
 //! Engine-level differentials for the event-driven SM tick.
 //!
-//! A stalled SM replays its last decision instead of rescanning its
-//! warps. The record it replays from is not part of a checkpoint, so a
-//! run cut into one-cycle slices through [`GpuSim::resume`] takes the
-//! slow path on every tick: comparing it with the uninterrupted run
-//! compares "never replays" with "replays whenever it can" on everything
-//! a run produces. The second half closes a gap the test-scale
-//! functional-equivalence suite leaves: at paper scale, where VT really
-//! swaps, the simulator's final image must still equal the interpreter's.
+//! An SM keeps its ready masks, CTA trigger counters and ready-CTA set
+//! current at every event, so a parked warp or CTA costs nothing until
+//! the event that unblocks it. None of that is part of a checkpoint: a
+//! restored SM rebuilds it from the warp and CTA tables. A run cut into
+//! one-cycle slices through [`GpuSim::resume`] therefore rebuilds it on
+//! every cycle, while the uninterrupted run maintains it incrementally;
+//! comparing the two compares "rebuilt from scratch" with "kept by
+//! events" on everything a run produces, under all four architectures
+//! (MemSwap's long swaps exercise the swap-completion timer). The second
+//! half closes a gap the test-scale functional-equivalence suite leaves:
+//! at paper scale, where VT really swaps, the simulator's final image
+//! must still equal the interpreter's.
 
 use vt_core::{Architecture, GpuConfig, RunBudget, RunOutcome};
 use vt_isa::interp::Interpreter;
@@ -75,16 +79,20 @@ fn one_cycle_slices(cfg: &SimConfig, kernel: &Kernel) -> RunResult {
     }
 }
 
-/// One suite kernel, baseline and VT: sliced ≡ uninterrupted on stats
-/// (which carry the series and the per-PC profile) and on the image.
+/// One suite kernel under every architecture: sliced ≡ uninterrupted on
+/// stats (which carry the series and the per-PC profile) and on the
+/// image.
 fn one_cycle_slices_equal_the_uninterrupted_run(name: &str) {
     let w = workload(&Scale::test(), name);
-    for arch in [Architecture::Baseline, Architecture::virtual_thread()] {
+    for arch in all_archs() {
         let label = format!("{name} under {}", arch.label());
         let cfg = shrunken(arch, &w.kernel);
         let want = uninterrupted(&cfg, &w.kernel);
         let got = one_cycle_slices(&cfg, &w.kernel);
-        if arch != Architecture::Baseline {
+        if matches!(
+            arch,
+            Architecture::VirtualThread(_) | Architecture::MemSwap(_)
+        ) {
             assert!(want.stats.swaps.swaps_out > 0, "{label}: never swapped");
         }
         assert!(want.stats.series.is_some() && want.stats.hotspots.is_some());

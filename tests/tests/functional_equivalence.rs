@@ -6,6 +6,8 @@
 
 use vt_core::{Architecture, Gpu, SchedPolicy};
 use vt_isa::interp::Interpreter;
+use vt_isa::op::{Operand, SfuOp};
+use vt_isa::{Kernel, KernelBuilder};
 use vt_tests::{all_archs, run, small_config};
 use vt_workloads::{full_suite, Scale};
 
@@ -26,6 +28,69 @@ fn suite_matches_interpreter_under_every_architecture() {
                 arch.label()
             );
         }
+    }
+}
+
+/// Float operations on NaNs with distinct payloads and signs (quiet and
+/// signalling), in both operand orders, one result region per operation.
+fn nan_kernel(ctas: u32) -> Kernel {
+    const THREADS: u32 = 64;
+    const OPS: u32 = 7;
+    let n = ctas * THREADS;
+    let quiet_or_signalling = [0x7FC0_0000u32, 0xFFC0_0000, 0x7F80_0000];
+    let nans: Vec<u32> = (0..n)
+        .map(|i| quiet_or_signalling[(i % 3) as usize] | (i + 1))
+        .collect();
+    let mut b = KernelBuilder::new("nans");
+    let xs = b.alloc_global_init(&nans);
+    let out = b.alloc_global((OPS * n) as usize);
+    let (gid, off, mate, x, y) = (b.reg(), b.reg(), b.reg(), b.reg(), b.reg());
+    let r: Vec<_> = (0..OPS).map(|_| b.reg()).collect();
+    b.global_thread_id(gid);
+    b.shl(off, Operand::Reg(gid), Operand::Imm(2));
+    // The neighbouring thread's input: a different payload.
+    b.xor_(mate, Operand::Reg(gid), Operand::Imm(1));
+    b.shl(mate, Operand::Reg(mate), Operand::Imm(2));
+    b.ld_global(x, Operand::Reg(off), xs as i32);
+    b.ld_global(y, Operand::Reg(mate), xs as i32);
+    let (x, y) = (Operand::Reg(x), Operand::Reg(y));
+    b.fadd(r[0], x, y);
+    b.fadd(r[1], y, x);
+    b.fmul(r[2], x, y);
+    b.fsub(r[3], y, x);
+    b.ffma(r[4], x, y, Operand::Imm(1.0f32.to_bits()));
+    b.sfu(SfuOp::Sqrt, r[5], x);
+    b.fadd(r[6], Operand::Imm(2.0f32.to_bits()), y);
+    for (k, &reg) in r.iter().enumerate() {
+        let region = out + 4 * k as u32 * n;
+        b.st_global(Operand::Reg(off), region as i32, Operand::Reg(reg));
+    }
+    b.exit();
+    b.build(ctas, THREADS).unwrap()
+}
+
+/// Rust leaves the payload of a NaN result unspecified, and the
+/// interpreter and the simulator evaluate floats on different paths
+/// (scalar and lane-vector). Their images agree on a NaN-making kernel
+/// only because every float result is canonicalised in `vt_isa::exec`.
+#[test]
+fn nan_payloads_match_interpreter_under_every_architecture() {
+    let k = nan_kernel(32);
+    let reference = Interpreter::new(&k).unwrap().run().unwrap();
+    let words = reference.mem().as_words();
+    let results = &words[words.len() - 7 * 32 * 64..];
+    assert!(
+        results.iter().all(|&w| w == 0x7FFF_FFFF),
+        "every result is the canonical NaN"
+    );
+    for arch in all_archs() {
+        let report = run(arch, &k);
+        assert_eq!(
+            report.mem_image.as_words(),
+            words,
+            "NaN payloads diverged under {}",
+            arch.label()
+        );
     }
 }
 

@@ -90,6 +90,55 @@ fn io_and_validation_problems_exit_two() {
     assert_eq!(code(&out), 2, "vtbench bad --sms value");
 }
 
+/// A checkpoint survives a file: a budgeted `vtsweep` cell written with
+/// `--checkpoint` and continued with `--resume` ends with the stats of
+/// the unbudgeted run, and a checkpoint of another format version is a
+/// usage problem (exit 2) that names both versions.
+#[test]
+fn vtsweep_checkpoint_round_trips_through_a_file() {
+    let cell = ["spmv", "--arch", "vt", "--sms", "2", "--json"];
+    let path = fixture("spmv.ckpt", "");
+    let file = path.to_str().expect("UTF-8 temp path");
+    let stats = |out: &Output| {
+        assert_eq!(code(out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+        vt_json::Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("--json output")
+    };
+    let cut = run(
+        "vtsweep",
+        &[&cell[..], &["--budget", "2000", "--checkpoint", file]].concat(),
+    );
+    let truncated = stats(&cut);
+    assert!(
+        truncated
+            .as_array()
+            .and_then(|a| a.first()?.get("truncated")?.as_bool())
+            == Some(true),
+        "the budget must cut the cell: {truncated:?}"
+    );
+    let resumed = stats(&run("vtsweep", &[&cell[..], &["--resume", file]].concat()));
+    let full = stats(&run("vtsweep", &cell));
+    assert_eq!(
+        resumed, full,
+        "resumed cell differs from the unbudgeted run"
+    );
+
+    let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    assert!(text.starts_with("{\"version\":5,"), "{}", &text[..40]);
+    std::fs::write(
+        &path,
+        text.replacen("{\"version\":5,", "{\"version\":4,", 1),
+    )
+    .unwrap();
+    let out = run("vtsweep", &[&cell[..], &["--resume", file]].concat());
+    assert_eq!(code(&out), 2, "a version 4 checkpoint must be refused");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unsupported checkpoint version 4 (expected 5)"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A record nested far deeper than any the workspace writes is a parse
 /// error (exit 2), not a stack overflow (SIGABRT, exit 134).
 #[test]

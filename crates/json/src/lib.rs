@@ -9,7 +9,16 @@
 //! [`Json::parse`]. Output is deterministic: object keys keep declaration
 //! order and the pretty printer is stable; `parse(pretty()) == value` for
 //! every value this crate can emit (non-finite floats emit as `null`).
+//! Word arrays too large for one token per word (checkpoint memory
+//! images and register files) travel as packed strings ([`pack_words`],
+//! [`req_words`]).
 #![forbid(unsafe_code)]
+
+mod words;
+
+pub use words::{pack_words, req_words};
+
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,6 +76,7 @@ impl Json {
     /// objects nested more than 128 deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -96,6 +106,12 @@ impl Json {
             Json::Int(v) => u64::try_from(*v).ok(),
             _ => None,
         }
+    }
+
+    /// The value as a counter: a non-negative integer of at most 2^53
+    /// (see [`req_count`]).
+    pub fn as_count(&self) -> Option<u64> {
+        self.as_u64().filter(|&n| n <= MAX_COUNT)
     }
 
     /// The value as an `i64` if it is an integer in range.
@@ -181,11 +197,16 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::UInt(v) => out.push_str(&v.to_string()),
+            Json::Int(v) => {
+                if *v < 0 {
+                    out.push('-');
+                }
+                push_u64(out, v.unsigned_abs());
+            }
+            Json::UInt(v) => push_u64(out, *v),
             Json::Float(v) => {
                 if v.is_finite() {
-                    out.push_str(&format!("{v}"));
+                    write!(out, "{v}").expect("writing to a String cannot fail");
                 } else {
                     out.push_str("null");
                 }
@@ -223,6 +244,7 @@ impl Json {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -343,6 +365,11 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of bytes that need no decoding in one piece. It
+            // ends at an ASCII byte, so it is whole UTF-8 scalars.
+            let start = self.pos;
+            self.pos += plain_len(&self.bytes[start..]);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -394,20 +421,8 @@ impl<'a> Parser<'a> {
                         _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
                     }
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("control character in string at byte {}", self.pos));
-                }
                 Some(_) => {
-                    // Copy a whole UTF-8 scalar (input is valid UTF-8).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|&b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
+                    return Err(format!("control character in string at byte {}", self.pos));
                 }
             }
         }
@@ -427,6 +442,19 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
+        // The common case, a non-negative integer that fits a u64, is
+        // accumulated while it is scanned; anything else is rescanned.
+        let mut v = Some(0u64);
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            v = v.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+            self.pos += 1;
+        }
+        match v {
+            Some(v) if self.pos > start && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) => {
+                return Ok(Json::UInt(v));
+            }
+            _ => self.pos = start,
+        }
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
@@ -451,7 +479,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.text[start..self.pos];
         if !float {
             // Try u64 first so u64::MAX round-trips, then i64 for
             // negatives; overflow of both falls through to f64.
@@ -486,6 +514,25 @@ pub fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
     req(v, key)?
         .as_u64()
         .ok_or_else(|| format!("field `{key}` is not a u64"))
+}
+
+/// The largest counter [`req_count`] accepts.
+const MAX_COUNT: u64 = 1 << 53;
+
+/// Fetches `key` as a counter (a running total or sequence number that
+/// only grows): a `u64` of at most 2^53, the largest integer every JSON
+/// reader holds exactly. A counter decoded at most this large cannot
+/// overflow a `u64` before the run adding to it ends: that would take
+/// 2^64 - 2^53 more events.
+///
+/// # Errors
+///
+/// Returns an error if the field is missing, not a non-negative integer,
+/// or above the bound.
+pub fn req_count(v: &Json, key: &str) -> Result<u64, String> {
+    req(v, key)?
+        .as_count()
+        .ok_or_else(|| format!("field `{key}` is not a count of at most 2^53"))
 }
 
 /// Fetches `key` as an `f64`.
@@ -564,14 +611,55 @@ pub fn elem_bool(a: &[Json], i: usize) -> Result<bool, String> {
         .ok_or_else(|| format!("element {i} is not a bool"))
 }
 
+/// Appends the decimal digits of `v`, formatted on the stack.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+}
+
 fn push_indent(out: &mut String, levels: usize) {
     for _ in 0..levels {
         out.push_str("  ");
     }
 }
 
+/// Whether byte `b` of a string needs an escape: a quote, a backslash or
+/// a control character.
+fn escaped(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The length of the prefix of `bytes` that needs no escape. Whole blocks
+/// are tested without an early exit, which vectorises, so a long plain
+/// string (a packed word array) costs a fraction of a byte-by-byte scan.
+fn plain_len(bytes: &[u8]) -> usize {
+    const BLOCK: usize = 32;
+    let mut at = 0;
+    for block in bytes.chunks(BLOCK) {
+        if block.iter().fold(false, |any, &b| any | escaped(b)) {
+            return at + block.iter().position(|&b| escaped(b)).expect("found above");
+        }
+        at += block.len();
+    }
+    at
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
+    if plain_len(s.as_bytes()) == s.len() {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -580,7 +668,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -785,6 +873,22 @@ mod tests {
             Json::parse(&i64::MIN.to_string()).unwrap(),
             Json::Int(i64::MIN)
         );
+        assert_eq!(Json::parse("007").unwrap(), Json::UInt(7));
+        assert_eq!(
+            Json::parse("18446744073709551616").unwrap(),
+            Json::Float(18446744073709551616.0)
+        );
+        assert!(Json::parse("-").is_err());
+    }
+
+    #[test]
+    fn integers_render_exactly() {
+        for v in [0, 9, 10, 1234567890, i64::MAX, -1, -10, i64::MIN] {
+            assert_eq!(Json::Int(v).compact(), v.to_string());
+        }
+        for v in [0, 1, 99, 100, u64::MAX] {
+            assert_eq!(Json::UInt(v).pretty(), v.to_string());
+        }
     }
 
     #[test]
@@ -795,6 +899,15 @@ mod tests {
         );
         assert_eq!(Json::parse(r#""😀""#).unwrap(), Json::Str("😀".to_string()));
         assert!(Json::parse(r#""\ud83d x""#).is_err(), "lone surrogate");
+        assert!(Json::parse("\"a\u{1}b\"").is_err(), "raw control character");
+        assert_eq!(
+            Json::parse(r#"["plain", "x\ty", ""]"#).unwrap(),
+            Json::Array(vec![
+                Json::Str("plain".into()),
+                Json::Str("x\ty".into()),
+                Json::Str(String::new())
+            ])
+        );
     }
 
     #[test]
@@ -851,6 +964,11 @@ mod tests {
         assert_eq!(Json::Int(-1).as_u64(), None);
         assert!(req_u64(&v, "missing").unwrap_err().contains("missing"));
         assert!(req_str(&v, "n").unwrap_err().contains("not a string"));
+        assert_eq!(req_count(&v, "n").unwrap(), 3);
+        assert_eq!(Json::UInt(MAX_COUNT).as_count(), Some(MAX_COUNT));
+        assert_eq!(Json::UInt(MAX_COUNT + 1).as_count(), None);
+        let big = Json::parse(r#"{"n":18446744073709551615}"#).unwrap();
+        assert!(req_count(&big, "n").unwrap_err().contains("at most 2^53"));
     }
 
     #[test]

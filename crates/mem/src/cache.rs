@@ -191,12 +191,11 @@ impl Cache {
         if num_sets == 0 || ways == 0 {
             return Err("degenerate cache geometry".to_string());
         }
-        if raw.len() as u64 != num_sets * ways as u64 {
-            return Err(format!(
-                "cache has {} lines, expected {}",
-                raw.len(),
-                num_sets * ways as u64
-            ));
+        let lines = num_sets
+            .checked_mul(ways as u64)
+            .ok_or("cache geometry overflows")?;
+        if raw.len() as u64 != lines {
+            return Err(format!("cache has {} lines, expected {lines}", raw.len()));
         }
         let sets = raw
             .iter()

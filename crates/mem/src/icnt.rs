@@ -5,7 +5,7 @@
 //! Items are delivered in injection order (a single virtual channel).
 
 use std::collections::VecDeque;
-use vt_json::{elem, elem_u64, req_array, req_u64, Json};
+use vt_json::{elem, elem_u64, req_array, req_count, req_u64, Json};
 
 /// One direction of the interconnect carrying items of type `T`.
 #[derive(Debug, Clone)]
@@ -110,16 +110,27 @@ impl<T> Icnt<T> {
         v: &Json,
         de: &dyn Fn(&Json) -> Result<T, String>,
     ) -> Result<Icnt<T>, String> {
+        // An item is a few flits and the debt at most one item's excess;
+        // bounding both keeps `deliver`'s flit sums inside a `u32`.
+        let flits = |n: u64, what: &str| {
+            u16::try_from(n)
+                .map(u32::from)
+                .map_err(|_| format!("icnt {what} of {n} flits is out of range"))
+        };
         let mut in_flight = VecDeque::new();
         for item in req_array(v, "in_flight")? {
             let a = item.as_array().ok_or("icnt item is not an array")?;
-            in_flight.push_back((elem_u64(a, 0)?, elem_u64(a, 1)? as u32, de(elem(a, 2)?)?));
+            in_flight.push_back((
+                elem_u64(a, 0)?,
+                flits(elem_u64(a, 1)?, "item")?,
+                de(elem(a, 2)?)?,
+            ));
         }
         Ok(Icnt {
-            latency: req_u64(v, "latency")?,
+            latency: req_count(v, "latency")?,
             flits_per_cycle: (req_u64(v, "flits_per_cycle")? as u32).max(1),
             in_flight,
-            debt: req_u64(v, "debt")? as u32,
+            debt: flits(req_u64(v, "debt")?, "debt")?,
         })
     }
 }

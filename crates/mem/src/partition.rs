@@ -10,7 +10,7 @@ use crate::mshr::{Mshr, MshrAlloc};
 use crate::stats::MemStats;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use vt_json::{elem, elem_bool, elem_u64, req, req_array, req_u64, Json};
+use vt_json::{elem, elem_bool, elem_u64, req, req_array, req_count, req_u64, Json};
 use vt_trace::{MemLevel, NullSink, TraceEvent, TraceSink};
 
 /// The kind of a memory request as seen below the SM.
@@ -84,6 +84,14 @@ pub struct PartResp {
     pub kind: ReqKind,
 }
 
+/// `sm` as an index into a hierarchy's `num_sms` front-ends.
+fn sm_below(sm: u64, num_sms: usize) -> Result<usize, String> {
+    usize::try_from(sm)
+        .ok()
+        .filter(|&sm| sm < num_sms)
+        .ok_or_else(|| format!("memory request names SM {sm}, but there are {num_sms}"))
+}
+
 impl PartReq {
     /// Checkpoint encoding: `[sm, id, line_addr, kind]`.
     pub fn snapshot(&self) -> Json {
@@ -95,15 +103,16 @@ impl PartReq {
         ])
     }
 
-    /// Decodes [`PartReq::snapshot`] output.
+    /// Decodes [`PartReq::snapshot`] output for a hierarchy of `num_sms`
+    /// SMs.
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<PartReq, String> {
+    /// Returns a message on malformed input or an SM outside `0..num_sms`.
+    pub fn restore(v: &Json, num_sms: usize) -> Result<PartReq, String> {
         let a = v.as_array().ok_or("request is not an array")?;
         Ok(PartReq {
-            sm: elem_u64(a, 0)? as usize,
+            sm: sm_below(elem_u64(a, 0)?, num_sms)?,
             id: elem_u64(a, 1)?,
             line_addr: elem_u64(a, 2)?,
             kind: ReqKind::from_tag(elem(a, 3)?.as_str().ok_or("kind is not a string")?)?,
@@ -122,15 +131,16 @@ impl PartResp {
         ])
     }
 
-    /// Decodes [`PartResp::snapshot`] output.
+    /// Decodes [`PartResp::snapshot`] output for a hierarchy of `num_sms`
+    /// SMs.
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<PartResp, String> {
+    /// Returns a message on malformed input or an SM outside `0..num_sms`.
+    pub fn restore(v: &Json, num_sms: usize) -> Result<PartResp, String> {
         let a = v.as_array().ok_or("response is not an array")?;
         Ok(PartResp {
-            sm: elem_u64(a, 0)? as usize,
+            sm: sm_below(elem_u64(a, 0)?, num_sms)?,
             id: elem_u64(a, 1)?,
             line_addr: elem_u64(a, 2)?,
             kind: ReqKind::from_tag(elem(a, 3)?.as_str().ok_or("kind is not a string")?)?,
@@ -408,24 +418,25 @@ impl Partition {
         ])
     }
 
-    /// Rebuilds a partition from [`Partition::snapshot`] output.
+    /// Rebuilds a partition serving `num_sms` SMs from
+    /// [`Partition::snapshot`] output.
     ///
     /// # Errors
     ///
     /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<Partition, String> {
+    pub fn restore(v: &Json, num_sms: usize) -> Result<Partition, String> {
         let mut resp_heap = BinaryHeap::new();
         for item in req_array(v, "resp_heap")? {
             let a = item.as_array().ok_or("resp_heap item is not an array")?;
             resp_heap.push(Reverse((
                 elem_u64(a, 0)?,
                 elem_u64(a, 1)?,
-                PartResp::restore(elem(a, 2)?)?,
+                PartResp::restore(elem(a, 2)?, num_sms)?,
             )));
         }
         let mut in_q = VecDeque::new();
         for item in req_array(v, "in_q")? {
-            in_q.push_back(PartReq::restore(item)?);
+            in_q.push_back(PartReq::restore(item, num_sms)?);
         }
         let mut pending_writebacks = VecDeque::new();
         for item in req_array(v, "pending_writebacks")? {
@@ -433,14 +444,14 @@ impl Partition {
         }
         Ok(Partition {
             l2: Cache::restore(req(v, "l2")?)?,
-            mshr: Mshr::restore_with(req(v, "mshr")?, &PartReq::restore)?,
+            mshr: Mshr::restore_with(req(v, "mshr")?, &|r| PartReq::restore(r, num_sms))?,
             in_q,
             resp_heap,
             pending_writebacks,
             dram: Dram::restore(req(v, "dram")?)?,
-            l2_hit_latency: req_u64(v, "l2_hit_latency")?,
+            l2_hit_latency: req_count(v, "l2_hit_latency")?,
             l2_ports: req_u64(v, "l2_ports")? as u32,
-            seq: req_u64(v, "seq")?,
+            seq: req_count(v, "seq")?,
         })
     }
 }
@@ -664,9 +675,9 @@ impl Dram {
             banks,
             next_issue_at: req_u64(v, "next_issue_at")?,
             depth: (req_u64(v, "depth")? as usize).max(1),
-            row_hit_latency: req_u64(v, "row_hit_latency")?,
-            row_miss_latency: req_u64(v, "row_miss_latency")?,
-            burst_cycles: req_u64(v, "burst_cycles")?.max(1),
+            row_hit_latency: req_count(v, "row_hit_latency")?,
+            row_miss_latency: req_count(v, "row_miss_latency")?,
+            burst_cycles: req_count(v, "burst_cycles")?.max(1),
             lines_per_row: req_u64(v, "lines_per_row")?.max(1),
         })
     }

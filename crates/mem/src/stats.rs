@@ -1,6 +1,6 @@
 //! Memory-system statistics.
 
-use vt_json::{req, req_u64, Json};
+use vt_json::{req, req_count, Json};
 use vt_trace::{Gauge, Histogram};
 
 /// Counters accumulated by the memory system over a run.
@@ -122,22 +122,22 @@ impl MemStats {
     /// Returns a message on missing fields.
     pub fn restore(v: &Json) -> Result<MemStats, String> {
         Ok(MemStats {
-            l1_accesses: req_u64(v, "l1_accesses")?,
-            l1_hits: req_u64(v, "l1_hits")?,
-            l1_misses: req_u64(v, "l1_misses")?,
-            l1_mshr_merged: req_u64(v, "l1_mshr_merged")?,
-            l1_stalls: req_u64(v, "l1_stalls")?,
-            stores: req_u64(v, "stores")?,
-            atomics: req_u64(v, "atomics")?,
-            l2_accesses: req_u64(v, "l2_accesses")?,
-            l2_hits: req_u64(v, "l2_hits")?,
-            l2_misses: req_u64(v, "l2_misses")?,
-            dram_reads: req_u64(v, "dram_reads")?,
-            dram_writes: req_u64(v, "dram_writes")?,
-            dram_row_hits: req_u64(v, "dram_row_hits")?,
-            dram_row_misses: req_u64(v, "dram_row_misses")?,
-            load_latency_sum: req_u64(v, "load_latency_sum")?,
-            loads_completed: req_u64(v, "loads_completed")?,
+            l1_accesses: req_count(v, "l1_accesses")?,
+            l1_hits: req_count(v, "l1_hits")?,
+            l1_misses: req_count(v, "l1_misses")?,
+            l1_mshr_merged: req_count(v, "l1_mshr_merged")?,
+            l1_stalls: req_count(v, "l1_stalls")?,
+            stores: req_count(v, "stores")?,
+            atomics: req_count(v, "atomics")?,
+            l2_accesses: req_count(v, "l2_accesses")?,
+            l2_hits: req_count(v, "l2_hits")?,
+            l2_misses: req_count(v, "l2_misses")?,
+            dram_reads: req_count(v, "dram_reads")?,
+            dram_writes: req_count(v, "dram_writes")?,
+            dram_row_hits: req_count(v, "dram_row_hits")?,
+            dram_row_misses: req_count(v, "dram_row_misses")?,
+            load_latency_sum: req_count(v, "load_latency_sum")?,
+            loads_completed: req_count(v, "loads_completed")?,
             load_latency: Histogram::restore(req(v, "load_latency")?)?,
             mshr_occupancy: Gauge::restore(req(v, "mshr_occupancy")?)?,
         })

@@ -26,8 +26,9 @@
 //! flush is cycle-for-cycle identical to an immediate push. The
 //! whole-system wrappers ([`MemSystem::try_submit`] etc.) flush the
 //! outbox immediately. (The split was made for a per-cycle parallel
-//! engine that has since been removed; it stays because it is part of
-//! the checkpoint format.)
+//! engine that has since been removed.) Every outbox is empty at a cycle
+//! boundary, the only point a checkpoint is taken, so no outbox is part
+//! of one.
 
 use crate::cache::{Cache, Probe};
 use crate::config::MemConfig;
@@ -37,7 +38,7 @@ use crate::partition::{PartReq, PartResp, Partition};
 use crate::stats::MemStats;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use vt_json::{elem, elem_u64, req, req_array, req_u64, Json};
+use vt_json::{elem_u64, req, req_array, req_count, req_u64, Json};
 use vt_trace::{MemLevel, NullSink, TraceEvent, TraceSink};
 
 pub use crate::partition::ReqKind;
@@ -306,7 +307,17 @@ impl SmFront {
     /// front), so re-pushing reproduces the exact pop order;
     /// `submit_times` is emitted sorted by request id for deterministic
     /// text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the outbox holds requests: a snapshot is only taken at a
+    /// cycle boundary, after every outbox has been flushed.
     fn snapshot(&self) -> Json {
+        assert!(
+            self.outbox.is_empty(),
+            "SM {} front snapshot taken with an unflushed outbox",
+            self.sm_id
+        );
         let mut resps: Vec<(u64, u64, u64)> = self.resps.iter().map(|Reverse(x)| *x).collect();
         resps.sort_unstable();
         let mut submits: Vec<(u64, u64)> =
@@ -343,17 +354,6 @@ impl SmFront {
                 ),
             ),
             ("seq".into(), Json::UInt(self.seq)),
-            (
-                "outbox".into(),
-                Json::Array(
-                    self.outbox
-                        .iter()
-                        .map(|(flits, r)| {
-                            Json::Array(vec![Json::UInt(u64::from(*flits)), r.snapshot()])
-                        })
-                        .collect(),
-                ),
-            ),
             ("stats".into(), self.stats.snapshot()),
             ("l1_ports".into(), Json::UInt(u64::from(self.l1_ports))),
             ("l1_hit_latency".into(), Json::UInt(self.l1_hit_latency)),
@@ -371,11 +371,6 @@ impl SmFront {
             let a = item.as_array().ok_or("submit time is not an array")?;
             submit_times.insert(elem_u64(a, 0)?, elem_u64(a, 1)?);
         }
-        let mut outbox = Vec::new();
-        for item in req_array(v, "outbox")? {
-            let a = item.as_array().ok_or("outbox item is not an array")?;
-            outbox.push((elem_u64(a, 0)? as u32, PartReq::restore(elem(a, 1)?)?));
-        }
         Ok(SmFront {
             sm_id: req_u64(v, "sm_id")? as usize,
             cache: Cache::restore(req(v, "cache")?)?,
@@ -384,15 +379,15 @@ impl SmFront {
                     .ok_or_else(|| "waiter is not a u64".to_string())
             })?,
             ports_used: req_u64(v, "ports_used")? as u32,
-            window_hits: req_u64(v, "window_hits")?,
-            window_accesses: req_u64(v, "window_accesses")?,
+            window_hits: req_count(v, "window_hits")?,
+            window_accesses: req_count(v, "window_accesses")?,
             resps,
             submit_times,
-            seq: req_u64(v, "seq")?,
-            outbox,
+            seq: req_count(v, "seq")?,
+            outbox: Vec::new(),
             stats: MemStats::restore(req(v, "stats")?)?,
             l1_ports: req_u64(v, "l1_ports")? as u32,
-            l1_hit_latency: req_u64(v, "l1_hit_latency")?,
+            l1_hit_latency: req_count(v, "l1_hit_latency")?,
         })
     }
 }
@@ -685,9 +680,15 @@ impl MemSystem {
             .iter()
             .map(SmFront::restore)
             .collect::<Result<Vec<_>, String>>()?;
+        // Responses are routed to `fronts[sm]` by the SM each request
+        // names, and a front names itself in its requests.
+        let num_sms = fronts.len();
+        if let Some((i, f)) = fronts.iter().enumerate().find(|(i, f)| f.sm_id != *i) {
+            return Err(format!("front {i} names itself SM {}", f.sm_id));
+        }
         let partitions = req_array(v, "partitions")?
             .iter()
-            .map(Partition::restore)
+            .map(|p| Partition::restore(p, num_sms))
             .collect::<Result<Vec<_>, String>>()?;
         if partitions.len() != cfg.partitions as usize {
             return Err(format!(
@@ -698,8 +699,8 @@ impl MemSystem {
         }
         Ok(MemSystem {
             fronts,
-            to_mem: Icnt::restore_with(req(v, "to_mem")?, &PartReq::restore)?,
-            to_sm: Icnt::restore_with(req(v, "to_sm")?, &PartResp::restore)?,
+            to_mem: Icnt::restore_with(req(v, "to_mem")?, &|r| PartReq::restore(r, num_sms))?,
+            to_sm: Icnt::restore_with(req(v, "to_sm")?, &|r| PartResp::restore(r, num_sms))?,
             partitions,
             stats: MemStats::restore(req(v, "stats")?)?,
             cfg: cfg.clone(),

@@ -1,7 +1,7 @@
 //! Per-CTA runtime state and the active/inactive phase machine.
 
 use crate::warp::Trigger;
-use vt_json::{req, req_array, req_u64, Json};
+use vt_json::{pack_words, req, req_array, req_u64, req_words, Json};
 
 /// Lifecycle phase of a resident CTA.
 ///
@@ -175,15 +175,7 @@ impl CtaRt {
                 "barrier_arrived".into(),
                 Json::UInt(u64::from(self.barrier_arrived)),
             ),
-            (
-                "smem".into(),
-                Json::Array(
-                    self.smem
-                        .iter()
-                        .map(|&w| Json::UInt(u64::from(w)))
-                        .collect(),
-                ),
-            ),
+            ("smem".into(), Json::Str(pack_words(&self.smem))),
             ("reg_bytes".into(), Json::UInt(u64::from(self.reg_bytes))),
             ("smem_bytes".into(), Json::UInt(u64::from(self.smem_bytes))),
             (
@@ -195,12 +187,14 @@ impl CtaRt {
         ])
     }
 
-    /// Rebuilds a CTA from [`CtaRt::snapshot`] output.
+    /// Rebuilds a CTA of a kernel with `smem_bytes` bytes of shared
+    /// memory per CTA from [`CtaRt::snapshot`] output.
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<CtaRt, String> {
+    /// Returns a message on malformed input, or a CTA holding shared
+    /// memory of another size.
+    pub fn restore(v: &Json, smem_bytes: u32) -> Result<CtaRt, String> {
         let warps = req_array(v, "warps")?
             .iter()
             .map(|w| {
@@ -209,10 +203,16 @@ impl CtaRt {
                     .ok_or("warp slot is not a u64")
             })
             .collect::<Result<Vec<usize>, &str>>()?;
-        let smem = req_array(v, "smem")?
-            .iter()
-            .map(|w| w.as_u64().map(|x| x as u32).ok_or("smem word is not a u64"))
-            .collect::<Result<Vec<u32>, &str>>()?;
+        // Every CTA slot holds what its kernel allocates: a shared-memory
+        // access is bounded by the words held, and the words to decode are
+        // bounded before they are allocated.
+        let held = req_u64(v, "smem_bytes")?;
+        if held != u64::from(smem_bytes) {
+            return Err(format!(
+                "field `smem_bytes`: a CTA holds {held} bytes of shared memory, the kernel {smem_bytes}"
+            ));
+        }
+        let smem = req_words(v, "smem", (smem_bytes as usize).div_ceil(4))?;
         Ok(CtaRt {
             cta_id: req_u64(v, "cta_id")? as u32,
             phase: CtaPhase::restore(req(v, "phase")?)?,
@@ -221,7 +221,7 @@ impl CtaRt {
             barrier_arrived: req_u64(v, "barrier_arrived")? as u32,
             smem,
             reg_bytes: req_u64(v, "reg_bytes")? as u32,
-            smem_bytes: req_u64(v, "smem_bytes")? as u32,
+            smem_bytes,
             pending_loads: req_u64(v, "pending_loads")? as u32,
             seq: req_u64(v, "seq")?,
             inactive_since: req_u64(v, "inactive_since")?,

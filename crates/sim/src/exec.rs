@@ -204,8 +204,13 @@ impl std::fmt::Debug for ProgressHook<'_> {
 /// timeline of version 1); version 3 added the `empty` sub-split of
 /// `idle.no_warps` to every stats block (CPI-stack attribution);
 /// version 4 added the per-PC `hotspots` profile to every stats block
-/// and issue-site PC/cycle tags to the LD/ST unit's in-flight state.
-pub const CHECKPOINT_VERSION: u64 = 4;
+/// and issue-site PC/cycle tags to the LD/ST unit's in-flight state;
+/// version 5 packs the memory image, each warp's registers (in their
+/// register-major order) and each CTA's shared memory into word strings
+/// ([`vt_json::pack_words`]), drops the memory fronts' always-empty
+/// `outbox`, and writes compact text. Other versions are refused; a
+/// checkpoint is transient job state, so there is no migration.
+pub const CHECKPOINT_VERSION: u64 = 5;
 
 /// A serialized simulator state: every SM (schedulers, SIMT stacks,
 /// scoreboards, CTA residency and swap state, LD/ST unit), the memory
@@ -232,9 +237,10 @@ impl Checkpoint {
         &self.json
     }
 
-    /// Serializes the checkpoint as pretty-printed JSON text.
+    /// Serializes the checkpoint as compact JSON text: deterministic, so
+    /// two runs that reached the same state write equal text.
     pub fn to_text(&self) -> String {
-        self.json.pretty()
+        self.json.compact()
     }
 
     /// Parses checkpoint text produced by [`Checkpoint::to_text`],
@@ -320,8 +326,21 @@ mod tests {
             Checkpoint::parse("{\"version\": 999}"),
             Err(SimError::Checkpoint { .. })
         ));
+        match Checkpoint::parse("{\"version\": 4, \"cycle\": 0, \"kernel\": \"k\"}") {
+            Err(SimError::Checkpoint { reason }) => {
+                assert_eq!(reason, "unsupported checkpoint version 4 (expected 5)");
+            }
+            other => panic!("a version 4 checkpoint was not refused: {other:?}"),
+        }
+        // A v5 header alone: the missing fields are named.
+        match Checkpoint::parse("{\"version\": 5}") {
+            Err(SimError::Checkpoint { reason }) => {
+                assert_eq!(reason, "missing field `cycle`");
+            }
+            other => panic!("a header-only checkpoint was not refused: {other:?}"),
+        }
         assert!(matches!(
-            Checkpoint::parse("{\"version\": 4}"),
+            Checkpoint::parse("{\"version\": 5, \"cycle\": 0}"),
             Err(SimError::Checkpoint { .. }),
         ));
     }

@@ -16,7 +16,7 @@ use std::time::Instant;
 use vt_isa::error::ExecError;
 use vt_isa::kernel::MemImage;
 use vt_isa::Kernel;
-use vt_json::{req, req_array, req_str, req_u64, Json};
+use vt_json::{pack_words, req, req_array, req_str, req_u64, req_words, Json};
 use vt_mem::MemSystem;
 use vt_par::Pool;
 use vt_trace::{NullSink, TraceSink};
@@ -481,16 +481,7 @@ impl<'k> GpuSim<'k> {
             ),
             ("lanes".into(), Json::Array(lanes)),
             ("mem".into(), self.mem.snapshot()),
-            (
-                "image".into(),
-                Json::Array(
-                    self.image
-                        .as_words()
-                        .iter()
-                        .map(|&w| Json::UInt(u64::from(w)))
-                        .collect(),
-                ),
-            ),
+            ("image".into(), Json::Str(pack_words(self.image.as_words()))),
         ]))
     }
 
@@ -547,25 +538,27 @@ impl<'k> GpuSim<'k> {
                 lane_docs.len()
             )));
         }
+        // Every cycle run so far was charged to each SM's stats lane once,
+        // and the watchdog stops a run before it reaches its limit.
+        let cycle = req_u64(v, "cycle").map_err(bad)?;
+        if cycle >= cfg.core.max_cycles {
+            return Err(bad(format!(
+                "cycle: checkpoint is at cycle {cycle}, the watchdog stops at {}",
+                cfg.core.max_cycles
+            )));
+        }
         let mut lanes = Vec::with_capacity(num_sms);
         for doc in lane_docs {
-            let sm = Sm::restore(req(doc, "sm").map_err(bad)?).map_err(bad)?;
-            sm.check_kernel(kernel).map_err(bad)?;
-            lanes.push(SmLane {
-                sm,
-                stats: RunStats::restore(req(doc, "stats").map_err(bad)?).map_err(bad)?,
-            });
+            let sm = Sm::restore(req(doc, "sm").map_err(bad)?, kernel, cfg.mem.line_bytes)
+                .map_err(bad)?;
+            let stats = RunStats::restore(req(doc, "stats").map_err(bad)?).map_err(bad)?;
+            stats.check_charged(cycle).map_err(bad)?;
+            lanes.push(SmLane { sm, stats });
         }
-        let image_words = req_array(v, "image")
-            .map_err(bad)?
-            .iter()
-            .map(|w| {
-                w.as_u64()
-                    .map(|x| x as u32)
-                    .ok_or("image word is not a u64")
-            })
-            .collect::<Result<Vec<u32>, &str>>()
-            .map_err(|e| bad(e.to_string()))?;
+        // Loads and stores are bounds-checked against the image, so it must
+        // be exactly the kernel's size for the run to continue as it would
+        // have.
+        let image_words = req_words(v, "image", kernel.global_mem().word_len()).map_err(bad)?;
         // The metering setting must agree between the checkpoint and the
         // resuming configuration: stitched series are only bit-identical
         // to an uninterrupted run when sampling is continuous.
@@ -591,12 +584,27 @@ impl<'k> GpuSim<'k> {
                         w.max(1)
                     )));
                 }
+                // The window ending at a boundary is sealed at the top of
+                // the next cycle, so the cut's own boundary is not yet.
+                let sealed = cycle.saturating_sub(1) / registry.window();
+                if registry.windows() != sealed {
+                    return Err(bad(format!(
+                        "metrics: {} windows sealed by cycle {cycle}, expected {sealed}",
+                        registry.windows()
+                    )));
+                }
                 Some(MetricsSampler::from_registry(registry, num_sms).map_err(bad)?)
             }
         };
+        // The dispatcher-level block charges no SM-cycles; the lanes do.
+        let stats = RunStats::restore(req(v, "stats").map_err(bad)?).map_err(bad)?;
+        stats.check_charged(0).map_err(bad)?;
+        if let Some(s) = &sampler {
+            s.check_baselines(&stats, lanes.iter().map(|l| &l.stats))
+                .map_err(bad)?;
+        }
         // The profiling setting must agree too: a stitched per-PC profile
         // is only exact when collection was continuous across the cut.
-        let stats = RunStats::restore(req(v, "stats").map_err(bad)?).map_err(bad)?;
         match (cfg.core.profile, &stats.hotspots) {
             (true, None) => {
                 return Err(bad(
@@ -628,7 +636,7 @@ impl<'k> GpuSim<'k> {
             dispatch_ptr: req_u64(v, "dispatch_ptr").map_err(bad)? as usize,
             sched_limited: scheduling_limited(cfg, kernel),
             stats,
-            cycle: req_u64(v, "cycle").map_err(bad)?,
+            cycle,
             sampler,
         })
     }
@@ -766,8 +774,8 @@ mod tests {
         assert!(sim.stats.divergent_branches > 0);
     }
 
-    #[test]
-    fn barrier_reduction_matches_interpreter() {
+    /// Each CTA sums its thread ids through shared memory.
+    fn reduction_kernel() -> Kernel {
         let nt = 64u32;
         let mut b = KernelBuilder::new("reduce");
         let out = b.alloc_global(16);
@@ -809,7 +817,12 @@ mod tests {
             b.st_global(Operand::Reg(x), out as i32, Operand::Reg(y));
         });
         b.exit();
-        let k = b.build(6, nt).unwrap();
+        b.build(6, nt).unwrap()
+    }
+
+    #[test]
+    fn barrier_reduction_matches_interpreter() {
+        let k = reduction_kernel();
         let sim = simulate(&small_cfg(), &k).unwrap();
         let reference = Interpreter::new(&k).unwrap().run().unwrap();
         assert_eq!(sim.mem_image.as_words(), reference.mem().as_words());
@@ -1461,14 +1474,14 @@ mod tests {
             // Issue gathers all 32 lanes' frames: a short register file
             // used to panic on the first issue.
             ("registers", &early, |sm| {
-                *field(item(field(sm, "warps"), 0), "regs") = Json::Array(vec![Json::UInt(0)]);
+                *field(item(field(sm, "warps"), 0), "regs") = Json::Str(pack_words(&[0]));
             }),
             // Consistent in itself, but not the kernel's frame width.
             ("registers", &early, |sm| {
                 let warp = item(field(sm, "warps"), 0);
                 let rpt = field(warp, "regs_per_thread").as_u64().unwrap() + 1;
                 *field(warp, "regs_per_thread") = Json::UInt(rpt);
-                *field(warp, "regs") = Json::Array(vec![Json::UInt(0); 32 * rpt as usize]);
+                *field(warp, "regs") = Json::Str(pack_words(&vec![0; 32 * rpt as usize]));
             }),
             // Occupancy counters that disagree with the CTA table: each of
             // the first five used to be accepted and then panic with a
@@ -1509,6 +1522,119 @@ mod tests {
         for (what, base, corrupt) in cases {
             let mut doc = base.clone();
             corrupt(field(item(field(&mut doc, "lanes"), 0), "sm"));
+            match resume(&doc) {
+                Err(SimError::Checkpoint { reason }) => {
+                    assert!(
+                        reason.starts_with(what),
+                        "{what}: wrong diagnostic {reason:?}"
+                    );
+                }
+                other => panic!("{what}: corrupt checkpoint not refused: {other:?}"),
+            }
+        }
+    }
+
+    /// The packed image, shared-memory and register strings decode
+    /// totally: a malformed string, or one of the wrong length, is refused
+    /// naming the field. A short image or shared memory used to be
+    /// accepted and make a later access trap where the uninterrupted run
+    /// completes, and a long one to let an out-of-range access succeed.
+    #[test]
+    fn resume_rejects_malformed_word_strings() {
+        let k = reduction_kernel();
+        let cfg = small_cfg();
+        let out = GpuSim::new(&cfg, &k)
+            .unwrap()
+            .execute(
+                None,
+                &mut NullSink,
+                &RunBudget::unlimited().with_max_cycles(20),
+                None,
+            )
+            .unwrap();
+        let RunOutcome::Truncated(t) = out else {
+            panic!("expected truncation");
+        };
+        let base = Json::parse(&t.checkpoint.to_text()).unwrap();
+        let resume = |doc: &Json| {
+            let ckpt = Checkpoint::parse(&doc.compact()).expect("header intact");
+            GpuSim::resume(&cfg, &k, &ckpt).map(|_| ())
+        };
+        assert!(resume(&base).is_ok());
+        let image_len = k.global_mem().word_len();
+        let smem_len = k.smem_bytes_per_cta() as usize / 4;
+        assert!(image_len > 0 && smem_len > 0);
+
+        fn sm(doc: &mut Json) -> &mut Json {
+            field(item(field(doc, "lanes"), 0), "sm")
+        }
+        fn cta(doc: &mut Json) -> &mut Json {
+            item(field(sm(doc), "ctas"), 0)
+        }
+        type Corrupt = fn(&mut Json, usize);
+        let cases: [(&str, Corrupt); 14] = [
+            ("field `image`: decoded", |doc, n| {
+                *field(doc, "image") = Json::Str(pack_words(&vec![1; n - 1]));
+            }),
+            ("field `image`: more than", |doc, n| {
+                *field(doc, "image") = Json::Str(pack_words(&vec![1; n + 1]));
+            }),
+            ("field `image`: zero run at byte 0 overflows", |doc, n| {
+                *field(doc, "image") = Json::Str(pack_words(&vec![0; n + 1]));
+            }),
+            ("field `image` is not a packed word string", |doc, n| {
+                *field(doc, "image") = Json::Array(vec![Json::UInt(0); n]);
+            }),
+            // 2^32 + 5 used to be restored as 5.
+            ("field `image` is not a packed word string", |doc, _| {
+                *field(doc, "image") = Json::Array(vec![Json::UInt((1 << 32) + 5)]);
+            }),
+            ("field `image`: byte 0 ('A')", |doc, n| {
+                let text = format!("A{}", &pack_words(&vec![1; n])[1..]);
+                *field(doc, "image") = Json::Str(text);
+            }),
+            ("field `image`: word at byte 0 is truncated", |doc, _| {
+                *field(doc, "image") = Json::Str("0000001".into());
+            }),
+            (
+                "field `image`: zero run at byte 0 is unterminated",
+                |doc, _| {
+                    *field(doc, "image") = Json::Str("z2".into());
+                },
+            ),
+            ("field `image`: zero run at byte 0 is empty", |doc, _| {
+                *field(doc, "image") = Json::Str("z0.".into());
+            }),
+            ("field `smem`: decoded", |doc, _| {
+                let short = vec![1; smem_words(cta(doc)) - 1];
+                *field(cta(doc), "smem") = Json::Str(pack_words(&short));
+            }),
+            ("field `smem`: more than", |doc, _| {
+                let long = vec![1; smem_words(cta(doc)) + 1];
+                *field(cta(doc), "smem") = Json::Str(pack_words(&long));
+            }),
+            ("field `smem`: byte 3 ('x')", |doc, _| {
+                *field(cta(doc), "smem") = Json::Str("000x0000".into());
+            }),
+            // Consistent in itself and with the occupancy counters, but not
+            // the kernel's shared memory.
+            ("field `smem_bytes`", |doc, _| {
+                let words = smem_words(cta(doc)) + 1;
+                *field(cta(doc), "smem_bytes") = Json::UInt(4 * words as u64);
+                *field(cta(doc), "smem") = Json::Str(pack_words(&vec![0; words]));
+                let total = field(sm(doc), "resident_smem_bytes");
+                *total = Json::UInt(total.as_u64().unwrap() + 4);
+            }),
+            ("registers: field `regs`: zero run", |doc, _| {
+                *field(item(field(sm(doc), "warps"), 0), "regs") = Json::Str("z100000.".into());
+            }),
+        ];
+        fn smem_words(cta: &mut Json) -> usize {
+            cta.get("smem_bytes").and_then(Json::as_u64).unwrap() as usize / 4
+        }
+        for (what, corrupt) in cases {
+            let mut doc = base.clone();
+            corrupt(&mut doc, image_len);
             match resume(&doc) {
                 Err(SimError::Checkpoint { reason }) => {
                     assert!(

@@ -30,7 +30,7 @@
 //! order, and it rides [`crate::stats::RunStats`] through
 //! checkpoint/resume.
 
-use vt_json::{req, req_array, req_u64, Json};
+use vt_json::{req, req_array, req_count, req_u64, Json};
 use vt_trace::Histogram;
 
 /// Why a non-empty SM-cycle issued nothing — the stall half of the
@@ -194,21 +194,21 @@ impl PcCounters {
         }
         let mut stalls = [0u64; STALL_REASONS];
         for (slot, item) in stalls.iter_mut().zip(raw) {
-            *slot = item.as_u64().ok_or("non-integer stall bucket")?;
+            *slot = item.as_count().ok_or("stall bucket is not a count")?;
         }
         Ok(PcCounters {
-            issued: req_u64(v, "issued")?,
-            warp_issues: req_u64(v, "warp_issues")?,
-            thread_instrs: req_u64(v, "thread_instrs")?,
+            issued: req_count(v, "issued")?,
+            warp_issues: req_count(v, "warp_issues")?,
+            thread_instrs: req_count(v, "thread_instrs")?,
             stalls,
             mem_latency: Histogram::restore(req(v, "mem_latency")?)?,
-            mem_accesses: req_u64(v, "mem_accesses")?,
-            mem_lines: req_u64(v, "mem_lines")?,
+            mem_accesses: req_count(v, "mem_accesses")?,
+            mem_lines: req_count(v, "mem_lines")?,
             mem_lines_max: req_u64(v, "mem_lines_max")?,
-            smem_accesses: req_u64(v, "smem_accesses")?,
-            smem_rounds: req_u64(v, "smem_rounds")?,
-            branches: req_u64(v, "branches")?,
-            divergent: req_u64(v, "divergent")?,
+            smem_accesses: req_count(v, "smem_accesses")?,
+            smem_rounds: req_count(v, "smem_rounds")?,
+            branches: req_count(v, "branches")?,
+            divergent: req_count(v, "divergent")?,
         })
     }
 }
@@ -392,7 +392,9 @@ impl PcProfile {
         }
         let mut unattributed = [0u64; STALL_REASONS];
         for (slot, item) in unattributed.iter_mut().zip(raw) {
-            *slot = item.as_u64().ok_or("non-integer unattributed bucket")?;
+            *slot = item
+                .as_count()
+                .ok_or("unattributed bucket is not a count")?;
         }
         Ok(PcProfile { pcs, unattributed })
     }

@@ -4,7 +4,7 @@
 use crate::scoreboard::reg_from_u64;
 use std::collections::{HashMap, VecDeque};
 use vt_isa::Reg;
-use vt_json::{elem, elem_bool, elem_u64, req_array, req_u64, Json};
+use vt_json::{elem, elem_bool, elem_u64, req_array, req_count, req_u64, Json};
 use vt_mem::{MemSystem, ReqKind, SmFront, Submit};
 use vt_trace::{NullSink, TraceSink};
 
@@ -483,7 +483,8 @@ impl LdstUnit {
                     warp_slot: elem_u64(a, 1)? as usize,
                     warp_uid: elem_u64(a, 2)?,
                     dst: reg_from(elem(a, 3)?)?,
-                    remaining: elem_u64(a, 4)? as u32,
+                    remaining: u32::try_from(elem_u64(a, 4)?)
+                        .map_err(|_| "LD/ST unit: a load group's count is out of range")?,
                     missed: elem_bool(a, 5)?,
                     pc: elem_u64(a, 6)? as u32,
                     issued_at: elem_u64(a, 7)?,
@@ -507,16 +508,75 @@ impl LdstUnit {
                 elem_u64(a, 5)?,
             ));
         }
-        Ok(LdstUnit {
+        let unit = LdstUnit {
             queue,
             depth: (req_u64(v, "depth")? as usize).max(1),
-            smem_latency: req_u64(v, "smem_latency")?,
+            smem_latency: req_count(v, "smem_latency")?,
             groups,
             req_to_group,
-            next_id: req_u64(v, "next_id")?,
+            next_id: req_count(v, "next_id")?,
             sm_id: req_u64(v, "sm_id")? as usize,
             smem_inflight,
-        })
+        };
+        unit.check_outstanding()?;
+        Ok(unit)
+    }
+
+    /// Checks what a tick counts down or looks up unchecked: every queued
+    /// access has work left, and each load group waits for exactly its
+    /// unsubmitted transactions plus its requests in flight, which all
+    /// name it.
+    fn check_outstanding(&self) -> Result<(), String> {
+        let mut outstanding: HashMap<u64, u64> = HashMap::new();
+        for work in &self.queue {
+            match &work.body {
+                MemWorkBody::Shared { rounds_left, .. } if *rounds_left == 0 => {
+                    return Err("LD/ST unit: a queued shared access has no rounds left".into());
+                }
+                MemWorkBody::Shared { .. } => {}
+                MemWorkBody::Global {
+                    lines, submitted, ..
+                } if *submitted >= lines.len() => {
+                    return Err(
+                        "LD/ST unit: a queued global access has no transactions left".into(),
+                    );
+                }
+                MemWorkBody::Global {
+                    lines,
+                    submitted,
+                    token,
+                    ..
+                } => {
+                    if let Some(t) = token {
+                        *outstanding.entry(*t).or_default() += (lines.len() - submitted) as u64;
+                    }
+                }
+            }
+        }
+        for &t in self.req_to_group.values() {
+            *outstanding.entry(t).or_default() += 1;
+        }
+        if let Some(t) = outstanding.keys().find(|t| !self.groups.contains_key(t)) {
+            return Err(format!("LD/ST unit: token {t} names no load group"));
+        }
+        for (t, g) in &self.groups {
+            let want = outstanding.get(t).copied().unwrap_or(0);
+            if u64::from(g.remaining) != want {
+                return Err(format!(
+                    "LD/ST unit: load group {t} waits for {} responses, but {want} are outstanding",
+                    g.remaining
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// `(warp slot, warp uid, missed the L1)` of every load group in
+    /// flight: what the issuing warps' pending-load counts count.
+    pub(crate) fn load_groups(&self) -> impl Iterator<Item = (usize, u64, bool)> + '_ {
+        self.groups
+            .values()
+            .map(|g| (g.warp_slot, g.warp_uid, g.missed))
     }
 }
 

@@ -201,24 +201,24 @@ impl MetricsSampler {
     pub fn seal_window<'a>(
         &mut self,
         gpu_stats: &RunStats,
-        lanes: impl Iterator<Item = (&'a Sm, &'a RunStats)>,
+        lanes: impl Iterator<Item = (&'a Sm, &'a RunStats)> + Clone,
         mem: &MemSystem,
     ) {
-        let mut sum = RunStats::default();
+        for (id, total) in self.rate_totals(gpu_stats, lanes.clone().map(|(_, s)| s)) {
+            let delta = self.registry.sample_total(id, total);
+            // Each SM's issued instructions this window are one sample of
+            // the issue-balance distribution.
+            if self.per_sm.iter().any(|ids| ids.warp_instrs == id) {
+                self.registry.observe(self.issue_balance, delta);
+            }
+        }
         let mut resident_warps = 0u64;
         let mut active_warps = 0u64;
         let mut resident_ctas = 0u64;
         let mut active_ctas = 0u64;
         let mut reg_bytes = 0u64;
         let mut smem_bytes = 0u64;
-        for (i, (sm, stats)) in lanes.enumerate() {
-            sum.warp_instrs += stats.warp_instrs;
-            sum.thread_instrs += stats.thread_instrs;
-            sum.issue_cycles += stats.issue_cycles;
-            sum.ctas_completed += stats.ctas_completed;
-            sum.idle.merge(&stats.idle);
-            sum.empty.merge(&stats.empty);
-            sum.swaps.merge(&stats.swaps);
+        for (i, (sm, _)) in lanes.enumerate() {
             resident_warps += u64::from(sm.resident_warps());
             active_warps += u64::from(sm.active_warps());
             resident_ctas += u64::from(sm.resident_ctas());
@@ -226,47 +226,14 @@ impl MetricsSampler {
             reg_bytes += u64::from(sm.resident_reg_bytes());
             smem_bytes += u64::from(sm.resident_smem_bytes());
             let ids = self.per_sm[i];
-            let delta = self
-                .registry
-                .sample_total(ids.warp_instrs, stats.warp_instrs);
-            self.registry.observe(self.issue_balance, delta);
             self.registry
                 .sample_level(ids.resident_warps, u64::from(sm.resident_warps()));
             self.registry
                 .sample_level(ids.active_warps, u64::from(sm.active_warps()));
             self.registry
                 .sample_level(ids.resident_ctas, u64::from(sm.resident_ctas()));
-            // Per-SM top level of the CPI stack; the aggregate idle_*
-            // rates expose the stalled sub-buckets, the cpi_empty_*
-            // aggregates the empty ones.
-            self.registry
-                .sample_total(ids.cpi_issued, stats.issue_cycles);
-            self.registry
-                .sample_total(ids.cpi_stalled, stats.idle.total() - stats.idle.no_warps);
-            self.registry
-                .sample_total(ids.cpi_empty, stats.idle.no_warps);
         }
         let m = &mut self.registry;
-        let r = &self.rates;
-        let g = gpu_stats;
-        m.sample_total(r.warp_instrs, g.warp_instrs + sum.warp_instrs);
-        m.sample_total(r.thread_instrs, g.thread_instrs + sum.thread_instrs);
-        m.sample_total(r.issue_cycles, g.issue_cycles + sum.issue_cycles);
-        m.sample_total(r.idle_no_warps, g.idle.no_warps + sum.idle.no_warps);
-        m.sample_total(r.idle_memory, g.idle.memory + sum.idle.memory);
-        m.sample_total(r.idle_pipeline, g.idle.pipeline + sum.idle.pipeline);
-        m.sample_total(r.idle_barrier, g.idle.barrier + sum.idle.barrier);
-        m.sample_total(r.idle_swapping, g.idle.swapping + sum.idle.swapping);
-        m.sample_total(r.idle_other, g.idle.other + sum.idle.other);
-        m.sample_total(r.swaps_in, g.swaps.swaps_in + sum.swaps.swaps_in);
-        m.sample_total(r.swaps_out, g.swaps.swaps_out + sum.swaps.swaps_out);
-        m.sample_total(r.ctas_completed, g.ctas_completed + sum.ctas_completed);
-        m.sample_total(
-            r.cpi_empty_scheduling,
-            g.empty.scheduling + sum.empty.scheduling,
-        );
-        m.sample_total(r.cpi_empty_capacity, g.empty.capacity + sum.empty.capacity);
-        m.sample_total(r.cpi_empty_drain, g.empty.drain + sum.empty.drain);
         let l = &self.levels;
         m.sample_level(l.resident_warps, resident_warps);
         m.sample_level(l.active_warps, active_warps);
@@ -277,6 +244,85 @@ impl MetricsSampler {
         m.sample_level(l.mshr_in_flight, mem.mshr_in_flight());
         m.sample_level(l.partition_queue, mem.partition_queue_len());
         m.seal();
+    }
+
+    /// Checks a restored sampler against the restored stats: each rate's
+    /// cumulative baseline is at most its counter's total now, since
+    /// counters only grow between two boundaries.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first series ahead of its counter.
+    pub(crate) fn check_baselines<'a>(
+        &self,
+        gpu_stats: &RunStats,
+        lanes: impl Iterator<Item = &'a RunStats>,
+    ) -> Result<(), String> {
+        for (id, total) in self.rate_totals(gpu_stats, lanes) {
+            let series = self.registry.series_at(id);
+            if let SeriesKind::Rate { last, .. } = series.kind {
+                if last > total {
+                    return Err(format!(
+                        "metrics: series {:?}/{:?} was sampled at {last}, its counter is {total}",
+                        series.name, series.sm
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Every rate series with its counter's cumulative value now: the
+    /// per-SM rates from each lane's block (in SM order), then the
+    /// aggregate rates over all lanes plus the dispatcher-level block.
+    fn rate_totals<'a>(
+        &self,
+        gpu_stats: &RunStats,
+        lanes: impl Iterator<Item = &'a RunStats>,
+    ) -> Vec<(SeriesId, u64)> {
+        let mut sum = RunStats::default();
+        let mut out = Vec::with_capacity(4 * self.per_sm.len() + 15);
+        for (ids, stats) in self.per_sm.iter().zip(lanes) {
+            sum.warp_instrs += stats.warp_instrs;
+            sum.thread_instrs += stats.thread_instrs;
+            sum.issue_cycles += stats.issue_cycles;
+            sum.ctas_completed += stats.ctas_completed;
+            sum.idle.merge(&stats.idle);
+            sum.empty.merge(&stats.empty);
+            sum.swaps.merge(&stats.swaps);
+            // Per-SM top level of the CPI stack; the aggregate idle_*
+            // rates expose the stalled sub-buckets, the cpi_empty_*
+            // aggregates the empty ones.
+            out.extend([
+                (ids.warp_instrs, stats.warp_instrs),
+                (ids.cpi_issued, stats.issue_cycles),
+                (ids.cpi_stalled, stats.idle.total() - stats.idle.no_warps),
+                (ids.cpi_empty, stats.idle.no_warps),
+            ]);
+        }
+        let r = &self.rates;
+        let g = gpu_stats;
+        out.extend([
+            (r.warp_instrs, g.warp_instrs + sum.warp_instrs),
+            (r.thread_instrs, g.thread_instrs + sum.thread_instrs),
+            (r.issue_cycles, g.issue_cycles + sum.issue_cycles),
+            (r.idle_no_warps, g.idle.no_warps + sum.idle.no_warps),
+            (r.idle_memory, g.idle.memory + sum.idle.memory),
+            (r.idle_pipeline, g.idle.pipeline + sum.idle.pipeline),
+            (r.idle_barrier, g.idle.barrier + sum.idle.barrier),
+            (r.idle_swapping, g.idle.swapping + sum.idle.swapping),
+            (r.idle_other, g.idle.other + sum.idle.other),
+            (r.swaps_in, g.swaps.swaps_in + sum.swaps.swaps_in),
+            (r.swaps_out, g.swaps.swaps_out + sum.swaps.swaps_out),
+            (r.ctas_completed, g.ctas_completed + sum.ctas_completed),
+            (
+                r.cpi_empty_scheduling,
+                g.empty.scheduling + sum.empty.scheduling,
+            ),
+            (r.cpi_empty_capacity, g.empty.capacity + sum.empty.capacity),
+            (r.cpi_empty_drain, g.empty.drain + sum.empty.drain),
+        ]);
+        out
     }
 }
 

@@ -2138,14 +2138,16 @@ impl Sm {
         ])
     }
 
-    /// Rebuilds an SM from [`Sm::snapshot`] output. The issue list is
-    /// marked dirty so the first scheduling pass regenerates it.
+    /// Rebuilds an SM running `kernel` against a memory system of
+    /// `line_bytes`-byte lines from [`Sm::snapshot`] output. The issue
+    /// list is marked dirty so the first scheduling pass regenerates it.
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &vt_json::Json) -> Result<Sm, String> {
-        use vt_json::{elem_u64, req, req_array, req_bool, req_u64, Json};
+    /// Returns a message on malformed input or state the kernel or line
+    /// size rules out.
+    pub fn restore(v: &vt_json::Json, kernel: &Kernel, line_bytes: u32) -> Result<Sm, String> {
+        use vt_json::{elem_u64, req, req_array, req_bool, req_count, req_u64, Json};
         let opt_u64 = |j: &Json, what: &str| -> Result<Option<u64>, String> {
             match j {
                 Json::Null => Ok(None),
@@ -2166,14 +2168,34 @@ impl Sm {
                 })
                 .collect()
         };
+        // Coalescing splits accesses into the memory system's lines.
+        let own_lines = req_u64(v, "line_bytes")?;
+        if own_lines != u64::from(line_bytes) {
+            return Err(format!(
+                "line_bytes: the SM coalesces {own_lines}-byte lines, the memory system's are {line_bytes}"
+            ));
+        }
         let ctas = req_array(v, "ctas")?
             .iter()
-            .map(CtaRt::restore)
+            .map(|c| CtaRt::restore(c, kernel.smem_bytes_per_cta()))
             .collect::<Result<Vec<_>, _>>()?;
         let warps = req_array(v, "warps")?
             .iter()
-            .map(WarpRt::restore)
+            .map(|w| WarpRt::restore(w, kernel.regs_per_thread()))
             .collect::<Result<Vec<_>, _>>()?;
+        // The first tick decodes every live warp's PCs.
+        let len = kernel.program().len();
+        for w in warps.iter().filter(|w| !w.done) {
+            if w.stack.is_done() {
+                return Err("pc: a live warp has an empty SIMT stack".to_string());
+            }
+            if let Some(e) = w.stack.entries().iter().find(|e| e.pc >= len) {
+                return Err(format!(
+                    "pc: a live warp is at pc {}, but the program has {len} instructions",
+                    e.pc
+                ));
+            }
+        }
         let warp_uids = req_array(v, "warp_uids")?
             .iter()
             .map(|u| u.as_u64().ok_or("warp uid is not a u64"))
@@ -2254,6 +2276,45 @@ impl Sm {
                 "CTA warp list: live warp slot {w} is on no resident CTA's list"
             ));
         }
+        // A load completion counts down its warp's and the warp's CTA's
+        // pending loads, so each must be exactly the warp's load groups in
+        // flight (a recycled slot's stale groups are dropped unseen).
+        let mut in_flight = vec![[0u32; 2]; warps.len()];
+        for (w, uid, missed) in ldst.load_groups() {
+            if warp_uids[w] == uid {
+                in_flight[w][0] += 1;
+                in_flight[w][1] += u32::from(missed);
+            }
+        }
+        for (w, warp) in warps.iter().enumerate().filter(|&(w, _)| warp_uids[w] != 0) {
+            let counts = [warp.pending_loads, warp.long_pending_loads];
+            if counts != in_flight[w] {
+                return Err(format!(
+                    "pending loads: warp slot {w} counts {counts:?} (all, long), \
+                     but the LD/ST unit has {:?} in flight",
+                    in_flight[w]
+                ));
+            }
+        }
+        // A warp's exit counts down its CTA's live warps, a barrier
+        // releases when the arrivals reach them, and a load completion
+        // counts down the CTA's pending loads too.
+        for (slot, cta) in ctas.iter().enumerate().filter(|(_, c)| c.is_resident()) {
+            let of_warps = |count: &dyn Fn(&WarpRt) -> u64| -> u64 {
+                cta.warps.iter().map(|&w| count(&warps[w])).sum()
+            };
+            let live = of_warps(&|w| u64::from(!w.done));
+            let waiting = of_warps(&|w| u64::from(w.waiting_barrier));
+            let loads = of_warps(&|w| u64::from(w.pending_loads));
+            let counts = [cta.live_warps, cta.barrier_arrived, cta.pending_loads].map(u64::from);
+            if counts != [live, waiting, loads] {
+                return Err(format!(
+                    "CTA warp list: CTA slot {slot} counts {counts:?} (live, at the barrier, \
+                     pending loads), its warps {:?}",
+                    [live, waiting, loads]
+                ));
+            }
+        }
         // The occupancy counters are redundant with the CTA table, and
         // admission, activation and the derived state trust them.
         let occupancy = occupancy_of(&ctas);
@@ -2272,7 +2333,7 @@ impl Sm {
         let schedulers = sched_last.len();
         let mut sm = Sm {
             id: req_u64(v, "id")? as usize,
-            line_bytes: req_u64(v, "line_bytes")? as u32,
+            line_bytes,
             ctas,
             free_cta_slots,
             warps,
@@ -2296,15 +2357,15 @@ impl Sm {
             sfu_free_at: req_u64(v, "sfu_free_at")?,
             ldst,
             writebacks: writebacks.into(),
-            next_uid: req_u64(v, "next_uid")?,
-            cta_seq: req_u64(v, "cta_seq")?,
+            next_uid: req_count(v, "next_uid")?,
+            cta_seq: req_count(v, "cta_seq")?,
             max_simt_depth: req_u64(v, "max_simt_depth")? as usize,
             throttle_hold: req_bool(v, "throttle_hold")?,
             throttle_window_end: req_u64(v, "throttle_window_end")?,
             phase_window: req_u64(v, "phase_window")? as u32,
-            phase_accum: req_u64(v, "phase_accum")?,
+            phase_accum: req_count(v, "phase_accum")?,
             phases_since_probe: req_u64(v, "phases_since_probe")? as u32,
-            window_issues: req_u64(v, "window_issues")?,
+            window_issues: req_count(v, "window_issues")?,
             mode_ipc_est: [
                 opt_u64(&est[0], "mode_ipc_est[0]")?,
                 opt_u64(&est[1], "mode_ipc_est[1]")?,
@@ -2322,34 +2383,6 @@ impl Sm {
         };
         sm.reset_derived();
         Ok(sm)
-    }
-
-    /// Checks restored state against the kernel it is resumed with:
-    /// every warp's register frame must have the kernel's width, since
-    /// issue indexes frames by the kernel's register numbers, and every
-    /// live warp's PCs must lie in the program, since the first tick
-    /// decodes them.
-    pub(crate) fn check_kernel(&self, kernel: &Kernel) -> Result<(), String> {
-        let want = kernel.regs_per_thread();
-        if let Some(w) = self.warps.iter().find(|w| w.regs_per_thread != want) {
-            return Err(format!(
-                "registers: a warp has {} per thread, the kernel {want}",
-                w.regs_per_thread
-            ));
-        }
-        let len = kernel.program().len();
-        for w in self.warps.iter().filter(|w| !w.done) {
-            if w.stack.is_done() {
-                return Err("pc: a live warp has an empty SIMT stack".to_string());
-            }
-            if let Some(e) = w.stack.entries().iter().find(|e| e.pc >= len) {
-                return Err(format!(
-                    "pc: a live warp is at pc {}, but the program has {len} instructions",
-                    e.pc
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -2910,7 +2943,7 @@ mod tests {
         rig.tick_with(EmptyAttr::drained());
         rig.admit();
         assert_eq!(rig.sm.ready_ctas, vec![(2, 1)]);
-        let mut restored = Sm::restore(&rig.sm.snapshot()).unwrap();
+        let mut restored = Sm::restore(&rig.sm.snapshot(), &rig.kernel, rig.sm.line_bytes).unwrap();
         assert_eq!(restored.ready_ctas, rig.sm.ready_ctas);
         assert_eq!(restored.swap_due, rig.sm.swap_due);
         for sm in [&mut rig.sm, &mut restored] {

@@ -2,7 +2,7 @@
 //! activity — everything the paper's figures are built from.
 
 use crate::hotspots::PcProfile;
-use vt_json::{req, req_u64, Json};
+use vt_json::{req, req_count, req_u64, Json};
 use vt_mem::MemStats;
 use vt_trace::{Gauge, Histogram, MetricsRegistry};
 
@@ -62,12 +62,12 @@ impl IdleBreakdown {
     /// Returns a message on missing fields.
     pub fn restore(v: &Json) -> Result<IdleBreakdown, String> {
         Ok(IdleBreakdown {
-            no_warps: req_u64(v, "no_warps")?,
-            memory: req_u64(v, "memory")?,
-            pipeline: req_u64(v, "pipeline")?,
-            barrier: req_u64(v, "barrier")?,
-            swapping: req_u64(v, "swapping")?,
-            other: req_u64(v, "other")?,
+            no_warps: req_count(v, "no_warps")?,
+            memory: req_count(v, "memory")?,
+            pipeline: req_count(v, "pipeline")?,
+            barrier: req_count(v, "barrier")?,
+            swapping: req_count(v, "swapping")?,
+            other: req_count(v, "other")?,
         })
     }
 }
@@ -125,9 +125,9 @@ impl EmptyBreakdown {
     /// Returns a message on missing fields.
     pub fn restore(v: &Json) -> Result<EmptyBreakdown, String> {
         Ok(EmptyBreakdown {
-            scheduling: req_u64(v, "scheduling")?,
-            capacity: req_u64(v, "capacity")?,
-            drain: req_u64(v, "drain")?,
+            scheduling: req_count(v, "scheduling")?,
+            capacity: req_count(v, "capacity")?,
+            drain: req_count(v, "drain")?,
         })
     }
 }
@@ -314,13 +314,13 @@ impl OccupancyAccum {
     /// Returns a message on missing fields.
     pub fn restore(v: &Json) -> Result<OccupancyAccum, String> {
         Ok(OccupancyAccum {
-            resident_warp_cycles: req_u64(v, "resident_warp_cycles")?,
-            active_warp_cycles: req_u64(v, "active_warp_cycles")?,
-            resident_cta_cycles: req_u64(v, "resident_cta_cycles")?,
-            active_cta_cycles: req_u64(v, "active_cta_cycles")?,
-            reg_byte_cycles: req_u64(v, "reg_byte_cycles")?,
-            smem_byte_cycles: req_u64(v, "smem_byte_cycles")?,
-            sm_cycles: req_u64(v, "sm_cycles")?,
+            resident_warp_cycles: req_count(v, "resident_warp_cycles")?,
+            active_warp_cycles: req_count(v, "active_warp_cycles")?,
+            resident_cta_cycles: req_count(v, "resident_cta_cycles")?,
+            active_cta_cycles: req_count(v, "active_cta_cycles")?,
+            reg_byte_cycles: req_count(v, "reg_byte_cycles")?,
+            smem_byte_cycles: req_count(v, "smem_byte_cycles")?,
+            sm_cycles: req_count(v, "sm_cycles")?,
         })
     }
 }
@@ -367,10 +367,10 @@ impl SwapStats {
     /// Returns a message on missing fields.
     pub fn restore(v: &Json) -> Result<SwapStats, String> {
         Ok(SwapStats {
-            swaps_out: req_u64(v, "swaps_out")?,
-            swaps_in: req_u64(v, "swaps_in")?,
-            fresh_activations: req_u64(v, "fresh_activations")?,
-            swap_busy_cycles: req_u64(v, "swap_busy_cycles")?,
+            swaps_out: req_count(v, "swaps_out")?,
+            swaps_in: req_count(v, "swaps_in")?,
+            fresh_activations: req_count(v, "fresh_activations")?,
+            swap_busy_cycles: req_count(v, "swap_busy_cycles")?,
         })
     }
 }
@@ -450,6 +450,29 @@ impl RunStats {
             empty_capacity: self.empty.capacity,
             empty_drain: self.empty.drain,
         }
+    }
+
+    /// Checks a restored block charged exactly `sm_cycles` SM-cycles: each
+    /// one issued or idle in exactly one bucket, every no-warps cycle in
+    /// one empty bucket, and each one in the occupancy integral. Counters
+    /// are decoded at most 2^53, so the sums cannot overflow.
+    pub(crate) fn check_charged(&self, sm_cycles: u64) -> Result<(), String> {
+        let charged = self.issue_cycles + self.idle.total();
+        if charged != sm_cycles || self.occupancy.sm_cycles != sm_cycles {
+            return Err(format!(
+                "stats: {charged} SM-cycles issued or idle and {} in the occupancy \
+                 integral, expected {sm_cycles}",
+                self.occupancy.sm_cycles
+            ));
+        }
+        if self.empty.total() != self.idle.no_warps {
+            return Err(format!(
+                "stats: {} empty SM-cycles split into {}",
+                self.idle.no_warps,
+                self.empty.total()
+            ));
+        }
+        Ok(())
     }
 
     /// Adds another stats block into this one. Counters add, distributions
@@ -540,13 +563,13 @@ impl RunStats {
     /// Returns a message on malformed input.
     pub fn restore(v: &Json) -> Result<RunStats, String> {
         Ok(RunStats {
-            cycles: req_u64(v, "cycles")?,
-            warp_instrs: req_u64(v, "warp_instrs")?,
-            thread_instrs: req_u64(v, "thread_instrs")?,
-            divergent_branches: req_u64(v, "divergent_branches")?,
-            barriers: req_u64(v, "barriers")?,
-            ctas_completed: req_u64(v, "ctas_completed")?,
-            issue_cycles: req_u64(v, "issue_cycles")?,
+            cycles: req_count(v, "cycles")?,
+            warp_instrs: req_count(v, "warp_instrs")?,
+            thread_instrs: req_count(v, "thread_instrs")?,
+            divergent_branches: req_count(v, "divergent_branches")?,
+            barriers: req_count(v, "barriers")?,
+            ctas_completed: req_count(v, "ctas_completed")?,
+            issue_cycles: req_count(v, "issue_cycles")?,
             idle: IdleBreakdown::restore(req(v, "idle")?)?,
             empty: EmptyBreakdown::restore(req(v, "empty")?)?,
             occupancy: OccupancyAccum::restore(req(v, "occupancy")?)?,

@@ -3,7 +3,9 @@
 use crate::scoreboard::Scoreboard;
 use vt_isa::exec::{self, ThreadCtx};
 use vt_isa::{Operand, Reg, SimtEntry, SimtStack, WARP_SIZE};
-use vt_json::{elem_u64, req, req_array, req_bool, req_u64, Json};
+use vt_json::{
+    elem_u64, pack_words, req, req_array, req_bool, req_count, req_u64, req_words, Json,
+};
 
 /// The runtime state of one warp resident on an SM.
 ///
@@ -192,7 +194,7 @@ impl WarpRt {
                 Json::UInt(self.stack.max_depth() as u64),
             ),
             ("scoreboard".into(), self.scoreboard.snapshot()),
-            ("regs".into(), Json::Array(self.lane_major_regs())),
+            ("regs".into(), Json::Str(pack_words(&self.regs))),
             (
                 "regs_per_thread".into(),
                 Json::UInt(u64::from(self.regs_per_thread)),
@@ -212,12 +214,14 @@ impl WarpRt {
         ])
     }
 
-    /// Rebuilds a warp from [`WarpRt::snapshot`] output.
+    /// Rebuilds a warp of a kernel with `regs_per_thread` registers per
+    /// thread from [`WarpRt::snapshot`] output.
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<WarpRt, String> {
+    /// Returns a message on malformed input, or a register frame of
+    /// another width.
+    pub fn restore(v: &Json, regs_per_thread: u16) -> Result<WarpRt, String> {
         let mut entries = Vec::new();
         for item in req_array(v, "stack")? {
             let a = item.as_array().ok_or("SIMT entry is not an array")?;
@@ -226,16 +230,29 @@ impl WarpRt {
                 Some(j) => Some(j.as_u64().ok_or("SIMT rpc is not a u64")? as usize),
                 None => return Err("SIMT entry too short".to_string()),
             };
+            // A stack never holds an entry without lanes: issue would run
+            // an instruction on none.
+            let mask = u32::try_from(elem_u64(a, 2)?)
+                .ok()
+                .filter(|&m| m != 0)
+                .ok_or("SIMT mask is not a nonzero u32")?;
             entries.push(SimtEntry {
                 pc: elem_u64(a, 0)? as usize,
                 rpc,
-                mask: elem_u64(a, 2)? as u32,
+                mask,
             });
         }
         let stack = SimtStack::from_saved(entries, req_u64(v, "stack_max_depth")? as usize);
-        let regs_per_thread = u16::try_from(req_u64(v, "regs_per_thread")?)
-            .map_err(|_| "registers: regs_per_thread is out of range".to_string())?;
-        let regs = register_major(req_array(v, "regs")?, regs_per_thread)?;
+        // Issue indexes frames by the kernel's register numbers and reads
+        // and writes every lane of a register.
+        let width = req_u64(v, "regs_per_thread")?;
+        if width != u64::from(regs_per_thread) {
+            return Err(format!(
+                "registers: a warp has {width} per thread, the kernel {regs_per_thread}"
+            ));
+        }
+        let regs = req_words(v, "regs", WARP_SIZE as usize * usize::from(regs_per_thread))
+            .map_err(|e| format!("registers: {e}"))?;
         Ok(WarpRt {
             cta_slot: req_u64(v, "cta_slot")? as usize,
             warp_in_cta: req_u64(v, "warp_in_cta")? as u32,
@@ -249,22 +266,8 @@ impl WarpRt {
             pending_loads: req_u64(v, "pending_loads")? as u32,
             long_pending_loads: req_u64(v, "long_pending_loads")? as u32,
             done: req_bool(v, "done")?,
-            age: req_u64(v, "age")?,
+            age: req_count(v, "age")?,
         })
-    }
-
-    /// The register file in checkpoint order: lane-major,
-    /// `[lane * regs_per_thread + reg]`.
-    fn lane_major_regs(&self) -> Vec<Json> {
-        let mut out = Vec::with_capacity(self.regs.len());
-        for lane in 0..WARP_SIZE as usize {
-            for reg in 0..self.regs_per_thread as usize {
-                out.push(Json::UInt(u64::from(
-                    self.regs[reg * WARP_SIZE as usize + lane],
-                )));
-            }
-        }
-        out
     }
 }
 
@@ -277,29 +280,6 @@ pub(crate) enum Trigger {
     BlockedLong,
     /// Live and not blocked that way.
     Unblocked,
-}
-
-/// Decodes a checkpointed lane-major register file (32 frames of
-/// `regs_per_thread` words) into the register-major layout.
-fn register_major(words: &[Json], regs_per_thread: u16) -> Result<Vec<u32>, String> {
-    let rpt = regs_per_thread as usize;
-    // Issue reads and writes every lane of a register by index.
-    if words.len() != WARP_SIZE as usize * rpt {
-        return Err(format!(
-            "registers: warp holds {} words, expected {WARP_SIZE} lanes x {regs_per_thread}",
-            words.len()
-        ));
-    }
-    let mut regs = vec![0u32; words.len()];
-    if rpt == 0 {
-        return Ok(regs);
-    }
-    for (lane, frame) in words.chunks_exact(rpt).enumerate() {
-        for (reg, word) in frame.iter().enumerate() {
-            regs[reg * WARP_SIZE as usize + lane] = word.as_u64().ok_or("reg is not a u64")? as u32;
-        }
-    }
-    Ok(regs)
 }
 
 #[cfg(test)]
@@ -324,18 +304,18 @@ mod tests {
 
     #[test]
     fn reg_accessors_are_lane_major() {
-        // Accessors and the checkpoint address (lane, reg); the storage
-        // underneath is register-major.
+        // Accessors address (lane, reg); the storage underneath, and the
+        // checkpoint, are register-major.
         let mut w = WarpRt::new(0, 0, 32, 4, 0);
         w.set_reg(2, 3, 42);
         assert_eq!(w.reg(2, 3), 42);
         assert_eq!(w.reg(3, 3), 0);
         assert_eq!(w.regs[3 * 32 + 2], 42);
         let saved = w.snapshot();
-        let words = saved.get("regs").and_then(Json::as_array).unwrap();
-        assert_eq!(words[2 * 4 + 3].as_u64(), Some(42));
-        assert_eq!(words.iter().filter_map(Json::as_u64).sum::<u64>(), 42);
-        let back = WarpRt::restore(&saved).unwrap();
+        // Rows 0-2 and lanes 0-1 of row 3 are zero, then lane 2's 42.
+        let packed = format!("z{:x}.0000002az1d.", 3 * 32 + 2);
+        assert_eq!(saved.get("regs").and_then(Json::as_str), Some(&packed[..]));
+        let back = WarpRt::restore(&saved, 4).unwrap();
         assert_eq!(back.regs, w.regs);
     }
 

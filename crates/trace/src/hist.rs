@@ -5,7 +5,7 @@
 //! stats structs for equality). Both round-trip through `vt_json` for the
 //! checkpoint/resume layer.
 
-use vt_json::{req_array, req_u64, Json};
+use vt_json::{req_array, req_count, req_u64, Json};
 
 /// A power-of-two-bucketed histogram of `u64` samples.
 ///
@@ -143,13 +143,13 @@ impl Histogram {
         let mut buckets = [0u64; Histogram::BUCKETS];
         for (slot, item) in buckets.iter_mut().zip(raw) {
             *slot = item
-                .as_u64()
-                .ok_or_else(|| "non-integer bucket".to_string())?;
+                .as_count()
+                .ok_or_else(|| "bucket is not a count".to_string())?;
         }
         Ok(Histogram {
             buckets,
-            count: req_u64(v, "count")?,
-            sum: req_u64(v, "sum")?,
+            count: req_count(v, "count")?,
+            sum: req_count(v, "sum")?,
             min: req_u64(v, "min")?,
             max: req_u64(v, "max")?,
         })
@@ -208,8 +208,8 @@ impl Gauge {
     /// Returns a message on missing fields.
     pub fn restore(v: &Json) -> Result<Gauge, String> {
         Ok(Gauge {
-            samples: req_u64(v, "samples")?,
-            sum: req_u64(v, "sum")?,
+            samples: req_count(v, "samples")?,
+            sum: req_count(v, "sum")?,
             max: req_u64(v, "max")?,
         })
     }

@@ -24,7 +24,7 @@
 //! checkpoint layer.
 
 use crate::hist::Histogram;
-use vt_json::{req, req_array, req_str, req_u64, Json};
+use vt_json::{req, req_array, req_count, req_str, req_u64, Json};
 
 /// Default sampling window in cycles.
 pub const DEFAULT_WINDOW: u64 = 512;
@@ -167,6 +167,11 @@ impl MetricsRegistry {
     /// All series, in registration order.
     pub fn series(&self) -> &[Series] {
         &self.series
+    }
+
+    /// The series `id` was registered as.
+    pub fn series_at(&self, id: SeriesId) -> &Series {
+        &self.series[id.0]
     }
 
     /// Looks a series up by name and scope.
@@ -450,8 +455,8 @@ impl MetricsRegistry {
             req_array(v, key)?
                 .iter()
                 .map(|x| {
-                    x.as_u64()
-                        .ok_or_else(|| format!("{key} value is not an integer"))
+                    x.as_count()
+                        .ok_or_else(|| format!("{key} value is not a count"))
                 })
                 .collect()
         };
@@ -468,7 +473,7 @@ impl MetricsRegistry {
             };
             let kind = match req_str(doc, "kind")? {
                 "rate" => SeriesKind::Rate {
-                    last: req_u64(doc, "last")?,
+                    last: req_count(doc, "last")?,
                     deltas: ints(doc, "values")?,
                 },
                 "level" => SeriesKind::Level {
@@ -485,9 +490,24 @@ impl MetricsRegistry {
             };
             series.push(Series { name, sm, kind });
         }
+        // `seal` requires every series to have one sample per window.
+        let sealed = req_count(v, "sealed")?;
+        for s in &series {
+            let windows = match &s.kind {
+                SeriesKind::Rate { deltas, .. } => deltas.len(),
+                SeriesKind::Level { values } => values.len(),
+                SeriesKind::Dist { windows, .. } => windows.len(),
+            };
+            if windows as u64 != sealed {
+                return Err(format!(
+                    "series {:?}/{:?} has {windows} windows, the registry sealed {sealed}",
+                    s.name, s.sm
+                ));
+            }
+        }
         Ok(MetricsRegistry {
             window: req_u64(v, "window")?.max(1),
-            sealed: req_u64(v, "sealed")?,
+            sealed,
             series,
         })
     }

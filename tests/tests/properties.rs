@@ -183,10 +183,9 @@ fn thread_count_invariance_on_random_kernels() {
 /// The swap protocol on random kernels: a CTA may only enter the active
 /// phase once its context transfer has completed — every `CtaActivate`
 /// must be preceded by a `SwapEnd{In}` for the same (SM, slot, CTA), with
-/// no unconsumed transfer left over. (The test's name predates the
-/// removal of the per-cycle parallel engine it used to run under.)
+/// no unconsumed transfer left over.
 #[test]
-fn swap_protocol_holds_under_parallel_engine() {
+fn swap_protocol_holds() {
     let mut r = Prng::new(0x3c1);
     let mut activations = 0u64;
     for case in 0..6 {

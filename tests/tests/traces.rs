@@ -168,9 +168,8 @@ fn mem_digest(report: &Report) -> u64 {
 /// configuration reproduces the committed fingerprints exactly. A
 /// mismatch means the simulator's timing or functional behaviour drifted
 /// (re-record with `vttrace --run --json` only when that is intended).
-/// (The test's name predates the removal of the worker-count axis.)
 #[test]
-fn committed_fingerprints_reproduce_at_1_2_4_workers() {
+fn committed_fingerprints_reproduce() {
     let text = std::fs::read_to_string(repo_root().join("traces/fingerprints.json")).unwrap();
     let json = Json::parse(&text).unwrap();
     assert_eq!(

@@ -4,20 +4,27 @@
 //! and the execution-control layer round-trips simulator checkpoints
 //! through the same value model. The workspace builds fully offline, so
 //! instead of `serde`/`serde_json` this crate provides a tiny JSON value
-//! model, a [`ToJson`] conversion trait, an [`impl_to_json!`] macro that
-//! derives the trait for plain record structs, and a recursive-descent
-//! [`Json::parse`]. Output is deterministic: object keys keep declaration
-//! order and the pretty printer is stable; `parse(pretty()) == value` for
-//! every value this crate can emit (non-finite floats emit as `null`).
+//! model, a [`ToJson`] conversion trait and its decode half [`FromJson`],
+//! an [`impl_json!`] macro that derives both for a struct from one list of
+//! its fields ([`impl_to_json!`] derives the first alone, for records
+//! that are only written), and a recursive-descent [`Json::parse`].
+//! Output is deterministic: object keys keep declaration order and the
+//! pretty printer is stable; `parse(pretty()) == value` for every value
+//! this crate can emit (non-finite floats emit as `null`).
 //! Word arrays too large for one token per word (checkpoint memory
 //! images and register files) travel as packed strings ([`pack_words`],
 //! [`req_words`]).
 #![forbid(unsafe_code)]
 
+mod decode;
 mod words;
 
+pub use decode::{
+    decode_elem, decode_field, elems, field, not_a, Codec, Count, FromJson, NonZero, Sorted, Words,
+};
 pub use words::{pack_words, req_words};
 
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -92,6 +99,7 @@ impl Json {
 
     /// Looks up a field of an object (first match wins). `None` for
     /// non-objects and missing keys.
+    #[inline]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -100,6 +108,7 @@ impl Json {
     }
 
     /// The value as a `u64` if it is a non-negative integer.
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::UInt(v) => Some(*v),
@@ -108,8 +117,12 @@ impl Json {
         }
     }
 
-    /// The value as a counter: a non-negative integer of at most 2^53
-    /// (see [`req_count`]).
+    /// The value as a counter (a running total or sequence number that
+    /// only grows): a non-negative integer of at most 2^53, the largest
+    /// integer every JSON reader holds exactly. A counter decoded at most
+    /// this large cannot overflow a `u64` before the run adding to it
+    /// ends: that would take 2^64 - 2^53 more events.
+    #[inline]
     pub fn as_count(&self) -> Option<u64> {
         self.as_u64().filter(|&n| n <= MAX_COUNT)
     }
@@ -134,6 +147,7 @@ impl Json {
     }
 
     /// The value as a `bool` if it is one.
+    #[inline]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
@@ -142,6 +156,7 @@ impl Json {
     }
 
     /// The value as a string slice if it is one.
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -150,6 +165,7 @@ impl Json {
     }
 
     /// The value as an array slice if it is one.
+    #[inline]
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Array(items) => Some(items),
@@ -237,6 +253,9 @@ impl Json {
         }
     }
 }
+
+/// The largest counter [`Json::as_count`] accepts.
+const MAX_COUNT: u64 = 1 << 53;
 
 /// How deeply [`Json::parse`] lets arrays and objects nest. The parser
 /// recurses once per level, so an unbounded document could overflow the
@@ -501,6 +520,7 @@ impl<'a> Parser<'a> {
 /// # Errors
 ///
 /// Returns an error if `v` is not an object or lacks `key`.
+#[inline]
 pub fn req<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
     v.get(key).ok_or_else(|| format!("missing field `{key}`"))
 }
@@ -511,28 +531,7 @@ pub fn req<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
 ///
 /// Returns an error if the field is missing or not a non-negative integer.
 pub fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    req(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not a u64"))
-}
-
-/// The largest counter [`req_count`] accepts.
-const MAX_COUNT: u64 = 1 << 53;
-
-/// Fetches `key` as a counter (a running total or sequence number that
-/// only grows): a `u64` of at most 2^53, the largest integer every JSON
-/// reader holds exactly. A counter decoded at most this large cannot
-/// overflow a `u64` before the run adding to it ends: that would take
-/// 2^64 - 2^53 more events.
-///
-/// # Errors
-///
-/// Returns an error if the field is missing, not a non-negative integer,
-/// or above the bound.
-pub fn req_count(v: &Json, key: &str) -> Result<u64, String> {
-    req(v, key)?
-        .as_count()
-        .ok_or_else(|| format!("field `{key}` is not a count of at most 2^53"))
+    field(v, key)
 }
 
 /// Fetches `key` as an `f64`.
@@ -544,17 +543,6 @@ pub fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
     req(v, key)?
         .as_f64()
         .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-/// Fetches `key` as a `bool`.
-///
-/// # Errors
-///
-/// Returns an error if the field is missing or not a boolean.
-pub fn req_bool(v: &Json, key: &str) -> Result<bool, String> {
-    req(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{key}` is not a bool"))
 }
 
 /// Fetches `key` as a string slice.
@@ -577,38 +565,6 @@ pub fn req_array<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
     req(v, key)?
         .as_array()
         .ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
-/// Fetches element `i` of a tuple-encoded array.
-///
-/// # Errors
-///
-/// Returns an error if the array is too short.
-pub fn elem(a: &[Json], i: usize) -> Result<&Json, String> {
-    a.get(i).ok_or_else(|| format!("missing element {i}"))
-}
-
-/// Fetches element `i` of a tuple-encoded array as a `u64`.
-///
-/// # Errors
-///
-/// Returns an error if the element is missing or not a non-negative
-/// integer.
-pub fn elem_u64(a: &[Json], i: usize) -> Result<u64, String> {
-    elem(a, i)?
-        .as_u64()
-        .ok_or_else(|| format!("element {i} is not a u64"))
-}
-
-/// Fetches element `i` of a tuple-encoded array as a `bool`.
-///
-/// # Errors
-///
-/// Returns an error if the element is missing or not a boolean.
-pub fn elem_bool(a: &[Json], i: usize) -> Result<bool, String> {
-    elem(a, i)?
-        .as_bool()
-        .ok_or_else(|| format!("element {i} is not a bool"))
 }
 
 /// Appends the decimal digits of `v`, formatted on the stack.
@@ -776,13 +732,30 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+impl<T: ToJson> ToJson for VecDeque<T> {
     fn to_json(&self) -> Json {
-        Json::Array(vec![self.0.to_json(), self.1.to_json()])
+        Json::Array(self.iter().map(ToJson::to_json).collect())
     }
 }
 
-/// Implements [`ToJson`] for a struct by listing its fields:
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
+    }
+}
+
+/// `[key, value]` pairs in ascending key order, so equal maps write equal
+/// text.
+impl<K: ToJson + Ord, V: ToJson> ToJson for HashMap<K, V> {
+    fn to_json(&self) -> Json {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        pairs.to_json()
+    }
+}
+
+/// Implements [`ToJson`] for a struct by listing its fields, with the
+/// field-list syntax of [`impl_json!`] (which derives [`FromJson`] too):
 ///
 /// ```
 /// use vt_json::{impl_to_json, ToJson};
@@ -798,13 +771,20 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
 /// ```
 #[macro_export]
 macro_rules! impl_to_json {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
+    ($ty:ident $(<$g:ident>)? { $($field:ident $(as $key:literal)? $(: $codec:ident)?),+ $(,)? }) => {
+        impl$(<$g: $crate::ToJson>)? $crate::ToJson for $ty$(<$g>)? {
             fn to_json(&self) -> $crate::Json {
                 $crate::Json::Object(vec![
-                    $((stringify!($field).to_string(),
-                       $crate::ToJson::to_json(&self.$field)),)+
+                    $(($crate::__json_key!($field $($key)?).to_string(),
+                       $crate::__json_encode!(&self.$field $(, $codec)?)),)+
                 ])
+            }
+        }
+    };
+    ($ty:ident [ $($field:ident $(: $codec:ident)?),+ $(,)? ]) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::Array(vec![$($crate::__json_encode!(&self.$field $(, $codec)?)),+])
             }
         }
     };
@@ -957,18 +937,14 @@ mod tests {
         assert_eq!(v.get("n").and_then(Json::as_u64), Some(3));
         assert_eq!(req_u64(&v, "n").unwrap(), 3);
         assert_eq!(req_str(&v, "s").unwrap(), "x");
-        assert!(req_bool(&v, "b").unwrap());
         assert_eq!(req_array(&v, "xs").unwrap().len(), 1);
         assert_eq!(req_f64(&v, "f").unwrap(), 0.5);
         assert_eq!(Json::UInt(9).as_i64(), Some(9));
         assert_eq!(Json::Int(-1).as_u64(), None);
         assert!(req_u64(&v, "missing").unwrap_err().contains("missing"));
         assert!(req_str(&v, "n").unwrap_err().contains("not a string"));
-        assert_eq!(req_count(&v, "n").unwrap(), 3);
         assert_eq!(Json::UInt(MAX_COUNT).as_count(), Some(MAX_COUNT));
         assert_eq!(Json::UInt(MAX_COUNT + 1).as_count(), None);
-        let big = Json::parse(r#"{"n":18446744073709551615}"#).unwrap();
-        assert!(req_count(&big, "n").unwrap_err().contains("at most 2^53"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A tags-only set-associative cache array with LRU replacement.
 
-use vt_json::{elem_bool, elem_u64, req_array, req_u64, Json};
+use vt_json::{impl_json, NonZero};
 
 /// Outcome of a cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +27,8 @@ struct Line {
     dirty: bool,
     last_use: u64,
 }
+
+impl_json!(Line [tag, valid, dirty, last_use]);
 
 /// Set-associative cache tag array. Data never lives here — the simulator
 /// is functional-at-issue — so this structure only answers hit/miss and
@@ -153,69 +155,25 @@ impl Cache {
         self.sets.iter().filter(|l| l.valid).count()
     }
 
-    /// Serializes geometry and every line (including LRU state) for
-    /// checkpointing. Lines are emitted as `[tag, valid, dirty, last_use]`
-    /// in array order, so the restored replacement state is exact.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("num_sets".into(), Json::UInt(self.num_sets)),
-            ("ways".into(), Json::UInt(self.ways as u64)),
-            (
-                "lines".into(),
-                Json::Array(
-                    self.sets
-                        .iter()
-                        .map(|l| {
-                            Json::Array(vec![
-                                Json::UInt(l.tag),
-                                Json::Bool(l.valid),
-                                Json::Bool(l.dirty),
-                                Json::UInt(l.last_use),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Rebuilds a cache from [`Cache::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on missing fields or a geometry mismatch.
-    pub fn restore(v: &Json) -> Result<Cache, String> {
-        let num_sets = req_u64(v, "num_sets")?;
-        let ways = req_u64(v, "ways")? as usize;
-        let raw = req_array(v, "lines")?;
-        if num_sets == 0 || ways == 0 {
-            return Err("degenerate cache geometry".to_string());
-        }
-        let lines = num_sets
-            .checked_mul(ways as u64)
+    /// Checks the decoded line table is exactly the geometry's.
+    fn check_geometry(&self) -> Result<(), String> {
+        let lines = self
+            .num_sets
+            .checked_mul(self.ways as u64)
             .ok_or("cache geometry overflows")?;
-        if raw.len() as u64 != lines {
-            return Err(format!("cache has {} lines, expected {lines}", raw.len()));
+        if self.sets.len() as u64 != lines {
+            return Err(format!(
+                "cache has {} lines, expected {lines}",
+                self.sets.len()
+            ));
         }
-        let sets = raw
-            .iter()
-            .map(|item| {
-                let a = item.as_array().ok_or("cache line is not an array")?;
-                Ok(Line {
-                    tag: elem_u64(a, 0)?,
-                    valid: elem_bool(a, 1)?,
-                    dirty: elem_bool(a, 2)?,
-                    last_use: elem_u64(a, 3)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Cache {
-            sets,
-            num_sets,
-            ways,
-        })
+        Ok(())
     }
 }
+
+// Geometry and every line (including LRU state) as `[tag, valid, dirty,
+// last_use]` in array order, so the restored replacement state is exact.
+impl_json!(Cache { num_sets: NonZero, ways: NonZero, sets as "lines" } check Cache::check_geometry);
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,7 @@
 //! Items are delivered in injection order (a single virtual channel).
 
 use std::collections::VecDeque;
-use vt_json::{elem, elem_u64, req_array, req_count, req_u64, Json};
+use vt_json::{impl_json, Count, NonZero};
 
 /// One direction of the interconnect carrying items of type `T`.
 #[derive(Debug, Clone)]
@@ -72,68 +72,28 @@ impl<T> Icnt<T> {
         self.in_flight.is_empty()
     }
 
-    /// Serializes the channel for checkpointing, encoding each payload
-    /// with `ser`. In-flight items keep their exact queue order.
-    pub fn snapshot_with(&self, ser: &dyn Fn(&T) -> Json) -> Json {
-        Json::Object(vec![
-            ("latency".into(), Json::UInt(self.latency)),
-            (
-                "flits_per_cycle".into(),
-                Json::UInt(u64::from(self.flits_per_cycle)),
-            ),
-            ("debt".into(), Json::UInt(u64::from(self.debt))),
-            (
-                "in_flight".into(),
-                Json::Array(
-                    self.in_flight
-                        .iter()
-                        .map(|(ready, flits, item)| {
-                            Json::Array(vec![
-                                Json::UInt(*ready),
-                                Json::UInt(u64::from(*flits)),
-                                ser(item),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// The items still traversing the channel, in delivery order.
+    pub(crate) fn items(&self) -> impl Iterator<Item = &T> {
+        self.in_flight.iter().map(|(_, _, item)| item)
     }
 
-    /// Rebuilds a channel from [`Icnt::snapshot_with`] output, decoding
-    /// each payload with `de`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input or payload decode failure.
-    pub fn restore_with(
-        v: &Json,
-        de: &dyn Fn(&Json) -> Result<T, String>,
-    ) -> Result<Icnt<T>, String> {
-        // An item is a few flits and the debt at most one item's excess;
-        // bounding both keeps `deliver`'s flit sums inside a `u32`.
-        let flits = |n: u64, what: &str| {
-            u16::try_from(n)
-                .map(u32::from)
-                .map_err(|_| format!("icnt {what} of {n} flits is out of range"))
-        };
-        let mut in_flight = VecDeque::new();
-        for item in req_array(v, "in_flight")? {
-            let a = item.as_array().ok_or("icnt item is not an array")?;
-            in_flight.push_back((
-                elem_u64(a, 0)?,
-                flits(elem_u64(a, 1)?, "item")?,
-                de(elem(a, 2)?)?,
-            ));
+    /// Checks the flit counts a checkpoint carries: an item is a few
+    /// flits and the debt at most one item's excess, and bounding both
+    /// keeps `deliver`'s flit sums inside a `u32`.
+    fn check_flits(&self) -> Result<(), String> {
+        let items = self.in_flight.iter().map(|&(_, flits, _)| ("item", flits));
+        match items
+            .chain([("debt", self.debt)])
+            .find(|&(_, n)| n > u32::from(u16::MAX))
+        {
+            Some((what, n)) => Err(format!("icnt {what} of {n} flits is out of range")),
+            None => Ok(()),
         }
-        Ok(Icnt {
-            latency: req_count(v, "latency")?,
-            flits_per_cycle: (req_u64(v, "flits_per_cycle")? as u32).max(1),
-            in_flight,
-            debt: flits(req_u64(v, "debt")?, "debt")?,
-        })
     }
 }
+
+// In-flight items keep their exact queue order.
+impl_json!(Icnt<T> { latency: Count, flits_per_cycle: NonZero, debt, in_flight } check Icnt::check_flits);
 
 #[cfg(test)]
 mod tests {

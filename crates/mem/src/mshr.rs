@@ -8,7 +8,7 @@
 //! sweeps.
 
 use std::collections::HashMap;
-use vt_json::{elem, elem_u64, req_array, req_u64, Json};
+use vt_json::{impl_json, NonZero};
 
 /// Outcome of trying to record a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,68 +86,15 @@ impl<T> Mshr<T> {
         self.entries.is_empty()
     }
 
-    /// Serializes the table for checkpointing, encoding each waiter with
-    /// `ser`. Lines are emitted sorted by address so the output text is
-    /// deterministic; waiter order within a line (arrival order) is
-    /// preserved exactly.
-    pub fn snapshot_with(&self, ser: &dyn Fn(&T) -> Json) -> Json {
-        let mut lines: Vec<u64> = self.entries.keys().copied().collect();
-        lines.sort_unstable();
-        Json::Object(vec![
-            ("max_entries".into(), Json::UInt(self.max_entries as u64)),
-            ("max_merges".into(), Json::UInt(self.max_merges as u64)),
-            (
-                "entries".into(),
-                Json::Array(
-                    lines
-                        .into_iter()
-                        .map(|line| {
-                            let waiters = &self.entries[&line];
-                            Json::Array(vec![
-                                Json::UInt(line),
-                                Json::Array(waiters.iter().map(ser).collect()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Rebuilds a table from [`Mshr::snapshot_with`] output, decoding each
-    /// waiter with `de`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input or waiter decode failure.
-    pub fn restore_with(
-        v: &Json,
-        de: &dyn Fn(&Json) -> Result<T, String>,
-    ) -> Result<Mshr<T>, String> {
-        let max_entries = req_u64(v, "max_entries")? as usize;
-        let max_merges = req_u64(v, "max_merges")? as usize;
-        if max_entries == 0 || max_merges == 0 {
-            return Err("degenerate MSHR geometry".to_string());
-        }
-        let mut entries = HashMap::new();
-        for item in req_array(v, "entries")? {
-            let a = item.as_array().ok_or("MSHR entry is not an array")?;
-            let line = elem_u64(a, 0)?;
-            let waiters = elem(a, 1)?
-                .as_array()
-                .ok_or("MSHR waiters is not an array")?
-                .iter()
-                .map(de)
-                .collect::<Result<Vec<_>, String>>()?;
-            entries.insert(line, waiters);
-        }
-        Ok(Mshr {
-            entries,
-            max_entries,
-            max_merges,
-        })
+    /// Every waiter of every line in flight.
+    pub(crate) fn waiters(&self) -> impl Iterator<Item = &T> {
+        self.entries.values().flatten()
     }
 }
+
+// Lines are written sorted by address (a hash map's canonical order);
+// waiter order within a line (arrival order) is kept exactly.
+impl_json!(Mshr<T> { max_entries: NonZero, max_merges: NonZero, entries });
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@ use crate::mshr::{Mshr, MshrAlloc};
 use crate::stats::MemStats;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use vt_json::{elem, elem_bool, elem_u64, req, req_array, req_count, req_u64, Json};
+use vt_json::{impl_json, not_a, Count, FromJson, Json, NonZero, Sorted, ToJson};
 use vt_trace::{MemLevel, NullSink, TraceEvent, TraceSink};
 
 /// The kind of a memory request as seen below the SM.
@@ -33,27 +33,27 @@ impl ReqKind {
             ReqKind::Atomic => vt_trace::MemKind::Atomic,
         }
     }
+}
 
-    /// Checkpoint tag for this kind.
-    pub fn tag(self) -> &'static str {
-        match self {
+/// A kind is checkpointed as its name.
+impl ToJson for ReqKind {
+    fn to_json(&self) -> Json {
+        let name = match self {
             ReqKind::Load => "load",
             ReqKind::Store => "store",
             ReqKind::Atomic => "atomic",
-        }
+        };
+        name.to_json()
     }
+}
 
-    /// Parses a [`ReqKind::tag`] back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for unknown tags.
-    pub fn from_tag(s: &str) -> Result<ReqKind, String> {
-        match s {
-            "load" => Ok(ReqKind::Load),
-            "store" => Ok(ReqKind::Store),
-            "atomic" => Ok(ReqKind::Atomic),
-            other => Err(format!("unknown request kind `{other}`")),
+impl FromJson for ReqKind {
+    fn from_json(v: &Json) -> Result<ReqKind, String> {
+        match v.as_str() {
+            Some("load") => Ok(ReqKind::Load),
+            Some("store") => Ok(ReqKind::Store),
+            Some("atomic") => Ok(ReqKind::Atomic),
+            _ => Err(not_a("a request kind")),
         }
     }
 }
@@ -84,69 +84,10 @@ pub struct PartResp {
     pub kind: ReqKind,
 }
 
-/// `sm` as an index into a hierarchy's `num_sms` front-ends.
-fn sm_below(sm: u64, num_sms: usize) -> Result<usize, String> {
-    usize::try_from(sm)
-        .ok()
-        .filter(|&sm| sm < num_sms)
-        .ok_or_else(|| format!("memory request names SM {sm}, but there are {num_sms}"))
-}
-
-impl PartReq {
-    /// Checkpoint encoding: `[sm, id, line_addr, kind]`.
-    pub fn snapshot(&self) -> Json {
-        Json::Array(vec![
-            Json::UInt(self.sm as u64),
-            Json::UInt(self.id),
-            Json::UInt(self.line_addr),
-            Json::Str(self.kind.tag().to_string()),
-        ])
-    }
-
-    /// Decodes [`PartReq::snapshot`] output for a hierarchy of `num_sms`
-    /// SMs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input or an SM outside `0..num_sms`.
-    pub fn restore(v: &Json, num_sms: usize) -> Result<PartReq, String> {
-        let a = v.as_array().ok_or("request is not an array")?;
-        Ok(PartReq {
-            sm: sm_below(elem_u64(a, 0)?, num_sms)?,
-            id: elem_u64(a, 1)?,
-            line_addr: elem_u64(a, 2)?,
-            kind: ReqKind::from_tag(elem(a, 3)?.as_str().ok_or("kind is not a string")?)?,
-        })
-    }
-}
-
-impl PartResp {
-    /// Checkpoint encoding: `[sm, id, line_addr, kind]`.
-    pub fn snapshot(&self) -> Json {
-        Json::Array(vec![
-            Json::UInt(self.sm as u64),
-            Json::UInt(self.id),
-            Json::UInt(self.line_addr),
-            Json::Str(self.kind.tag().to_string()),
-        ])
-    }
-
-    /// Decodes [`PartResp::snapshot`] output for a hierarchy of `num_sms`
-    /// SMs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input or an SM outside `0..num_sms`.
-    pub fn restore(v: &Json, num_sms: usize) -> Result<PartResp, String> {
-        let a = v.as_array().ok_or("response is not an array")?;
-        Ok(PartResp {
-            sm: sm_below(elem_u64(a, 0)?, num_sms)?,
-            id: elem_u64(a, 1)?,
-            line_addr: elem_u64(a, 2)?,
-            kind: ReqKind::from_tag(elem(a, 3)?.as_str().ok_or("kind is not a string")?)?,
-        })
-    }
-}
+// Both are checkpointed as `[sm, id, line_addr, kind]`; `MemSystem`
+// checks the SM against its fronts.
+impl_json!(PartReq [sm, id, line_addr, kind]);
+impl_json!(PartResp [sm, id, line_addr, kind]);
 
 /// One L2-slice + DRAM-channel pair.
 #[derive(Debug)]
@@ -377,84 +318,30 @@ impl Partition {
             && self.dram.quiesced()
     }
 
-    /// Serializes the whole partition for checkpointing. The response
-    /// heap is emitted in ascending `(ready, seq)` order; since every key
-    /// is unique (`seq` increments per response), re-pushing the sorted
-    /// list reproduces the exact pop order.
-    pub fn snapshot(&self) -> Json {
-        let mut heap: Vec<(u64, u64, PartResp)> =
-            self.resp_heap.iter().map(|Reverse(x)| *x).collect();
-        heap.sort_unstable();
-        Json::Object(vec![
-            ("l2".into(), self.l2.snapshot()),
-            ("mshr".into(), self.mshr.snapshot_with(&|r| r.snapshot())),
-            (
-                "in_q".into(),
-                Json::Array(self.in_q.iter().map(PartReq::snapshot).collect()),
-            ),
-            (
-                "resp_heap".into(),
-                Json::Array(
-                    heap.into_iter()
-                        .map(|(ready, seq, resp)| {
-                            Json::Array(vec![Json::UInt(ready), Json::UInt(seq), resp.snapshot()])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "pending_writebacks".into(),
-                Json::Array(
-                    self.pending_writebacks
-                        .iter()
-                        .map(|&l| Json::UInt(l))
-                        .collect(),
-                ),
-            ),
-            ("dram".into(), self.dram.snapshot()),
-            ("l2_hit_latency".into(), Json::UInt(self.l2_hit_latency)),
-            ("l2_ports".into(), Json::UInt(u64::from(self.l2_ports))),
-            ("seq".into(), Json::UInt(self.seq)),
-        ])
-    }
-
-    /// Rebuilds a partition serving `num_sms` SMs from
-    /// [`Partition::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json, num_sms: usize) -> Result<Partition, String> {
-        let mut resp_heap = BinaryHeap::new();
-        for item in req_array(v, "resp_heap")? {
-            let a = item.as_array().ok_or("resp_heap item is not an array")?;
-            resp_heap.push(Reverse((
-                elem_u64(a, 0)?,
-                elem_u64(a, 1)?,
-                PartResp::restore(elem(a, 2)?, num_sms)?,
-            )));
-        }
-        let mut in_q = VecDeque::new();
-        for item in req_array(v, "in_q")? {
-            in_q.push_back(PartReq::restore(item, num_sms)?);
-        }
-        let mut pending_writebacks = VecDeque::new();
-        for item in req_array(v, "pending_writebacks")? {
-            pending_writebacks.push_back(item.as_u64().ok_or("writeback line is not a u64")?);
-        }
-        Ok(Partition {
-            l2: Cache::restore(req(v, "l2")?)?,
-            mshr: Mshr::restore_with(req(v, "mshr")?, &|r| PartReq::restore(r, num_sms))?,
-            in_q,
-            resp_heap,
-            pending_writebacks,
-            dram: Dram::restore(req(v, "dram")?)?,
-            l2_hit_latency: req_count(v, "l2_hit_latency")?,
-            l2_ports: req_u64(v, "l2_ports")? as u32,
-            seq: req_count(v, "seq")?,
-        })
+    /// The SM every request or response held here names.
+    pub(crate) fn sms(&self) -> impl Iterator<Item = usize> + '_ {
+        self.in_q
+            .iter()
+            .chain(self.mshr.waiters())
+            .map(|r| r.sm)
+            .chain(self.resp_heap.iter().map(|Reverse((_, _, r))| r.sm))
     }
 }
+
+// The response heap is written in ascending `(ready, seq)` order; every
+// key is unique (`seq` increments per response), so re-pushing the list
+// reproduces the exact pop order.
+impl_json!(Partition {
+    l2,
+    mshr,
+    in_q,
+    resp_heap: Sorted,
+    pending_writebacks,
+    dram,
+    l2_hit_latency: Count,
+    l2_ports,
+    seq: Count,
+});
 
 /// One GDDR channel with per-bank row-buffer state and an FR-FCFS-like
 /// scheduler (row hits first, then oldest).
@@ -477,11 +364,15 @@ struct DramReq {
     write: bool,
 }
 
+impl_json!(DramReq [line_addr, write]);
+
 #[derive(Debug, Clone, Copy)]
 struct DramBank {
     open_row: Option<u64>,
     busy_until: u64,
 }
+
+impl_json!(DramBank [open_row, busy_until]);
 
 impl Dram {
     fn new(cfg: &MemConfig) -> Dram {
@@ -593,95 +484,33 @@ impl Dram {
         (self.queue.len() + self.in_service.len()) as u64
     }
 
-    /// Serializes the channel state. `in_service` keeps its exact vector
-    /// order: completions are sorted before being handed out, so the order
-    /// only needs to match what the uninterrupted run had.
-    fn snapshot(&self) -> Json {
-        let dreq = |r: &DramReq| Json::Array(vec![Json::UInt(r.line_addr), Json::Bool(r.write)]);
-        Json::Object(vec![
-            (
-                "queue".into(),
-                Json::Array(self.queue.iter().map(&dreq).collect()),
-            ),
-            (
-                "in_service".into(),
-                Json::Array(
-                    self.in_service
-                        .iter()
-                        .map(|(finish, r)| Json::Array(vec![Json::UInt(*finish), dreq(r)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "banks".into(),
-                Json::Array(
-                    self.banks
-                        .iter()
-                        .map(|b| {
-                            Json::Array(vec![
-                                match b.open_row {
-                                    Some(r) => Json::UInt(r),
-                                    None => Json::Null,
-                                },
-                                Json::UInt(b.busy_until),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("next_issue_at".into(), Json::UInt(self.next_issue_at)),
-            ("depth".into(), Json::UInt(self.depth as u64)),
-            ("row_hit_latency".into(), Json::UInt(self.row_hit_latency)),
-            ("row_miss_latency".into(), Json::UInt(self.row_miss_latency)),
-            ("burst_cycles".into(), Json::UInt(self.burst_cycles)),
-            ("lines_per_row".into(), Json::UInt(self.lines_per_row)),
-        ])
-    }
-
-    fn restore(v: &Json) -> Result<Dram, String> {
-        let dreq = |item: &Json| -> Result<DramReq, String> {
-            let a = item.as_array().ok_or("DRAM request is not an array")?;
-            Ok(DramReq {
-                line_addr: elem_u64(a, 0)?,
-                write: elem_bool(a, 1)?,
-            })
-        };
-        let mut queue = VecDeque::new();
-        for item in req_array(v, "queue")? {
-            queue.push_back(dreq(item)?);
-        }
-        let mut in_service = Vec::new();
-        for item in req_array(v, "in_service")? {
-            let a = item.as_array().ok_or("in-service item is not an array")?;
-            in_service.push((elem_u64(a, 0)?, dreq(elem(a, 1)?)?));
-        }
-        let mut banks = Vec::new();
-        for item in req_array(v, "banks")? {
-            let a = item.as_array().ok_or("bank is not an array")?;
-            banks.push(DramBank {
-                open_row: match elem(a, 0)? {
-                    Json::Null => None,
-                    other => Some(other.as_u64().ok_or("open row is not a u64")?),
-                },
-                busy_until: elem_u64(a, 1)?,
-            });
-        }
-        if banks.is_empty() {
+    /// Checks what a tick divides by or adds: a bank to map rows to and a
+    /// burst to occupy the bus.
+    fn check(&self) -> Result<(), String> {
+        if self.banks.is_empty() {
             return Err("DRAM has no banks".to_string());
         }
-        Ok(Dram {
-            queue,
-            in_service,
-            banks,
-            next_issue_at: req_u64(v, "next_issue_at")?,
-            depth: (req_u64(v, "depth")? as usize).max(1),
-            row_hit_latency: req_count(v, "row_hit_latency")?,
-            row_miss_latency: req_count(v, "row_miss_latency")?,
-            burst_cycles: req_count(v, "burst_cycles")?.max(1),
-            lines_per_row: req_u64(v, "lines_per_row")?.max(1),
-        })
+        if self.burst_cycles == 0 {
+            return Err("DRAM burst of 0 cycles".to_string());
+        }
+        Ok(())
     }
 }
+
+// `in_service` keeps its exact vector order: completions are sorted
+// before being handed out, so the order only needs to match what the
+// uninterrupted run had.
+impl_json!(Dram {
+    queue,
+    in_service,
+    banks,
+    next_issue_at,
+    depth: NonZero,
+    row_hit_latency: Count,
+    row_miss_latency: Count,
+    burst_cycles: Count,
+    lines_per_row: NonZero,
+} check Dram::check);
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Memory-system statistics.
 
-use vt_json::{req, req_count, Json};
+use vt_json::{impl_json, Count};
 use vt_trace::{Gauge, Histogram};
 
 /// Counters accumulated by the memory system over a run.
@@ -90,59 +90,28 @@ impl MemStats {
         self.load_latency.merge(&other.load_latency);
         self.mshr_occupancy.merge(&other.mshr_occupancy);
     }
-
-    /// Serializes every counter for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("l1_accesses".into(), Json::UInt(self.l1_accesses)),
-            ("l1_hits".into(), Json::UInt(self.l1_hits)),
-            ("l1_misses".into(), Json::UInt(self.l1_misses)),
-            ("l1_mshr_merged".into(), Json::UInt(self.l1_mshr_merged)),
-            ("l1_stalls".into(), Json::UInt(self.l1_stalls)),
-            ("stores".into(), Json::UInt(self.stores)),
-            ("atomics".into(), Json::UInt(self.atomics)),
-            ("l2_accesses".into(), Json::UInt(self.l2_accesses)),
-            ("l2_hits".into(), Json::UInt(self.l2_hits)),
-            ("l2_misses".into(), Json::UInt(self.l2_misses)),
-            ("dram_reads".into(), Json::UInt(self.dram_reads)),
-            ("dram_writes".into(), Json::UInt(self.dram_writes)),
-            ("dram_row_hits".into(), Json::UInt(self.dram_row_hits)),
-            ("dram_row_misses".into(), Json::UInt(self.dram_row_misses)),
-            ("load_latency_sum".into(), Json::UInt(self.load_latency_sum)),
-            ("loads_completed".into(), Json::UInt(self.loads_completed)),
-            ("load_latency".into(), self.load_latency.snapshot()),
-            ("mshr_occupancy".into(), self.mshr_occupancy.snapshot()),
-        ])
-    }
-
-    /// Rebuilds a stats block from [`MemStats::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on missing fields.
-    pub fn restore(v: &Json) -> Result<MemStats, String> {
-        Ok(MemStats {
-            l1_accesses: req_count(v, "l1_accesses")?,
-            l1_hits: req_count(v, "l1_hits")?,
-            l1_misses: req_count(v, "l1_misses")?,
-            l1_mshr_merged: req_count(v, "l1_mshr_merged")?,
-            l1_stalls: req_count(v, "l1_stalls")?,
-            stores: req_count(v, "stores")?,
-            atomics: req_count(v, "atomics")?,
-            l2_accesses: req_count(v, "l2_accesses")?,
-            l2_hits: req_count(v, "l2_hits")?,
-            l2_misses: req_count(v, "l2_misses")?,
-            dram_reads: req_count(v, "dram_reads")?,
-            dram_writes: req_count(v, "dram_writes")?,
-            dram_row_hits: req_count(v, "dram_row_hits")?,
-            dram_row_misses: req_count(v, "dram_row_misses")?,
-            load_latency_sum: req_count(v, "load_latency_sum")?,
-            loads_completed: req_count(v, "loads_completed")?,
-            load_latency: Histogram::restore(req(v, "load_latency")?)?,
-            mshr_occupancy: Gauge::restore(req(v, "mshr_occupancy")?)?,
-        })
-    }
 }
+
+impl_json!(MemStats {
+    l1_accesses: Count,
+    l1_hits: Count,
+    l1_misses: Count,
+    l1_mshr_merged: Count,
+    l1_stalls: Count,
+    stores: Count,
+    atomics: Count,
+    l2_accesses: Count,
+    l2_hits: Count,
+    l2_misses: Count,
+    dram_reads: Count,
+    dram_writes: Count,
+    dram_row_hits: Count,
+    dram_row_misses: Count,
+    load_latency_sum: Count,
+    loads_completed: Count,
+    load_latency,
+    mshr_occupancy,
+});
 
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {

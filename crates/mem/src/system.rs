@@ -38,7 +38,7 @@ use crate::partition::{PartReq, PartResp, Partition};
 use crate::stats::MemStats;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use vt_json::{elem_u64, req, req_array, req_count, req_u64, Json};
+use vt_json::{field, impl_json, Count, Json, Sorted, ToJson};
 use vt_trace::{MemLevel, NullSink, TraceEvent, TraceSink};
 
 pub use crate::partition::ReqKind;
@@ -301,96 +301,27 @@ impl SmFront {
     fn quiesced(&self) -> bool {
         self.mshr.is_empty() && self.resps.is_empty() && self.outbox.is_empty()
     }
-
-    /// Serializes this front for checkpointing. The response heap is
-    /// emitted in ascending `(ready, seq, id)` order (each key unique per
-    /// front), so re-pushing reproduces the exact pop order;
-    /// `submit_times` is emitted sorted by request id for deterministic
-    /// text.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the outbox holds requests: a snapshot is only taken at a
-    /// cycle boundary, after every outbox has been flushed.
-    fn snapshot(&self) -> Json {
-        assert!(
-            self.outbox.is_empty(),
-            "SM {} front snapshot taken with an unflushed outbox",
-            self.sm_id
-        );
-        let mut resps: Vec<(u64, u64, u64)> = self.resps.iter().map(|Reverse(x)| *x).collect();
-        resps.sort_unstable();
-        let mut submits: Vec<(u64, u64)> =
-            self.submit_times.iter().map(|(&id, &t)| (id, t)).collect();
-        submits.sort_unstable();
-        Json::Object(vec![
-            ("sm_id".into(), Json::UInt(self.sm_id as u64)),
-            ("cache".into(), self.cache.snapshot()),
-            (
-                "mshr".into(),
-                self.mshr.snapshot_with(&|&id| Json::UInt(id)),
-            ),
-            ("ports_used".into(), Json::UInt(u64::from(self.ports_used))),
-            ("window_hits".into(), Json::UInt(self.window_hits)),
-            ("window_accesses".into(), Json::UInt(self.window_accesses)),
-            (
-                "resps".into(),
-                Json::Array(
-                    resps
-                        .into_iter()
-                        .map(|(ready, seq, id)| {
-                            Json::Array(vec![Json::UInt(ready), Json::UInt(seq), Json::UInt(id)])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "submit_times".into(),
-                Json::Array(
-                    submits
-                        .into_iter()
-                        .map(|(id, t)| Json::Array(vec![Json::UInt(id), Json::UInt(t)]))
-                        .collect(),
-                ),
-            ),
-            ("seq".into(), Json::UInt(self.seq)),
-            ("stats".into(), self.stats.snapshot()),
-            ("l1_ports".into(), Json::UInt(u64::from(self.l1_ports))),
-            ("l1_hit_latency".into(), Json::UInt(self.l1_hit_latency)),
-        ])
-    }
-
-    fn restore(v: &Json) -> Result<SmFront, String> {
-        let mut resps = BinaryHeap::new();
-        for item in req_array(v, "resps")? {
-            let a = item.as_array().ok_or("response is not an array")?;
-            resps.push(Reverse((elem_u64(a, 0)?, elem_u64(a, 1)?, elem_u64(a, 2)?)));
-        }
-        let mut submit_times = HashMap::new();
-        for item in req_array(v, "submit_times")? {
-            let a = item.as_array().ok_or("submit time is not an array")?;
-            submit_times.insert(elem_u64(a, 0)?, elem_u64(a, 1)?);
-        }
-        Ok(SmFront {
-            sm_id: req_u64(v, "sm_id")? as usize,
-            cache: Cache::restore(req(v, "cache")?)?,
-            mshr: Mshr::restore_with(req(v, "mshr")?, &|item| {
-                item.as_u64()
-                    .ok_or_else(|| "waiter is not a u64".to_string())
-            })?,
-            ports_used: req_u64(v, "ports_used")? as u32,
-            window_hits: req_count(v, "window_hits")?,
-            window_accesses: req_count(v, "window_accesses")?,
-            resps,
-            submit_times,
-            seq: req_count(v, "seq")?,
-            outbox: Vec::new(),
-            stats: MemStats::restore(req(v, "stats")?)?,
-            l1_ports: req_u64(v, "l1_ports")? as u32,
-            l1_hit_latency: req_count(v, "l1_hit_latency")?,
-        })
-    }
 }
+
+// The response heap is written in ascending `(ready, seq, id)` order (each
+// key unique per front), so re-pushing reproduces the exact pop order;
+// `submit_times` is written sorted by request id.
+impl_json!(SmFront {
+    sm_id,
+    cache,
+    mshr,
+    ports_used,
+    window_hits: Count,
+    window_accesses: Count,
+    resps: Sorted,
+    submit_times,
+    seq: Count,
+    stats,
+    l1_ports,
+    l1_hit_latency: Count,
+} derived {
+    outbox: Vec::new(),
+});
 
 /// The complete memory hierarchy below the SMs' LD/ST units.
 #[derive(Debug)]
@@ -644,68 +575,73 @@ impl MemSystem {
         total
     }
 
-    /// Serializes the entire hierarchy — every front, both interconnect
-    /// directions, every partition and the back-end counters — for
-    /// checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            (
-                "fronts".into(),
-                Json::Array(self.fronts.iter().map(SmFront::snapshot).collect()),
-            ),
-            (
-                "to_mem".into(),
-                self.to_mem.snapshot_with(&|r| r.snapshot()),
-            ),
-            ("to_sm".into(), self.to_sm.snapshot_with(&|r| r.snapshot())),
-            (
-                "partitions".into(),
-                Json::Array(self.partitions.iter().map(Partition::snapshot).collect()),
-            ),
-            ("stats".into(), self.stats.snapshot()),
-            ("now".into(), Json::UInt(self.now)),
-        ])
-    }
-
-    /// Rebuilds a hierarchy from [`MemSystem::snapshot`] output. `cfg`
+    /// Rebuilds a hierarchy from its checkpoint ([`ToJson`]). `cfg`
     /// supplies the line-interleaving function and must be the config the
-    /// snapshot was taken under; structural mismatches (partition count)
+    /// checkpoint was taken under; structural mismatches (partition count)
     /// are rejected.
     ///
     /// # Errors
     ///
     /// Returns a message on malformed input or a config mismatch.
     pub fn restore(cfg: &MemConfig, v: &Json) -> Result<MemSystem, String> {
-        let fronts = req_array(v, "fronts")?
-            .iter()
-            .map(SmFront::restore)
-            .collect::<Result<Vec<_>, String>>()?;
+        let mem = MemSystem {
+            fronts: field(v, "fronts")?,
+            to_mem: field(v, "to_mem")?,
+            to_sm: field(v, "to_sm")?,
+            partitions: field(v, "partitions")?,
+            stats: field(v, "stats")?,
+            cfg: cfg.clone(),
+            now: field(v, "now")?,
+        };
         // Responses are routed to `fronts[sm]` by the SM each request
         // names, and a front names itself in its requests.
-        let num_sms = fronts.len();
-        if let Some((i, f)) = fronts.iter().enumerate().find(|(i, f)| f.sm_id != *i) {
+        let num_sms = mem.fronts.len();
+        if let Some((i, f)) = mem.fronts.iter().enumerate().find(|(i, f)| f.sm_id != *i) {
             return Err(format!("front {i} names itself SM {}", f.sm_id));
         }
-        let partitions = req_array(v, "partitions")?
-            .iter()
-            .map(|p| Partition::restore(p, num_sms))
-            .collect::<Result<Vec<_>, String>>()?;
-        if partitions.len() != cfg.partitions as usize {
+        let requests = mem.to_mem.items().map(|r| r.sm);
+        let responses = mem.to_sm.items().map(|r| r.sm);
+        let held = mem.partitions.iter().flat_map(Partition::sms);
+        if let Some(sm) = requests
+            .chain(responses)
+            .chain(held)
+            .find(|&sm| sm >= num_sms)
+        {
+            return Err(format!(
+                "memory request names SM {sm}, but there are {num_sms}"
+            ));
+        }
+        if mem.partitions.len() != cfg.partitions as usize {
             return Err(format!(
                 "checkpoint has {} partitions, config has {}",
-                partitions.len(),
+                mem.partitions.len(),
                 cfg.partitions
             ));
         }
-        Ok(MemSystem {
-            fronts,
-            to_mem: Icnt::restore_with(req(v, "to_mem")?, &|r| PartReq::restore(r, num_sms))?,
-            to_sm: Icnt::restore_with(req(v, "to_sm")?, &|r| PartResp::restore(r, num_sms))?,
-            partitions,
-            stats: MemStats::restore(req(v, "stats")?)?,
-            cfg: cfg.clone(),
-            now: req_u64(v, "now")?,
-        })
+        Ok(mem)
+    }
+}
+
+/// The entire hierarchy — every front, both interconnect directions,
+/// every partition and the back-end counters — for checkpointing.
+///
+/// # Panics
+///
+/// Panics if an outbox holds requests: a checkpoint is only taken at a
+/// cycle boundary, after every outbox has been flushed.
+impl ToJson for MemSystem {
+    fn to_json(&self) -> Json {
+        if let Some(f) = self.fronts.iter().find(|f| !f.outbox.is_empty()) {
+            panic!("SM {} front checkpointed with an unflushed outbox", f.sm_id);
+        }
+        Json::Object(vec![
+            ("fronts".into(), self.fronts.to_json()),
+            ("to_mem".into(), self.to_mem.to_json()),
+            ("to_sm".into(), self.to_sm.to_json()),
+            ("partitions".into(), self.partitions.to_json()),
+            ("stats".into(), self.stats.to_json()),
+            ("now".into(), self.now.to_json()),
+        ])
     }
 }
 
@@ -929,7 +865,7 @@ mod tests {
             }
             while mem.pop_response(sm).is_some() {}
         }
-        let text = mem.snapshot().pretty();
+        let text = mem.to_json().pretty();
         let mut copy = MemSystem::restore(&cfg, &vt_json::Json::parse(&text).unwrap()).unwrap();
         for cycle in 40..4000u64 {
             mem.tick(cycle);
@@ -952,14 +888,14 @@ mod tests {
         assert_eq!(mem.stats(), copy.stats());
         assert_eq!(mem.pending_loads(), copy.pending_loads());
         // A second snapshot of the restored copy is byte-identical.
-        assert_eq!(mem.snapshot().pretty(), copy.snapshot().pretty());
+        assert_eq!(mem.to_json().pretty(), copy.to_json().pretty());
     }
 
     #[test]
     fn restore_rejects_partition_mismatch() {
         let cfg = MemConfig::default();
         let mem = MemSystem::new(&cfg, 1);
-        let snap = mem.snapshot();
+        let snap = mem.to_json();
         let bad = MemConfig {
             partitions: cfg.partitions + 1,
             ..cfg

@@ -1,7 +1,7 @@
 //! Per-CTA runtime state and the active/inactive phase machine.
 
 use crate::warp::Trigger;
-use vt_json::{pack_words, req, req_array, req_u64, req_words, Json};
+use vt_json::{decode_elem, elems, impl_json, req_words, FromJson, Json, ToJson, Words};
 
 /// Lifecycle phase of a resident CTA.
 ///
@@ -34,51 +34,39 @@ pub enum CtaPhase {
     Finished,
 }
 
-impl CtaPhase {
-    /// Serializes the phase as a `[tag, payload]` pair.
-    pub fn snapshot(&self) -> Json {
-        match *self {
-            CtaPhase::Active => Json::Array(vec![Json::Str("active".into()), Json::Null]),
-            CtaPhase::Inactive { has_context } => {
-                Json::Array(vec![Json::Str("inactive".into()), Json::Bool(has_context)])
-            }
-            CtaPhase::SwappingOut { done_at } => {
-                Json::Array(vec![Json::Str("swapping_out".into()), Json::UInt(done_at)])
-            }
-            CtaPhase::SwappingIn { done_at } => {
-                Json::Array(vec![Json::Str("swapping_in".into()), Json::UInt(done_at)])
-            }
-            CtaPhase::Finished => Json::Array(vec![Json::Str("finished".into()), Json::Null]),
-        }
+/// A phase is checkpointed as a `[tag, payload]` pair.
+impl ToJson for CtaPhase {
+    fn to_json(&self) -> Json {
+        let (tag, payload) = match *self {
+            CtaPhase::Active => ("active", Json::Null),
+            CtaPhase::Inactive { has_context } => ("inactive", has_context.to_json()),
+            CtaPhase::SwappingOut { done_at } => ("swapping_out", done_at.to_json()),
+            CtaPhase::SwappingIn { done_at } => ("swapping_in", done_at.to_json()),
+            CtaPhase::Finished => ("finished", Json::Null),
+        };
+        (tag, payload).to_json()
     }
+}
 
-    /// Rebuilds a phase from [`CtaPhase::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on an unknown tag or payload type mismatch.
-    pub fn restore(v: &Json) -> Result<CtaPhase, String> {
-        let a = v.as_array().ok_or("CTA phase is not an array")?;
-        let tag = a
-            .first()
-            .and_then(Json::as_str)
-            .ok_or("CTA phase tag missing")?;
-        let payload = a.get(1).ok_or("CTA phase payload missing")?;
-        match tag {
-            "active" => Ok(CtaPhase::Active),
-            "inactive" => Ok(CtaPhase::Inactive {
-                has_context: payload.as_bool().ok_or("inactive payload is not a bool")?,
+impl FromJson for CtaPhase {
+    fn from_json(v: &Json) -> Result<CtaPhase, String> {
+        let [tag, payload] = elems(v, 2)? else {
+            unreachable!("two elements")
+        };
+        let done_at = || decode_elem(1, payload, u64::from_json);
+        match (tag.as_str(), payload) {
+            (Some("active"), Json::Null) => Ok(CtaPhase::Active),
+            (Some("inactive"), _) => Ok(CtaPhase::Inactive {
+                has_context: decode_elem(1, payload, bool::from_json)?,
             }),
-            "swapping_out" => Ok(CtaPhase::SwappingOut {
-                done_at: payload
-                    .as_u64()
-                    .ok_or("swapping_out payload is not a u64")?,
+            (Some("swapping_out"), _) => Ok(CtaPhase::SwappingOut {
+                done_at: done_at()?,
             }),
-            "swapping_in" => Ok(CtaPhase::SwappingIn {
-                done_at: payload.as_u64().ok_or("swapping_in payload is not a u64")?,
+            (Some("swapping_in"), _) => Ok(CtaPhase::SwappingIn {
+                done_at: done_at()?,
             }),
-            "finished" => Ok(CtaPhase::Finished),
-            other => Err(format!("unknown CTA phase tag {other:?}")),
+            (Some("finished"), Json::Null) => Ok(CtaPhase::Finished),
+            _ => Err(format!("unknown CTA phase {}", v.compact())),
         }
     }
 }
@@ -160,76 +148,48 @@ impl CtaRt {
         [mem_stalled && self.warps_unblocked == 0, mem_stalled]
     }
 
-    /// Serializes the CTA — phase machine, warp-slot list and functional
-    /// shared-memory contents — for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("cta_id".into(), Json::UInt(u64::from(self.cta_id))),
-            ("phase".into(), self.phase.snapshot()),
-            (
-                "warps".into(),
-                Json::Array(self.warps.iter().map(|&w| Json::UInt(w as u64)).collect()),
-            ),
-            ("live_warps".into(), Json::UInt(u64::from(self.live_warps))),
-            (
-                "barrier_arrived".into(),
-                Json::UInt(u64::from(self.barrier_arrived)),
-            ),
-            ("smem".into(), Json::Str(pack_words(&self.smem))),
-            ("reg_bytes".into(), Json::UInt(u64::from(self.reg_bytes))),
-            ("smem_bytes".into(), Json::UInt(u64::from(self.smem_bytes))),
-            (
-                "pending_loads".into(),
-                Json::UInt(u64::from(self.pending_loads)),
-            ),
-            ("seq".into(), Json::UInt(self.seq)),
-            ("inactive_since".into(), Json::UInt(self.inactive_since)),
-        ])
-    }
-
     /// Rebuilds a CTA of a kernel with `smem_bytes` bytes of shared
-    /// memory per CTA from [`CtaRt::snapshot`] output.
+    /// memory per CTA from its checkpoint ([`ToJson`]).
     ///
     /// # Errors
     ///
     /// Returns a message on malformed input, or a CTA holding shared
     /// memory of another size.
     pub fn restore(v: &Json, smem_bytes: u32) -> Result<CtaRt, String> {
-        let warps = req_array(v, "warps")?
-            .iter()
-            .map(|w| {
-                w.as_u64()
-                    .map(|x| x as usize)
-                    .ok_or("warp slot is not a u64")
-            })
-            .collect::<Result<Vec<usize>, &str>>()?;
+        let mut cta = CtaRt::from_json(v)?;
         // Every CTA slot holds what its kernel allocates: a shared-memory
         // access is bounded by the words held, and the words to decode are
         // bounded before they are allocated.
-        let held = req_u64(v, "smem_bytes")?;
-        if held != u64::from(smem_bytes) {
+        if cta.smem_bytes != smem_bytes {
             return Err(format!(
-                "field `smem_bytes`: a CTA holds {held} bytes of shared memory, the kernel {smem_bytes}"
+                "field `smem_bytes`: a CTA holds {} bytes of shared memory, the kernel {smem_bytes}",
+                cta.smem_bytes
             ));
         }
-        let smem = req_words(v, "smem", (smem_bytes as usize).div_ceil(4))?;
-        Ok(CtaRt {
-            cta_id: req_u64(v, "cta_id")? as u32,
-            phase: CtaPhase::restore(req(v, "phase")?)?,
-            warps,
-            live_warps: req_u64(v, "live_warps")? as u32,
-            barrier_arrived: req_u64(v, "barrier_arrived")? as u32,
-            smem,
-            reg_bytes: req_u64(v, "reg_bytes")? as u32,
-            smem_bytes,
-            pending_loads: req_u64(v, "pending_loads")? as u32,
-            seq: req_u64(v, "seq")?,
-            inactive_since: req_u64(v, "inactive_since")?,
-            warps_blocked_long: 0,
-            warps_unblocked: 0,
-        })
+        cta.smem = req_words(v, "smem", (smem_bytes as usize).div_ceil(4))?;
+        Ok(cta)
     }
 }
+
+// The phase machine, warp-slot list and functional shared-memory
+// contents; the trigger counters are derived, and `smem` is decoded by
+// `restore` once its length is checked.
+impl_json!(CtaRt {
+    cta_id,
+    phase,
+    warps,
+    live_warps,
+    barrier_arrived,
+    smem: Words,
+    reg_bytes,
+    smem_bytes,
+    pending_loads,
+    seq,
+    inactive_since,
+} derived {
+    warps_blocked_long: 0,
+    warps_unblocked: 0,
+});
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,7 @@ use std::time::Instant;
 use vt_isa::error::ExecError;
 use vt_isa::kernel::MemImage;
 use vt_isa::Kernel;
-use vt_json::{pack_words, req, req_array, req_str, req_u64, req_words, Json};
+use vt_json::{field, pack_words, req, req_array, req_words, FromJson, Json, ToJson};
 use vt_mem::MemSystem;
 use vt_par::Pool;
 use vt_trace::{NullSink, TraceSink};
@@ -455,32 +455,29 @@ impl<'k> GpuSim<'k> {
             .iter()
             .map(|l| {
                 Json::Object(vec![
-                    ("sm".into(), l.sm.snapshot()),
-                    ("stats".into(), l.stats.snapshot()),
+                    ("sm".into(), l.sm.to_json()),
+                    ("stats".into(), l.stats.to_json()),
                 ])
             })
             .collect();
         Checkpoint::from_json(Json::Object(vec![
-            ("version".into(), Json::UInt(CHECKPOINT_VERSION)),
-            ("kernel".into(), Json::Str(self.kernel.name().to_string())),
-            (
-                "num_ctas".into(),
-                Json::UInt(u64::from(self.kernel.num_ctas())),
-            ),
-            ("num_sms".into(), Json::UInt(self.lanes.len() as u64)),
-            ("cycle".into(), Json::UInt(self.cycle)),
-            ("next_cta".into(), Json::UInt(u64::from(self.next_cta))),
-            ("dispatch_ptr".into(), Json::UInt(self.dispatch_ptr as u64)),
-            ("stats".into(), self.stats.snapshot()),
+            ("version".into(), CHECKPOINT_VERSION.to_json()),
+            ("kernel".into(), self.kernel.name().to_json()),
+            ("num_ctas".into(), self.kernel.num_ctas().to_json()),
+            ("num_sms".into(), self.lanes.len().to_json()),
+            ("cycle".into(), self.cycle.to_json()),
+            ("next_cta".into(), self.next_cta.to_json()),
+            ("dispatch_ptr".into(), self.dispatch_ptr.to_json()),
+            ("stats".into(), self.stats.to_json()),
             (
                 "metrics".into(),
-                match &self.sampler {
-                    Some(s) => s.registry().snapshot(),
-                    None => Json::Null,
-                },
+                self.sampler
+                    .as_ref()
+                    .map(MetricsSampler::registry)
+                    .to_json(),
             ),
             ("lanes".into(), Json::Array(lanes)),
-            ("mem".into(), self.mem.snapshot()),
+            ("mem".into(), self.mem.to_json()),
             ("image".into(), Json::Str(pack_words(self.image.as_words()))),
         ]))
     }
@@ -503,13 +500,13 @@ impl<'k> GpuSim<'k> {
         check_launchable(&cfg.core, kernel)?;
         let bad = |reason: String| SimError::Checkpoint { reason };
         let v = ckpt.json();
-        let version = req_u64(v, "version").map_err(bad)?;
+        let version: u64 = field(v, "version").map_err(bad)?;
         if version != CHECKPOINT_VERSION {
             return Err(bad(format!(
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             )));
         }
-        let name = req_str(v, "kernel").map_err(bad)?;
+        let name: String = field(v, "kernel").map_err(bad)?;
         if name != kernel.name() {
             return Err(bad(format!(
                 "checkpoint is for kernel {:?}, not {:?}",
@@ -517,22 +514,22 @@ impl<'k> GpuSim<'k> {
                 kernel.name()
             )));
         }
-        let num_ctas = req_u64(v, "num_ctas").map_err(bad)?;
+        let num_ctas: u64 = field(v, "num_ctas").map_err(bad)?;
         if num_ctas != u64::from(kernel.num_ctas()) {
             return Err(bad(format!(
                 "checkpoint has {num_ctas} CTAs, kernel has {}",
                 kernel.num_ctas()
             )));
         }
-        let num_sms = req_u64(v, "num_sms").map_err(bad)? as usize;
-        if num_sms != cfg.core.num_sms.max(1) as usize {
+        let num_sms: u64 = field(v, "num_sms").map_err(bad)?;
+        if num_sms != u64::from(cfg.core.num_sms.max(1)) {
             return Err(bad(format!(
                 "checkpoint has {num_sms} SMs, config has {}",
                 cfg.core.num_sms.max(1)
             )));
         }
         let lane_docs = req_array(v, "lanes").map_err(bad)?;
-        if lane_docs.len() != num_sms {
+        if lane_docs.len() as u64 != num_sms {
             return Err(bad(format!(
                 "checkpoint lane table has {} entries for {num_sms} SMs",
                 lane_docs.len()
@@ -540,18 +537,18 @@ impl<'k> GpuSim<'k> {
         }
         // Every cycle run so far was charged to each SM's stats lane once,
         // and the watchdog stops a run before it reaches its limit.
-        let cycle = req_u64(v, "cycle").map_err(bad)?;
+        let cycle: u64 = field(v, "cycle").map_err(bad)?;
         if cycle >= cfg.core.max_cycles {
             return Err(bad(format!(
                 "cycle: checkpoint is at cycle {cycle}, the watchdog stops at {}",
                 cfg.core.max_cycles
             )));
         }
-        let mut lanes = Vec::with_capacity(num_sms);
+        let mut lanes = Vec::with_capacity(lane_docs.len());
         for doc in lane_docs {
             let sm = Sm::restore(req(doc, "sm").map_err(bad)?, kernel, cfg.mem.line_bytes)
                 .map_err(bad)?;
-            let stats = RunStats::restore(req(doc, "stats").map_err(bad)?).map_err(bad)?;
+            let stats: RunStats = field(doc, "stats").map_err(bad)?;
             stats.check_charged(cycle).map_err(bad)?;
             lanes.push(SmLane { sm, stats });
         }
@@ -576,7 +573,7 @@ impl<'k> GpuSim<'k> {
                 ));
             }
             (Some(w), m) => {
-                let registry = vt_trace::MetricsRegistry::restore(m).map_err(bad)?;
+                let registry = vt_trace::MetricsRegistry::from_json(m).map_err(bad)?;
                 if registry.window() != w.max(1) {
                     return Err(bad(format!(
                         "checkpoint metrics window is {}, config wants {}",
@@ -593,11 +590,11 @@ impl<'k> GpuSim<'k> {
                         registry.windows()
                     )));
                 }
-                Some(MetricsSampler::from_registry(registry, num_sms).map_err(bad)?)
+                Some(MetricsSampler::from_registry(registry, lanes.len()).map_err(bad)?)
             }
         };
         // The dispatcher-level block charges no SM-cycles; the lanes do.
-        let stats = RunStats::restore(req(v, "stats").map_err(bad)?).map_err(bad)?;
+        let stats: RunStats = field(v, "stats").map_err(bad)?;
         stats.check_charged(0).map_err(bad)?;
         if let Some(s) = &sampler {
             s.check_baselines(&stats, lanes.iter().map(|l| &l.stats))
@@ -626,14 +623,16 @@ impl<'k> GpuSim<'k> {
             }
             _ => {}
         }
+        let (next_cta, dispatch_ptr) =
+            dispatcher(v, kernel.num_ctas(), &stats, &lanes).map_err(bad)?;
         Ok(GpuSim {
             kernel,
             cfg: cfg.clone(),
             mem: MemSystem::restore(&cfg.mem, req(v, "mem").map_err(bad)?).map_err(bad)?,
             image: MemImage::from_words(image_words),
             lanes,
-            next_cta: req_u64(v, "next_cta").map_err(bad)? as u32,
-            dispatch_ptr: req_u64(v, "dispatch_ptr").map_err(bad)? as usize,
+            next_cta,
+            dispatch_ptr,
             sched_limited: scheduling_limited(cfg, kernel),
             stats,
             cycle,
@@ -674,6 +673,47 @@ impl<'k> GpuSim<'k> {
             && self.lanes.iter().all(|l| l.sm.idle())
             && self.mem.quiesced()
     }
+}
+
+/// Decodes the dispatcher state, `(next_cta, dispatch_ptr)`, and checks
+/// it against the grid of `num_ctas` and the SMs: the next dispatch
+/// indexes an SM with the pointer, and every CTA below `next_cta` has
+/// completed (in some stats block) or is resident on exactly one SM, so
+/// none is run twice or skipped.
+fn dispatcher(
+    v: &Json,
+    num_ctas: u32,
+    stats: &RunStats,
+    lanes: &[SmLane],
+) -> Result<(u32, usize), String> {
+    let dispatch_ptr: usize = field(v, "dispatch_ptr")?;
+    if dispatch_ptr >= lanes.len() {
+        return Err(format!(
+            "dispatch_ptr: the dispatcher points at SM {dispatch_ptr} of {}",
+            lanes.len()
+        ));
+    }
+    let next_cta: u32 = field(v, "next_cta")?;
+    let mut resident: Vec<u32> = lanes.iter().flat_map(|l| l.sm.resident_cta_ids()).collect();
+    let completed: u64 =
+        stats.ctas_completed + lanes.iter().map(|l| l.stats.ctas_completed).sum::<u64>();
+    if next_cta > num_ctas || u64::from(next_cta) != completed + resident.len() as u64 {
+        return Err(format!(
+            "next_cta: {next_cta} of {num_ctas} CTAs dispatched, but {completed} completed \
+             and {} are resident",
+            resident.len()
+        ));
+    }
+    resident.sort_unstable();
+    if let Some(w) = resident.windows(2).find(|w| w[0] == w[1]) {
+        return Err(format!("cta_id: CTA {} is resident twice", w[0]));
+    }
+    if let Some(&id) = resident.last().filter(|&&id| id >= next_cta) {
+        return Err(format!(
+            "cta_id: CTA {id} is resident, but only {next_cta} were dispatched"
+        ));
+    }
+    Ok((next_cta, dispatch_ptr))
 }
 
 /// Whether empty SM-cycles with undispatched work should be attributed
@@ -1373,6 +1413,37 @@ mod tests {
             GpuSim::resume(&big, &k, &t.checkpoint),
             Err(SimError::Checkpoint { .. })
         ));
+        // Dispatcher state the SMs contradict: a pointer past the last SM
+        // used to panic at the next dispatch, and a `next_cta` beyond the
+        // CTAs completed and resident to skip those in between (2^32 + 1
+        // resumed as 1 and ran CTAs twice).
+        let doc = Json::parse(&t.checkpoint.to_text()).unwrap();
+        let next = doc.get("next_cta").and_then(Json::as_u64).unwrap();
+        let cases = [
+            ("dispatch_ptr", "dispatch_ptr", Json::UInt(2)),
+            ("dispatch_ptr", "dispatch_ptr", Json::UInt(u64::MAX)),
+            ("next_cta", "next_cta", Json::UInt(next + 2)),
+            ("next_cta", "next_cta", Json::UInt(next - 1)),
+            (
+                "field `next_cta` is not a u32",
+                "next_cta",
+                Json::UInt((1 << 32) + 1),
+            ),
+        ];
+        for (what, key, value) in cases {
+            let mut bad = doc.clone();
+            *field(&mut bad, key) = value;
+            let ckpt = Checkpoint::parse(&bad.compact()).expect("header intact");
+            match GpuSim::resume(&cfg, &k, &ckpt) {
+                Err(SimError::Checkpoint { reason }) => {
+                    assert!(
+                        reason.starts_with(what),
+                        "{what}: wrong diagnostic {reason:?}"
+                    );
+                }
+                other => panic!("{what}: corrupt checkpoint not refused: {other:?}"),
+            }
+        }
     }
 
     /// `obj[key]`, mutably.
@@ -1396,8 +1467,10 @@ mod tests {
     /// entry at `warp_uids[wslot]`); a register number of 256..=65535 used
     /// to panic in the scoreboard the same way, and a larger one to alias
     /// another register. A scoreboard `count` that disagrees with its
-    /// pending bits, and a register file of the wrong size or frame width,
-    /// used to be accepted too. Each must be refused at resume.
+    /// pending bits, a register file of the wrong size or frame width, a
+    /// warp's thread ids that disagree with its index, and a CTA id
+    /// resident twice or not yet dispatched used to be accepted too. Each
+    /// must be refused at resume.
     #[test]
     fn resume_rejects_out_of_range_slot_indices() {
         let k = streaming_kernel(8, 64);
@@ -1427,7 +1500,7 @@ mod tests {
         assert!(resume(&early).is_ok() && resume(&late).is_ok());
 
         type Corrupt = fn(&mut Json);
-        let cases: [(&str, &Json, Corrupt); 22] = [
+        let cases: [(&str, &Json, Corrupt); 26] = [
             ("writeback", &early, |sm| {
                 *item(item(field(sm, "writebacks"), 0), 1) = Json::UInt(9999);
             }),
@@ -1517,6 +1590,26 @@ mod tests {
             ("pc", &early, |sm| {
                 let stack = field(item(field(sm, "warps"), 0), "stack");
                 *item(item(stack, 0), 0) = Json::UInt(9999);
+            }),
+            // A warp's thread ids follow from its index in its CTA (a
+            // shifted `first_tid` used to run other threads' work).
+            ("warp identity", &early, |sm| {
+                let first_tid = field(item(field(sm, "warps"), 0), "first_tid");
+                *first_tid = Json::UInt(first_tid.as_u64().unwrap() + 32);
+            }),
+            ("warp identity", &early, |sm| {
+                let warp = item(field(sm, "warps"), 0);
+                *field(warp, "warp_in_cta") = Json::UInt(2);
+                *field(warp, "first_tid") = Json::UInt(64);
+            }),
+            // A resident CTA the dispatcher has not handed out, or one
+            // resident twice.
+            ("cta_id", &early, |sm| {
+                *field(item(field(sm, "ctas"), 0), "cta_id") = Json::UInt(9999);
+            }),
+            ("cta_id", &early, |sm| {
+                let other = field(item(field(sm, "ctas"), 1), "cta_id").clone();
+                *field(item(field(sm, "ctas"), 0), "cta_id") = other;
             }),
         ];
         for (what, base, corrupt) in cases {

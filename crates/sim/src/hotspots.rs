@@ -30,7 +30,7 @@
 //! order, and it rides [`crate::stats::RunStats`] through
 //! checkpoint/resume.
 
-use vt_json::{req, req_array, req_count, req_u64, Json};
+use vt_json::{decode_elem, impl_json, not_a, Codec, Count, FromJson, Json, ToJson};
 use vt_trace::Histogram;
 
 /// Why a non-empty SM-cycle issued nothing — the stall half of the
@@ -163,53 +163,48 @@ impl PcCounters {
         self.branches += o.branches;
         self.divergent += o.divergent;
     }
+}
 
-    fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("issued".into(), Json::UInt(self.issued)),
-            ("warp_issues".into(), Json::UInt(self.warp_issues)),
-            ("thread_instrs".into(), Json::UInt(self.thread_instrs)),
-            (
-                "stalls".into(),
-                Json::Array(self.stalls.iter().map(|&s| Json::UInt(s)).collect()),
-            ),
-            ("mem_latency".into(), self.mem_latency.snapshot()),
-            ("mem_accesses".into(), Json::UInt(self.mem_accesses)),
-            ("mem_lines".into(), Json::UInt(self.mem_lines)),
-            ("mem_lines_max".into(), Json::UInt(self.mem_lines_max)),
-            ("smem_accesses".into(), Json::UInt(self.smem_accesses)),
-            ("smem_rounds".into(), Json::UInt(self.smem_rounds)),
-            ("branches".into(), Json::UInt(self.branches)),
-            ("divergent".into(), Json::UInt(self.divergent)),
-        ])
+impl_json!(PcCounters {
+    issued: Count,
+    warp_issues: Count,
+    thread_instrs: Count,
+    stalls: Count,
+    mem_latency,
+    mem_accesses: Count,
+    mem_lines: Count,
+    mem_lines_max,
+    smem_accesses: Count,
+    smem_rounds: Count,
+    branches: Count,
+    divergent: Count,
+});
+
+/// Untouched PCs are written as `null`, to keep checkpoints compact.
+struct Sparse;
+
+impl Codec<Vec<PcCounters>> for Sparse {
+    fn encode(pcs: &Vec<PcCounters>) -> Json {
+        Json::Array(
+            pcs.iter()
+                .map(|c| {
+                    if c.is_empty() {
+                        Json::Null
+                    } else {
+                        c.to_json()
+                    }
+                })
+                .collect(),
+        )
     }
 
-    fn restore(v: &Json) -> Result<PcCounters, String> {
-        let raw = req_array(v, "stalls")?;
-        if raw.len() != STALL_REASONS {
-            return Err(format!(
-                "expected {STALL_REASONS} stall buckets, got {}",
-                raw.len()
-            ));
-        }
-        let mut stalls = [0u64; STALL_REASONS];
-        for (slot, item) in stalls.iter_mut().zip(raw) {
-            *slot = item.as_count().ok_or("stall bucket is not a count")?;
-        }
-        Ok(PcCounters {
-            issued: req_count(v, "issued")?,
-            warp_issues: req_count(v, "warp_issues")?,
-            thread_instrs: req_count(v, "thread_instrs")?,
-            stalls,
-            mem_latency: Histogram::restore(req(v, "mem_latency")?)?,
-            mem_accesses: req_count(v, "mem_accesses")?,
-            mem_lines: req_count(v, "mem_lines")?,
-            mem_lines_max: req_u64(v, "mem_lines_max")?,
-            smem_accesses: req_count(v, "smem_accesses")?,
-            smem_rounds: req_count(v, "smem_rounds")?,
-            branches: req_count(v, "branches")?,
-            divergent: req_count(v, "divergent")?,
-        })
+    fn decode(v: &Json) -> Result<Vec<PcCounters>, String> {
+        let pcs = v.as_array().ok_or_else(|| not_a("an array"))?;
+        let pc = |(i, x): (usize, &Json)| match x {
+            Json::Null => Ok(PcCounters::default()),
+            x => decode_elem(i, x, PcCounters::from_json),
+        };
+        pcs.iter().enumerate().map(pc).collect()
     }
 }
 
@@ -343,62 +338,12 @@ impl PcProfile {
             *a += b;
         }
     }
-
-    /// Serializes the profile for checkpointing. Untouched PCs are
-    /// emitted as `null` to keep checkpoints compact.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            (
-                "pcs".into(),
-                Json::Array(
-                    self.pcs
-                        .iter()
-                        .map(|c| {
-                            if c.is_empty() {
-                                Json::Null
-                            } else {
-                                c.snapshot()
-                            }
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "unattributed".into(),
-                Json::Array(self.unattributed.iter().map(|&u| Json::UInt(u)).collect()),
-            ),
-        ])
-    }
-
-    /// Rebuilds a profile from [`PcProfile::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<PcProfile, String> {
-        let mut pcs = Vec::new();
-        for item in req_array(v, "pcs")? {
-            pcs.push(match item {
-                Json::Null => PcCounters::default(),
-                other => PcCounters::restore(other)?,
-            });
-        }
-        let raw = req_array(v, "unattributed")?;
-        if raw.len() != STALL_REASONS {
-            return Err(format!(
-                "expected {STALL_REASONS} unattributed buckets, got {}",
-                raw.len()
-            ));
-        }
-        let mut unattributed = [0u64; STALL_REASONS];
-        for (slot, item) in unattributed.iter_mut().zip(raw) {
-            *slot = item
-                .as_count()
-                .ok_or("unattributed bucket is not a count")?;
-        }
-        Ok(PcProfile { pcs, unattributed })
-    }
 }
+
+impl_json!(PcProfile {
+    pcs: Sparse,
+    unattributed: Count
+});
 
 #[cfg(test)]
 mod tests {
@@ -467,12 +412,12 @@ mod tests {
         p.record_issue_cycle(3);
         p.record_mem_latency(3, 123);
         p.record_stall(None, StallReason::Structural);
-        let j = p.snapshot();
+        let j = p.to_json();
         // Untouched PCs serialize as null.
         let pcs = j.get("pcs").and_then(Json::as_array).unwrap();
         assert!(matches!(pcs[0], Json::Null));
         assert!(!matches!(pcs[3], Json::Null));
-        let back = PcProfile::restore(&Json::parse(&j.compact()).unwrap()).unwrap();
+        let back = PcProfile::from_json(&Json::parse(&j.compact()).unwrap()).unwrap();
         assert_eq!(back, p);
     }
 

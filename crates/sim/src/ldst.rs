@@ -1,28 +1,14 @@
 //! The SM's LD/ST unit: an in-order queue of warp memory instructions
 //! feeding shared memory (with bank-conflict serialisation) and the L1D.
 
-use crate::scoreboard::reg_from_u64;
+use crate::scoreboard::RegNum;
 use std::collections::{HashMap, VecDeque};
 use vt_isa::Reg;
-use vt_json::{elem, elem_bool, elem_u64, req_array, req_count, req_u64, Json};
+use vt_json::{
+    decode_elem, elems, impl_json, not_a, Codec, Count, FromJson, Json, NonZero, ToJson,
+};
 use vt_mem::{MemSystem, ReqKind, SmFront, Submit};
 use vt_trace::{NullSink, TraceSink};
-
-fn reg_json(r: Option<Reg>) -> Json {
-    match r {
-        Some(Reg(n)) => Json::UInt(u64::from(n)),
-        None => Json::Null,
-    }
-}
-
-fn reg_from(v: &Json) -> Result<Option<Reg>, String> {
-    match v {
-        Json::Null => Ok(None),
-        other => Ok(Some(reg_from_u64(
-            other.as_u64().ok_or("register is not a u64")?,
-        )?)),
-    }
-}
 
 /// One warp memory instruction queued in the LD/ST unit.
 #[derive(Debug, Clone)]
@@ -68,6 +54,8 @@ pub enum MemWorkBody {
 /// destination register is released when the last one responds.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadGroup {
+    /// The token the group's transactions map back to.
+    pub token: u64,
     /// Warp slot of the issuing warp.
     pub warp_slot: usize,
     /// Uid of the issuing warp, guarding against slot reuse.
@@ -86,6 +74,44 @@ pub struct LoadGroup {
     /// Cycle the instruction issued at (round-trip latency attribution).
     pub issued_at: u64,
 }
+
+impl_json!(LoadGroup [token, warp_slot, warp_uid, dst: RegNum, remaining, missed, pc, issued_at]);
+
+/// The load groups, written as [`LoadGroup`] rows in token order; a token
+/// written twice is refused.
+struct ByToken;
+
+impl Codec<HashMap<u64, LoadGroup>> for ByToken {
+    fn encode(groups: &HashMap<u64, LoadGroup>) -> Json {
+        let mut rows: Vec<&LoadGroup> = groups.values().collect();
+        rows.sort_unstable_by_key(|g| g.token);
+        rows.to_json()
+    }
+
+    fn decode(v: &Json) -> Result<HashMap<u64, LoadGroup>, String> {
+        let mut groups = HashMap::new();
+        for (i, g) in Vec::<LoadGroup>::from_json(v)?.into_iter().enumerate() {
+            if groups.insert(g.token, g).is_some() {
+                return Err(format!("[{i}] repeats a token"));
+            }
+        }
+        Ok(groups)
+    }
+}
+
+/// A shared-memory load whose rounds finished, waiting out the access
+/// latency.
+#[derive(Debug, Clone, Copy)]
+struct SmemLoad {
+    ready: u64,
+    warp_slot: usize,
+    warp_uid: u64,
+    dst: Option<Reg>,
+    pc: u32,
+    issued_at: u64,
+}
+
+impl_json!(SmemLoad [ready, warp_slot, warp_uid, dst: RegNum, pc, issued_at]);
 
 /// Completion record returned to the SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,9 +159,8 @@ pub struct LdstUnit {
     req_to_group: HashMap<u64, u64>,
     next_id: u64,
     sm_id: usize,
-    /// Shared loads whose rounds finished, waiting out the access latency:
-    /// (ready cycle, warp slot, warp uid, dst, pc, issued_at).
-    smem_inflight: VecDeque<(u64, usize, u64, Option<Reg>, u32, u64)>,
+    /// Shared loads whose rounds finished, in ready order.
+    smem_inflight: VecDeque<SmemLoad>,
 }
 
 impl LdstUnit {
@@ -224,6 +249,7 @@ impl LdstUnit {
             self.groups.insert(
                 token,
                 LoadGroup {
+                    token,
                     warp_slot,
                     warp_uid,
                     dst,
@@ -275,21 +301,19 @@ impl LdstUnit {
         let mut out = Vec::new();
 
         // Shared accesses that finished their latency.
-        while let Some(&(ready, warp_slot, warp_uid, dst, pc, issued_at)) =
-            self.smem_inflight.front()
-        {
-            if ready > now {
+        while let Some(&load) = self.smem_inflight.front() {
+            if load.ready > now {
                 break;
             }
             self.smem_inflight.pop_front();
             out.push(LdstEvent::Completed(MemCompletion {
-                warp_slot,
-                warp_uid,
-                dst,
+                warp_slot: load.warp_slot,
+                warp_uid: load.warp_uid,
+                dst: load.dst,
                 was_global_load: false,
                 was_long: false,
-                pc,
-                issued_at,
+                pc: load.pc,
+                issued_at: load.issued_at,
             }));
         }
 
@@ -301,14 +325,14 @@ impl LdstUnit {
                     *rounds_left -= 1;
                     if *rounds_left == 0 {
                         if dst.is_some() {
-                            self.smem_inflight.push_back((
-                                now + self.smem_latency,
-                                work.warp_slot,
-                                work.warp_uid,
-                                *dst,
-                                work.pc,
-                                work.issued_at,
-                            ));
+                            self.smem_inflight.push_back(SmemLoad {
+                                ready: now + self.smem_latency,
+                                warp_slot: work.warp_slot,
+                                warp_uid: work.warp_uid,
+                                dst: *dst,
+                                pc: work.pc,
+                                issued_at: work.issued_at,
+                            });
                         }
                         pop = true;
                     }
@@ -390,136 +414,7 @@ impl LdstUnit {
             .iter()
             .map(|w| w.warp_slot)
             .chain(self.groups.values().map(|g| g.warp_slot))
-            .chain(self.smem_inflight.iter().map(|e| e.1))
-    }
-
-    /// Serializes the unit for checkpointing. The in-order queue and the
-    /// shared-memory latency pipe keep their exact order; the load-group
-    /// tables are emitted sorted by token/request id (nothing iterates
-    /// them, so rebuild order is irrelevant to determinism).
-    pub fn snapshot(&self) -> Json {
-        let mut tokens: Vec<u64> = self.groups.keys().copied().collect();
-        tokens.sort_unstable();
-        let mut req_ids: Vec<u64> = self.req_to_group.keys().copied().collect();
-        req_ids.sort_unstable();
-        Json::Object(vec![
-            (
-                "queue".into(),
-                Json::Array(self.queue.iter().map(work_json).collect()),
-            ),
-            ("depth".into(), Json::UInt(self.depth as u64)),
-            ("smem_latency".into(), Json::UInt(self.smem_latency)),
-            (
-                "groups".into(),
-                Json::Array(
-                    tokens
-                        .into_iter()
-                        .map(|t| {
-                            let g = &self.groups[&t];
-                            Json::Array(vec![
-                                Json::UInt(t),
-                                Json::UInt(g.warp_slot as u64),
-                                Json::UInt(g.warp_uid),
-                                reg_json(g.dst),
-                                Json::UInt(u64::from(g.remaining)),
-                                Json::Bool(g.missed),
-                                Json::UInt(u64::from(g.pc)),
-                                Json::UInt(g.issued_at),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "req_to_group".into(),
-                Json::Array(
-                    req_ids
-                        .into_iter()
-                        .map(|id| {
-                            Json::Array(vec![Json::UInt(id), Json::UInt(self.req_to_group[&id])])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("next_id".into(), Json::UInt(self.next_id)),
-            ("sm_id".into(), Json::UInt(self.sm_id as u64)),
-            (
-                "smem_inflight".into(),
-                Json::Array(
-                    self.smem_inflight
-                        .iter()
-                        .map(|&(ready, slot, uid, dst, pc, issued_at)| {
-                            Json::Array(vec![
-                                Json::UInt(ready),
-                                Json::UInt(slot as u64),
-                                Json::UInt(uid),
-                                reg_json(dst),
-                                Json::UInt(u64::from(pc)),
-                                Json::UInt(issued_at),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Rebuilds a unit from [`LdstUnit::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<LdstUnit, String> {
-        let mut queue = VecDeque::new();
-        for item in req_array(v, "queue")? {
-            queue.push_back(work_from(item)?);
-        }
-        let mut groups = HashMap::new();
-        for item in req_array(v, "groups")? {
-            let a = item.as_array().ok_or("load group is not an array")?;
-            groups.insert(
-                elem_u64(a, 0)?,
-                LoadGroup {
-                    warp_slot: elem_u64(a, 1)? as usize,
-                    warp_uid: elem_u64(a, 2)?,
-                    dst: reg_from(elem(a, 3)?)?,
-                    remaining: u32::try_from(elem_u64(a, 4)?)
-                        .map_err(|_| "LD/ST unit: a load group's count is out of range")?,
-                    missed: elem_bool(a, 5)?,
-                    pc: elem_u64(a, 6)? as u32,
-                    issued_at: elem_u64(a, 7)?,
-                },
-            );
-        }
-        let mut req_to_group = HashMap::new();
-        for item in req_array(v, "req_to_group")? {
-            let a = item.as_array().ok_or("req mapping is not an array")?;
-            req_to_group.insert(elem_u64(a, 0)?, elem_u64(a, 1)?);
-        }
-        let mut smem_inflight = VecDeque::new();
-        for item in req_array(v, "smem_inflight")? {
-            let a = item.as_array().ok_or("smem inflight is not an array")?;
-            smem_inflight.push_back((
-                elem_u64(a, 0)?,
-                elem_u64(a, 1)? as usize,
-                elem_u64(a, 2)?,
-                reg_from(elem(a, 3)?)?,
-                elem_u64(a, 4)? as u32,
-                elem_u64(a, 5)?,
-            ));
-        }
-        let unit = LdstUnit {
-            queue,
-            depth: (req_u64(v, "depth")? as usize).max(1),
-            smem_latency: req_count(v, "smem_latency")?,
-            groups,
-            req_to_group,
-            next_id: req_count(v, "next_id")?,
-            sm_id: req_u64(v, "sm_id")? as usize,
-            smem_inflight,
-        };
-        unit.check_outstanding()?;
-        Ok(unit)
+            .chain(self.smem_inflight.iter().map(|e| e.warp_slot))
     }
 
     /// Checks what a tick counts down or looks up unchecked: every queued
@@ -580,76 +475,62 @@ impl LdstUnit {
     }
 }
 
-fn work_json(w: &MemWork) -> Json {
-    let body = match &w.body {
-        MemWorkBody::Shared { rounds_left, dst } => Json::Array(vec![
-            Json::Str("shared".into()),
-            Json::UInt(u64::from(*rounds_left)),
-            reg_json(*dst),
-        ]),
-        MemWorkBody::Global {
-            lines,
-            submitted,
-            token,
-            kind,
-        } => Json::Array(vec![
-            Json::Str("global".into()),
-            Json::Array(lines.iter().map(|&l| Json::UInt(l)).collect()),
-            Json::UInt(*submitted as u64),
-            match token {
-                Some(t) => Json::UInt(*t),
-                None => Json::Null,
-            },
-            Json::Str(kind.tag().into()),
-        ]),
-    };
-    Json::Array(vec![
-        Json::UInt(w.warp_slot as u64),
-        Json::UInt(w.warp_uid),
-        body,
-        Json::UInt(u64::from(w.pc)),
-        Json::UInt(w.issued_at),
-    ])
-}
+// The in-order queue and the shared-memory latency pipe keep their exact
+// order; the load-group tables are written sorted by token and request id.
+impl_json!(LdstUnit {
+    queue,
+    depth: NonZero,
+    smem_latency: Count,
+    groups: ByToken,
+    req_to_group,
+    next_id: Count,
+    sm_id,
+    smem_inflight,
+} check LdstUnit::check_outstanding);
 
-fn work_from(v: &Json) -> Result<MemWork, String> {
-    let a = v.as_array().ok_or("mem work is not an array")?;
-    let b = elem(a, 2)?.as_array().ok_or("work body is not an array")?;
-    let tag = b
-        .first()
-        .and_then(Json::as_str)
-        .ok_or("work body tag missing")?;
-    let body = match tag {
-        "shared" => MemWorkBody::Shared {
-            rounds_left: elem_u64(b, 1)? as u32,
-            dst: reg_from(elem(b, 2)?)?,
-        },
-        "global" => {
-            let lines = elem(b, 1)?
-                .as_array()
-                .ok_or("lines is not an array")?
-                .iter()
-                .map(|l| l.as_u64().ok_or("line is not a u64"))
-                .collect::<Result<Vec<u64>, &str>>()?;
+impl_json!(MemWork [warp_slot, warp_uid, body, pc, issued_at]);
+
+/// A body is checkpointed as `["shared", rounds_left, dst]` or
+/// `["global", lines, submitted, token, kind]`.
+impl ToJson for MemWorkBody {
+    fn to_json(&self) -> Json {
+        match self {
+            MemWorkBody::Shared { rounds_left, dst } => {
+                ("shared", rounds_left, RegNum::encode(dst)).to_json()
+            }
             MemWorkBody::Global {
                 lines,
-                submitted: elem_u64(b, 2)? as usize,
-                token: match elem(b, 3)? {
-                    Json::Null => None,
-                    t => Some(t.as_u64().ok_or("token is not a u64")?),
-                },
-                kind: ReqKind::from_tag(elem(b, 4)?.as_str().ok_or("req kind is not a string")?)?,
-            }
+                submitted,
+                token,
+                kind,
+            } => ("global", lines, submitted, token, kind).to_json(),
         }
-        other => return Err(format!("unknown work body tag {other:?}")),
-    };
-    Ok(MemWork {
-        warp_slot: elem_u64(a, 0)? as usize,
-        warp_uid: elem_u64(a, 1)?,
-        body,
-        pc: elem_u64(a, 3)? as u32,
-        issued_at: elem_u64(a, 4)?,
-    })
+    }
+}
+
+impl FromJson for MemWorkBody {
+    fn from_json(v: &Json) -> Result<MemWorkBody, String> {
+        let tag = v.as_array().and_then(|a| a.first()).and_then(Json::as_str);
+        match tag {
+            Some("shared") => {
+                let items = elems(v, 3)?;
+                Ok(MemWorkBody::Shared {
+                    rounds_left: decode_elem(1, &items[1], u32::from_json)?,
+                    dst: decode_elem(2, &items[2], RegNum::decode)?,
+                })
+            }
+            Some("global") => {
+                let items = elems(v, 5)?;
+                Ok(MemWorkBody::Global {
+                    lines: decode_elem(1, &items[1], Vec::from_json)?,
+                    submitted: decode_elem(2, &items[2], usize::from_json)?,
+                    token: decode_elem(3, &items[3], Option::from_json)?,
+                    kind: decode_elem(4, &items[4], ReqKind::from_json)?,
+                })
+            }
+            _ => Err(not_a("a shared or global access")),
+        }
+    }
 }
 
 #[cfg(test)]

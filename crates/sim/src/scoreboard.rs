@@ -1,7 +1,7 @@
 //! Per-warp register scoreboard.
 
 use vt_isa::{Instr, Reg};
-use vt_json::{req_array, req_u64, Json};
+use vt_json::{impl_json, Codec, FromJson, Json, ToJson};
 
 /// Tracks which destination registers of a warp have results in flight.
 /// Issue is blocked on RAW and WAW hazards against pending registers.
@@ -24,6 +24,23 @@ pub(crate) fn reg_from_u64(n: u64) -> Result<Reg, String> {
         _ => Err(format!(
             "register number {n} is out of range (the scoreboard tracks {TRACKED_REGS})"
         )),
+    }
+}
+
+/// An optional destination register, checkpointed as its number or
+/// `null` and decoded with [`reg_from_u64`].
+pub(crate) struct RegNum;
+
+impl Codec<Option<Reg>> for RegNum {
+    fn encode(r: &Option<Reg>) -> Json {
+        r.map(|r| r.0).to_json()
+    }
+
+    fn decode(v: &Json) -> Result<Option<Reg>, String> {
+        match v {
+            Json::Null => Ok(None),
+            n => reg_from_u64(u64::from_json(n)?).map(Some),
+        }
     }
 }
 
@@ -66,44 +83,18 @@ impl Scoreboard {
         self.count
     }
 
-    /// Serializes the scoreboard for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            (
-                "pending".into(),
-                Json::Array(self.pending.iter().map(|&w| Json::UInt(w)).collect()),
-            ),
-            ("count".into(), Json::UInt(u64::from(self.count))),
-        ])
-    }
-
-    /// Rebuilds a scoreboard from [`Scoreboard::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<Scoreboard, String> {
-        let words = req_array(v, "pending")?;
-        if words.len() != 4 {
-            return Err(format!("scoreboard has {} words, expected 4", words.len()));
-        }
-        let mut pending = [0u64; 4];
-        for (i, w) in words.iter().enumerate() {
-            pending[i] = w.as_u64().ok_or("scoreboard word is not a u64")?;
-        }
-        // `count` is redundant, and issue trusts it (`count == 0` admits
-        // everything), so a disagreeing one would diverge the run.
-        let count = req_u64(v, "count")?;
-        let set: u32 = pending.iter().map(|w| w.count_ones()).sum();
-        if count != u64::from(set) {
+    /// Checks the decoded `count`. It is redundant, and issue trusts it
+    /// (`count == 0` admits everything), so a disagreeing one would
+    /// diverge the run.
+    fn check_count(&self) -> Result<(), String> {
+        let set: u32 = self.pending.iter().map(|w| w.count_ones()).sum();
+        if self.count != set {
             return Err(format!(
-                "scoreboard count {count} disagrees with its {set} pending registers"
+                "scoreboard count {} disagrees with its {set} pending registers",
+                self.count
             ));
         }
-        Ok(Scoreboard {
-            pending,
-            count: set,
-        })
+        Ok(())
     }
 
     /// Whether `instr` can issue: none of its sources or its destination
@@ -131,6 +122,8 @@ impl Scoreboard {
         self.count == 0 || self.pending.iter().zip(uses).all(|(p, u)| p & u == 0)
     }
 }
+
+impl_json!(Scoreboard { pending, count } check Scoreboard::check_count);
 
 /// The registers `instr` touches (its destination and its register
 /// sources) as a scoreboard bit set, for [`Scoreboard::can_issue_uses`].

@@ -17,6 +17,7 @@ use vt_isa::exec::{self, ThreadCtx};
 use vt_isa::kernel::MemImage;
 use vt_isa::op::{BranchIf, MemSpace, Operand};
 use vt_isa::{Instr, Kernel, Reg, WARP_SIZE};
+use vt_json::{decode_field, field, impl_to_json, req_array, Codec, Count, Json, Sorted};
 use vt_mem::coalesce::{coalesce, shared_bank_conflicts};
 use vt_mem::{ReqKind, SmFront};
 use vt_trace::{NullSink, SwapDir, TraceEvent, TraceSink};
@@ -1998,178 +1999,19 @@ impl Sm {
 
     // ----- checkpointing -------------------------------------------------------
 
-    /// Serializes the complete SM state — CTA and warp tables (including
-    /// freed slots awaiting reuse), scheduler pointers, LD/ST unit,
-    /// writeback pipe and throttle state — for checkpointing. The SM
-    /// holds no mid-cycle state, so any point between two [`Sm::tick`]
-    /// calls is a cycle boundary; the transient issue list is rebuilt on
-    /// restore.
-    pub fn snapshot(&self) -> vt_json::Json {
-        use vt_json::Json;
-        let opt_u64 = |o: Option<u64>| match o {
-            Some(x) => Json::UInt(x),
-            None => Json::Null,
-        };
-        let mut writebacks: Vec<(u64, usize, u16, u64)> = self.writebacks.iter().copied().collect();
-        writebacks.sort_unstable();
-        Json::Object(vec![
-            ("id".into(), Json::UInt(self.id as u64)),
-            ("line_bytes".into(), Json::UInt(u64::from(self.line_bytes))),
-            (
-                "ctas".into(),
-                Json::Array(self.ctas.iter().map(CtaRt::snapshot).collect()),
-            ),
-            (
-                "free_cta_slots".into(),
-                Json::Array(
-                    self.free_cta_slots
-                        .iter()
-                        .map(|&s| Json::UInt(s as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "warps".into(),
-                Json::Array(self.warps.iter().map(WarpRt::snapshot).collect()),
-            ),
-            (
-                "free_warp_slots".into(),
-                Json::Array(
-                    self.free_warp_slots
-                        .iter()
-                        .map(|&s| Json::UInt(s as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "warp_uids".into(),
-                Json::Array(self.warp_uids.iter().map(|&u| Json::UInt(u)).collect()),
-            ),
-            (
-                "resident_reg_bytes".into(),
-                Json::UInt(u64::from(self.resident_reg_bytes)),
-            ),
-            (
-                "resident_smem_bytes".into(),
-                Json::UInt(u64::from(self.resident_smem_bytes)),
-            ),
-            (
-                "resident_warps".into(),
-                Json::UInt(u64::from(self.resident_warps)),
-            ),
-            (
-                "resident_ctas".into(),
-                Json::UInt(u64::from(self.resident_ctas)),
-            ),
-            ("slot_ctas".into(), Json::UInt(u64::from(self.slot_ctas))),
-            ("slot_warps".into(), Json::UInt(u64::from(self.slot_warps))),
-            (
-                "active_phase_warps".into(),
-                Json::UInt(u64::from(self.active_phase_warps)),
-            ),
-            (
-                "swapping_ctas".into(),
-                Json::UInt(u64::from(self.swapping_ctas)),
-            ),
-            (
-                "sched_last".into(),
-                Json::Array(
-                    self.sched_last
-                        .iter()
-                        .map(|&o| opt_u64(o.map(|s| s as u64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "sched_ptr".into(),
-                Json::Array(
-                    self.sched_ptr
-                        .iter()
-                        .map(|&p| Json::UInt(p as u64))
-                        .collect(),
-                ),
-            ),
-            ("sfu_free_at".into(), Json::UInt(self.sfu_free_at)),
-            ("ldst".into(), self.ldst.snapshot()),
-            (
-                "writebacks".into(),
-                Json::Array(
-                    writebacks
-                        .into_iter()
-                        .map(|(ready, wslot, reg, uid)| {
-                            Json::Array(vec![
-                                Json::UInt(ready),
-                                Json::UInt(wslot as u64),
-                                Json::UInt(u64::from(reg)),
-                                Json::UInt(uid),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("next_uid".into(), Json::UInt(self.next_uid)),
-            ("cta_seq".into(), Json::UInt(self.cta_seq)),
-            (
-                "max_simt_depth".into(),
-                Json::UInt(self.max_simt_depth as u64),
-            ),
-            ("throttle_hold".into(), Json::Bool(self.throttle_hold)),
-            (
-                "throttle_window_end".into(),
-                Json::UInt(self.throttle_window_end),
-            ),
-            (
-                "phase_window".into(),
-                Json::UInt(u64::from(self.phase_window)),
-            ),
-            ("phase_accum".into(), Json::UInt(self.phase_accum)),
-            (
-                "phases_since_probe".into(),
-                Json::UInt(u64::from(self.phases_since_probe)),
-            ),
-            ("window_issues".into(), Json::UInt(self.window_issues)),
-            (
-                "mode_ipc_est".into(),
-                Json::Array(vec![
-                    opt_u64(self.mode_ipc_est[0]),
-                    opt_u64(self.mode_ipc_est[1]),
-                ]),
-            ),
-        ])
-    }
-
     /// Rebuilds an SM running `kernel` against a memory system of
-    /// `line_bytes`-byte lines from [`Sm::snapshot`] output. The issue
-    /// list is marked dirty so the first scheduling pass regenerates it.
+    /// `line_bytes`-byte lines from its checkpoint ([`vt_json::ToJson`]).
+    /// The SM holds no mid-cycle state, so any point between two
+    /// [`Sm::tick`] calls is a cycle boundary; the derived state is
+    /// rebuilt on the first tick.
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed input or state the kernel or line
-    /// size rules out.
-    pub fn restore(v: &vt_json::Json, kernel: &Kernel, line_bytes: u32) -> Result<Sm, String> {
-        use vt_json::{elem_u64, req, req_array, req_bool, req_count, req_u64, Json};
-        let opt_u64 = |j: &Json, what: &str| -> Result<Option<u64>, String> {
-            match j {
-                Json::Null => Ok(None),
-                other => Ok(Some(
-                    other
-                        .as_u64()
-                        .ok_or_else(|| format!("{what} is not a u64"))?,
-                )),
-            }
-        };
-        let usize_vec = |v: &Json, key: &str| -> Result<Vec<usize>, String> {
-            req_array(v, key)?
-                .iter()
-                .map(|s| {
-                    s.as_u64()
-                        .map(|x| x as usize)
-                        .ok_or_else(|| format!("{key} element is not a u64"))
-                })
-                .collect()
-        };
+    /// Returns a message on malformed input or state the kernel, the
+    /// line size or the SM's other fields rule out.
+    pub fn restore(v: &Json, kernel: &Kernel, line_bytes: u32) -> Result<Sm, String> {
         // Coalescing splits accesses into the memory system's lines.
-        let own_lines = req_u64(v, "line_bytes")?;
+        let own_lines: u64 = field(v, "line_bytes")?;
         if own_lines != u64::from(line_bytes) {
             return Err(format!(
                 "line_bytes: the SM coalesces {own_lines}-byte lines, the memory system's are {line_bytes}"
@@ -2183,9 +2025,10 @@ impl Sm {
             .iter()
             .map(|w| WarpRt::restore(w, kernel.regs_per_thread()))
             .collect::<Result<Vec<_>, _>>()?;
-        // The first tick decodes every live warp's PCs.
+        // The first tick decodes every live warp's PCs, and a warp's
+        // thread ids follow from its index in its CTA.
         let len = kernel.program().len();
-        for w in warps.iter().filter(|w| !w.done) {
+        for (slot, w) in warps.iter().enumerate().filter(|(_, w)| !w.done) {
             if w.stack.is_done() {
                 return Err("pc: a live warp has an empty SIMT stack".to_string());
             }
@@ -2195,11 +2038,19 @@ impl Sm {
                     e.pc
                 ));
             }
+            if w.warp_in_cta >= kernel.warps_per_cta()
+                || u64::from(w.first_tid) != u64::from(w.warp_in_cta) * u64::from(WARP_SIZE)
+            {
+                return Err(format!(
+                    "warp identity: warp slot {slot} is warp {} of its CTA from thread {}, \
+                     but a CTA has {} warps of {WARP_SIZE} threads",
+                    w.warp_in_cta,
+                    w.first_tid,
+                    kernel.warps_per_cta()
+                ));
+            }
         }
-        let warp_uids = req_array(v, "warp_uids")?
-            .iter()
-            .map(|u| u.as_u64().ok_or("warp uid is not a u64"))
-            .collect::<Result<Vec<u64>, &str>>()?;
+        let warp_uids: Vec<u64> = field(v, "warp_uids")?;
         if warp_uids.len() != warps.len() {
             return Err("warp uid table length mismatch".to_string());
         }
@@ -2224,36 +2075,32 @@ impl Sm {
         for warp in &warps {
             cta_slot("warp", warp.cta_slot)?;
         }
-        let free_cta_slots = usize_vec(v, "free_cta_slots")?;
+        let free_cta_slots: Vec<usize> = field(v, "free_cta_slots")?;
         for &s in &free_cta_slots {
             cta_slot("free CTA list", s)?;
         }
-        let free_warp_slots = usize_vec(v, "free_warp_slots")?;
+        let free_warp_slots: Vec<usize> = field(v, "free_warp_slots")?;
         for &s in &free_warp_slots {
             warp_slot("free warp list", s)?;
         }
-        let mut sched_last = Vec::new();
-        for item in req_array(v, "sched_last")? {
-            sched_last.push(match opt_u64(item, "sched_last slot")? {
-                Some(s) => Some(warp_slot("sched_last", s as usize)?),
-                None => None,
-            });
+        let sched_last: Vec<Option<usize>> = field(v, "sched_last")?;
+        for &s in sched_last.iter().flatten() {
+            warp_slot("sched_last", s)?;
         }
         if sched_last.is_empty() {
             return Err("SM has no schedulers".to_string());
         }
-        let mut writebacks = Vec::new();
-        for item in req_array(v, "writebacks")? {
-            let a = item.as_array().ok_or("writeback is not an array")?;
-            writebacks.push((
-                elem_u64(a, 0)?,
-                warp_slot("writeback", elem_u64(a, 1)? as usize)?,
-                reg_from_u64(elem_u64(a, 2)?)?.0,
-                elem_u64(a, 3)?,
-            ));
+        let sched_ptr: Vec<usize> = field(v, "sched_ptr")?;
+        if sched_ptr.len() != sched_last.len() {
+            return Err("scheduler pointer table length mismatch".to_string());
         }
-        writebacks.sort_unstable();
-        let ldst = LdstUnit::restore(req(v, "ldst")?)?;
+        let mut writebacks = VecDeque::new();
+        for (ready, wslot, reg, uid) in field::<Vec<(u64, usize, u64, u64)>>(v, "writebacks")? {
+            let wslot = warp_slot("writeback", wslot)?;
+            writebacks.push_back((ready, wslot, reg_from_u64(reg)?.0, uid));
+        }
+        writebacks.make_contiguous().sort_unstable();
+        let ldst: LdstUnit = field(v, "ldst")?;
         for s in ldst.warp_slots() {
             warp_slot("LD/ST unit", s)?;
         }
@@ -2320,19 +2167,16 @@ impl Sm {
         let occupancy = occupancy_of(&ctas);
         let counter = |i: usize| -> Result<u32, String> {
             let (key, want) = (OCCUPANCY[i], occupancy[i]);
-            let got = req_u64(v, key)?;
+            let got: u64 = field(v, key)?;
             u32::try_from(got)
                 .ok()
                 .filter(|_| got == want)
                 .ok_or_else(|| format!("occupancy: {key} is {got}, but the CTA table gives {want}"))
         };
-        let est = req_array(v, "mode_ipc_est")?;
-        if est.len() != 2 {
-            return Err("mode_ipc_est must have 2 entries".to_string());
-        }
+        let count = |key: &str| decode_field(v, key, <Count as Codec<u64>>::decode);
         let schedulers = sched_last.len();
         let mut sm = Sm {
-            id: req_u64(v, "id")? as usize,
+            id: field(v, "id")?,
             line_bytes,
             ctas,
             free_cta_slots,
@@ -2347,29 +2191,20 @@ impl Sm {
             slot_warps: counter(5)?,
             active_phase_warps: counter(6)?,
             swapping_ctas: counter(7)?,
-            sched_ptr: {
-                let p = usize_vec(v, "sched_ptr")?;
-                if p.len() != sched_last.len() {
-                    return Err("scheduler pointer table length mismatch".to_string());
-                }
-                p
-            },
-            sfu_free_at: req_u64(v, "sfu_free_at")?,
+            sched_ptr,
+            sfu_free_at: field(v, "sfu_free_at")?,
             ldst,
-            writebacks: writebacks.into(),
-            next_uid: req_count(v, "next_uid")?,
-            cta_seq: req_count(v, "cta_seq")?,
-            max_simt_depth: req_u64(v, "max_simt_depth")? as usize,
-            throttle_hold: req_bool(v, "throttle_hold")?,
-            throttle_window_end: req_u64(v, "throttle_window_end")?,
-            phase_window: req_u64(v, "phase_window")? as u32,
-            phase_accum: req_count(v, "phase_accum")?,
-            phases_since_probe: req_u64(v, "phases_since_probe")? as u32,
-            window_issues: req_count(v, "window_issues")?,
-            mode_ipc_est: [
-                opt_u64(&est[0], "mode_ipc_est[0]")?,
-                opt_u64(&est[1], "mode_ipc_est[1]")?,
-            ],
+            writebacks,
+            next_uid: count("next_uid")?,
+            cta_seq: count("cta_seq")?,
+            max_simt_depth: field(v, "max_simt_depth")?,
+            throttle_hold: field(v, "throttle_hold")?,
+            throttle_window_end: field(v, "throttle_window_end")?,
+            phase_window: field(v, "phase_window")?,
+            phase_accum: count("phase_accum")?,
+            phases_since_probe: field(v, "phases_since_probe")?,
+            window_issues: count("window_issues")?,
+            mode_ipc_est: field(v, "mode_ipc_est")?,
             sched_last,
             decoded: Vec::new(),
             issue_list: Vec::new(),
@@ -2384,7 +2219,51 @@ impl Sm {
         sm.reset_derived();
         Ok(sm)
     }
+
+    /// The grid indices of the CTAs resident on this SM.
+    pub(crate) fn resident_cta_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ctas
+            .iter()
+            .filter(|c| c.is_resident())
+            .map(|c| c.cta_id)
+    }
 }
+
+// The complete SM state — CTA and warp tables (including freed slots
+// awaiting reuse), scheduler pointers, LD/ST unit, writeback pipe and
+// throttle state. The derived state and the issue list are not written.
+impl_to_json!(Sm {
+    id,
+    line_bytes,
+    ctas,
+    free_cta_slots,
+    warps,
+    free_warp_slots,
+    warp_uids,
+    resident_reg_bytes,
+    resident_smem_bytes,
+    resident_warps,
+    resident_ctas,
+    slot_ctas,
+    slot_warps,
+    active_phase_warps,
+    swapping_ctas,
+    sched_last,
+    sched_ptr,
+    sfu_free_at,
+    ldst,
+    writebacks: Sorted,
+    next_uid,
+    cta_seq,
+    max_simt_depth,
+    throttle_hold,
+    throttle_window_end,
+    phase_window,
+    phase_accum,
+    phases_since_probe,
+    window_issues,
+    mode_ipc_est,
+});
 
 /// The occupancy counters, as checkpointed, in the order
 /// [`occupancy_of`] computes them.
@@ -2943,7 +2822,12 @@ mod tests {
         rig.tick_with(EmptyAttr::drained());
         rig.admit();
         assert_eq!(rig.sm.ready_ctas, vec![(2, 1)]);
-        let mut restored = Sm::restore(&rig.sm.snapshot(), &rig.kernel, rig.sm.line_bytes).unwrap();
+        let mut restored = Sm::restore(
+            &vt_json::ToJson::to_json(&rig.sm),
+            &rig.kernel,
+            rig.sm.line_bytes,
+        )
+        .unwrap();
         assert_eq!(restored.ready_ctas, rig.sm.ready_ctas);
         assert_eq!(restored.swap_due, rig.sm.swap_due);
         for sm in [&mut rig.sm, &mut restored] {

@@ -2,7 +2,7 @@
 //! activity — everything the paper's figures are built from.
 
 use crate::hotspots::PcProfile;
-use vt_json::{req, req_count, req_u64, Json};
+use vt_json::{impl_json, Count, Json};
 use vt_mem::MemStats;
 use vt_trace::{Gauge, Histogram, MetricsRegistry};
 
@@ -42,35 +42,16 @@ impl IdleBreakdown {
         self.swapping += o.swapping;
         self.other += o.other;
     }
-
-    /// Serializes the breakdown for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("no_warps".into(), Json::UInt(self.no_warps)),
-            ("memory".into(), Json::UInt(self.memory)),
-            ("pipeline".into(), Json::UInt(self.pipeline)),
-            ("barrier".into(), Json::UInt(self.barrier)),
-            ("swapping".into(), Json::UInt(self.swapping)),
-            ("other".into(), Json::UInt(self.other)),
-        ])
-    }
-
-    /// Rebuilds a breakdown from [`IdleBreakdown::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on missing fields.
-    pub fn restore(v: &Json) -> Result<IdleBreakdown, String> {
-        Ok(IdleBreakdown {
-            no_warps: req_count(v, "no_warps")?,
-            memory: req_count(v, "memory")?,
-            pipeline: req_count(v, "pipeline")?,
-            barrier: req_count(v, "barrier")?,
-            swapping: req_count(v, "swapping")?,
-            other: req_count(v, "other")?,
-        })
-    }
 }
+
+impl_json!(IdleBreakdown {
+    no_warps: Count,
+    memory: Count,
+    pipeline: Count,
+    barrier: Count,
+    swapping: Count,
+    other: Count,
+});
 
 /// Why an SM-cycle had *no resident warps at all* — the sub-split of
 /// [`IdleBreakdown::no_warps`]. One bucket is charged per empty SM-cycle,
@@ -108,29 +89,13 @@ impl EmptyBreakdown {
         self.capacity += o.capacity;
         self.drain += o.drain;
     }
-
-    /// Serializes the breakdown for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("scheduling".into(), Json::UInt(self.scheduling)),
-            ("capacity".into(), Json::UInt(self.capacity)),
-            ("drain".into(), Json::UInt(self.drain)),
-        ])
-    }
-
-    /// Rebuilds a breakdown from [`EmptyBreakdown::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on missing fields.
-    pub fn restore(v: &Json) -> Result<EmptyBreakdown, String> {
-        Ok(EmptyBreakdown {
-            scheduling: req_count(v, "scheduling")?,
-            capacity: req_count(v, "capacity")?,
-            drain: req_count(v, "drain")?,
-        })
-    }
 }
+
+impl_json!(EmptyBreakdown {
+    scheduling: Count,
+    capacity: Count,
+    drain: Count
+});
 
 /// One kernel run's hierarchical cycle-accounting stack — every SM-cycle
 /// attributed to exactly one leaf bucket. Derived from [`RunStats`] by
@@ -281,49 +246,17 @@ impl OccupancyAccum {
         self.smem_byte_cycles += o.smem_byte_cycles;
         self.sm_cycles += o.sm_cycles;
     }
-
-    /// Serializes the accumulator for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            (
-                "resident_warp_cycles".into(),
-                Json::UInt(self.resident_warp_cycles),
-            ),
-            (
-                "active_warp_cycles".into(),
-                Json::UInt(self.active_warp_cycles),
-            ),
-            (
-                "resident_cta_cycles".into(),
-                Json::UInt(self.resident_cta_cycles),
-            ),
-            (
-                "active_cta_cycles".into(),
-                Json::UInt(self.active_cta_cycles),
-            ),
-            ("reg_byte_cycles".into(), Json::UInt(self.reg_byte_cycles)),
-            ("smem_byte_cycles".into(), Json::UInt(self.smem_byte_cycles)),
-            ("sm_cycles".into(), Json::UInt(self.sm_cycles)),
-        ])
-    }
-
-    /// Rebuilds an accumulator from [`OccupancyAccum::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on missing fields.
-    pub fn restore(v: &Json) -> Result<OccupancyAccum, String> {
-        Ok(OccupancyAccum {
-            resident_warp_cycles: req_count(v, "resident_warp_cycles")?,
-            active_warp_cycles: req_count(v, "active_warp_cycles")?,
-            resident_cta_cycles: req_count(v, "resident_cta_cycles")?,
-            active_cta_cycles: req_count(v, "active_cta_cycles")?,
-            reg_byte_cycles: req_count(v, "reg_byte_cycles")?,
-            smem_byte_cycles: req_count(v, "smem_byte_cycles")?,
-            sm_cycles: req_count(v, "sm_cycles")?,
-        })
-    }
 }
+
+impl_json!(OccupancyAccum {
+    resident_warp_cycles: Count,
+    active_warp_cycles: Count,
+    resident_cta_cycles: Count,
+    active_cta_cycles: Count,
+    reg_byte_cycles: Count,
+    smem_byte_cycles: Count,
+    sm_cycles: Count,
+});
 
 /// CTA context-switch activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -346,34 +279,14 @@ impl SwapStats {
         self.fresh_activations += o.fresh_activations;
         self.swap_busy_cycles += o.swap_busy_cycles;
     }
-
-    /// Serializes the block for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("swaps_out".into(), Json::UInt(self.swaps_out)),
-            ("swaps_in".into(), Json::UInt(self.swaps_in)),
-            (
-                "fresh_activations".into(),
-                Json::UInt(self.fresh_activations),
-            ),
-            ("swap_busy_cycles".into(), Json::UInt(self.swap_busy_cycles)),
-        ])
-    }
-
-    /// Rebuilds a block from [`SwapStats::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on missing fields.
-    pub fn restore(v: &Json) -> Result<SwapStats, String> {
-        Ok(SwapStats {
-            swaps_out: req_count(v, "swaps_out")?,
-            swaps_in: req_count(v, "swaps_in")?,
-            fresh_activations: req_count(v, "fresh_activations")?,
-            swap_busy_cycles: req_count(v, "swap_busy_cycles")?,
-        })
-    }
 }
+
+impl_json!(SwapStats {
+    swaps_out: Count,
+    swaps_in: Count,
+    fresh_activations: Count,
+    swap_busy_cycles: Count,
+});
 
 /// Complete statistics of one simulated kernel run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -512,85 +425,29 @@ impl RunStats {
     pub fn warp_ipc(&self) -> f64 {
         ratio(self.warp_instrs, self.cycles)
     }
-
-    /// Serializes the complete stats block for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("cycles".into(), Json::UInt(self.cycles)),
-            ("warp_instrs".into(), Json::UInt(self.warp_instrs)),
-            ("thread_instrs".into(), Json::UInt(self.thread_instrs)),
-            (
-                "divergent_branches".into(),
-                Json::UInt(self.divergent_branches),
-            ),
-            ("barriers".into(), Json::UInt(self.barriers)),
-            ("ctas_completed".into(), Json::UInt(self.ctas_completed)),
-            ("issue_cycles".into(), Json::UInt(self.issue_cycles)),
-            ("idle".into(), self.idle.snapshot()),
-            ("empty".into(), self.empty.snapshot()),
-            ("occupancy".into(), self.occupancy.snapshot()),
-            ("swaps".into(), self.swaps.snapshot()),
-            ("mem".into(), self.mem.snapshot()),
-            (
-                "max_simt_depth".into(),
-                Json::UInt(self.max_simt_depth as u64),
-            ),
-            ("swap_duration".into(), self.swap_duration.snapshot()),
-            ("swap_gap".into(), self.swap_gap.snapshot()),
-            ("barrier_wait".into(), self.barrier_wait.snapshot()),
-            ("ldst_queue".into(), self.ldst_queue.snapshot()),
-            (
-                "metrics".into(),
-                match &self.series {
-                    Some(m) => m.snapshot(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "hotspots".into(),
-                match &self.hotspots {
-                    Some(h) => h.snapshot(),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Rebuilds a stats block from [`RunStats::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<RunStats, String> {
-        Ok(RunStats {
-            cycles: req_count(v, "cycles")?,
-            warp_instrs: req_count(v, "warp_instrs")?,
-            thread_instrs: req_count(v, "thread_instrs")?,
-            divergent_branches: req_count(v, "divergent_branches")?,
-            barriers: req_count(v, "barriers")?,
-            ctas_completed: req_count(v, "ctas_completed")?,
-            issue_cycles: req_count(v, "issue_cycles")?,
-            idle: IdleBreakdown::restore(req(v, "idle")?)?,
-            empty: EmptyBreakdown::restore(req(v, "empty")?)?,
-            occupancy: OccupancyAccum::restore(req(v, "occupancy")?)?,
-            swaps: SwapStats::restore(req(v, "swaps")?)?,
-            mem: MemStats::restore(req(v, "mem")?)?,
-            max_simt_depth: req_u64(v, "max_simt_depth")? as usize,
-            swap_duration: Histogram::restore(req(v, "swap_duration")?)?,
-            swap_gap: Histogram::restore(req(v, "swap_gap")?)?,
-            barrier_wait: Histogram::restore(req(v, "barrier_wait")?)?,
-            ldst_queue: Gauge::restore(req(v, "ldst_queue")?)?,
-            series: match req(v, "metrics")? {
-                Json::Null => None,
-                m => Some(MetricsRegistry::restore(m)?),
-            },
-            hotspots: match req(v, "hotspots")? {
-                Json::Null => None,
-                h => Some(PcProfile::restore(h)?),
-            },
-        })
-    }
 }
+
+impl_json!(RunStats {
+    cycles: Count,
+    warp_instrs: Count,
+    thread_instrs: Count,
+    divergent_branches: Count,
+    barriers: Count,
+    ctas_completed: Count,
+    issue_cycles: Count,
+    idle,
+    empty,
+    occupancy,
+    swaps,
+    mem,
+    max_simt_depth,
+    swap_duration,
+    swap_gap,
+    barrier_wait,
+    ldst_queue,
+    series as "metrics",
+    hotspots,
+});
 
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
@@ -603,6 +460,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vt_json::{FromJson, ToJson};
 
     #[test]
     fn ipc_handles_zero_cycles() {
@@ -640,8 +498,8 @@ mod tests {
             series: Some(m),
             ..RunStats::default()
         };
-        let text = stats.snapshot().compact();
-        let back = RunStats::restore(&Json::parse(&text).unwrap()).unwrap();
+        let text = stats.to_json().compact();
+        let back = RunStats::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, stats);
         assert_eq!(back.metrics().unwrap().windows(), 1);
     }

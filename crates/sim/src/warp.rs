@@ -3,9 +3,7 @@
 use crate::scoreboard::Scoreboard;
 use vt_isa::exec::{self, ThreadCtx};
 use vt_isa::{Operand, Reg, SimtEntry, SimtStack, WARP_SIZE};
-use vt_json::{
-    elem_u64, pack_words, req, req_array, req_bool, req_count, req_u64, req_words, Json,
-};
+use vt_json::{decode_field, field, req_words, Codec, Count, Json, ToJson, Words};
 
 /// The runtime state of one warp resident on an SM.
 ///
@@ -159,93 +157,17 @@ impl WarpRt {
         }
     }
 
-    /// Serializes the complete warp state — scheduling state (SIMT stack,
-    /// scoreboard, barrier flags) and capacity state (register values) —
-    /// for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("cta_slot".into(), Json::UInt(self.cta_slot as u64)),
-            (
-                "warp_in_cta".into(),
-                Json::UInt(u64::from(self.warp_in_cta)),
-            ),
-            ("first_tid".into(), Json::UInt(u64::from(self.first_tid))),
-            (
-                "stack".into(),
-                Json::Array(
-                    self.stack
-                        .entries()
-                        .iter()
-                        .map(|e| {
-                            Json::Array(vec![
-                                Json::UInt(e.pc as u64),
-                                match e.rpc {
-                                    Some(rpc) => Json::UInt(rpc as u64),
-                                    None => Json::Null,
-                                },
-                                Json::UInt(u64::from(e.mask)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "stack_max_depth".into(),
-                Json::UInt(self.stack.max_depth() as u64),
-            ),
-            ("scoreboard".into(), self.scoreboard.snapshot()),
-            ("regs".into(), Json::Str(pack_words(&self.regs))),
-            (
-                "regs_per_thread".into(),
-                Json::UInt(u64::from(self.regs_per_thread)),
-            ),
-            ("waiting_barrier".into(), Json::Bool(self.waiting_barrier)),
-            ("barrier_since".into(), Json::UInt(self.barrier_since)),
-            (
-                "pending_loads".into(),
-                Json::UInt(u64::from(self.pending_loads)),
-            ),
-            (
-                "long_pending_loads".into(),
-                Json::UInt(u64::from(self.long_pending_loads)),
-            ),
-            ("done".into(), Json::Bool(self.done)),
-            ("age".into(), Json::UInt(self.age)),
-        ])
-    }
-
     /// Rebuilds a warp of a kernel with `regs_per_thread` registers per
-    /// thread from [`WarpRt::snapshot`] output.
+    /// thread from its checkpoint ([`ToJson`]).
     ///
     /// # Errors
     ///
     /// Returns a message on malformed input, or a register frame of
     /// another width.
     pub fn restore(v: &Json, regs_per_thread: u16) -> Result<WarpRt, String> {
-        let mut entries = Vec::new();
-        for item in req_array(v, "stack")? {
-            let a = item.as_array().ok_or("SIMT entry is not an array")?;
-            let rpc = match a.get(1) {
-                Some(Json::Null) => None,
-                Some(j) => Some(j.as_u64().ok_or("SIMT rpc is not a u64")? as usize),
-                None => return Err("SIMT entry too short".to_string()),
-            };
-            // A stack never holds an entry without lanes: issue would run
-            // an instruction on none.
-            let mask = u32::try_from(elem_u64(a, 2)?)
-                .ok()
-                .filter(|&m| m != 0)
-                .ok_or("SIMT mask is not a nonzero u32")?;
-            entries.push(SimtEntry {
-                pc: elem_u64(a, 0)? as usize,
-                rpc,
-                mask,
-            });
-        }
-        let stack = SimtStack::from_saved(entries, req_u64(v, "stack_max_depth")? as usize);
         // Issue indexes frames by the kernel's register numbers and reads
         // and writes every lane of a register.
-        let width = req_u64(v, "regs_per_thread")?;
+        let width: u64 = field(v, "regs_per_thread")?;
         if width != u64::from(regs_per_thread) {
             return Err(format!(
                 "registers: a warp has {width} per thread, the kernel {regs_per_thread}"
@@ -253,21 +175,66 @@ impl WarpRt {
         }
         let regs = req_words(v, "regs", WARP_SIZE as usize * usize::from(regs_per_thread))
             .map_err(|e| format!("registers: {e}"))?;
+        let mut entries = Vec::new();
+        for (i, (pc, rpc, mask)) in field::<Vec<(usize, Option<usize>, u32)>>(v, "stack")?
+            .into_iter()
+            .enumerate()
+        {
+            // A stack never holds an entry without lanes: issue would run
+            // an instruction on none.
+            if mask == 0 {
+                return Err(format!("field `stack`[{i}] has a SIMT mask of no lanes"));
+            }
+            entries.push(SimtEntry { pc, rpc, mask });
+        }
         Ok(WarpRt {
-            cta_slot: req_u64(v, "cta_slot")? as usize,
-            warp_in_cta: req_u64(v, "warp_in_cta")? as u32,
-            first_tid: req_u64(v, "first_tid")? as u32,
-            stack,
-            scoreboard: Scoreboard::restore(req(v, "scoreboard")?)?,
+            cta_slot: field(v, "cta_slot")?,
+            warp_in_cta: field(v, "warp_in_cta")?,
+            first_tid: field(v, "first_tid")?,
+            stack: SimtStack::from_saved(entries, field(v, "stack_max_depth")?),
+            scoreboard: field(v, "scoreboard")?,
             regs,
             regs_per_thread,
-            waiting_barrier: req_bool(v, "waiting_barrier")?,
-            barrier_since: req_u64(v, "barrier_since")?,
-            pending_loads: req_u64(v, "pending_loads")? as u32,
-            long_pending_loads: req_u64(v, "long_pending_loads")? as u32,
-            done: req_bool(v, "done")?,
-            age: req_count(v, "age")?,
+            waiting_barrier: field(v, "waiting_barrier")?,
+            barrier_since: field(v, "barrier_since")?,
+            pending_loads: field(v, "pending_loads")?,
+            long_pending_loads: field(v, "long_pending_loads")?,
+            done: field(v, "done")?,
+            age: decode_field(v, "age", <Count as Codec<u64>>::decode)?,
         })
+    }
+}
+
+/// The complete warp state — scheduling state (SIMT stack as `[pc, rpc,
+/// mask]` entries, scoreboard, barrier flags) and capacity state
+/// (register values) — for checkpointing.
+impl ToJson for WarpRt {
+    fn to_json(&self) -> Json {
+        let stack: Vec<_> = self
+            .stack
+            .entries()
+            .iter()
+            .map(|e| (e.pc, e.rpc, e.mask))
+            .collect();
+        Json::Object(vec![
+            ("cta_slot".into(), self.cta_slot.to_json()),
+            ("warp_in_cta".into(), self.warp_in_cta.to_json()),
+            ("first_tid".into(), self.first_tid.to_json()),
+            ("stack".into(), stack.to_json()),
+            ("stack_max_depth".into(), self.stack.max_depth().to_json()),
+            ("scoreboard".into(), self.scoreboard.to_json()),
+            ("regs".into(), Words::encode(&self.regs)),
+            ("regs_per_thread".into(), self.regs_per_thread.to_json()),
+            ("waiting_barrier".into(), self.waiting_barrier.to_json()),
+            ("barrier_since".into(), self.barrier_since.to_json()),
+            ("pending_loads".into(), self.pending_loads.to_json()),
+            (
+                "long_pending_loads".into(),
+                self.long_pending_loads.to_json(),
+            ),
+            ("done".into(), self.done.to_json()),
+            ("age".into(), self.age.to_json()),
+        ])
     }
 }
 
@@ -311,7 +278,7 @@ mod tests {
         assert_eq!(w.reg(2, 3), 42);
         assert_eq!(w.reg(3, 3), 0);
         assert_eq!(w.regs[3 * 32 + 2], 42);
-        let saved = w.snapshot();
+        let saved = w.to_json();
         // Rows 0-2 and lanes 0-1 of row 3 are zero, then lane 2's 42.
         let packed = format!("z{:x}.0000002az1d.", 3 * 32 + 2);
         assert_eq!(saved.get("regs").and_then(Json::as_str), Some(&packed[..]));

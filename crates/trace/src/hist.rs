@@ -5,7 +5,7 @@
 //! stats structs for equality). Both round-trip through `vt_json` for the
 //! checkpoint/resume layer.
 
-use vt_json::{req_array, req_count, req_u64, Json};
+use vt_json::{impl_json, Count};
 
 /// A power-of-two-bucketed histogram of `u64` samples.
 ///
@@ -111,50 +111,17 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Serializes every field for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            (
-                "buckets".into(),
-                Json::Array(self.buckets.iter().map(|&b| Json::UInt(b)).collect()),
-            ),
-            ("count".into(), Json::UInt(self.count)),
-            ("sum".into(), Json::UInt(self.sum)),
-            ("min".into(), Json::UInt(self.min)),
-            ("max".into(), Json::UInt(self.max)),
-        ])
-    }
-
-    /// Rebuilds a histogram from [`Histogram::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on missing fields or a bucket-count mismatch.
-    pub fn restore(v: &Json) -> Result<Histogram, String> {
-        let raw = req_array(v, "buckets")?;
-        if raw.len() != Histogram::BUCKETS {
-            return Err(format!(
-                "expected {} buckets, got {}",
-                Histogram::BUCKETS,
-                raw.len()
-            ));
-        }
-        let mut buckets = [0u64; Histogram::BUCKETS];
-        for (slot, item) in buckets.iter_mut().zip(raw) {
-            *slot = item
-                .as_count()
-                .ok_or_else(|| "bucket is not a count".to_string())?;
-        }
-        Ok(Histogram {
-            buckets,
-            count: req_count(v, "count")?,
-            sum: req_count(v, "sum")?,
-            min: req_u64(v, "min")?,
-            max: req_u64(v, "max")?,
-        })
-    }
 }
+
+// Counters are bounded; `min` is `u64::MAX` while empty, so it keeps the
+// full range.
+impl_json!(Histogram {
+    buckets: Count,
+    count: Count,
+    sum: Count,
+    min,
+    max
+});
 
 /// A sampled gauge: tracks the mean and peak of a level that is polled
 /// periodically (queue depth, MSHR occupancy) rather than event-driven.
@@ -191,33 +158,18 @@ impl Gauge {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
-
-    /// Serializes every field for checkpointing.
-    pub fn snapshot(&self) -> Json {
-        Json::Object(vec![
-            ("samples".into(), Json::UInt(self.samples)),
-            ("sum".into(), Json::UInt(self.sum)),
-            ("max".into(), Json::UInt(self.max)),
-        ])
-    }
-
-    /// Rebuilds a gauge from [`Gauge::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on missing fields.
-    pub fn restore(v: &Json) -> Result<Gauge, String> {
-        Ok(Gauge {
-            samples: req_count(v, "samples")?,
-            sum: req_count(v, "sum")?,
-            max: req_u64(v, "max")?,
-        })
-    }
 }
+
+impl_json!(Gauge {
+    samples: Count,
+    sum: Count,
+    max
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vt_json::{FromJson, Json, ToJson};
 
     #[test]
     fn buckets_follow_log2_boundaries() {
@@ -287,18 +239,18 @@ mod tests {
         for v in [0, 3, 9_000_000_000] {
             h.record(v);
         }
-        let text = h.snapshot().compact();
-        let back = Histogram::restore(&Json::parse(&text).unwrap()).unwrap();
+        let text = h.to_json().compact();
+        let back = Histogram::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, h);
         // Empty histogram keeps its u64::MAX min through the text form.
         let empty =
-            Histogram::restore(&Json::parse(&Histogram::default().snapshot().compact()).unwrap())
+            Histogram::from_json(&Json::parse(&Histogram::default().to_json().compact()).unwrap())
                 .unwrap();
         assert_eq!(empty, Histogram::default());
 
         let mut g = Gauge::default();
         g.sample(7);
-        let back = Gauge::restore(&Json::parse(&g.snapshot().compact()).unwrap()).unwrap();
+        let back = Gauge::from_json(&Json::parse(&g.to_json().compact()).unwrap()).unwrap();
         assert_eq!(back, g);
     }
 

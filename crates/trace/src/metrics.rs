@@ -18,13 +18,12 @@
 //! across checkpoint/resume stitches (the engine seals
 //! whole windows only; a partial window rides inside the checkpoint as
 //! the rates' cumulative baselines). The registry exports to Prometheus
-//! text format ([`MetricsRegistry::to_prometheus`]) and vt-json
-//! ([`MetricsRegistry::to_json`]), and round-trips losslessly through
-//! [`MetricsRegistry::snapshot`] / [`MetricsRegistry::restore`] for the
-//! checkpoint layer.
+//! text format ([`MetricsRegistry::to_prometheus`]) and to vt-json
+//! through its [`ToJson`], which round-trips losslessly through
+//! [`FromJson`] for the checkpoint layer.
 
 use crate::hist::Histogram;
-use vt_json::{req, req_array, req_count, req_str, req_u64, Json};
+use vt_json::{decode_field, field, impl_json, Codec, Count, FromJson, Json, NonZero, ToJson};
 
 /// Default sampling window in cycles.
 pub const DEFAULT_WINDOW: u64 = 512;
@@ -361,154 +360,71 @@ impl MetricsRegistry {
         out
     }
 
-    /// Full per-window detail as vt-json: window geometry plus every
-    /// series' values (rates/levels) or histogram snapshots (dists).
-    pub fn to_json(&self) -> Json {
-        let series = self
-            .series
-            .iter()
-            .map(|s| {
-                let mut fields = vec![
-                    ("name".into(), Json::Str(s.name.clone())),
-                    (
-                        "sm".into(),
-                        match s.sm {
-                            Some(sm) => Json::UInt(u64::from(sm)),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("kind".into(), Json::Str(s.kind_tag().to_string())),
-                ];
-                match &s.kind {
-                    SeriesKind::Dist { windows, .. } => fields.push((
-                        "windows".into(),
-                        Json::Array(windows.iter().map(Histogram::snapshot).collect()),
-                    )),
-                    _ => fields.push((
-                        "values".into(),
-                        Json::Array(s.values().iter().map(|&v| Json::UInt(v)).collect()),
-                    )),
-                }
-                Json::Object(fields)
-            })
-            .collect();
-        Json::Object(vec![
-            ("window".into(), Json::UInt(self.window)),
-            ("windows".into(), Json::UInt(self.sealed)),
-            ("series".into(), Json::Array(series)),
-        ])
-    }
-
-    /// Serializes the complete registry state — including the rates'
-    /// cumulative baselines and the dists' in-progress window — for
-    /// checkpointing.
-    pub fn snapshot(&self) -> Json {
-        let series = self
-            .series
-            .iter()
-            .map(|s| {
-                let mut fields = vec![
-                    ("name".into(), Json::Str(s.name.clone())),
-                    (
-                        "sm".into(),
-                        match s.sm {
-                            Some(sm) => Json::UInt(u64::from(sm)),
-                            None => Json::Null,
-                        },
-                    ),
-                    ("kind".into(), Json::Str(s.kind_tag().to_string())),
-                ];
-                let ints = |v: &[u64]| Json::Array(v.iter().map(|&x| Json::UInt(x)).collect());
-                match &s.kind {
-                    SeriesKind::Rate { last, deltas } => {
-                        fields.push(("last".into(), Json::UInt(*last)));
-                        fields.push(("values".into(), ints(deltas)));
-                    }
-                    SeriesKind::Level { values } => {
-                        fields.push(("values".into(), ints(values)));
-                    }
-                    SeriesKind::Dist { current, windows } => {
-                        fields.push(("current".into(), current.snapshot()));
-                        fields.push((
-                            "windows".into(),
-                            Json::Array(windows.iter().map(Histogram::snapshot).collect()),
-                        ));
-                    }
-                }
-                Json::Object(fields)
-            })
-            .collect();
-        Json::Object(vec![
-            ("window".into(), Json::UInt(self.window)),
-            ("sealed".into(), Json::UInt(self.sealed)),
-            ("series".into(), Json::Array(series)),
-        ])
-    }
-
-    /// Rebuilds a registry from [`MetricsRegistry::snapshot`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on malformed input.
-    pub fn restore(v: &Json) -> Result<MetricsRegistry, String> {
-        let ints = |v: &Json, key: &str| -> Result<Vec<u64>, String> {
-            req_array(v, key)?
-                .iter()
-                .map(|x| {
-                    x.as_count()
-                        .ok_or_else(|| format!("{key} value is not a count"))
-                })
-                .collect()
-        };
-        let mut series = Vec::new();
-        for doc in req_array(v, "series")? {
-            let name = req_str(doc, "name")?.to_string();
-            let sm = match req(doc, "sm")? {
-                Json::Null => None,
-                j => Some(
-                    j.as_u64()
-                        .ok_or_else(|| "sm is not an integer".to_string())?
-                        as u32,
-                ),
-            };
-            let kind = match req_str(doc, "kind")? {
-                "rate" => SeriesKind::Rate {
-                    last: req_count(doc, "last")?,
-                    deltas: ints(doc, "values")?,
-                },
-                "level" => SeriesKind::Level {
-                    values: ints(doc, "values")?,
-                },
-                "dist" => SeriesKind::Dist {
-                    current: Box::new(Histogram::restore(req(doc, "current")?)?),
-                    windows: req_array(doc, "windows")?
-                        .iter()
-                        .map(Histogram::restore)
-                        .collect::<Result<Vec<_>, String>>()?,
-                },
-                other => return Err(format!("unknown series kind {other:?}")),
-            };
-            series.push(Series { name, sm, kind });
-        }
-        // `seal` requires every series to have one sample per window.
-        let sealed = req_count(v, "sealed")?;
-        for s in &series {
-            let windows = match &s.kind {
-                SeriesKind::Rate { deltas, .. } => deltas.len(),
-                SeriesKind::Level { values } => values.len(),
-                SeriesKind::Dist { windows, .. } => windows.len(),
-            };
-            if windows as u64 != sealed {
+    /// Checks every series has one sample per sealed window, as `seal`
+    /// requires.
+    fn check_sealed(&self) -> Result<(), String> {
+        for s in &self.series {
+            // A series has values or histograms, one per window.
+            let windows = s.values().len() + s.histograms().len();
+            if windows as u64 != self.sealed {
                 return Err(format!(
-                    "series {:?}/{:?} has {windows} windows, the registry sealed {sealed}",
-                    s.name, s.sm
+                    "series {:?}/{:?} has {windows} windows, the registry sealed {}",
+                    s.name, s.sm, self.sealed
                 ));
             }
         }
-        Ok(MetricsRegistry {
-            window: req_u64(v, "window")?.max(1),
-            sealed,
-            series,
+        Ok(())
+    }
+}
+
+// Every window of every series, plus the rates' cumulative baselines and
+// the distributions' window in progress, so checkpoints resume exactly.
+impl_json!(MetricsRegistry { window: NonZero, sealed: Count, series } check MetricsRegistry::check_sealed);
+
+/// A series is its name, scope and kind tag, then the kind's payload: a
+/// rate's `last` and `values`, a level's `values`, a distribution's
+/// `current` and `windows`.
+impl ToJson for Series {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("name".into(), self.name.to_json()),
+            ("sm".into(), self.sm.to_json()),
+            ("kind".into(), self.kind_tag().to_json()),
+        ];
+        match &self.kind {
+            SeriesKind::Rate { last, deltas } => {
+                fields.push(("last".into(), last.to_json()));
+                fields.push(("values".into(), deltas.to_json()));
+            }
+            SeriesKind::Level { values } => fields.push(("values".into(), values.to_json())),
+            SeriesKind::Dist { current, windows } => {
+                fields.push(("current".into(), current.to_json()));
+                fields.push(("windows".into(), windows.to_json()));
+            }
+        }
+        Json::Object(fields)
+    }
+}
+
+impl FromJson for Series {
+    fn from_json(v: &Json) -> Result<Series, String> {
+        let values = || decode_field(v, "values", <Count as Codec<Vec<u64>>>::decode);
+        let kind = match field::<String>(v, "kind")?.as_str() {
+            "rate" => SeriesKind::Rate {
+                last: decode_field(v, "last", <Count as Codec<u64>>::decode)?,
+                deltas: values()?,
+            },
+            "level" => SeriesKind::Level { values: values()? },
+            "dist" => SeriesKind::Dist {
+                current: Box::new(field(v, "current")?),
+                windows: field(v, "windows")?,
+            },
+            other => return Err(format!("unknown series kind {other:?}")),
+        };
+        Ok(Series {
+            name: field(v, "name")?,
+            sm: field(v, "sm")?,
+            kind,
         })
     }
 }
@@ -622,8 +538,8 @@ mod tests {
         // rate baselines must survive the round trip.
         let d = SeriesId(2);
         m.observe(d, 42);
-        let text = m.snapshot().compact();
-        let back = MetricsRegistry::restore(&Json::parse(&text).unwrap()).unwrap();
+        let text = m.to_json().compact();
+        let back = MetricsRegistry::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, m);
     }
 

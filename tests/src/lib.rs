@@ -225,3 +225,71 @@ pub mod golden {
         ])
     }
 }
+
+pub mod checkpoints {
+    //! Checkpoint cuts of the suite kernels under a geometry where the
+    //! swapping architectures really swap, shared by the checkpoint
+    //! golden, re-encoding and fuzzing tests.
+
+    use vt_core::{Architecture, CoreConfig, MemConfig, RunBudget, RunOutcome};
+    use vt_isa::Kernel;
+    use vt_sim::{Checkpoint, GpuSim, SimConfig};
+    use vt_trace::NullSink;
+
+    /// Two SMs limited to two CTA slots each, so the six-CTA test grid
+    /// oversubscribes them and VT swaps. `observed` turns the metrics
+    /// window and the per-PC profile on, so their state rides in the
+    /// checkpoint too. Small caches keep the cache tag arrays from
+    /// dominating the text.
+    pub fn swap_config(kernel: &Kernel, arch: Architecture, observed: bool) -> SimConfig {
+        let mut core = CoreConfig {
+            num_sms: 2,
+            max_ctas_per_sm: 2,
+            metrics_window: observed.then_some(64),
+            profile: observed,
+            ..CoreConfig::default()
+        };
+        core.max_warps_per_sm = core.max_ctas_per_sm * kernel.warps_per_cta();
+        let mem = MemConfig {
+            l1_bytes: 1024,
+            partitions: 2,
+            l2_slice_bytes: 4 * 1024,
+            ..MemConfig::default()
+        };
+        SimConfig {
+            residency: arch.residency_for(kernel, &core, &mem),
+            core,
+            mem,
+        }
+    }
+
+    /// Cycles an uninterrupted run of `kernel` under `cfg` takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run fails.
+    pub fn run_cycles(cfg: &SimConfig, kernel: &Kernel) -> u64 {
+        GpuSim::new(cfg, kernel)
+            .and_then(GpuSim::run)
+            .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()))
+            .stats
+            .cycles
+    }
+
+    /// The checkpoint of a run of `kernel` under `cfg` cut after `cycles`
+    /// cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run fails or completes inside `cycles`.
+    pub fn cut(cfg: &SimConfig, kernel: &Kernel, cycles: u64) -> Checkpoint {
+        let budget = RunBudget::unlimited().with_max_cycles(cycles);
+        match GpuSim::new(cfg, kernel).and_then(|s| s.execute(None, &mut NullSink, &budget, None)) {
+            Ok(RunOutcome::Truncated(t)) => t.checkpoint,
+            Ok(RunOutcome::Completed(_)) => {
+                panic!("{} completed inside {cycles} cycles", kernel.name())
+            }
+            Err(e) => panic!("{}: {e}", kernel.name()),
+        }
+    }
+}

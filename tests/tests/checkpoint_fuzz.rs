@@ -17,33 +17,14 @@ use vt_core::{Architecture, RunBudget, RunOutcome};
 use vt_isa::Kernel;
 use vt_prng::Prng;
 use vt_sim::{Checkpoint, GpuSim, RunStats, SimConfig};
+use vt_tests::checkpoints::{cut, run_cycles, swap_config};
 use vt_trace::NullSink;
 use vt_workloads::{full_suite, Scale};
 
-/// Two SMs limited to two CTA slots each, so the six-CTA test grid
-/// oversubscribes them and VT swaps; metrics and the per-PC profile on,
-/// so their restore paths are fuzzed too. Small caches keep the cache
-/// tag arrays from dominating the numeric tokens.
+/// The fuzzed configuration: VT on the swapping geometry, with metrics
+/// and the per-PC profile on, so their restore paths are fuzzed too.
 fn config(kernel: &Kernel) -> SimConfig {
-    let mut core = vt_core::CoreConfig {
-        num_sms: 2,
-        max_ctas_per_sm: 2,
-        metrics_window: Some(64),
-        profile: true,
-        ..vt_core::CoreConfig::default()
-    };
-    core.max_warps_per_sm = core.max_ctas_per_sm * kernel.warps_per_cta();
-    let mem = vt_core::MemConfig {
-        l1_bytes: 1024,
-        partitions: 2,
-        l2_slice_bytes: 4 * 1024,
-        ..vt_core::MemConfig::default()
-    };
-    SimConfig {
-        residency: Architecture::virtual_thread().residency_for(kernel, &core, &mem),
-        core,
-        mem,
-    }
+    swap_config(kernel, Architecture::virtual_thread(), true)
 }
 
 /// Byte spans of the text's numeric tokens and of its packed word
@@ -267,4 +248,57 @@ fn pinned_mutations_are_refused_or_conserve() {
         .flat_map(|&(seed, cases)| fuzz(seed, cases))
         .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The integer tokens of `text`, sorted.
+fn integers(text: &str) -> Vec<u64> {
+    let mut ints: Vec<u64> = tokens(text)
+        .numbers
+        .iter()
+        .map(|&(start, end)| text[start..end].parse().expect("an integer token"))
+        .collect();
+    ints.sort_unstable();
+    ints
+}
+
+/// Decoding is exact: every number of a cut pushed past 2^32 (where it
+/// is below 2^62) is refused, or resumed and written back unchanged.
+/// Every token outside `mem` is tried, and a seeded eighth of those in
+/// it. A narrowing decode used to keep the low 32 bits (a `next_cta` of
+/// 2^32 + 1 resumed as 1 and ran more CTAs).
+#[test]
+fn widened_numbers_are_refused_or_kept_exactly() {
+    let w = full_suite(&Scale::test())
+        .into_iter()
+        .find(|w| w.name == "nw")
+        .expect("nw is in the suite");
+    let cfg = config(&w.kernel);
+    let text = cut(&cfg, &w.kernel, run_cycles(&cfg, &w.kernel) / 2).to_text();
+    // The top-level `mem` is the last key before the image.
+    let mem = text.rfind(",\"mem\":").expect("mem")..text.rfind(",\"image\":").expect("image");
+    let mut r = Prng::new(0x3e_c0de);
+    let mut truncated = Vec::new();
+    for (start, end) in tokens(&text).numbers {
+        let old: u64 = text[start..end].parse().expect("an integer token");
+        if old >= 1 << 62 || (mem.contains(&start) && r.gen_range(0..8) != 0) {
+            continue;
+        }
+        let mutated = format!("{}{}{}", &text[..start], old + (1 << 32), &text[end..]);
+        let Ok(sim) = Checkpoint::parse(&mutated).and_then(|c| GpuSim::resume(&cfg, &w.kernel, &c))
+        else {
+            continue;
+        };
+        if integers(&sim.checkpoint().to_text()) != integers(&mutated) {
+            truncated.push(format!(
+                "`{}` {old} at byte {start}",
+                key_before(&text, start)
+            ));
+        }
+    }
+    assert!(
+        truncated.is_empty(),
+        "{} numbers resumed as another value:\n{}",
+        truncated.len(),
+        truncated.join("\n")
+    );
 }

@@ -369,3 +369,41 @@ fn truncation_errors_are_retryable_and_checkpoints_are_validated() {
         .unwrap_err();
     assert!(matches!(err, SimError::Checkpoint { .. }));
 }
+
+/// Re-encoding is the identity: a checkpoint parsed, resumed and cut
+/// again at once writes the text it was read from, for every suite
+/// kernel under every architecture, with and without the observers,
+/// at a third and at half of the run.
+#[test]
+fn checkpoints_reencode_to_the_same_text() {
+    use vt_sim::GpuSim;
+    use vt_tests::all_archs;
+    use vt_tests::checkpoints::{cut, run_cycles, swap_config};
+    let mut drift = Vec::new();
+    for w in full_suite(&Scale::test()) {
+        for arch in all_archs() {
+            let cycles = run_cycles(&swap_config(&w.kernel, arch, false), &w.kernel);
+            for observed in [false, true] {
+                let cfg = swap_config(&w.kernel, arch, observed);
+                for at in [cycles / 3, cycles / 2] {
+                    let text = cut(&cfg, &w.kernel, at).to_text();
+                    let again = Checkpoint::parse(&text)
+                        .and_then(|c| GpuSim::resume(&cfg, &w.kernel, &c))
+                        .map(|sim| sim.checkpoint().to_text());
+                    if again.as_deref() != Ok(&text) {
+                        drift.push(format!(
+                            "{} {} observed={observed} at {at}",
+                            w.name,
+                            arch.label()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "re-encoding changed:\n{}",
+        drift.join("\n")
+    );
+}

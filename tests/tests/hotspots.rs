@@ -12,6 +12,7 @@ use vt_core::{
     SessionOutcome, StallReason,
 };
 use vt_isa::Kernel;
+use vt_json::ToJson;
 use vt_prng::Prng;
 use vt_tests::small_config;
 use vt_workloads::{full_suite, Scale};
@@ -127,8 +128,8 @@ fn conservation_survives_random_checkpoint_cuts() {
             .remove(0);
         let resumed_profile = assert_pc_conserved(&resumed.stats, &format!("{label} resumed"));
         assert_eq!(
-            resumed_profile.snapshot().pretty(),
-            want_profile.snapshot().pretty(),
+            resumed_profile.to_json().pretty(),
+            want_profile.to_json().pretty(),
             "{label}: resumed profile diverges from the uninterrupted run"
         );
         assert_eq!(resumed.stats, want.stats, "{label}: resumed stats diverge");

@@ -12,6 +12,7 @@
 use std::fs;
 use std::path::PathBuf;
 use vt_core::{Architecture, GpuConfig, MetricsRegistry, Report, RunRequest, Session};
+use vt_json::{FromJson, ToJson};
 use vt_tests::small_config;
 use vt_workloads::{suite, Scale};
 
@@ -88,7 +89,7 @@ fn registry_snapshot_round_trips_a_real_run() {
     let report = run_metered(small_config(Architecture::virtual_thread()), &w.kernel, 64);
     let m = report.stats.metrics().expect("metrics enabled");
     assert!(m.windows() >= 2, "kmeans is long enough for two windows");
-    let restored = MetricsRegistry::restore(&m.snapshot()).expect("snapshot restores");
+    let restored = MetricsRegistry::from_json(&m.to_json()).expect("snapshot restores");
     assert_eq!(&restored, m, "snapshot/restore must be lossless");
     assert_eq!(restored.to_prometheus(), m.to_prometheus());
 }

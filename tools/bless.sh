@@ -3,7 +3,7 @@
 # the scattered `VT_BLESS=1 cargo test ...` invocations:
 #
 #   tools/bless.sh            re-bless all golden snapshots + tools/api.txt
-#   tools/bless.sh --golden   golden snapshots only (tests/golden/*.json)
+#   tools/bless.sh --golden   golden snapshots only (tests/golden/*)
 #   tools/bless.sh --api      public API surface only (tools/api.txt)
 #   tools/bless.sh --bench    re-record the perf baseline (BENCH_0.json);
 #                             NOT part of the default: it moves the
@@ -19,13 +19,14 @@
 #   model_golden  tests/golden/model.json             static model output
 #   cpi           tests/golden/cpi.<kernel>.json      CPI stacks
 #   hotspots      tests/golden/hotspots.<kernel>.json per-PC profiles
+#   checkpoints   tests/golden/checkpoints.txt        checkpoint text digests
 #
 # Review the resulting diff before committing: a bless is an assertion
 # that the new numbers are *correct*, not just current.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GOLDEN_TESTS=(golden metrics model_golden cpi hotspots)
+GOLDEN_TESTS=(golden metrics model_golden cpi hotspots checkpoints)
 
 do_golden=0
 do_api=0

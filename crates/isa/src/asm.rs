@@ -14,6 +14,12 @@
 //! .smem 2048           ; shared-memory bytes per CTA (default 0)
 //! .globalmem 4096      ; global memory words, zero-initialised (default 0)
 //!
+//! A directive's numbers are counts: unsigned decimal or `0x` hex, with
+//! no sign. What they size is bounded: `.regs` by 65535, a CTA's threads
+//! by [`MAX_CTA_THREADS`], and the global image, a CTA's shared memory and
+//! a CTA's register file (whole warps × registers) each by
+//! [`MAX_GLOBAL_WORDS`] words.
+//!
 //! @top:
 //!     mad r0, %ctaid, %ntid, %tid
 //!     shl r0, r0, 2
@@ -30,9 +36,10 @@
 
 use crate::error::{AsmError, IsaError};
 use crate::instr::Instr;
-use crate::kernel::{Kernel, MemImage};
+use crate::kernel::{Kernel, MemImage, MAX_CTA_THREADS, MAX_GLOBAL_WORDS};
 use crate::op::{AluOp, AtomOp, BranchIf, MemSpace, Operand, Reg, SfuOp, Sreg};
 use crate::program::Program;
+use crate::WARP_SIZE;
 use std::collections::HashMap;
 
 /// Assembles a full kernel, honouring the `.kernel`, `.grid`, `.regs`,
@@ -44,16 +51,12 @@ use std::collections::HashMap;
 /// if the assembled program fails validation.
 pub fn assemble(src: &str) -> Result<Kernel, IsaError> {
     let parsed = parse(src)?;
-    let regs = parsed
-        .max_reg_seen
-        .map_or(1, |r| r + 1)
-        .max(parsed.regs_directive.unwrap_or(0));
     let kernel = Kernel::new(
         parsed.name.unwrap_or_else(|| "kernel".to_string()),
         Program::new(parsed.instrs),
         parsed.grid.0,
         parsed.grid.1,
-        regs,
+        parsed.regs,
         parsed.smem,
         MemImage::zeroed(parsed.global_words),
     )?;
@@ -84,11 +87,12 @@ pub fn disassemble(program: &Program) -> String {
 struct Parsed {
     name: Option<String>,
     grid: (u32, u32),
-    regs_directive: Option<u16>,
+    /// Registers per thread: the `.regs` floor, raised to cover every
+    /// register the program names.
+    regs: u16,
     smem: u32,
     global_words: usize,
     instrs: Vec<Instr>,
-    max_reg_seen: Option<u16>,
 }
 
 fn parse(src: &str) -> Result<Parsed, AsmError> {
@@ -126,11 +130,22 @@ fn parse(src: &str) -> Result<Parsed, AsmError> {
     let mut parsed = Parsed {
         name: None,
         grid: (1, 32),
-        regs_directive: None,
+        regs: 1,
         smem: 0,
         global_words: 0,
         instrs: Vec::with_capacity(lines.len()),
-        max_reg_seen: None,
+    };
+    // The `.grid` line, where an oversized register file is reported.
+    let mut grid_line = 1;
+    let words = |n: u64, what: &str, line: usize| {
+        if n <= MAX_GLOBAL_WORDS as u64 {
+            Ok(n as usize)
+        } else {
+            err(
+                line,
+                format!("{what} is more than {MAX_GLOBAL_WORDS} words"),
+            )
+        }
     };
 
     for (lineno, d) in directives {
@@ -145,44 +160,59 @@ fn parse(src: &str) -> Result<Parsed, AsmError> {
                 );
             }
             ".grid" => {
-                let nc = parse_u32(it.next(), lineno, ".grid needs CTA count")?;
-                let nt = parse_u32(it.next(), lineno, ".grid needs threads per CTA")?;
+                let nc = parse_count(it.next(), lineno, ".grid needs CTA count")?;
+                let nt = parse_count(it.next(), lineno, ".grid needs threads per CTA")?;
+                if nt > MAX_CTA_THREADS {
+                    return err(
+                        lineno,
+                        format!(".grid: {nt} threads per CTA is more than {MAX_CTA_THREADS}"),
+                    );
+                }
                 parsed.grid = (nc, nt);
+                grid_line = lineno;
             }
             ".regs" => {
-                parsed.regs_directive =
-                    Some(parse_u32(it.next(), lineno, ".regs needs a count")? as u16);
+                let n = parse_count(it.next(), lineno, ".regs needs a count")?;
+                let regs = u16::try_from(n)
+                    .map_err(|_| err_val(lineno, format!(".regs {n} is more than 65535")))?;
+                parsed.regs = regs.max(1);
             }
             ".smem" => {
-                parsed.smem = parse_u32(it.next(), lineno, ".smem needs bytes")?;
+                let n = parse_count(it.next(), lineno, ".smem needs bytes")?;
+                words(u64::from(n.div_ceil(4)), &format!(".smem {n}"), lineno)?;
+                parsed.smem = n;
             }
             ".globalmem" => {
-                parsed.global_words =
-                    parse_u32(it.next(), lineno, ".globalmem needs words")? as usize;
+                let n = parse_count(it.next(), lineno, ".globalmem needs words")?;
+                parsed.global_words = words(u64::from(n), &format!(".globalmem {n}"), lineno)?;
             }
             other => return err(lineno, format!("unknown directive {other}")),
         }
     }
 
-    // Pass 2: parse instructions.
+    // Pass 2: parse instructions; registers per thread cover every
+    // register named, and r65535 would need one more than a count holds.
     for (lineno, line) in lines {
         let instr = parse_instr(&line, lineno, &labels)?;
-        track_regs(&instr, &mut parsed.max_reg_seen);
+        for r in instr.dst().into_iter().chain(instr.src_regs()) {
+            let needed = r.0.checked_add(1).ok_or_else(|| {
+                err_val(
+                    lineno,
+                    format!("r{} is past the last register, r65534", r.0),
+                )
+            })?;
+            parsed.regs = parsed.regs.max(needed);
+        }
         parsed.instrs.push(instr);
     }
+    let warps = u64::from(parsed.grid.1.div_ceil(WARP_SIZE));
+    let regfile = warps * u64::from(WARP_SIZE) * u64::from(parsed.regs);
+    let what = format!(
+        "a CTA's register file ({} registers per thread)",
+        parsed.regs
+    );
+    words(regfile, &what, grid_line)?;
     Ok(parsed)
-}
-
-fn track_regs(i: &Instr, max: &mut Option<u16>) {
-    let mut see = |r: Reg| {
-        *max = Some(max.map_or(r.0, |m| m.max(r.0)));
-    };
-    if let Some(d) = i.dst() {
-        see(d);
-    }
-    for r in i.src_regs() {
-        see(r);
-    }
 }
 
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, AsmError> {
@@ -199,9 +229,23 @@ fn err_val(line: usize, message: impl Into<String>) -> AsmError {
     }
 }
 
-fn parse_u32(tok: Option<&str>, line: usize, msg: &str) -> Result<u32, AsmError> {
+/// A directive's count: unsigned decimal or `0x` hex. A sign, a float or
+/// a value past `u32::MAX` is refused, never wrapped.
+fn parse_count(tok: Option<&str>, line: usize, msg: &str) -> Result<u32, AsmError> {
     let t = tok.ok_or_else(|| err_val(line, msg))?;
-    parse_imm(t).ok_or_else(|| err_val(line, format!("bad number `{t}`")))
+    let n = match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
+        Some(hex) if hex.bytes().all(|b| b.is_ascii_hexdigit()) => {
+            u32::from_str_radix(hex, 16).ok()
+        }
+        None if t.bytes().all(|b| b.is_ascii_digit()) => t.parse().ok(),
+        _ => None,
+    };
+    n.ok_or_else(|| {
+        err_val(
+            line,
+            format!("bad number `{t}`: expected an unsigned count"),
+        )
+    })
 }
 
 fn parse_imm(t: &str) -> Option<u32> {

@@ -132,6 +132,19 @@ impl Kernel {
     }
 }
 
+/// The largest global-memory image, in 32-bit words, that an assembly
+/// `.globalmem` directive (input from outside the process) may ask for;
+/// the assembler bounds a CTA's shared memory and register file by it
+/// too.
+/// 2^24 words is 64 MiB, over twenty times the largest built-in workload
+/// (`lbm` at paper scale, 737,280 words).
+pub const MAX_GLOBAL_WORDS: usize = 1 << 24;
+
+/// The most threads a CTA assembled from text may have. A CTA's state is
+/// allocated per thread, so this and [`MAX_GLOBAL_WORDS`] (which bounds
+/// its shared memory and register file) bound it.
+pub const MAX_CTA_THREADS: u32 = 1 << 16;
+
 /// A word-addressable global-memory image.
 ///
 /// Addresses are byte addresses; all accesses are 4-byte aligned words.

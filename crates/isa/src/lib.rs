@@ -74,7 +74,7 @@ pub mod simt;
 pub use builder::KernelBuilder;
 pub use error::IsaError;
 pub use instr::Instr;
-pub use kernel::Kernel;
+pub use kernel::{Kernel, MAX_CTA_THREADS, MAX_GLOBAL_WORDS};
 pub use limits::{CtaBounds, Limiter, SmLimits};
 pub use op::{AluOp, AtomOp, BranchIf, MemSpace, Operand, Reg, SfuOp, Sreg};
 pub use program::Program;

@@ -127,12 +127,45 @@ fn directive_errors() {
         (".regs", ".regs needs a count"),
         (".kernel", ".kernel needs a name"),
         (".smem xyz", "bad number"),
+        // Counts refuse a sign, a float and a value past u32::MAX; none
+        // wraps into a size.
+        (".globalmem -76", "bad number `-76`"),
+        (".grid -1 32", "bad number `-1`"),
+        (".grid 4 +32", "bad number `+32`"),
+        (".smem -4", "bad number `-4`"),
+        (".smem 0x-4", "bad number `0x-4`"),
+        (".smem 1.0f", "bad number `1.0f`"),
+        (".grid 4294967296 32", "bad number `4294967296`"),
+        (".regs 65537", ".regs 65537 is more than 65535"),
+        (
+            ".globalmem 16777217",
+            ".globalmem 16777217 is more than 16777216 words",
+        ),
+        (".globalmem 0xffffffff", "is more than 16777216 words"),
+        // Every other count that sizes an allocation is bounded too.
+        (
+            ".smem 0xffffffff",
+            ".smem 4294967295 is more than 16777216 words",
+        ),
+        (".grid 1 65537", "65537 threads per CTA is more than 65536"),
+        (
+            ".grid 1 1024\n.regs 20000\nexit",
+            "a CTA's register file (20000 registers per thread)",
+        ),
+        ("mov r65535, 1\nexit", "r65535 is past the last register"),
     ] {
         match assemble(src).unwrap_err() {
             IsaError::Asm(e) => assert!(e.message.contains(needle), "`{src}` → `{}`", e.message),
             other => panic!("unexpected error {other}"),
         }
     }
+}
+
+#[test]
+fn directive_counts_at_their_bounds_are_accepted() {
+    let k = assemble(".grid 0x2 32\n.regs 65535\n.globalmem 16777216\nexit").unwrap();
+    assert_eq!((k.num_ctas(), k.regs_per_thread()), (2, 65535));
+    assert_eq!(k.global_mem().word_len(), vt_isa::MAX_GLOBAL_WORDS);
 }
 
 #[test]

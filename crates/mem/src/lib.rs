@@ -54,4 +54,4 @@ pub mod system;
 
 pub use config::MemConfig;
 pub use stats::MemStats;
-pub use system::{MemSystem, ReqKind, SmFront, Submit};
+pub use system::{MemSystem, ReqKind, Submit};

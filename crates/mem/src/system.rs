@@ -1,9 +1,9 @@
 //! The top-level memory system an SM talks to.
 //!
 //! One [`MemSystem`] serves all SMs: it owns the per-SM L1D front-ends
-//! ([`SmFront`]: L1 cache, MSHRs, response queue, request outbox), the
-//! two interconnect directions and the memory partitions, and is ticked
-//! once per core cycle by the GPU model.
+//! (L1 cache, MSHRs, response queue), the two interconnect directions and
+//! the memory partitions, and is ticked once per core cycle by the GPU
+//! model.
 //!
 //! ## Protocol
 //!
@@ -12,23 +12,9 @@
 //! MSHR or port exhaustion — in which case the LD/ST unit retries next
 //! cycle) and drain completions with [`MemSystem::pop_response`].
 //! Responses are matched by the opaque `id` the SM chose at submission.
-//!
-//! ## Per-SM front-ends
-//!
-//! The per-SM state is factored into [`SmFront`]: everything
-//! `try_submit`/`pop_response` touch is private to one SM, *except* the
-//! SM→partition interconnect. A front never pushes into the
-//! interconnect directly — it appends accepted requests to its
-//! **outbox**, and once every SM has ticked the engine calls
-//! [`MemSystem::merge_outboxes`] to flush all outboxes in `(sm_id,
-//! submission order)`. Because [`Icnt::push`] computes the arrival cycle
-//! purely from its arguments and preserves push order, the deferred
-//! flush is cycle-for-cycle identical to an immediate push. The
-//! whole-system wrappers ([`MemSystem::try_submit`] etc.) flush the
-//! outbox immediately. (The split was made for a per-cycle parallel
-//! engine that has since been removed.) Every outbox is empty at a cycle
-//! boundary, the only point a checkpoint is taken, so no outbox is part
-//! of one.
+//! These two calls (and their `_traced` forms) are the only way into
+//! memory: an accepted request enters the SM→partition interconnect at
+//! once, so requests are injected in the order the SMs submit them.
 
 use crate::cache::{Cache, Probe};
 use crate::config::MemConfig;
@@ -73,12 +59,10 @@ const STORE_FLITS: u32 = 5;
 /// Flits for a fill response (header + 128 B data).
 const RESP_FLITS: u32 = 5;
 
-/// One SM's private slice of the memory system: L1 cache, MSHRs, the
-/// ready-response queue and the outbox of requests bound for the
-/// interconnect. All methods touch only this SM's state, so distinct
-/// fronts may be driven from distinct threads within a cycle.
+/// One SM's private slice of the memory system: L1 cache, MSHRs and the
+/// ready-response queue.
 #[derive(Debug)]
-pub struct SmFront {
+struct SmFront {
     sm_id: usize,
     cache: Cache,
     mshr: Mshr<u64>,
@@ -92,9 +76,6 @@ pub struct SmFront {
     resps: BinaryHeap<Reverse<(u64, u64, u64)>>,
     submit_times: HashMap<u64, u64>,
     seq: u64,
-    /// Accepted requests awaiting the ordered flush into the
-    /// SM→partition interconnect: `(flits, request)` in submission order.
-    outbox: Vec<(u32, PartReq)>,
     /// Front-side counters (submit path and load completion); the
     /// aggregate is assembled by [`MemSystem::stats`].
     stats: MemStats,
@@ -114,25 +95,17 @@ impl SmFront {
             resps: BinaryHeap::new(),
             submit_times: HashMap::new(),
             seq: 0,
-            outbox: Vec::new(),
             stats: MemStats::default(),
             l1_ports: cfg.l1_ports,
             l1_hit_latency: u64::from(cfg.l1_hit_latency),
         }
     }
 
-    /// Submits one coalesced transaction at cycle `now`; see
-    /// [`MemSystem::try_submit`] for the protocol.
-    pub fn try_submit(&mut self, now: u64, id: u64, line_addr: u64, kind: ReqKind) -> Submit {
-        self.try_submit_traced(now, id, line_addr, kind, &mut NullSink)
-    }
-
-    /// [`SmFront::try_submit`] with trace instrumentation. An accepted
-    /// load/atomic opens the request's async span ([`TraceEvent::MemBegin`]);
-    /// a rejection emits nothing, so the retried submission still opens the
-    /// span exactly once.
-    pub fn try_submit_traced<S: TraceSink>(
+    /// Submits one coalesced transaction at cycle `now`, pushing what goes
+    /// below the L1 into `to_mem`; see [`MemSystem::try_submit_traced`].
+    fn submit<S: TraceSink>(
         &mut self,
+        to_mem: &mut Icnt<PartReq>,
         now: u64,
         id: u64,
         line_addr: u64,
@@ -140,6 +113,12 @@ impl SmFront {
         sink: &mut S,
     ) -> Submit {
         let sm = self.sm_id;
+        let req = PartReq {
+            sm,
+            id,
+            line_addr,
+            kind,
+        };
         let begin = |sink: &mut S, level: MemLevel| {
             if S::ENABLED {
                 sink.emit(
@@ -183,15 +162,7 @@ impl SmFront {
                         self.stats.l1_misses += 1;
                         self.submit_times.insert(id, now);
                         begin(sink, MemLevel::L1Miss);
-                        self.outbox.push((
-                            REQ_FLITS,
-                            PartReq {
-                                sm,
-                                id,
-                                line_addr,
-                                kind,
-                            },
-                        ));
+                        to_mem.push(now, REQ_FLITS, req);
                         Submit::Miss
                     }
                     MshrAlloc::Merged => {
@@ -223,15 +194,7 @@ impl SmFront {
                         },
                     );
                 }
-                self.outbox.push((
-                    STORE_FLITS,
-                    PartReq {
-                        sm,
-                        id,
-                        line_addr,
-                        kind,
-                    },
-                ));
+                to_mem.push(now, STORE_FLITS, req);
                 Submit::Miss
             }
             ReqKind::Atomic => {
@@ -240,28 +203,15 @@ impl SmFront {
                 self.cache.invalidate(line_addr);
                 self.submit_times.insert(id, now);
                 begin(sink, MemLevel::L1Bypass);
-                self.outbox.push((
-                    REQ_FLITS,
-                    PartReq {
-                        sm,
-                        id,
-                        line_addr,
-                        kind,
-                    },
-                ));
+                to_mem.push(now, REQ_FLITS, req);
                 Submit::Miss
             }
         }
     }
 
-    /// Pops one completed load/atomic id ready at or before `now`.
-    pub fn pop_response(&mut self, now: u64) -> Option<u64> {
-        self.pop_response_traced(now, &mut NullSink)
-    }
-
-    /// [`SmFront::pop_response`] with trace instrumentation; popping a
-    /// response closes the request's async span ([`TraceEvent::MemEnd`]).
-    pub fn pop_response_traced<S: TraceSink>(&mut self, now: u64, sink: &mut S) -> Option<u64> {
+    /// Pops one completed load/atomic id ready at or before `now`; see
+    /// [`MemSystem::pop_response_traced`].
+    fn pop<S: TraceSink>(&mut self, now: u64, sink: &mut S) -> Option<u64> {
         match self.resps.peek() {
             Some(&Reverse((ready, _, _))) if ready <= now => {
                 let Reverse((_, _, id)) = self.resps.pop().expect("peeked");
@@ -282,7 +232,7 @@ impl SmFront {
 
     /// Takes and resets this SM's windowed L1 counters: `(hits, lookups)`
     /// since the last call. Feeds adaptive thrash-control policies.
-    pub fn take_l1_window(&mut self) -> (u64, u64) {
+    fn take_l1_window(&mut self) -> (u64, u64) {
         let w = (self.window_hits, self.window_accesses);
         self.window_hits = 0;
         self.window_accesses = 0;
@@ -299,7 +249,7 @@ impl SmFront {
     }
 
     fn quiesced(&self) -> bool {
-        self.mshr.is_empty() && self.resps.is_empty() && self.outbox.is_empty()
+        self.mshr.is_empty() && self.resps.is_empty()
     }
 }
 
@@ -319,8 +269,6 @@ impl_json!(SmFront {
     stats,
     l1_ports,
     l1_hit_latency: Count,
-} derived {
-    outbox: Vec::new(),
 });
 
 /// The complete memory hierarchy below the SMs' LD/ST units.
@@ -354,18 +302,6 @@ impl MemSystem {
     /// Bytes per cache line / coalescing segment.
     pub fn line_bytes(&self) -> u32 {
         self.cfg.line_bytes
-    }
-
-    /// SM `sm`'s front-end. The caller is
-    /// responsible for flushing outboxes afterwards (see
-    /// [`MemSystem::merge_outboxes`]).
-    pub fn front_mut(&mut self, sm: usize) -> &mut SmFront {
-        &mut self.fronts[sm]
-    }
-
-    /// All front-ends, in SM order.
-    pub fn fronts_mut(&mut self) -> &mut [SmFront] {
-        &mut self.fronts
     }
 
     /// Advances the whole hierarchy to cycle `now`. Call once per cycle,
@@ -464,30 +400,6 @@ impl MemSystem {
         }
     }
 
-    /// Flushes every front's outbox into the SM→partition interconnect in
-    /// `(sm_id, submission order)`. The engine calls this once per cycle
-    /// after ticking every SM; [`Icnt::push`] derives arrival purely from
-    /// `(now, flits)` and preserves push order, so deferring to
-    /// end-of-cycle is indistinguishable from pushing at submission
-    /// time.
-    pub fn merge_outboxes(&mut self) {
-        let now = self.now;
-        for f in &mut self.fronts {
-            for (flits, req) in f.outbox.drain(..) {
-                self.to_mem.push(now, flits, req);
-            }
-        }
-    }
-
-    /// Flushes one front's outbox immediately, for callers that drive a
-    /// single front through [`MemSystem::front_mut`].
-    pub fn flush_outbox(&mut self, sm: usize) {
-        let now = self.now;
-        for (flits, req) in self.fronts[sm].outbox.drain(..) {
-            self.to_mem.push(now, flits, req);
-        }
-    }
-
     /// Submits one coalesced transaction from SM `sm`.
     ///
     /// `line_addr` is the byte address divided by [`MemSystem::line_bytes`].
@@ -501,8 +413,10 @@ impl MemSystem {
         self.try_submit_traced(sm, id, line_addr, kind, &mut NullSink)
     }
 
-    /// [`MemSystem::try_submit`] with trace instrumentation; see
-    /// [`SmFront::try_submit_traced`].
+    /// [`MemSystem::try_submit`] with trace instrumentation. An accepted
+    /// load/atomic opens the request's async span ([`TraceEvent::MemBegin`]);
+    /// a rejection emits nothing, so the retried submission still opens the
+    /// span exactly once.
     pub fn try_submit_traced<S: TraceSink>(
         &mut self,
         sm: usize,
@@ -511,22 +425,18 @@ impl MemSystem {
         kind: ReqKind,
         sink: &mut S,
     ) -> Submit {
-        let now = self.now;
-        let outcome = self.fronts[sm].try_submit_traced(now, id, line_addr, kind, sink);
-        self.flush_outbox(sm);
-        outcome
+        self.fronts[sm].submit(&mut self.to_mem, self.now, id, line_addr, kind, sink)
     }
 
     /// Pops one completed load/atomic id for SM `sm`, if any is ready.
     pub fn pop_response(&mut self, sm: usize) -> Option<u64> {
-        let now = self.now;
-        self.fronts[sm].pop_response(now)
+        self.pop_response_traced(sm, &mut NullSink)
     }
 
-    /// [`MemSystem::pop_response`] with trace instrumentation.
+    /// [`MemSystem::pop_response`] with trace instrumentation; popping a
+    /// response closes the request's async span ([`TraceEvent::MemEnd`]).
     pub fn pop_response_traced<S: TraceSink>(&mut self, sm: usize, sink: &mut S) -> Option<u64> {
-        let now = self.now;
-        self.fronts[sm].pop_response_traced(now, sink)
+        self.fronts[sm].pop(self.now, sink)
     }
 
     /// Whether the entire hierarchy has no request in flight.
@@ -624,16 +534,8 @@ impl MemSystem {
 
 /// The entire hierarchy — every front, both interconnect directions,
 /// every partition and the back-end counters — for checkpointing.
-///
-/// # Panics
-///
-/// Panics if an outbox holds requests: a checkpoint is only taken at a
-/// cycle boundary, after every outbox has been flushed.
 impl ToJson for MemSystem {
     fn to_json(&self) -> Json {
-        if let Some(f) = self.fronts.iter().find(|f| !f.outbox.is_empty()) {
-            panic!("SM {} front checkpointed with an unflushed outbox", f.sm_id);
-        }
         Json::Object(vec![
             ("fronts".into(), self.fronts.to_json()),
             ("to_mem".into(), self.to_mem.to_json()),
@@ -903,42 +805,5 @@ mod tests {
         assert!(MemSystem::restore(&bad, &snap)
             .unwrap_err()
             .contains("partitions"));
-    }
-
-    #[test]
-    fn deferred_outbox_flush_matches_immediate_submission() {
-        // Submitting through the front with an end-of-cycle
-        // `merge_outboxes` must be cycle-for-cycle identical to flushing
-        // each submission immediately.
-        let cfg = MemConfig::default();
-        let mut imm = MemSystem::new(&cfg, 2);
-        let mut def = MemSystem::new(&cfg, 2);
-        imm.tick(0);
-        def.tick(0);
-        for sm in 0..2usize {
-            let id = sm as u64 + 1;
-            assert!(imm.try_submit(sm, id, 100 + id, ReqKind::Load).accepted());
-            assert!(def
-                .front_mut(sm)
-                .try_submit(0, id, 100 + id, ReqKind::Load)
-                .accepted());
-        }
-        def.merge_outboxes();
-        for cycle in 1..2000 {
-            imm.tick(cycle);
-            def.tick(cycle);
-            for sm in 0..2usize {
-                assert_eq!(
-                    imm.pop_response(sm),
-                    def.front_mut(sm).pop_response(cycle),
-                    "cycle {cycle} sm {sm}"
-                );
-            }
-            if imm.quiesced() && def.quiesced() {
-                break;
-            }
-        }
-        assert!(imm.quiesced() && def.quiesced());
-        assert_eq!(imm.stats(), def.stats());
     }
 }

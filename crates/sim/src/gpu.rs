@@ -8,7 +8,7 @@ use crate::exec::{
 };
 use crate::hotspots::PcProfile;
 use crate::metrics::MetricsSampler;
-use crate::sm::{EmptyAttr, Sm};
+use crate::sm::{Ctx, EmptyAttr, Run, Sm};
 use crate::stats::RunStats;
 use std::error::Error;
 use std::fmt;
@@ -228,11 +228,11 @@ impl<'k> GpuSim<'k> {
     /// cancellation).
     ///
     /// Each cycle ticks the memory system, then every SM in ascending id
-    /// order — each emitting straight into `sink` and reading and writing
-    /// the memory image as its warps issue — then moves the SMs' outbound
-    /// requests into the interconnect and dispatches CTAs. SM order alone
-    /// therefore fixes the order of image accesses, trace events and
-    /// which trap a run reports (DESIGN.md §11).
+    /// order — each emitting straight into `sink`, submitting its requests
+    /// into the interconnect and reading and writing the memory image as
+    /// its warps issue — then dispatches CTAs. SM order alone therefore
+    /// fixes the order of requests, image accesses, trace events and which
+    /// trap a run reports (DESIGN.md §11).
     ///
     /// `pool` is accepted and unused: the engine has no parallel path, and
     /// the parameter remains only for `benchmark/`, which is frozen (see
@@ -271,30 +271,17 @@ impl<'k> GpuSim<'k> {
     /// Returns [`SimError::Exec`] on a functional trap and
     /// [`SimError::Watchdog`] if `core.max_cycles` elapses first.
     pub fn execute_with_progress<S: TraceSink>(
-        self,
-        sink: &mut S,
-        budget: &RunBudget,
-        cancel: Option<&CancelToken>,
-        progress: Option<ProgressHook<'_>>,
-    ) -> Result<RunOutcome, SimError> {
-        // Metering and profiling are monomorphized out exactly like
-        // tracing: the unmetered/unprofiled instantiations contain no
-        // sampler or per-PC recording code at all.
-        match (self.sampler.is_some(), self.cfg.core.profile) {
-            (true, true) => self.execute_inner::<S, true, true>(sink, budget, cancel, progress),
-            (true, false) => self.execute_inner::<S, true, false>(sink, budget, cancel, progress),
-            (false, true) => self.execute_inner::<S, false, true>(sink, budget, cancel, progress),
-            (false, false) => self.execute_inner::<S, false, false>(sink, budget, cancel, progress),
-        }
-    }
-
-    fn execute_inner<S: TraceSink, const METERED: bool, const PROFILED: bool>(
         mut self,
         sink: &mut S,
         budget: &RunBudget,
         cancel: Option<&CancelToken>,
         mut progress: Option<ProgressHook<'_>>,
     ) -> Result<RunOutcome, SimError> {
+        let run = Run {
+            kernel: self.kernel,
+            core: &self.cfg.core,
+            res: &self.cfg.residency,
+        };
         let started = budget.deadline.map(|_| Instant::now());
         let cycle_limit = budget
             .max_cycles
@@ -312,14 +299,12 @@ impl<'k> GpuSim<'k> {
         );
         loop {
             let cycle = self.cycle;
-            if METERED {
+            if let Some(sampler) = self.sampler.as_mut() {
                 // Seal the window ending at this boundary *before* the
                 // cycle executes, so window k covers [k·w, (k+1)·w)
                 // exactly and a run truncated at a boundary leaves the
                 // seal to its resumption.
-                let window = self.sampler.as_ref().expect("metered").window();
-                if cycle > 0 && cycle.is_multiple_of(window) {
-                    let sampler = self.sampler.as_mut().expect("metered");
+                if cycle > 0 && cycle.is_multiple_of(sampler.window()) {
                     sampler.seal_window(
                         &self.stats,
                         self.lanes.iter().map(|l| (&l.sm, &l.stats)),
@@ -371,27 +356,37 @@ impl<'k> GpuSim<'k> {
                 work_left: self.next_cta < self.kernel.num_ctas(),
                 scheduling_limited: self.sched_limited,
             };
-            for (lane, front) in self.lanes.iter_mut().zip(self.mem.fronts_mut()) {
-                lane.sm.tick::<S, PROFILED>(
-                    cycle,
-                    self.kernel,
-                    &self.cfg.core,
-                    &self.cfg.residency,
-                    front,
-                    &mut self.image,
-                    &mut lane.stats,
-                    sink,
-                    attr,
-                )?;
+            for lane in &mut self.lanes {
+                let mut ctx = Ctx {
+                    run,
+                    now: cycle,
+                    mem: &mut self.mem,
+                    image: &mut self.image,
+                    stats: &mut lane.stats,
+                    sink: &mut *sink,
+                };
+                lane.sm.tick(&mut ctx, attr)?;
             }
-            self.mem.merge_outboxes();
 
-            self.dispatch(cycle, sink);
+            let mut ctx = Ctx {
+                run,
+                now: cycle,
+                mem: &mut self.mem,
+                image: &mut self.image,
+                stats: &mut self.stats,
+                sink: &mut *sink,
+            };
+            dispatch(
+                &mut self.lanes,
+                &mut self.next_cta,
+                &mut self.dispatch_ptr,
+                &mut ctx,
+            );
             if self.finished() {
                 break;
             }
             self.cycle += 1;
-            if self.cycle >= self.cfg.core.max_cycles {
+            if self.cycle >= run.core.max_cycles {
                 return Err(SimError::Watchdog { cycle: self.cycle });
             }
             // Execution-control checks, once per cycle at the cycle
@@ -640,39 +635,37 @@ impl<'k> GpuSim<'k> {
         })
     }
 
-    /// Hands out up to one CTA per SM per cycle, rotating the starting SM
-    /// for balance.
-    fn dispatch<S: TraceSink>(&mut self, now: u64, sink: &mut S) {
-        if self.next_cta >= self.kernel.num_ctas() {
-            return;
-        }
-        let n = self.lanes.len();
-        for i in 0..n {
-            if self.next_cta >= self.kernel.num_ctas() {
-                break;
-            }
-            let sm = &mut self.lanes[(self.dispatch_ptr + i) % n].sm;
-            if sm.can_admit(self.kernel, &self.cfg.core, &self.cfg.residency) {
-                sm.admit_traced(
-                    self.next_cta,
-                    self.kernel,
-                    &self.cfg.core,
-                    &self.cfg.residency,
-                    now,
-                    &mut self.stats,
-                    sink,
-                );
-                self.next_cta += 1;
-            }
-        }
-        self.dispatch_ptr = (self.dispatch_ptr + 1) % n;
-    }
-
     fn finished(&self) -> bool {
         self.next_cta >= self.kernel.num_ctas()
             && self.lanes.iter().all(|l| l.sm.idle())
             && self.mem.quiesced()
     }
+}
+
+/// Hands out CTA `next_cta` onwards, up to one per SM per cycle, starting
+/// at SM `ptr` and rotating the start for balance.
+fn dispatch<S: TraceSink>(
+    lanes: &mut [SmLane],
+    next_cta: &mut u32,
+    ptr: &mut usize,
+    ctx: &mut Ctx<'_, S>,
+) {
+    let num_ctas = ctx.run.kernel.num_ctas();
+    if *next_cta >= num_ctas {
+        return;
+    }
+    let n = lanes.len();
+    for i in 0..n {
+        if *next_cta >= num_ctas {
+            break;
+        }
+        let sm = &mut lanes[(*ptr + i) % n].sm;
+        if sm.can_admit(ctx.run) {
+            sm.admit(*next_cta, ctx);
+            *next_cta += 1;
+        }
+    }
+    *ptr = (*ptr + 1) % n;
 }
 
 /// Decodes the dispatcher state, `(next_cta, dispatch_ptr)`, and checks

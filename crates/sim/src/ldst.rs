@@ -7,7 +7,7 @@ use vt_isa::Reg;
 use vt_json::{
     decode_elem, elems, impl_json, not_a, Codec, Count, FromJson, Json, NonZero, ToJson,
 };
-use vt_mem::{MemSystem, ReqKind, SmFront, Submit};
+use vt_mem::{MemSystem, ReqKind, Submit};
 use vt_trace::{NullSink, TraceSink};
 
 /// One warp memory instruction queued in the LD/ST unit.
@@ -275,27 +275,20 @@ impl LdstUnit {
         });
     }
 
-    /// Advances the unit one cycle against the whole memory system:
-    /// [`LdstUnit::tick_traced`] on this SM's front, then its outbox
-    /// flushed into the interconnect, as the engine does after ticking
-    /// every SM.
+    /// Advances the unit one cycle against `mem`, which must have been
+    /// ticked to `now`; see [`LdstUnit::tick_traced`].
     pub fn tick(&mut self, now: u64, mem: &mut MemSystem) -> Vec<LdstEvent> {
-        let sm = self.sm_id;
-        let out = self.tick_traced(now, mem.front_mut(sm), &mut NullSink);
-        mem.flush_outbox(sm);
-        out
+        self.tick_traced(now, mem, &mut NullSink)
     }
 
-    /// Advances the unit one cycle: injects the front work's transactions
-    /// into this SM's memory front-end and completes shared-memory
-    /// accesses whose latency elapsed. Returns events for the SM to
-    /// apply. Touches only per-SM state: accepted requests wait in the
-    /// front's outbox until the engine flushes every SM's outbox, in SM
-    /// order, at the end of the cycle.
+    /// Advances the unit one cycle: submits the front work's transactions
+    /// to `mem` as this unit's SM, completes shared-memory accesses whose
+    /// latency elapsed and drains this SM's global responses. Returns
+    /// events for the SM to apply.
     pub fn tick_traced<S: TraceSink>(
         &mut self,
         now: u64,
-        front: &mut SmFront,
+        mem: &mut MemSystem,
         sink: &mut S,
     ) -> Vec<LdstEvent> {
         let mut out = Vec::new();
@@ -348,7 +341,7 @@ impl LdstUnit {
                     while *submitted < lines.len() {
                         let id = ((self.sm_id as u64) << 40) | (self.next_id + 1);
                         let outcome =
-                            front.try_submit_traced(now, id, lines[*submitted], *kind, sink);
+                            mem.try_submit_traced(self.sm_id, id, lines[*submitted], *kind, sink);
                         if outcome == Submit::Rejected {
                             break;
                         }
@@ -379,7 +372,7 @@ impl LdstUnit {
         }
 
         // Drain global responses.
-        while let Some(id) = front.pop_response_traced(now, sink) {
+        while let Some(id) = mem.pop_response_traced(self.sm_id, sink) {
             let Some(token) = self.req_to_group.remove(&id) else {
                 continue;
             };

@@ -19,8 +19,8 @@ use vt_isa::op::{BranchIf, MemSpace, Operand};
 use vt_isa::{Instr, Kernel, Reg, WARP_SIZE};
 use vt_json::{decode_field, field, impl_to_json, req_array, Codec, Count, Json, Sorted};
 use vt_mem::coalesce::{coalesce, shared_bank_conflicts};
-use vt_mem::{ReqKind, SmFront};
-use vt_trace::{NullSink, SwapDir, TraceEvent, TraceSink};
+use vt_mem::{MemSystem, ReqKind};
+use vt_trace::{SwapDir, TraceEvent, TraceSink};
 
 /// Why a warp cannot issue this cycle: the specification the partition
 /// masks are kept equal to (DESIGN.md §18).
@@ -158,6 +158,41 @@ fn issuable(word: &[u64; CLASSES], full: bool, busy: bool) -> u64 {
         m &= !word[SFU];
     }
     m
+}
+
+/// What stays fixed for a whole run: the kernel and the configuration
+/// every SM runs it under. The engine builds one per run, so every tick
+/// of an SM sees the same three, which the derived state (decoded
+/// program, ready masks) relies on.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// The kernel being run.
+    pub kernel: &'a Kernel,
+    /// The SM parameters.
+    pub core: &'a CoreConfig,
+    /// The CTA residency policy.
+    pub res: &'a ResidencyConfig,
+}
+
+/// Everything outside the SM that one tick (or one admission) reads and
+/// writes: the run, the cycle, the memory system (the only way into
+/// memory), the functional image, the stats block the SM charges and the
+/// trace sink. Whether per-PC profiling is on is read from the stats
+/// block: `stats.hotspots` is `Some` exactly when it is.
+#[derive(Debug)]
+pub struct Ctx<'a, S> {
+    /// The run-constant part.
+    pub run: Run<'a>,
+    /// The current cycle.
+    pub now: u64,
+    /// The memory system; the SM's LD/ST unit submits and pops through it.
+    pub mem: &'a mut MemSystem,
+    /// Global memory, read and written as loads, stores and atomics issue.
+    pub image: &'a mut MemImage,
+    /// The stats block this SM charges.
+    pub stats: &'a mut RunStats,
+    /// Where trace events go.
+    pub sink: &'a mut S,
 }
 
 /// Per-cycle context for attributing *empty* SM-cycles (zero resident
@@ -326,9 +361,10 @@ impl Sm {
 
     // ----- admission ------------------------------------------------------
 
-    /// Whether another CTA of `kernel` can become resident under the
-    /// residency policy.
-    pub fn can_admit(&self, kernel: &Kernel, core: &CoreConfig, res: &ResidencyConfig) -> bool {
+    /// Whether another CTA of the run's kernel can become resident under
+    /// its residency policy.
+    pub fn can_admit(&self, run: Run<'_>) -> bool {
+        let Run { kernel, core, res } = run;
         let wpc = kernel.warps_per_cta();
         if wpc > core.max_warps_per_sm {
             return false;
@@ -353,41 +389,15 @@ impl Sm {
         }
     }
 
-    /// Makes CTA `cta_id` of `kernel` resident, activating it immediately
-    /// if an active slot is free.
+    /// Makes CTA `cta_id` of the run's kernel resident at `ctx.now`,
+    /// activating it immediately if an active slot is free.
     ///
     /// # Panics
     ///
     /// Panics if [`Sm::can_admit`] would return false.
-    pub fn admit(
-        &mut self,
-        cta_id: u32,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        now: u64,
-        stats: &mut RunStats,
-    ) {
-        self.admit_traced(cta_id, kernel, core, res, now, stats, &mut NullSink);
-    }
-
-    /// [`Sm::admit`] with trace instrumentation; the `NullSink`
-    /// instantiation is the plain admit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn admit_traced<S: TraceSink>(
-        &mut self,
-        cta_id: u32,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        now: u64,
-        stats: &mut RunStats,
-        sink: &mut S,
-    ) {
-        assert!(
-            self.can_admit(kernel, core, res),
-            "admit called without can_admit"
-        );
+    pub fn admit<S: TraceSink>(&mut self, cta_id: u32, ctx: &mut Ctx<'_, S>) {
+        assert!(self.can_admit(ctx.run), "admit called without can_admit");
+        let (kernel, now) = (ctx.run.kernel, ctx.now);
         let wpc = kernel.warps_per_cta();
         let nthreads = kernel.threads_per_cta();
         let cta_slot = match self.free_cta_slots.pop() {
@@ -461,7 +471,7 @@ impl Sm {
         self.ctas[cta_slot] = cta;
         self.mark_ready(cta_slot);
         if S::ENABLED {
-            sink.emit(
+            ctx.sink.emit(
                 now,
                 TraceEvent::CtaLaunch {
                     sm: self.id as u32,
@@ -470,11 +480,12 @@ impl Sm {
                 },
             );
         }
-        self.try_activate(now, kernel, core, res, stats, sink);
+        self.try_activate(ctx);
     }
 
-    fn active_slot_available(&self, wpc: u32, core: &CoreConfig, res: &ResidencyConfig) -> bool {
-        match res.active {
+    fn active_slot_available(&self, wpc: u32, run: Run<'_>) -> bool {
+        let core = run.core;
+        match run.res.active {
             ActivePolicy::Unlimited => true,
             ActivePolicy::SchedulingLimit => {
                 self.slot_ctas < core.max_ctas_per_sm
@@ -506,18 +517,11 @@ impl Sm {
     /// Activates ready inactive CTAs, oldest first (partially-run CTAs
     /// drain capacity sooner, fresh CTAs keep the pipeline fed), while
     /// active slots are available.
-    fn try_activate<S: TraceSink>(
-        &mut self,
-        now: u64,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        stats: &mut RunStats,
-        sink: &mut S,
-    ) {
-        let wpc = kernel.warps_per_cta();
+    fn try_activate<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
+        let (now, stats) = (ctx.now, &mut *ctx.stats);
+        let wpc = ctx.run.kernel.warps_per_cta();
         while let Some(&(_, slot)) = self.ready_ctas.first() {
-            if !self.active_slot_available(wpc, core, res) {
+            if !self.active_slot_available(wpc, ctx.run) {
                 return;
             }
             self.ready_ctas.remove(0);
@@ -532,7 +536,7 @@ impl Sm {
             // instant activations), so `finish_activation` can close it
             // unconditionally.
             if S::ENABLED {
-                sink.emit(
+                ctx.sink.emit(
                     now,
                     TraceEvent::SwapBegin {
                         sm: self.id as u32,
@@ -543,7 +547,7 @@ impl Sm {
                     },
                 );
             }
-            match res.swap {
+            match ctx.run.res.swap {
                 Some(swap) => {
                     let cost = if has_context {
                         stats.swaps.swaps_in += 1;
@@ -558,7 +562,7 @@ impl Sm {
                         u64::from(swap.fresh_activation_cycles)
                     };
                     if cost == 0 {
-                        self.finish_activation(slot, now, sink);
+                        self.finish_activation(slot, now, ctx.sink);
                     } else {
                         self.ctas[slot].phase = CtaPhase::SwappingIn {
                             done_at: now + cost,
@@ -573,7 +577,7 @@ impl Sm {
                     } else {
                         stats.swaps.fresh_activations += 1;
                     }
-                    self.finish_activation(slot, now, sink);
+                    self.finish_activation(slot, now, ctx.sink);
                 }
             }
         }
@@ -607,30 +611,22 @@ impl Sm {
     }
 
     /// Completes timed swap transitions and evaluates the swap trigger.
-    #[allow(clippy::too_many_arguments)]
-    fn update_residency<S: TraceSink>(
-        &mut self,
-        now: u64,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        stats: &mut RunStats,
-        sink: &mut S,
-    ) {
-        let Some(swap) = res.swap else {
+    fn update_residency<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
+        let now = ctx.now;
+        let Some(swap) = ctx.run.res.swap else {
             // No swapping: still activate parked CTAs when slots free up
             // (e.g. after a CTA finished).
-            self.try_activate(now, kernel, core, res, stats, sink);
+            self.try_activate(ctx);
             return;
         };
 
         // 1. Complete in-flight transitions.
         if now >= self.swap_due {
-            self.complete_swaps(now, sink);
+            self.complete_swaps(now, ctx.sink);
         }
 
         // 2. Fill any free active slots with ready CTAs.
-        self.try_activate(now, kernel, core, res, stats, sink);
+        self.try_activate(ctx);
 
         // 3. Thrash feedback: hill-climb between "rotate" (normal VT) and
         //    "hold" (stable active set) on the measured issue rate.
@@ -713,11 +709,11 @@ impl Sm {
             self.active_phase_warps -= n_warps;
             self.swapping_ctas += 1;
             self.issue_dirty = true;
-            stats.swaps.swaps_out += 1;
-            stats.swap_duration.record(u64::from(swap.save_cycles));
+            ctx.stats.swaps.swaps_out += 1;
+            ctx.stats.swap_duration.record(u64::from(swap.save_cycles));
             if S::ENABLED {
                 let (sm, cta_slot, cta_id) = (self.id as u32, slot as u32, self.ctas[slot].cta_id);
-                sink.emit(
+                ctx.sink.emit(
                     now,
                     TraceEvent::CtaDeactivate {
                         sm,
@@ -725,7 +721,7 @@ impl Sm {
                         cta_id,
                     },
                 );
-                sink.emit(
+                ctx.sink.emit(
                     now,
                     TraceEvent::SwapBegin {
                         sm,
@@ -741,7 +737,7 @@ impl Sm {
         }
         if swapped_any {
             // Refill the freed slots in the same cycle (overlapped swap).
-            self.try_activate(now, kernel, core, res, stats, sink);
+            self.try_activate(ctx);
         }
     }
 
@@ -786,44 +782,33 @@ impl Sm {
 
     // ----- per-cycle operation --------------------------------------------
 
-    /// Advances the SM one cycle: writebacks, LD/ST events, residency,
-    /// issue and stats. Memory requests go to this SM's `front` (the
-    /// caller flushes its outbox into the interconnect); global loads,
-    /// stores and atomics read and write `image` as they issue, so the
-    /// engine ticking SMs in ascending id order fixes the order of every
-    /// image access. With [`NullSink`] this monomorphizes to the untraced
-    /// fast path, and with `PROFILED = false` every per-PC
-    /// hotspot-profiling branch compiles out — unprofiled runs pay
-    /// nothing and stay bit-identical.
-    ///
-    /// `PROFILED = true` requires `stats.hotspots` to be populated (the
-    /// engine sets it up at construction when `CoreConfig::profile` is
-    /// on); the recording calls are no-ops otherwise.
+    /// Advances the SM one cycle at `ctx.now`: writebacks, LD/ST events,
+    /// residency, issue and stats. The LD/ST unit submits requests to and
+    /// pops responses from `ctx.mem`, which pushes them into the
+    /// interconnect at once; global loads, stores and atomics read and
+    /// write `ctx.image` as they issue. The engine ticking SMs in
+    /// ascending id order therefore fixes the order of every request and
+    /// every image access. With [`vt_trace::NullSink`] this monomorphizes
+    /// to the untraced fast path; per-PC profiling records only when
+    /// `ctx.stats.hotspots` is `Some`, and reads nothing else.
     ///
     /// The tick's host cost follows events, not residents (DESIGN.md
     /// §18): pick, residency and classification read ready masks, CTA
     /// counters and a ready-CTA set that every event keeps current, so a
     /// parked warp or CTA costs nothing until the event that unblocks it.
-    /// This relies on `kernel`, `core` and `res` being the same on every
-    /// tick of one SM, as they are within a run.
+    /// This relies on `ctx.run` being the same on every tick of one SM,
+    /// as it is within a run: the engine builds it once.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] if a warp traps (unaligned or out-of-range
     /// access); the tick stops at the trapping instruction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tick<S: TraceSink, const PROFILED: bool>(
+    pub fn tick<S: TraceSink>(
         &mut self,
-        now: u64,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        front: &mut SmFront,
-        image: &mut MemImage,
-        stats: &mut RunStats,
-        sink: &mut S,
+        ctx: &mut Ctx<'_, S>,
         attr: EmptyAttr,
     ) -> Result<(), ExecError> {
+        let (now, kernel) = (ctx.now, ctx.run.kernel);
         if self.decoded.len() != kernel.program().len() {
             self.decoded = kernel.program().instrs().iter().map(Decoded::of).collect();
             self.rebuild_derived();
@@ -844,16 +829,14 @@ impl Sm {
         // 2. Memory events (shared latency, global responses, long-stall
         //    notifications). Events may outlive their CTA — a warp can
         //    exit with loads in flight — so uids filter stale records.
-        for event in self.ldst.tick_traced(now, front, sink) {
+        for event in self.ldst.tick_traced(now, ctx.mem, ctx.sink) {
             match event {
                 LdstEvent::Completed(c) => {
                     // Latency is observed per issue site, before the uid
                     // filter: the round trip happened even if the issuing
                     // warp's slot has since been recycled.
-                    if PROFILED {
-                        if let Some(h) = stats.hotspots.as_mut() {
-                            h.record_mem_latency(c.pc as usize, now.saturating_sub(c.issued_at));
-                        }
+                    if let Some(h) = ctx.stats.hotspots.as_mut() {
+                        h.record_mem_latency(c.pc as usize, now.saturating_sub(c.issued_at));
                     }
                     if self.warp_uids[c.warp_slot] != c.warp_uid {
                         continue;
@@ -892,7 +875,7 @@ impl Sm {
         }
 
         // 3. CTA residency: swap completions, trigger, activations.
-        self.update_residency(now, kernel, core, res, stats, sink);
+        self.update_residency(ctx);
 
         // 4. Issue.
         if self.issue_dirty {
@@ -904,14 +887,12 @@ impl Sm {
         let schedulers = self.sched_last.len();
         let mut first_issue_pc = None;
         for s in 0..schedulers {
-            if let Some(wslot) = self.pick_warp(s, now, kernel, core) {
+            if let Some(wslot) = self.pick_warp(s, now, ctx.run) {
                 if first_issue_pc.is_none() {
                     // Read before issue: the stack advances on issue.
                     first_issue_pc = Some(self.warps[wslot].stack.pc());
                 }
-                self.issue_warp::<S, PROFILED>(
-                    wslot, s, now, kernel, core, res, image, stats, sink,
-                )?;
+                self.issue_warp(wslot, s, ctx)?;
                 self.refresh(wslot);
                 self.sched_last[s] = Some(wslot);
                 self.window_issues += 1;
@@ -919,20 +900,19 @@ impl Sm {
         }
 
         // 5. Stats.
+        let stats = &mut *ctx.stats;
         self.charge_cycle(stats);
         if let Some(pc) = first_issue_pc {
             stats.issue_cycles += 1;
             // The cycle's one issue tally goes to the first PC that
             // issued, so per-PC `issued` sums exactly to `issue_cycles`.
-            if PROFILED {
-                if let Some(h) = stats.hotspots.as_mut() {
-                    h.record_issue_cycle(pc);
-                }
+            if let Some(h) = stats.hotspots.as_mut() {
+                h.record_issue_cycle(pc);
             }
             return Ok(());
         }
-        let class = self.classify::<PROFILED>();
-        charge_idle::<PROFILED>(stats, class, attr);
+        let class = self.classify(stats.hotspots.is_some());
+        charge_idle(stats, class, attr);
         Ok(())
     }
 
@@ -1242,19 +1222,12 @@ impl Sm {
     /// index), applying the LD/ST-full and SFU-busy hazards as it reads
     /// them. Debug builds check every pick against
     /// [`Sm::pick_by_full_scan`].
-    fn pick_warp(
-        &mut self,
-        s: usize,
-        now: u64,
-        kernel: &Kernel,
-        core: &CoreConfig,
-    ) -> Option<usize> {
-        let reference =
-            cfg!(debug_assertions).then(|| self.pick_by_full_scan(s, now, kernel, core));
+    fn pick_warp(&mut self, s: usize, now: u64, run: Run<'_>) -> Option<usize> {
+        let reference = cfg!(debug_assertions).then(|| self.pick_by_full_scan(s, now, run));
         let (full, busy) = (!self.ldst.has_space(), now < self.sfu_free_at);
         let part = &self.partitions[s];
         let ready = |word: &[u64; CLASSES]| issuable(word, full, busy);
-        let pick = match core.scheduler {
+        let pick = match run.core.scheduler {
             SchedPolicy::Gto => {
                 // Greedy: the last warp keeps the scheduler while it is
                 // still listed and ready; then the oldest ready one.
@@ -1289,17 +1262,11 @@ impl Sm {
     /// The specification of [`Sm::pick_warp`]: the whole issue list
     /// scanned with [`Sm::readiness`], filtering by partition on every
     /// entry. Reads the LRR pointer but does not advance it.
-    fn pick_by_full_scan(
-        &self,
-        s: usize,
-        now: u64,
-        kernel: &Kernel,
-        core: &CoreConfig,
-    ) -> Option<usize> {
+    fn pick_by_full_scan(&self, s: usize, now: u64, run: Run<'_>) -> Option<usize> {
         let schedulers = self.sched_last.len();
         let in_partition = |w: usize| w % schedulers == s;
-        let ready = |w: usize| self.readiness(w, now, kernel) == Readiness::Ready;
-        match core.scheduler {
+        let ready = |w: usize| self.readiness(w, now, run.kernel) == Readiness::Ready;
+        match run.core.scheduler {
             SchedPolicy::Gto => {
                 if let Some(last) = self.sched_last[s] {
                     if in_partition(last) && self.issue_list.contains(&last) && ready(last) {
@@ -1328,31 +1295,23 @@ impl Sm {
 
     // ----- instruction execution --------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn issue_warp<S: TraceSink, const PROFILED: bool>(
+    fn issue_warp<S: TraceSink>(
         &mut self,
         wslot: usize,
         sched: usize,
-        now: u64,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        image: &mut MemImage,
-        stats: &mut RunStats,
-        sink: &mut S,
+        ctx: &mut Ctx<'_, S>,
     ) -> Result<(), ExecError> {
+        let (now, Run { kernel, core, .. }) = (ctx.now, ctx.run);
         let pc = self.warps[wslot].stack.pc();
         let instr = *kernel.program().fetch(pc);
         let mask = self.warps[wslot].stack.active_mask();
-        stats.warp_instrs += 1;
-        stats.thread_instrs += u64::from(mask.count_ones());
-        if PROFILED {
-            if let Some(h) = stats.hotspots.as_mut() {
-                h.record_warp_issue(pc, mask.count_ones());
-            }
+        ctx.stats.warp_instrs += 1;
+        ctx.stats.thread_instrs += u64::from(mask.count_ones());
+        if let Some(h) = ctx.stats.hotspots.as_mut() {
+            h.record_warp_issue(pc, mask.count_ones());
         }
         if S::ENABLED {
-            sink.emit(
+            ctx.sink.emit(
                 now,
                 TraceEvent::WarpIssue {
                     sm: self.id as u32,
@@ -1392,21 +1351,7 @@ impl Sm {
                 addr,
                 offset,
             } => {
-                self.exec_mem::<S, PROFILED>(
-                    wslot,
-                    now,
-                    pc,
-                    kernel,
-                    core,
-                    mask,
-                    space,
-                    addr,
-                    offset,
-                    MemOp::Load { dst },
-                    image,
-                    stats,
-                    sink,
-                )?;
+                self.exec_mem(wslot, space, addr, offset, MemOp::Load { dst }, ctx)?;
                 self.advance(wslot);
             }
             Instr::St {
@@ -1415,21 +1360,7 @@ impl Sm {
                 offset,
                 src,
             } => {
-                self.exec_mem::<S, PROFILED>(
-                    wslot,
-                    now,
-                    pc,
-                    kernel,
-                    core,
-                    mask,
-                    space,
-                    addr,
-                    offset,
-                    MemOp::Store { src },
-                    image,
-                    stats,
-                    sink,
-                )?;
+                self.exec_mem(wslot, space, addr, offset, MemOp::Store { src }, ctx)?;
                 self.advance(wslot);
             }
             Instr::Atom {
@@ -1439,32 +1370,25 @@ impl Sm {
                 offset,
                 val,
             } => {
-                self.exec_mem::<S, PROFILED>(
+                self.exec_mem(
                     wslot,
-                    now,
-                    pc,
-                    kernel,
-                    core,
-                    mask,
                     MemSpace::Global,
                     addr,
                     offset,
                     MemOp::Atomic { op, dst, val },
-                    image,
-                    stats,
-                    sink,
+                    ctx,
                 )?;
                 self.advance(wslot);
             }
             Instr::Bar => {
-                stats.barriers += 1;
+                ctx.stats.barriers += 1;
                 self.warps[wslot].waiting_barrier = true;
                 self.warps[wslot].barrier_since = now;
                 self.warps[wslot].stack.advance();
                 let cta_slot = self.warps[wslot].cta_slot;
                 self.ctas[cta_slot].barrier_arrived += 1;
                 if S::ENABLED {
-                    sink.emit(
+                    ctx.sink.emit(
                         now,
                         TraceEvent::BarrierArrive {
                             sm: self.id as u32,
@@ -1473,11 +1397,11 @@ impl Sm {
                         },
                     );
                 }
-                self.check_barrier_release(cta_slot, now, stats, sink);
+                self.check_barrier_release(cta_slot, ctx);
             }
             Instr::Bra { target } => {
                 self.warps[wslot].stack.jump(target);
-                self.check_done(wslot, kernel, core, res, now, stats, sink);
+                self.check_done(wslot, ctx);
             }
             Instr::BraCond {
                 pred,
@@ -1495,17 +1419,15 @@ impl Sm {
                     & mask;
                 let divergent = self.warps[wslot].stack.branch(taken, target, reconv);
                 if divergent {
-                    stats.divergent_branches += 1;
+                    ctx.stats.divergent_branches += 1;
                 }
-                if PROFILED {
-                    if let Some(h) = stats.hotspots.as_mut() {
-                        h.record_branch(pc, divergent);
-                    }
+                if let Some(h) = ctx.stats.hotspots.as_mut() {
+                    h.record_branch(pc, divergent);
                 }
             }
             Instr::Exit => {
                 self.warps[wslot].stack.exit();
-                self.check_done(wslot, kernel, core, res, now, stats, sink);
+                self.check_done(wslot, ctx);
             }
         }
         Ok(())
@@ -1539,23 +1461,20 @@ impl Sm {
         self.warps[wslot].stack.advance();
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_mem<S: TraceSink, const PROFILED: bool>(
+    /// Issues warp `wslot`'s memory instruction at its PC, on its active
+    /// lanes.
+    fn exec_mem<S: TraceSink>(
         &mut self,
         wslot: usize,
-        now: u64,
-        pc: usize,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        mask: u32,
         space: MemSpace,
         addr: Operand,
         offset: i32,
         op: MemOp,
-        image: &mut MemImage,
-        stats: &mut RunStats,
-        sink: &mut S,
+        ctx: &mut Ctx<'_, S>,
     ) -> Result<(), ExecError> {
+        let (now, kernel, image) = (ctx.now, ctx.run.kernel, &mut *ctx.image);
+        let stack = &self.warps[wslot].stack;
+        let (pc, mask) = (stack.pc(), stack.active_mask());
         // Functional side first; the LD/ST unit and memory system model
         // only the timing. Every lane's address is resolved (and
         // shared-memory effects applied) before any lane touches the
@@ -1635,11 +1554,9 @@ impl Sm {
         // Timing side.
         match space {
             MemSpace::Shared => {
-                let rounds = shared_bank_conflicts(&addrs, mask, core.smem_banks);
-                if PROFILED {
-                    if let Some(h) = stats.hotspots.as_mut() {
-                        h.record_smem(pc, u64::from(rounds));
-                    }
+                let rounds = shared_bank_conflicts(&addrs, mask, ctx.run.core.smem_banks);
+                if let Some(h) = ctx.stats.hotspots.as_mut() {
+                    h.record_smem(pc, u64::from(rounds));
                 }
                 let dst = match op {
                     MemOp::Load { dst } => {
@@ -1655,10 +1572,8 @@ impl Sm {
                 let lines: Vec<u64> = coalesce(&addrs, mask, self.line_bytes)
                     .map(|t| t.line_addr)
                     .collect();
-                if PROFILED {
-                    if let Some(h) = stats.hotspots.as_mut() {
-                        h.record_coalesce(pc, lines.len() as u64);
-                    }
+                if let Some(h) = ctx.stats.hotspots.as_mut() {
+                    h.record_coalesce(pc, lines.len() as u64);
                 }
                 if S::ENABLED {
                     let kind = match op {
@@ -1666,7 +1581,7 @@ impl Sm {
                         MemOp::Store { .. } => ReqKind::Store,
                         MemOp::Atomic { .. } => ReqKind::Atomic,
                     };
-                    sink.emit(
+                    ctx.sink.emit(
                         now,
                         TraceEvent::Coalesce {
                             sm: self.id as u32,
@@ -1726,13 +1641,8 @@ impl Sm {
         Ok(())
     }
 
-    fn check_barrier_release<S: TraceSink>(
-        &mut self,
-        cta_slot: usize,
-        now: u64,
-        stats: &mut RunStats,
-        sink: &mut S,
-    ) {
+    fn check_barrier_release<S: TraceSink>(&mut self, cta_slot: usize, ctx: &mut Ctx<'_, S>) {
+        let now = ctx.now;
         let cta = &mut self.ctas[cta_slot];
         if cta.live_warps > 0 && cta.barrier_arrived >= cta.live_warps {
             cta.barrier_arrived = 0;
@@ -1741,11 +1651,11 @@ impl Sm {
                 if self.warps[w].waiting_barrier {
                     self.warps[w].waiting_barrier = false;
                     self.refresh(w);
-                    stats
+                    ctx.stats
                         .barrier_wait
                         .record(now.saturating_sub(self.warps[w].barrier_since));
                     if S::ENABLED {
-                        sink.emit(
+                        ctx.sink.emit(
                             now,
                             TraceEvent::BarrierRelease {
                                 sm: self.id as u32,
@@ -1759,17 +1669,7 @@ impl Sm {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn check_done<S: TraceSink>(
-        &mut self,
-        wslot: usize,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        now: u64,
-        stats: &mut RunStats,
-        sink: &mut S,
-    ) {
+    fn check_done<S: TraceSink>(&mut self, wslot: usize, ctx: &mut Ctx<'_, S>) {
         if !self.warps[wslot].stack.is_done() || self.warps[wslot].done {
             return;
         }
@@ -1779,26 +1679,17 @@ impl Sm {
         self.ctas[cta_slot].live_warps -= 1;
         self.issue_dirty = true;
         if self.ctas[cta_slot].live_warps == 0 {
-            self.finish_cta(cta_slot, kernel, core, res, now, stats, sink);
+            self.finish_cta(cta_slot, ctx);
         } else {
             // Remaining warps may all be at the barrier now.
-            self.check_barrier_release(cta_slot, now, stats, sink);
+            self.check_barrier_release(cta_slot, ctx);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish_cta<S: TraceSink>(
-        &mut self,
-        cta_slot: usize,
-        kernel: &Kernel,
-        core: &CoreConfig,
-        res: &ResidencyConfig,
-        now: u64,
-        stats: &mut RunStats,
-        sink: &mut S,
-    ) {
+    fn finish_cta<S: TraceSink>(&mut self, cta_slot: usize, ctx: &mut Ctx<'_, S>) {
         let n_warps = self.ctas[cta_slot].warps.len() as u32;
         if S::ENABLED {
+            let (now, sink) = (ctx.now, &mut *ctx.sink);
             let (sm, slot, cta_id) = (self.id as u32, cta_slot as u32, self.ctas[cta_slot].cta_id);
             // Close whatever span is open above the resident span so the
             // final CtaComplete balances the CtaLaunch.
@@ -1860,9 +1751,9 @@ impl Sm {
         self.ctas[cta_slot].phase = CtaPhase::Finished;
         self.free_cta_slots.push(cta_slot);
         self.issue_dirty = true;
-        stats.ctas_completed += 1;
+        ctx.stats.ctas_completed += 1;
         // A slot freed: a parked CTA may activate.
-        self.try_activate(now, kernel, core, res, stats, sink);
+        self.try_activate(ctx);
     }
 
     // ----- stats -------------------------------------------------------------
@@ -1886,8 +1777,8 @@ impl Sm {
 
     /// Classifies a cycle in which nothing issued, from the partition
     /// masks (the issue list is current: nothing issued since its
-    /// rebuild). Blame PCs are computed when `PROFILED`.
-    fn classify<const PROFILED: bool>(&self) -> IdleClass {
+    /// rebuild). Blame PCs are computed only when `profiled`.
+    fn classify(&self, profiled: bool) -> IdleClass {
         if self.resident_warps == 0 {
             return IdleClass::Empty;
         }
@@ -1901,7 +1792,7 @@ impl Sm {
             }
             // Everything resident is inactive and waiting on memory:
             // blame the oldest inactive warp with loads in flight.
-            let blame = if PROFILED {
+            let blame = if profiled {
                 self.warps
                     .iter()
                     .filter(|w| !w.done && w.pending_loads > 0)
@@ -1937,7 +1828,7 @@ impl Sm {
         // The oldest warp of the charged class; for a barrier, the stack
         // already advanced past the `Bar`, so the charge lands on the
         // instruction waiting behind it.
-        let blame = if PROFILED {
+        let blame = if profiled {
             let class = match reason {
                 StallReason::Memory => BLOCKED_MEM,
                 StallReason::Barrier => BARRIER,
@@ -2322,9 +2213,9 @@ enum MemOp {
 }
 
 /// Charges one SM-cycle that issued nothing to the idle and empty
-/// breakdowns and, when `PROFILED`, to the per-PC profile (unattributed
+/// breakdowns and, when profiling, to the per-PC profile (unattributed
 /// when no instruction is blamable).
-fn charge_idle<const PROFILED: bool>(stats: &mut RunStats, class: IdleClass, attr: EmptyAttr) {
+fn charge_idle(stats: &mut RunStats, class: IdleClass, attr: EmptyAttr) {
     let IdleClass::Stalled { reason, blame } = class else {
         stats.idle.no_warps += 1;
         // Empty sub-split (keeps `empty.total() == idle.no_warps`):
@@ -2347,10 +2238,8 @@ fn charge_idle<const PROFILED: bool>(stats: &mut RunStats, class: IdleClass, att
         StallReason::Swap => &mut idle.swapping,
         StallReason::Structural => &mut idle.other,
     } += 1;
-    if PROFILED {
-        if let Some(h) = stats.hotspots.as_mut() {
-            h.record_stall(blame, reason);
-        }
+    if let Some(h) = stats.hotspots.as_mut() {
+        h.record_stall(blame, reason);
     }
 }
 
@@ -2365,7 +2254,8 @@ mod tests {
     use crate::hotspots::PcProfile;
     use vt_isa::op::{SfuOp, Sreg};
     use vt_isa::KernelBuilder;
-    use vt_mem::{MemConfig, MemSystem};
+    use vt_mem::MemConfig;
+    use vt_trace::NullSink;
 
     /// One SM driven the way the engine drives it: memory tick, SM tick,
     /// and an optional one-CTA-per-cycle dispatcher. A `rebuilt` rig drops
@@ -2379,6 +2269,7 @@ mod tests {
         image: MemImage,
         sm: Sm,
         stats: RunStats,
+        sink: NullSink,
         now: u64,
         next_cta: u32,
         rebuilt: bool,
@@ -2398,21 +2289,34 @@ mod tests {
                 kernel,
                 core,
                 res,
+                sink: NullSink,
                 now: 0,
                 next_cta: 0,
                 rebuilt: false,
             }
         }
 
+        /// The SM and the context it ticks and admits under now.
+        fn split(&mut self) -> (&mut Sm, Ctx<'_, NullSink>) {
+            let ctx = Ctx {
+                run: Run {
+                    kernel: &self.kernel,
+                    core: &self.core,
+                    res: &self.res,
+                },
+                now: self.now,
+                mem: &mut self.mem,
+                image: &mut self.image,
+                stats: &mut self.stats,
+                sink: &mut self.sink,
+            };
+            (&mut self.sm, ctx)
+        }
+
         fn admit(&mut self) {
-            self.sm.admit(
-                self.next_cta,
-                &self.kernel,
-                &self.core,
-                &self.res,
-                self.now,
-                &mut self.stats,
-            );
+            let cta_id = self.next_cta;
+            let (sm, mut ctx) = self.split();
+            sm.admit(cta_id, &mut ctx);
             self.next_cta += 1;
         }
 
@@ -2423,29 +2327,9 @@ mod tests {
                 self.sm.decoded.clear();
             }
             self.mem.tick(self.now);
-            if self.stats.hotspots.is_some() {
-                self.tick_sm::<true>(attr);
-            } else {
-                self.tick_sm::<false>(attr);
-            }
-            self.mem.flush_outbox(0);
+            let (sm, mut ctx) = self.split();
+            sm.tick(&mut ctx, attr).unwrap();
             self.now += 1;
-        }
-
-        fn tick_sm<const PROFILED: bool>(&mut self, attr: EmptyAttr) {
-            self.sm
-                .tick::<_, PROFILED>(
-                    self.now,
-                    &self.kernel,
-                    &self.core,
-                    &self.res,
-                    self.mem.front_mut(0),
-                    &mut self.image,
-                    &mut self.stats,
-                    &mut NullSink,
-                    attr,
-                )
-                .unwrap();
         }
 
         /// Runs the whole grid, dispatching like the engine (after the
@@ -2457,7 +2341,8 @@ mod tests {
                     work_left,
                     scheduling_limited: false,
                 });
-                if work_left && self.sm.can_admit(&self.kernel, &self.core, &self.res) {
+                let (sm, ctx) = self.split();
+                if work_left && sm.can_admit(ctx.run) {
                     self.admit();
                 }
                 let drained = self.next_cta >= self.kernel.num_ctas();
@@ -2830,9 +2715,9 @@ mod tests {
         .unwrap();
         assert_eq!(restored.ready_ctas, rig.sm.ready_ctas);
         assert_eq!(restored.swap_due, rig.sm.swap_due);
-        for sm in [&mut rig.sm, &mut restored] {
-            let mut stats = RunStats::default();
-            sm.admit(2, &rig.kernel, &core, &rig.res, 1, &mut stats);
+        let (sm, mut ctx) = rig.split();
+        for sm in [sm, &mut restored] {
+            sm.admit(2, &mut ctx);
             assert_eq!(sm.ready_ctas, vec![(2, 1), (3, 2)]);
             assert_eq!(sm.counted.len(), sm.warps.len());
         }

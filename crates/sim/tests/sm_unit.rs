@@ -9,7 +9,7 @@ use vt_mem::{MemConfig, MemSystem};
 use vt_sim::config::{
     ActivePolicy, AdmissionPolicy, CoreConfig, ResidencyConfig, SwapConfig, SwapTrigger,
 };
-use vt_sim::sm::{EmptyAttr, Sm};
+use vt_sim::sm::{Ctx, EmptyAttr, Run, Sm};
 use vt_sim::stats::RunStats;
 use vt_trace::NullSink;
 
@@ -52,6 +52,7 @@ struct Rig {
     core: CoreConfig,
     res: ResidencyConfig,
     stats: RunStats,
+    sink: NullSink,
     cycle: u64,
 }
 
@@ -66,40 +67,52 @@ impl Rig {
             core,
             res,
             stats: RunStats::default(),
+            sink: NullSink,
             cycle: 0,
         }
     }
 
+    fn run<'a>(&'a self, kernel: &'a Kernel) -> Run<'a> {
+        Run {
+            kernel,
+            core: &self.core,
+            res: &self.res,
+        }
+    }
+
+    /// The SM and the context it ticks and admits under at this cycle.
+    fn split<'a>(&'a mut self, kernel: &'a Kernel) -> (&'a mut Sm, Ctx<'a, NullSink>) {
+        let ctx = Ctx {
+            run: Run {
+                kernel,
+                core: &self.core,
+                res: &self.res,
+            },
+            now: self.cycle,
+            mem: &mut self.mem,
+            image: &mut self.image,
+            stats: &mut self.stats,
+            sink: &mut self.sink,
+        };
+        (&mut self.sm, ctx)
+    }
+
     fn tick(&mut self, kernel: &Kernel) {
         self.mem.tick(self.cycle);
-        self.sm
-            .tick::<_, false>(
-                self.cycle,
-                kernel,
-                &self.core,
-                &self.res,
-                self.mem.front_mut(0),
-                &mut self.image,
-                &mut self.stats,
-                &mut NullSink,
-                EmptyAttr::drained(),
-            )
-            .expect("no traps");
-        self.mem.flush_outbox(0);
+        let (sm, mut ctx) = self.split(kernel);
+        sm.tick(&mut ctx, EmptyAttr::drained()).expect("no traps");
         self.cycle += 1;
+    }
+
+    fn admit(&mut self, cta_id: u32, kernel: &Kernel) {
+        let (sm, mut ctx) = self.split(kernel);
+        sm.admit(cta_id, &mut ctx);
     }
 
     fn admit_while_possible(&mut self, kernel: &Kernel, limit: u32) -> u32 {
         let mut admitted = 0;
-        while admitted < limit && self.sm.can_admit(kernel, &self.core, &self.res) {
-            self.sm.admit(
-                admitted,
-                kernel,
-                &self.core,
-                &self.res,
-                self.cycle,
-                &mut self.stats,
-            );
+        while admitted < limit && self.sm.can_admit(self.run(kernel)) {
+            self.admit(admitted, kernel);
             admitted += 1;
         }
         admitted
@@ -274,7 +287,5 @@ fn admit_without_capacity_panics() {
     let k = load_kernel(64);
     let mut rig = Rig::new(ResidencyConfig::baseline());
     rig.admit_while_possible(&k, 64);
-    let cycle = rig.cycle;
-    rig.sm
-        .admit(99, &k, &rig.core, &rig.res, cycle, &mut rig.stats);
+    rig.admit(99, &k);
 }

@@ -8,9 +8,14 @@ use vt_core::{Architecture, Gpu, SchedPolicy};
 use vt_isa::interp::Interpreter;
 use vt_isa::op::{Operand, SfuOp};
 use vt_isa::{Kernel, KernelBuilder};
+use vt_sim::GpuSim;
+use vt_tests::checkpoints::swap_config;
 use vt_tests::{all_archs, run, small_config};
 use vt_workloads::{full_suite, Scale};
 
+/// Checked on two geometries: `small_config`, where no kernel swaps at
+/// this scale, and `swap_config` (2 SMs of 2 CTA slots), where VT swaps
+/// on every kernel, so CTAs are parked and resumed mid-flight.
 #[test]
 fn suite_matches_interpreter_under_every_architecture() {
     for w in full_suite(&Scale::test()) {
@@ -27,6 +32,23 @@ fn suite_matches_interpreter_under_every_architecture() {
                 w.name,
                 arch.label()
             );
+            let swapping = GpuSim::new(&swap_config(&w.kernel, arch, false), &w.kernel)
+                .and_then(GpuSim::run)
+                .unwrap_or_else(|e| panic!("{} under {}: {e}", w.name, arch.label()));
+            assert_eq!(
+                swapping.mem_image.as_words(),
+                reference.mem().as_words(),
+                "{} diverged functionally under {} where CTAs swap",
+                w.name,
+                arch.label()
+            );
+            if arch == Architecture::virtual_thread() {
+                assert!(
+                    swapping.stats.swaps.swaps_out > 0,
+                    "{}: VT never swapped",
+                    w.name
+                );
+            }
         }
     }
 }

@@ -6,12 +6,14 @@
 
 use vt_core::{Architecture, Report, RunRequest, Session};
 use vt_isa::Kernel;
+use vt_sim::{GpuSim, RunBudget, RunResult, SimConfig};
+use vt_tests::checkpoints::swap_config;
 use vt_tests::{all_archs, run, small_config};
 use vt_trace::{
-    to_chrome_json, to_chrome_json_with, validate, validate_metrics, RingSink, SwapDir, TimedEvent,
-    TraceEvent,
+    to_chrome_json, to_chrome_json_with, validate, validate_metrics, NullSink, RingSink, SwapDir,
+    TimedEvent, TraceEvent, TraceSink,
 };
-use vt_workloads::{suite, AccessPattern, Scale, SyntheticParams};
+use vt_workloads::{full_suite, suite, AccessPattern, Scale, SyntheticParams};
 
 fn run_traced(arch: Architecture, kernel: &Kernel) -> (Report, Vec<TimedEvent>) {
     let mut session = Session::new(small_config(arch)).with_sink(RingSink::new(1 << 22));
@@ -68,6 +70,60 @@ fn tracing_does_not_perturb_the_simulation() {
                 arch.label()
             );
             assert_eq!(untraced.mem_image, traced.mem_image);
+        }
+    }
+}
+
+fn run_observed<S: TraceSink>(cfg: &SimConfig, kernel: &Kernel, sink: &mut S) -> RunResult {
+    GpuSim::new(cfg, kernel)
+        .and_then(|sim| sim.execute(None, sink, &RunBudget::unlimited(), None))
+        .and_then(|o| o.completed())
+        .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()))
+}
+
+/// The three observers in every combination — a trace sink (none or a
+/// ring), the metrics window (off or 64 cycles) and the per-PC profile
+/// (off or on) — on the geometry where VT swaps. No combination changes
+/// the image or any statistic but the observers' own `series` and
+/// `hotspots`, and those two are the same with and without a sink.
+#[test]
+fn observers_never_perturb_in_any_combination() {
+    for w in full_suite(&Scale::test())
+        .into_iter()
+        .filter(|w| ["bfs", "hotspot", "nw", "sgemm"].contains(&w.name))
+    {
+        for arch in all_archs() {
+            let label = format!("{} under {}", w.name, arch.label());
+            let plain_cfg = swap_config(&w.kernel, arch, false);
+            let plain = run_observed(&plain_cfg, &w.kernel, &mut NullSink);
+            for (metrics, profile) in [
+                (None, false),
+                (Some(64), false),
+                (None, true),
+                (Some(64), true),
+            ] {
+                let mut cfg = plain_cfg.clone();
+                cfg.core.metrics_window = metrics;
+                cfg.core.profile = profile;
+                let mut untraced = run_observed(&cfg, &w.kernel, &mut NullSink);
+                let mut ring = RingSink::new(1 << 22);
+                let mut traced = run_observed(&cfg, &w.kernel, &mut ring);
+                assert!(!ring.is_empty() && ring.dropped() == 0, "{label}: ring");
+                let what = format!("{label}, metrics {metrics:?}, profile {profile}");
+                assert_eq!(untraced.stats.series, traced.stats.series, "{what}: series");
+                assert_eq!(
+                    untraced.stats.hotspots, traced.stats.hotspots,
+                    "{what}: profile"
+                );
+                assert_eq!(untraced.stats.series.is_some(), metrics.is_some(), "{what}");
+                assert_eq!(untraced.stats.hotspots.is_some(), profile, "{what}");
+                for run in [&mut untraced, &mut traced] {
+                    run.stats.series = None;
+                    run.stats.hotspots = None;
+                    assert_eq!(run.stats, plain.stats, "{what}: stats perturbed");
+                    assert_eq!(run.mem_image, plain.mem_image, "{what}: image perturbed");
+                }
+            }
         }
     }
 }

@@ -1,8 +1,11 @@
-//! Per-lane functional semantics.
+//! Per-lane functional semantics: operand resolution and the scalar
+//! evaluators, plus their lane-vector forms.
 //!
-//! Both the timing simulator and the reference interpreter call into this
-//! module so a kernel computes the same values on either path; the timing
-//! model only decides *when* those values become visible.
+//! Instructions execute in [`crate::step::step_warp`], which both the
+//! timing simulator and the reference interpreter call, so a kernel
+//! computes the same values on either path; the timing model only
+//! decides *when* those values become visible. The step evaluates a
+//! whole warp at once with the `eval_*_lanes` forms below.
 
 use crate::op::{AluOp, AtomOp, Operand, SfuOp, Sreg};
 
@@ -168,7 +171,7 @@ macro_rules! lanes {
 /// the lane loop, so each arm is a straight loop over constant-op
 /// [`eval_alu`] calls. No evaluator traps, so computing lanes the caller
 /// then discards (inactive ones) is harmless.
-pub fn eval_alu_lanes(op: AluOp, a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
+pub(crate) fn eval_alu_lanes(op: AluOp, a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
     macro_rules! per_op {
         ($($op:ident)*) => {
             match op {
@@ -184,18 +187,18 @@ pub fn eval_alu_lanes(op: AluOp, a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
 }
 
 /// [`eval_mad`] on every lane of a warp.
-pub fn eval_mad_lanes(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
+pub(crate) fn eval_mad_lanes(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
     lanes!(|a, b, c| eval_mad(a, b, c))
 }
 
 /// [`eval_ffma`] on every lane of a warp.
-pub fn eval_ffma_lanes(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
+pub(crate) fn eval_ffma_lanes(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
     lanes!(|a, b, c| eval_ffma(a, b, c))
 }
 
 /// [`eval_sfu`] on every lane of a warp, `op` matched once as in
 /// [`eval_alu_lanes`].
-pub fn eval_sfu_lanes(op: SfuOp, a: &[u32; 32]) -> [u32; 32] {
+pub(crate) fn eval_sfu_lanes(op: SfuOp, a: &[u32; 32]) -> [u32; 32] {
     macro_rules! per_op {
         ($($op:ident)*) => {
             match op {

@@ -1,16 +1,18 @@
 //! A timing-free reference interpreter.
 //!
-//! Executes a kernel warp-synchronously (same SIMT-stack semantics as the
-//! timing simulator) but with no resource or latency modelling: CTAs run
-//! sequentially, warps round-robin between barriers. Tests use it as the
-//! functional oracle the cycle-level simulator must agree with.
+//! Executes a kernel warp-synchronously, one [`step_warp`] at a time (the
+//! step the timing simulator issues too), but with no resource or latency
+//! modelling: CTAs run sequentially, warps round-robin between barriers.
+//! Tests use it as the functional oracle the cycle-level simulator must
+//! agree with; since both execute through the same step, what it checks
+//! independently is the simulator's scheduling, residency and memory
+//! ordering, not instruction semantics.
 
 use crate::error::{ExecError, IsaError};
-use crate::exec::{self, ThreadCtx};
-use crate::instr::Instr;
+use crate::exec::ThreadCtx;
 use crate::kernel::{Kernel, MemImage};
-use crate::op::{BranchIf, MemSpace};
 use crate::simt::SimtStack;
+use crate::step::{step_warp, Effect, WarpCtx};
 use crate::WARP_SIZE;
 
 /// Default per-CTA dynamic instruction budget; exceeding it aborts the run
@@ -66,9 +68,9 @@ pub struct Interpreter<'k> {
 
 struct WarpState {
     stack: SimtStack,
-    /// `regs[lane][reg]`.
-    regs: Vec<Vec<u32>>,
-    first_tid: u32,
+    /// Register-major, as [`WarpCtx::regs`].
+    regs: Vec<u32>,
+    lane0: ThreadCtx,
     at_barrier: bool,
 }
 
@@ -137,8 +139,13 @@ impl<'k> Interpreter<'k> {
                 };
                 WarpState {
                     stack: SimtStack::new(mask),
-                    regs: vec![vec![0u32; k.regs_per_thread() as usize]; lanes as usize],
-                    first_tid,
+                    regs: vec![0; WARP_SIZE as usize * usize::from(k.regs_per_thread())],
+                    lane0: ThreadCtx {
+                        tid: first_tid,
+                        ctaid,
+                        ntid: nthreads,
+                        ncta: k.num_ctas(),
+                    },
                     at_barrier: false,
                 }
             })
@@ -161,7 +168,15 @@ impl<'k> Interpreter<'k> {
                     // shrink the mask (divergence, exit) — matching how
                     // the timing simulator attributes thread instructions.
                     let active = warp.stack.active_mask();
-                    self.step(warp, ctaid, mem, &mut smem)?;
+                    let instr = k.program().fetch(warp.stack.pc());
+                    let mut ctx = WarpCtx {
+                        regs: &mut warp.regs,
+                        stack: &mut warp.stack,
+                        lane0: warp.lane0,
+                    };
+                    if step_warp(instr, &mut ctx, mem, &mut smem)? == Effect::Barrier {
+                        warp.at_barrier = true;
+                    }
                     warp_instrs += 1;
                     thread_instrs += u64::from(active.count_ones());
                     progressed = true;
@@ -170,11 +185,10 @@ impl<'k> Interpreter<'k> {
                     }
                 }
             }
-            let unfinished: Vec<&WarpState> = warps.iter().filter(|w| !w.stack.is_done()).collect();
-            if unfinished.is_empty() {
+            if warps.iter().all(|w| w.stack.is_done()) {
                 break;
             }
-            if unfinished.iter().all(|w| w.at_barrier) {
+            if warps.iter().all(|w| w.stack.is_done() || w.at_barrier) {
                 // Barrier release.
                 for w in warps.iter_mut() {
                     w.at_barrier = false;
@@ -185,202 +199,6 @@ impl<'k> Interpreter<'k> {
         }
         let max_depth = warps.iter().map(|w| w.stack.max_depth()).max().unwrap_or(0);
         Ok((warp_instrs, thread_instrs, max_depth))
-    }
-
-    fn ctx(&self, warp: &WarpState, lane: u32, ctaid: u32) -> ThreadCtx {
-        ThreadCtx {
-            tid: warp.first_tid + lane,
-            ctaid,
-            ntid: self.kernel.threads_per_cta(),
-            ncta: self.kernel.num_ctas(),
-        }
-    }
-
-    fn step(
-        &self,
-        warp: &mut WarpState,
-        ctaid: u32,
-        mem: &mut MemImage,
-        smem: &mut [u32],
-    ) -> Result<(), ExecError> {
-        let pc = warp.stack.pc();
-        let mask = warp.stack.active_mask();
-        let instr = *self.kernel.program().fetch(pc);
-        match instr {
-            Instr::Alu { op, dst, a, b } => {
-                for_lanes(mask, |lane| {
-                    let ctx = self.ctx(warp, lane, ctaid);
-                    let regs = &mut warp.regs[lane as usize];
-                    let va = exec::resolve(a, regs, &ctx);
-                    let vb = exec::resolve(b, regs, &ctx);
-                    regs[dst.0 as usize] = exec::eval_alu(op, va, vb);
-                    Ok(())
-                })?;
-                warp.stack.advance();
-            }
-            Instr::Mad { dst, a, b, c } | Instr::Ffma { dst, a, b, c } => {
-                let is_f = matches!(instr, Instr::Ffma { .. });
-                for_lanes(mask, |lane| {
-                    let ctx = self.ctx(warp, lane, ctaid);
-                    let regs = &mut warp.regs[lane as usize];
-                    let va = exec::resolve(a, regs, &ctx);
-                    let vb = exec::resolve(b, regs, &ctx);
-                    let vc = exec::resolve(c, regs, &ctx);
-                    regs[dst.0 as usize] = if is_f {
-                        exec::eval_ffma(va, vb, vc)
-                    } else {
-                        exec::eval_mad(va, vb, vc)
-                    };
-                    Ok(())
-                })?;
-                warp.stack.advance();
-            }
-            Instr::Sfu { op, dst, a } => {
-                for_lanes(mask, |lane| {
-                    let ctx = self.ctx(warp, lane, ctaid);
-                    let regs = &mut warp.regs[lane as usize];
-                    let va = exec::resolve(a, regs, &ctx);
-                    regs[dst.0 as usize] = exec::eval_sfu(op, va);
-                    Ok(())
-                })?;
-                warp.stack.advance();
-            }
-            Instr::Ld {
-                space,
-                dst,
-                addr,
-                offset,
-            } => {
-                for_lanes(mask, |lane| {
-                    let ctx = self.ctx(warp, lane, ctaid);
-                    let regs = &mut warp.regs[lane as usize];
-                    let a = exec::resolve(addr, regs, &ctx).wrapping_add(offset as u32);
-                    regs[dst.0 as usize] = load(space, a, mem, smem)?;
-                    Ok(())
-                })?;
-                warp.stack.advance();
-            }
-            Instr::St {
-                space,
-                addr,
-                offset,
-                src,
-            } => {
-                for_lanes(mask, |lane| {
-                    let ctx = self.ctx(warp, lane, ctaid);
-                    let regs = &warp.regs[lane as usize];
-                    let a = exec::resolve(addr, regs, &ctx).wrapping_add(offset as u32);
-                    let v = exec::resolve(src, regs, &ctx);
-                    store(space, a, v, mem, smem)
-                })?;
-                warp.stack.advance();
-            }
-            Instr::Atom {
-                op,
-                dst,
-                addr,
-                offset,
-                val,
-            } => {
-                for_lanes(mask, |lane| {
-                    let ctx = self.ctx(warp, lane, ctaid);
-                    let regs = &mut warp.regs[lane as usize];
-                    let a = exec::resolve(addr, regs, &ctx).wrapping_add(offset as u32);
-                    let v = exec::resolve(val, regs, &ctx);
-                    let old = load(MemSpace::Global, a, mem, smem)?;
-                    let new = exec::eval_atom(op, old, v);
-                    store(MemSpace::Global, a, new, mem, smem)?;
-                    if let Some(d) = dst {
-                        regs[d.0 as usize] = old;
-                    }
-                    Ok(())
-                })?;
-                warp.stack.advance();
-            }
-            Instr::Bar => {
-                warp.at_barrier = true;
-                warp.stack.advance();
-            }
-            Instr::Bra { target } => {
-                warp.stack.jump(target);
-            }
-            Instr::BraCond {
-                pred,
-                when,
-                target,
-                reconv,
-            } => {
-                let mut taken = 0u32;
-                for_lanes(mask, |lane| {
-                    let ctx = self.ctx(warp, lane, ctaid);
-                    let v = exec::resolve(pred, &warp.regs[lane as usize], &ctx);
-                    let t = match when {
-                        BranchIf::NonZero => v != 0,
-                        BranchIf::Zero => v == 0,
-                    };
-                    if t {
-                        taken |= 1 << lane;
-                    }
-                    Ok(())
-                })?;
-                warp.stack.branch(taken, target, reconv);
-            }
-            Instr::Exit => {
-                warp.stack.exit();
-            }
-        }
-        Ok(())
-    }
-}
-
-fn for_lanes(mask: u32, mut f: impl FnMut(u32) -> Result<(), ExecError>) -> Result<(), ExecError> {
-    let mut m = mask;
-    while m != 0 {
-        let lane = m.trailing_zeros();
-        f(lane)?;
-        m &= m - 1;
-    }
-    Ok(())
-}
-
-fn load(space: MemSpace, addr: u32, mem: &MemImage, smem: &[u32]) -> Result<u32, ExecError> {
-    if !addr.is_multiple_of(4) {
-        return Err(ExecError::Unaligned { addr });
-    }
-    match space {
-        MemSpace::Global => mem.load(addr).ok_or(ExecError::GlobalOutOfRange { addr }),
-        MemSpace::Shared => smem
-            .get((addr / 4) as usize)
-            .copied()
-            .ok_or(ExecError::SharedOutOfRange { addr }),
-    }
-}
-
-fn store(
-    space: MemSpace,
-    addr: u32,
-    value: u32,
-    mem: &mut MemImage,
-    smem: &mut [u32],
-) -> Result<(), ExecError> {
-    if !addr.is_multiple_of(4) {
-        return Err(ExecError::Unaligned { addr });
-    }
-    match space {
-        MemSpace::Global => {
-            if mem.store(addr, value) {
-                Ok(())
-            } else {
-                Err(ExecError::GlobalOutOfRange { addr })
-            }
-        }
-        MemSpace::Shared => match smem.get_mut((addr / 4) as usize) {
-            Some(w) => {
-                *w = value;
-                Ok(())
-            }
-            None => Err(ExecError::SharedOutOfRange { addr }),
-        },
     }
 }
 

@@ -228,6 +228,12 @@ impl MemImage {
     pub fn as_words(&self) -> &[u32] {
         &self.words
     }
+
+    /// The raw word slice, writable: one memory access's lanes each
+    /// take their word from it.
+    pub(crate) fn words_mut(&mut self) -> &mut [u32] {
+        &mut self.words
+    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,10 @@
 //!   (`if_`, `if_else`, `while_`, `for_range`) that emits well-formed
 //!   divergence (every divergent branch carries its reconvergence point),
 //! * [`asm`] — a text assembler / disassembler for the same instruction set,
-//! * [`exec`] — per-lane functional semantics shared by the reference
-//!   interpreter and the timing simulator,
+//! * [`exec`] — per-lane functional semantics (operands and evaluators),
+//! * [`step::step_warp`] — one warp instruction executed on its active
+//!   lanes: the single functional step the reference interpreter and the
+//!   timing simulator both call,
 //! * [`simt::SimtStack`] — the immediate-post-dominator reconvergence stack,
 //! * [`interp::Interpreter`] — a timing-free reference interpreter used as a
 //!   functional oracle in tests,
@@ -70,6 +72,7 @@ pub mod limits;
 pub mod op;
 pub mod program;
 pub mod simt;
+pub mod step;
 
 pub use builder::KernelBuilder;
 pub use error::IsaError;

@@ -1,14 +1,17 @@
 //! Randomized property tests for the ISA layer: the SIMT stack conserves
 //! lanes for arbitrary structured programs, the assembler round-trips
-//! arbitrary instruction sequences, and ALU semantics obey algebraic
-//! laws. Driven by the workspace's deterministic [`vt_prng::Prng`] so the
-//! cases are reproducible and the build stays offline.
+//! arbitrary instruction sequences, the warp step agrees with a per-lane
+//! scalar model, and ALU semantics obey algebraic laws. Driven by the
+//! workspace's deterministic [`vt_prng::Prng`] so the cases are
+//! reproducible and the build stays offline.
 
 use vt_isa::asm::{assemble_program, disassemble};
-use vt_isa::exec::eval_alu;
+use vt_isa::exec::{self, eval_alu, ThreadCtx};
 use vt_isa::interp::Interpreter;
+use vt_isa::kernel::MemImage;
 use vt_isa::op::{AluOp, AtomOp, BranchIf, MemSpace, Operand, Reg, SfuOp, Sreg};
-use vt_isa::{Instr, KernelBuilder, Program};
+use vt_isa::step::{step_warp, Access, AccessKind, Effect, WarpCtx};
+use vt_isa::{Instr, KernelBuilder, Program, SimtStack};
 use vt_prng::Prng;
 
 // ---------- lane conservation through arbitrary structured control flow ----
@@ -243,6 +246,255 @@ fn disassembly_reassembles_identically() {
         let back =
             assemble_program(&text).unwrap_or_else(|e| panic!("reassembly failed: {e}\n{text}"));
         assert_eq!(program, back, "{text}");
+    }
+}
+
+// ---------- the warp step against a per-lane scalar model -----------------
+
+const IMAGE_WORDS: u32 = 256;
+const SMEM_WORDS: u32 = 64;
+
+/// A random instruction the step evaluates lane by lane (no barrier,
+/// jump or exit), with its memory address made valid on every lane:
+/// aligned and inside its space, where an address register gets its
+/// row in `regs` rewritten.
+fn gen_step_instr(r: &mut Prng, regs: &mut [u32]) -> Instr {
+    let mut valid = |r: &mut Prng, space: MemSpace, addr: &mut Operand, offset: &mut i32| {
+        let words = if space == MemSpace::Global {
+            IMAGE_WORDS
+        } else {
+            SMEM_WORDS
+        };
+        // 8 words of slack either side absorb the offset.
+        let base = |r: &mut Prng| 4 * r.gen_range(8..words - 8);
+        *offset = 4 * (r.gen_range(0..17) as i32 - 8);
+        *addr = if r.gen_bool(0.3) {
+            Operand::Imm(base(r))
+        } else {
+            let reg = gen_reg(r);
+            for word in &mut regs[32 * usize::from(reg.0)..][..32] {
+                *word = base(r);
+            }
+            Operand::Reg(reg)
+        };
+    };
+    loop {
+        let mut instr = gen_instr(r);
+        match &mut instr {
+            Instr::Ld {
+                space,
+                addr,
+                offset,
+                ..
+            }
+            | Instr::St {
+                space,
+                addr,
+                offset,
+                ..
+            } => valid(r, *space, addr, offset),
+            Instr::Atom { addr, offset, .. } => valid(r, MemSpace::Global, addr, offset),
+            Instr::Bar | Instr::Bra { .. } | Instr::Exit => continue,
+            _ => {}
+        }
+        return instr;
+    }
+}
+
+/// What the step must do, computed one active lane at a time, in lane
+/// order, from each lane's own register frame with [`exec::resolve`] and
+/// the scalar evaluators: the expected registers and memory are updated
+/// in place, and the lanes' addresses and taken branch returned.
+fn scalar_model(
+    instr: &Instr,
+    mask: u32,
+    lane0: ThreadCtx,
+    regs: &mut [u32],
+    image: &mut [u32],
+    smem: &mut [u32],
+) -> ([u32; 32], u32) {
+    let (mut addrs, mut taken) = ([0u32; 32], 0u32);
+    for lane in (0..32).filter(|l| mask >> l & 1 != 0) {
+        let mut frame: Vec<u32> = (0..32).map(|reg| regs[32 * reg + lane]).collect();
+        let ctx = ThreadCtx {
+            tid: lane0.tid + lane as u32,
+            ..lane0
+        };
+        let v = |op: Operand, frame: &[u32]| exec::resolve(op, frame, &ctx);
+        let mut at = |addr: Operand, offset: i32, frame: &[u32]| {
+            addrs[lane] = v(addr, frame).wrapping_add(offset as u32);
+            (addrs[lane] / 4) as usize
+        };
+        match *instr {
+            Instr::Alu { op, dst, a, b } => {
+                frame[usize::from(dst.0)] = exec::eval_alu(op, v(a, &frame), v(b, &frame));
+            }
+            Instr::Mad { dst, a, b, c } => {
+                frame[usize::from(dst.0)] =
+                    exec::eval_mad(v(a, &frame), v(b, &frame), v(c, &frame));
+            }
+            Instr::Ffma { dst, a, b, c } => {
+                frame[usize::from(dst.0)] =
+                    exec::eval_ffma(v(a, &frame), v(b, &frame), v(c, &frame));
+            }
+            Instr::Sfu { op, dst, a } => {
+                frame[usize::from(dst.0)] = exec::eval_sfu(op, v(a, &frame))
+            }
+            Instr::Ld {
+                space,
+                dst,
+                addr,
+                offset,
+            } => {
+                let mem: &[u32] = if space == MemSpace::Global {
+                    image
+                } else {
+                    smem
+                };
+                frame[usize::from(dst.0)] = mem[at(addr, offset, &frame)];
+            }
+            Instr::St {
+                space,
+                addr,
+                offset,
+                src,
+            } => {
+                let mem = if space == MemSpace::Global {
+                    &mut *image
+                } else {
+                    &mut *smem
+                };
+                mem[at(addr, offset, &frame)] = v(src, &frame);
+            }
+            Instr::Atom {
+                op,
+                dst,
+                addr,
+                offset,
+                val,
+            } => {
+                let word = &mut image[at(addr, offset, &frame)];
+                let old = *word;
+                *word = exec::eval_atom(op, old, v(val, &frame));
+                if let Some(d) = dst {
+                    frame[usize::from(d.0)] = old;
+                }
+            }
+            Instr::BraCond { pred, when, .. } => {
+                let nonzero = v(pred, &frame) != 0;
+                if nonzero == (when == BranchIf::NonZero) {
+                    taken |= 1 << lane;
+                }
+            }
+            Instr::Bar | Instr::Bra { .. } | Instr::Exit => unreachable!("not generated"),
+        }
+        for (reg, &value) in frame.iter().enumerate() {
+            regs[32 * reg + lane] = value;
+        }
+    }
+    (addrs, taken)
+}
+
+/// `step_warp` on random instructions, registers, partial masks and CTA
+/// positions equals the scalar model: active lanes get the scalar
+/// values, inactive lanes and other registers keep theirs, memory ends
+/// the same, every active lane's address is `resolve(addr) + offset`,
+/// and a branch's taken mask is the lanes whose predicate held.
+#[test]
+fn warp_step_matches_a_per_lane_scalar_model() {
+    let mut r = Prng::new(0x57e9);
+    for case in 0..3000 {
+        let mut regs: Vec<u32> = (0..32 * 32)
+            .map(|_| match r.gen_range(0..3) {
+                0 => r.gen_range(0..2),
+                1 => r.gen_f32().to_bits(),
+                _ => r.next_u32(),
+            })
+            .collect();
+        let instr = gen_step_instr(&mut r, &mut regs);
+        let mask = match r.gen_range(0..3) {
+            0 => u32::MAX,
+            1 => 1 << r.gen_range(0..32),
+            _ => r.next_u32().max(1),
+        };
+        let warp = r.gen_range(0..8);
+        let ncta = r.gen_range(1..100);
+        let lane0 = ThreadCtx {
+            tid: 32 * warp,
+            ctaid: r.gen_range(0..ncta),
+            ntid: 32 * (warp + r.gen_range(1..4)),
+            ncta,
+        };
+        let image: Vec<u32> = (0..IMAGE_WORDS).map(|_| r.next_u32()).collect();
+        let smem: Vec<u32> = (0..SMEM_WORDS).map(|_| r.next_u32()).collect();
+
+        let (mut want_regs, mut want_image, mut want_smem) =
+            (regs.clone(), image.clone(), smem.clone());
+        let (addrs, taken) = scalar_model(
+            &instr,
+            mask,
+            lane0,
+            &mut want_regs,
+            &mut want_image,
+            &mut want_smem,
+        );
+
+        let mut stack = SimtStack::new(mask);
+        let mut got_image = MemImage::from_words(image);
+        let mut got_smem = smem;
+        let mut warp = WarpCtx {
+            regs: &mut regs,
+            stack: &mut stack,
+            lane0,
+        };
+        let effect = step_warp(&instr, &mut warp, &mut got_image, &mut got_smem)
+            .unwrap_or_else(|e| panic!("case {case}: {instr:?} trapped: {e}"));
+        let what = format!("case {case}: {instr:?} on mask {mask:#x}");
+        assert_eq!(regs, want_regs, "{what}: registers");
+        assert_eq!(got_image.as_words(), &want_image[..], "{what}: image");
+        assert_eq!(got_smem, want_smem, "{what}: shared memory");
+
+        let mem = |space, kind, dst| {
+            Effect::Mem(Access {
+                space,
+                kind,
+                dst,
+                addrs,
+                mask,
+            })
+        };
+        let want = match instr {
+            Instr::Alu { dst, .. }
+            | Instr::Mad { dst, .. }
+            | Instr::Ffma { dst, .. }
+            | Instr::Sfu { dst, .. } => Effect::Alu { dst },
+            Instr::Ld { space, dst, .. } => mem(space, AccessKind::Load, Some(dst)),
+            Instr::St { space, .. } => mem(space, AccessKind::Store, None),
+            Instr::Atom { dst, .. } => mem(MemSpace::Global, AccessKind::Atomic, dst),
+            _ => Effect::Branch {
+                taken,
+                divergent: taken != 0 && taken != mask,
+            },
+        };
+        assert_eq!(effect, want, "{what}: effect");
+        if let Instr::BraCond { target, .. } = instr {
+            let (pc, active) = if taken == 0 {
+                (1, mask)
+            } else {
+                (target, taken)
+            };
+            assert_eq!(
+                (stack.pc(), stack.active_mask()),
+                (pc, active),
+                "{what}: stack"
+            );
+        } else {
+            assert_eq!(
+                (stack.pc(), stack.active_mask()),
+                (1, mask),
+                "{what}: stack"
+            );
+        }
     }
 }
 

@@ -1,6 +1,7 @@
-//! The streaming multiprocessor: warp scheduling, instruction issue,
-//! functional execution, barriers, and the CTA residency / context-switch
-//! machinery at the heart of the Virtual Thread architecture.
+//! The streaming multiprocessor: warp scheduling, instruction issue and
+//! its timing (instructions execute in `vt_isa::step`), barriers, and the
+//! CTA residency / context-switch machinery at the heart of the Virtual
+//! Thread architecture.
 
 use crate::config::{
     ActivePolicy, AdmissionPolicy, CoreConfig, ResidencyConfig, SchedPolicy, SwapTrigger,
@@ -13,9 +14,10 @@ use crate::stats::RunStats;
 use crate::warp::{Trigger, WarpRt};
 use std::collections::VecDeque;
 use vt_isa::error::ExecError;
-use vt_isa::exec::{self, ThreadCtx};
+use vt_isa::exec::ThreadCtx;
 use vt_isa::kernel::MemImage;
-use vt_isa::op::{BranchIf, MemSpace, Operand};
+use vt_isa::op::MemSpace;
+use vt_isa::step::{step_warp, Access, AccessKind, Effect, WarpCtx};
 use vt_isa::{Instr, Kernel, Reg, WARP_SIZE};
 use vt_json::{decode_field, field, impl_to_json, req_array, Codec, Count, Json, Sorted};
 use vt_mem::coalesce::{coalesce, shared_bank_conflicts};
@@ -1295,6 +1297,8 @@ impl Sm {
 
     // ----- instruction execution --------------------------------------------
 
+    /// Issues warp `wslot`'s instruction: [`step_warp`] executes it, then
+    /// the SM charges its [`Effect`].
     fn issue_warp<S: TraceSink>(
         &mut self,
         wslot: usize,
@@ -1302,9 +1306,8 @@ impl Sm {
         ctx: &mut Ctx<'_, S>,
     ) -> Result<(), ExecError> {
         let (now, Run { kernel, core, .. }) = (ctx.now, ctx.run);
-        let pc = self.warps[wslot].stack.pc();
-        let instr = *kernel.program().fetch(pc);
-        let mask = self.warps[wslot].stack.active_mask();
+        let w = &mut self.warps[wslot];
+        let (pc, mask, cta_slot) = (w.stack.pc(), w.stack.active_mask(), w.cta_slot);
         ctx.stats.warp_instrs += 1;
         ctx.stats.thread_instrs += u64::from(mask.count_ones());
         if let Some(h) = ctx.stats.hotspots.as_mut() {
@@ -1321,71 +1324,43 @@ impl Sm {
                 },
             );
         }
+        let cta = &mut self.ctas[cta_slot];
+        let mut warp = WarpCtx {
+            regs: &mut w.regs,
+            stack: &mut w.stack,
+            lane0: ThreadCtx {
+                tid: w.first_tid,
+                ctaid: cta.cta_id,
+                ntid: kernel.threads_per_cta(),
+                ncta: kernel.num_ctas(),
+            },
+        };
+        let effect = step_warp(
+            kernel.program().fetch(pc),
+            &mut warp,
+            ctx.image,
+            &mut cta.smem,
+        )?;
 
-        match instr {
-            // ALU-class: each operand resolved once for the whole warp,
-            // then one lane-vector evaluation.
-            Instr::Alu { op, dst, a, b } => {
-                let [a, b] = [a, b].map(|o| self.operand(wslot, kernel, o));
-                let values = exec::eval_alu_lanes(op, &a, &b);
-                self.retire_alu(wslot, dst, mask, &values, now + u64::from(core.alu_latency));
+        match effect {
+            Effect::Alu { dst } => {
+                let latency = if self.decoded[pc].is_sfu {
+                    self.sfu_free_at = now + u64::from(core.sfu_init_interval);
+                    core.sfu_latency
+                } else {
+                    core.alu_latency
+                };
+                let ready = now + u64::from(latency);
+                self.warps[wslot].scoreboard.set_pending(dst);
+                let at = self.writebacks.partition_point(|&(r, ..)| r <= ready);
+                self.writebacks
+                    .insert(at, (ready, wslot, dst.0, self.warp_uids[wslot]));
             }
-            Instr::Mad { dst, a, b, c } => {
-                let [a, b, c] = [a, b, c].map(|o| self.operand(wslot, kernel, o));
-                let values = exec::eval_mad_lanes(&a, &b, &c);
-                self.retire_alu(wslot, dst, mask, &values, now + u64::from(core.alu_latency));
-            }
-            Instr::Ffma { dst, a, b, c } => {
-                let [a, b, c] = [a, b, c].map(|o| self.operand(wslot, kernel, o));
-                let values = exec::eval_ffma_lanes(&a, &b, &c);
-                self.retire_alu(wslot, dst, mask, &values, now + u64::from(core.alu_latency));
-            }
-            Instr::Sfu { op, dst, a } => {
-                let values = exec::eval_sfu_lanes(op, &self.operand(wslot, kernel, a));
-                self.retire_alu(wslot, dst, mask, &values, now + u64::from(core.sfu_latency));
-                self.sfu_free_at = now + u64::from(core.sfu_init_interval);
-            }
-            Instr::Ld {
-                space,
-                dst,
-                addr,
-                offset,
-            } => {
-                self.exec_mem(wslot, space, addr, offset, MemOp::Load { dst }, ctx)?;
-                self.advance(wslot);
-            }
-            Instr::St {
-                space,
-                addr,
-                offset,
-                src,
-            } => {
-                self.exec_mem(wslot, space, addr, offset, MemOp::Store { src }, ctx)?;
-                self.advance(wslot);
-            }
-            Instr::Atom {
-                op,
-                dst,
-                addr,
-                offset,
-                val,
-            } => {
-                self.exec_mem(
-                    wslot,
-                    MemSpace::Global,
-                    addr,
-                    offset,
-                    MemOp::Atomic { op, dst, val },
-                    ctx,
-                )?;
-                self.advance(wslot);
-            }
-            Instr::Bar => {
+            Effect::Mem(access) => self.charge_mem(wslot, pc, access, ctx),
+            Effect::Barrier => {
                 ctx.stats.barriers += 1;
                 self.warps[wslot].waiting_barrier = true;
                 self.warps[wslot].barrier_since = now;
-                self.warps[wslot].stack.advance();
-                let cta_slot = self.warps[wslot].cta_slot;
                 self.ctas[cta_slot].barrier_arrived += 1;
                 if S::ENABLED {
                     ctx.sink.emit(
@@ -1399,25 +1374,7 @@ impl Sm {
                 }
                 self.check_barrier_release(cta_slot, ctx);
             }
-            Instr::Bra { target } => {
-                self.warps[wslot].stack.jump(target);
-                self.check_done(wslot, ctx);
-            }
-            Instr::BraCond {
-                pred,
-                when,
-                target,
-                reconv,
-            } => {
-                let pred = self.operand(wslot, kernel, pred);
-                let taken = (0..WARP_SIZE)
-                    .filter(|&lane| match when {
-                        BranchIf::NonZero => pred[lane as usize] != 0,
-                        BranchIf::Zero => pred[lane as usize] == 0,
-                    })
-                    .fold(0u32, |taken, lane| taken | 1 << lane)
-                    & mask;
-                let divergent = self.warps[wslot].stack.branch(taken, target, reconv);
+            Effect::Branch { divergent, .. } => {
                 if divergent {
                     ctx.stats.divergent_branches += 1;
                 }
@@ -1425,220 +1382,72 @@ impl Sm {
                     h.record_branch(pc, divergent);
                 }
             }
-            Instr::Exit => {
-                self.warps[wslot].stack.exit();
-                self.check_done(wslot, ctx);
-            }
+            Effect::Exit => self.check_done(wslot, ctx),
+            // A jump keeps the bottom SIMT entry, which has no
+            // reconvergence PC (`WarpRt::restore` refuses one that has),
+            // so it cannot finish the warp.
+            Effect::Jump => {}
         }
         Ok(())
     }
 
-    /// Operand `op` on all 32 lanes of warp `wslot`.
-    fn operand(&self, wslot: usize, kernel: &Kernel, op: Operand) -> [u32; 32] {
-        let w = &self.warps[wslot];
-        w.operand_lanes(op, || ThreadCtx {
-            tid: w.first_tid,
-            ctaid: self.ctas[w.cta_slot].cta_id,
-            ntid: kernel.threads_per_cta(),
-            ncta: kernel.num_ctas(),
-        })
-    }
-
-    /// Completes an ALU-class issue: writes `values` to `dst` on the
-    /// active lanes, holds `dst` on the scoreboard until `ready` and
-    /// advances the warp.
-    fn retire_alu(&mut self, wslot: usize, dst: Reg, mask: u32, values: &[u32; 32], ready: u64) {
-        let w = &mut self.warps[wslot];
-        w.set_lanes(dst, mask, values);
-        w.scoreboard.set_pending(dst);
-        w.stack.advance();
-        let at = self.writebacks.partition_point(|&(r, ..)| r <= ready);
-        self.writebacks
-            .insert(at, (ready, wslot, dst.0, self.warp_uids[wslot]));
-    }
-
-    fn advance(&mut self, wslot: usize) {
-        self.warps[wslot].stack.advance();
-    }
-
-    /// Issues warp `wslot`'s memory instruction at its PC, on its active
-    /// lanes.
-    fn exec_mem<S: TraceSink>(
+    /// Charges warp `wslot`'s memory access at `pc` to the LD/ST unit:
+    /// bank-conflict rounds for shared memory, coalesced lines for global.
+    fn charge_mem<S: TraceSink>(
         &mut self,
         wslot: usize,
-        space: MemSpace,
-        addr: Operand,
-        offset: i32,
-        op: MemOp,
+        pc: usize,
+        Access {
+            space,
+            kind,
+            dst,
+            addrs,
+            mask,
+        }: Access,
         ctx: &mut Ctx<'_, S>,
-    ) -> Result<(), ExecError> {
-        let (now, kernel, image) = (ctx.now, ctx.run.kernel, &mut *ctx.image);
-        let stack = &self.warps[wslot].stack;
-        let (pc, mask) = (stack.pc(), stack.active_mask());
-        // Functional side first; the LD/ST unit and memory system model
-        // only the timing. Every lane's address is resolved (and
-        // shared-memory effects applied) before any lane touches the
-        // global image, so an alignment or shared-range fault on any lane
-        // outranks a global-range fault on a lower one.
-        let base = self.operand(wslot, kernel, addr);
-        let vals = match op {
-            MemOp::Load { .. } => [0; WARP_SIZE as usize],
-            MemOp::Store { src } => self.operand(wslot, kernel, src),
-            MemOp::Atomic { val, .. } => self.operand(wslot, kernel, val),
+    ) {
+        let (now, uid, pc32) = (ctx.now, self.warp_uids[wslot], pc as u32);
+        if let Some(d) = dst {
+            self.warps[wslot].scoreboard.set_pending(d);
+        }
+        if space == MemSpace::Shared {
+            let rounds = shared_bank_conflicts(&addrs, mask, ctx.run.core.smem_banks);
+            if let Some(h) = ctx.stats.hotspots.as_mut() {
+                h.record_smem(pc, u64::from(rounds));
+            }
+            self.ldst.push_shared(wslot, uid, rounds, dst, pc32, now);
+            return;
+        }
+        let lines: Vec<u64> = coalesce(&addrs, mask, self.line_bytes)
+            .map(|t| t.line_addr)
+            .collect();
+        if let Some(h) = ctx.stats.hotspots.as_mut() {
+            h.record_coalesce(pc, lines.len() as u64);
+        }
+        let kind = match kind {
+            AccessKind::Load => ReqKind::Load,
+            AccessKind::Store => ReqKind::Store,
+            AccessKind::Atomic => ReqKind::Atomic,
         };
-        let mut addrs = [0u32; WARP_SIZE as usize];
-        {
-            let (warps, ctas) = (&mut self.warps, &mut self.ctas);
-            let w = &mut warps[wslot];
-            let cta = &mut ctas[w.cta_slot];
-            let mut m = mask;
-            while m != 0 {
-                let lane = m.trailing_zeros();
-                m &= m - 1;
-                let a = base[lane as usize].wrapping_add(offset as u32);
-                if !a.is_multiple_of(4) {
-                    return Err(ExecError::Unaligned { addr: a });
-                }
-                addrs[lane as usize] = a;
-                if space == MemSpace::Shared {
-                    match op {
-                        MemOp::Load { dst } => {
-                            let v = *cta
-                                .smem
-                                .get((a / 4) as usize)
-                                .ok_or(ExecError::SharedOutOfRange { addr: a })?;
-                            w.set_reg(lane, dst.0, v);
-                        }
-                        MemOp::Store { .. } => {
-                            let word = cta
-                                .smem
-                                .get_mut((a / 4) as usize)
-                                .ok_or(ExecError::SharedOutOfRange { addr: a })?;
-                            *word = vals[lane as usize];
-                        }
-                        // Atomics are global-only.
-                        MemOp::Atomic { .. } => {}
-                    }
-                }
-            }
+        if S::ENABLED {
+            ctx.sink.emit(
+                now,
+                TraceEvent::Coalesce {
+                    sm: self.id as u32,
+                    warp_slot: wslot as u32,
+                    kind: kind.trace_kind(),
+                    lines: lines.len() as u32,
+                },
+            );
         }
-        if space == MemSpace::Global {
-            let oob = |a| ExecError::GlobalOutOfRange { addr: a };
-            let w = &mut self.warps[wslot];
-            let mut m = mask;
-            while m != 0 {
-                let lane = m.trailing_zeros();
-                m &= m - 1;
-                let a = addrs[lane as usize];
-                match op {
-                    MemOp::Load { dst } => {
-                        let v = image.load(a).ok_or(oob(a))?;
-                        w.set_reg(lane, dst.0, v);
-                    }
-                    MemOp::Store { .. } => {
-                        if !image.store(a, vals[lane as usize]) {
-                            return Err(oob(a));
-                        }
-                    }
-                    MemOp::Atomic { op, dst, .. } => {
-                        let old = image.load(a).ok_or(oob(a))?;
-                        image.store(a, exec::eval_atom(op, old, vals[lane as usize]));
-                        if let Some(d) = dst {
-                            w.set_reg(lane, d.0, old);
-                        }
-                    }
-                }
-            }
+        // Loads and atomics hold the warp (and its CTA) until they return.
+        if kind != ReqKind::Store {
+            self.warps[wslot].pending_loads += 1;
+            let cta_slot = self.warps[wslot].cta_slot;
+            self.ctas[cta_slot].pending_loads += 1;
         }
-
-        // Timing side.
-        match space {
-            MemSpace::Shared => {
-                let rounds = shared_bank_conflicts(&addrs, mask, ctx.run.core.smem_banks);
-                if let Some(h) = ctx.stats.hotspots.as_mut() {
-                    h.record_smem(pc, u64::from(rounds));
-                }
-                let dst = match op {
-                    MemOp::Load { dst } => {
-                        self.warps[wslot].scoreboard.set_pending(dst);
-                        Some(dst)
-                    }
-                    _ => None,
-                };
-                self.ldst
-                    .push_shared(wslot, self.warp_uids[wslot], rounds, dst, pc as u32, now);
-            }
-            MemSpace::Global => {
-                let lines: Vec<u64> = coalesce(&addrs, mask, self.line_bytes)
-                    .map(|t| t.line_addr)
-                    .collect();
-                if let Some(h) = ctx.stats.hotspots.as_mut() {
-                    h.record_coalesce(pc, lines.len() as u64);
-                }
-                if S::ENABLED {
-                    let kind = match op {
-                        MemOp::Load { .. } => ReqKind::Load,
-                        MemOp::Store { .. } => ReqKind::Store,
-                        MemOp::Atomic { .. } => ReqKind::Atomic,
-                    };
-                    ctx.sink.emit(
-                        now,
-                        TraceEvent::Coalesce {
-                            sm: self.id as u32,
-                            warp_slot: wslot as u32,
-                            kind: kind.trace_kind(),
-                            lines: lines.len() as u32,
-                        },
-                    );
-                }
-                match op {
-                    MemOp::Load { dst } => {
-                        self.warps[wslot].scoreboard.set_pending(dst);
-                        self.warps[wslot].pending_loads += 1;
-                        let cta_slot = self.warps[wslot].cta_slot;
-                        self.ctas[cta_slot].pending_loads += 1;
-                        self.ldst.push_global(
-                            wslot,
-                            self.warp_uids[wslot],
-                            lines,
-                            ReqKind::Load,
-                            Some(dst),
-                            pc as u32,
-                            now,
-                        );
-                    }
-                    MemOp::Store { .. } => {
-                        self.ldst.push_global(
-                            wslot,
-                            self.warp_uids[wslot],
-                            lines,
-                            ReqKind::Store,
-                            None,
-                            pc as u32,
-                            now,
-                        );
-                    }
-                    MemOp::Atomic { dst, .. } => {
-                        if let Some(d) = dst {
-                            self.warps[wslot].scoreboard.set_pending(d);
-                        }
-                        self.warps[wslot].pending_loads += 1;
-                        let cta_slot = self.warps[wslot].cta_slot;
-                        self.ctas[cta_slot].pending_loads += 1;
-                        self.ldst.push_global(
-                            wslot,
-                            self.warp_uids[wslot],
-                            lines,
-                            ReqKind::Atomic,
-                            dst,
-                            pc as u32,
-                            now,
-                        );
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.ldst
+            .push_global(wslot, uid, lines, kind, dst, pc32, now);
     }
 
     fn check_barrier_release<S: TraceSink>(&mut self, cta_slot: usize, ctx: &mut Ctx<'_, S>) {
@@ -2196,22 +2005,6 @@ fn occupancy_of(ctas: &[CtaRt]) -> [u64; 8] {
     sums
 }
 
-/// Memory micro-op discriminant used by `exec_mem`.
-#[derive(Debug, Clone, Copy)]
-enum MemOp {
-    Load {
-        dst: Reg,
-    },
-    Store {
-        src: Operand,
-    },
-    Atomic {
-        op: vt_isa::AtomOp,
-        dst: Option<Reg>,
-        val: Operand,
-    },
-}
-
 /// Charges one SM-cycle that issued nothing to the idle and empty
 /// breakdowns and, when profiling, to the per-PC profile (unattributed
 /// when no instruction is blamable).
@@ -2252,7 +2045,7 @@ mod tests {
     use super::*;
     use crate::config::{SwapConfig, ThrottleConfig};
     use crate::hotspots::PcProfile;
-    use vt_isa::op::{SfuOp, Sreg};
+    use vt_isa::op::{Operand, SfuOp, Sreg};
     use vt_isa::KernelBuilder;
     use vt_mem::MemConfig;
     use vt_trace::NullSink;

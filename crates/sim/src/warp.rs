@@ -1,8 +1,7 @@
 //! Per-warp runtime state.
 
 use crate::scoreboard::Scoreboard;
-use vt_isa::exec::{self, ThreadCtx};
-use vt_isa::{Operand, Reg, SimtEntry, SimtStack, WARP_SIZE};
+use vt_isa::{SimtEntry, SimtStack, WARP_SIZE};
 use vt_json::{decode_field, field, req_words, Codec, Count, Json, ToJson, Words};
 
 /// The runtime state of one warp resident on an SM.
@@ -24,8 +23,8 @@ pub struct WarpRt {
     pub stack: SimtStack,
     /// In-flight destination registers.
     pub scoreboard: Scoreboard,
-    /// Register values, register-major: `[reg * 32 + lane]`, so one
-    /// register of the whole warp is one contiguous row.
+    /// Register values, register-major (`[reg * 32 + lane]`), the block
+    /// [`vt_isa::step::WarpCtx::regs`] borrows at issue.
     pub regs: Vec<u32>,
     /// Registers per thread (the number of rows of `regs`).
     pub regs_per_thread: u16,
@@ -73,63 +72,6 @@ impl WarpRt {
             long_pending_loads: 0,
             done: false,
             age,
-        }
-    }
-
-    /// Register `reg` of `lane`.
-    pub fn reg(&self, lane: u32, reg: u16) -> u32 {
-        self.regs[Self::row(reg) + lane as usize]
-    }
-
-    /// Writes register `reg` of `lane`.
-    pub fn set_reg(&mut self, lane: u32, reg: u16, value: u32) {
-        self.regs[Self::row(reg) + lane as usize] = value;
-    }
-
-    /// Index of register `reg`'s row in `regs`.
-    fn row(reg: u16) -> usize {
-        reg as usize * WARP_SIZE as usize
-    }
-
-    /// Operand `op` on all 32 lanes: a register is a row copy, an
-    /// immediate a splat, and a special register is computed per lane
-    /// from lane 0's context, which `lane0` builds.
-    pub(crate) fn operand_lanes(
-        &self,
-        op: Operand,
-        lane0: impl FnOnce() -> ThreadCtx,
-    ) -> [u32; 32] {
-        match op {
-            Operand::Reg(r) => {
-                let base = Self::row(r.0);
-                self.regs[base..base + WARP_SIZE as usize]
-                    .try_into()
-                    .expect("a register row is one warp wide")
-            }
-            Operand::Imm(v) => [v; 32],
-            Operand::Sreg(_) => {
-                let ctx = lane0();
-                std::array::from_fn(|lane| {
-                    let lane_ctx = ThreadCtx {
-                        tid: ctx.tid + lane as u32,
-                        ..ctx
-                    };
-                    exec::resolve(op, &[], &lane_ctx)
-                })
-            }
-        }
-    }
-
-    /// Writes `values[lane]` to register `reg` of every lane in `mask`:
-    /// a branch-free select over the register's row.
-    pub(crate) fn set_lanes(&mut self, reg: Reg, mask: u32, values: &[u32; 32]) {
-        let base = Self::row(reg.0);
-        let row = &mut self.regs[base..base + WARP_SIZE as usize];
-        for (lane, (r, &v)) in row.iter_mut().zip(values).enumerate() {
-            // All ones where the lane is inactive (keep), zero where it is
-            // active (take `v`).
-            let keep = ((mask >> lane) & 1).wrapping_sub(1);
-            *r = (*r & keep) | (v & !keep);
         }
     }
 
@@ -184,6 +126,20 @@ impl WarpRt {
             // an instruction on none.
             if mask == 0 {
                 return Err(format!("field `stack`[{i}] has a SIMT mask of no lanes"));
+            }
+            // Only the bottom entry drains by exit alone; every path
+            // entry above it pops at its reconvergence PC. A bottom entry
+            // that could pop would let a jump or an advance empty the
+            // stack of a warp no exit has finished.
+            if rpc.is_some() != (i > 0) {
+                return Err(format!(
+                    "field `stack`[{i}] {} a reconvergence PC",
+                    if i == 0 {
+                        "is the bottom entry but has"
+                    } else {
+                        "is a path entry without"
+                    }
+                ));
             }
             entries.push(SimtEntry { pc, rpc, mask });
         }
@@ -252,6 +208,10 @@ pub(crate) enum Trigger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vt_isa::exec::ThreadCtx;
+    use vt_isa::kernel::MemImage;
+    use vt_isa::step::{step_warp, Effect, WarpCtx};
+    use vt_isa::{AluOp, Instr, Operand, Reg, Sreg};
 
     #[test]
     fn fresh_warp_state() {
@@ -269,15 +229,39 @@ mod tests {
         assert_eq!(w.stack.active_mask(), 0b11111);
     }
 
+    /// Moves `value` into register `reg` of the lanes in `mask` through
+    /// the shared step, as issue does.
+    fn mov(w: &mut WarpRt, mask: u32, reg: u16, value: Operand) {
+        w.stack = SimtStack::new(mask);
+        let instr = Instr::Alu {
+            op: AluOp::Mov,
+            dst: Reg(reg),
+            a: value,
+            b: Operand::Imm(0),
+        };
+        let lane0 = ThreadCtx {
+            tid: w.first_tid,
+            ctaid: 0,
+            ntid: 32,
+            ncta: 1,
+        };
+        let mut warp = WarpCtx {
+            regs: &mut w.regs,
+            stack: &mut w.stack,
+            lane0,
+        };
+        let effect = step_warp(&instr, &mut warp, &mut MemImage::zeroed(0), &mut []);
+        assert_eq!(effect, Ok(Effect::Alu { dst: Reg(reg) }));
+    }
+
     #[test]
     fn reg_accessors_are_lane_major() {
-        // Accessors address (lane, reg); the storage underneath, and the
-        // checkpoint, are register-major.
+        // The step addresses a register by (lane, reg); the storage
+        // underneath, and the checkpoint, are register-major.
         let mut w = WarpRt::new(0, 0, 32, 4, 0);
-        w.set_reg(2, 3, 42);
-        assert_eq!(w.reg(2, 3), 42);
-        assert_eq!(w.reg(3, 3), 0);
+        mov(&mut w, 1 << 2, 3, Operand::Imm(42));
         assert_eq!(w.regs[3 * 32 + 2], 42);
+        assert_eq!(w.regs.iter().filter(|&&v| v != 0).count(), 1);
         let saved = w.to_json();
         // Rows 0-2 and lanes 0-1 of row 3 are zero, then lane 2's 42.
         let packed = format!("z{:x}.0000002az1d.", 3 * 32 + 2);
@@ -289,9 +273,9 @@ mod tests {
     #[test]
     fn masked_row_write_keeps_inactive_lanes() {
         let mut w = WarpRt::new(0, 0, 32, 2, 0);
-        w.set_lanes(Reg(1), u32::MAX, &[7; 32]);
-        w.set_lanes(Reg(1), 0b1010, &std::array::from_fn(|l| l as u32));
-        let row = w.operand_lanes(Operand::Reg(Reg(1)), || unreachable!("no context"));
+        mov(&mut w, u32::MAX, 1, Operand::Imm(7));
+        mov(&mut w, 0b1010, 1, Operand::Sreg(Sreg::Lane));
+        let row = &w.regs[32..64];
         assert_eq!(&row[..4], &[7, 1, 7, 3]);
         assert!(row[4..].iter().all(|&v| v == 7));
         assert!(w.regs[..32].iter().all(|&v| v == 0), "register 0 untouched");

@@ -302,3 +302,35 @@ fn widened_numbers_are_refused_or_kept_exactly() {
         truncated.join("\n")
     );
 }
+
+/// Only a SIMT stack whose bottom entry has a reconvergence PC can be
+/// emptied by a jump or an advance, leaving a warp no exit finished with
+/// no PC to issue from. Restore refuses one (the fuzzer never writes a
+/// number where the text has `null`).
+#[test]
+fn a_bottom_simt_entry_with_a_reconvergence_pc_is_refused() {
+    let w = full_suite(&Scale::test())
+        .into_iter()
+        .find(|w| w.name == "bfs")
+        .expect("bfs is in the suite");
+    let cfg = config(&w.kernel);
+    let text = cut(&cfg, &w.kernel, run_cycles(&cfg, &w.kernel) / 2).to_text();
+    let resumes = |text: &str| {
+        Checkpoint::parse(text)
+            .and_then(|c| GpuSim::resume(&cfg, &w.kernel, &c))
+            .is_ok()
+    };
+    assert!(resumes(&text));
+    // `[pc,null,mask]` becomes `[pc,pc,mask]`: the entry pops at once.
+    let pc = text.find("\"stack\":[[").expect("a live warp") + "\"stack\":[[".len();
+    let comma = pc + text[pc..].find(',').expect("an entry");
+    let rpc = comma + 1..comma + 1 + "null".len();
+    assert_eq!(&text[rpc.clone()], "null");
+    let mutated = format!(
+        "{}{}{}",
+        &text[..rpc.start],
+        &text[pc..comma],
+        &text[rpc.end..]
+    );
+    assert!(!resumes(&mutated));
+}

@@ -1,12 +1,15 @@
 //! Every workload of the suite must produce the exact same final memory
-//! image on the cycle-level simulator — under every architecture — as on
-//! the timing-free reference interpreter. This pins down the functional
-//! correctness of the whole stack: ISA semantics, SIMT divergence,
-//! barriers, shared memory, atomics and the CTA residency machinery.
+//! image (and every trapping kernel the same trap) on the cycle-level
+//! simulator — under every architecture — as on the timing-free reference
+//! interpreter. Both execute instructions through `vt_isa::step`, so this
+//! pins down what the simulator adds around the step: issue order,
+//! barriers, the CTA residency machinery and the order in which warps and
+//! SMs touch memory.
 
-use vt_core::{Architecture, Gpu, SchedPolicy};
+use vt_core::{Architecture, Gpu, SchedPolicy, SimError};
+use vt_isa::error::{ExecError, IsaError};
 use vt_isa::interp::Interpreter;
-use vt_isa::op::{Operand, SfuOp};
+use vt_isa::op::{MemSpace, Operand, SfuOp, Sreg};
 use vt_isa::{Kernel, KernelBuilder};
 use vt_sim::GpuSim;
 use vt_tests::checkpoints::swap_config;
@@ -91,10 +94,10 @@ fn nan_kernel(ctas: u32) -> Kernel {
     b.build(ctas, THREADS).unwrap()
 }
 
-/// Rust leaves the payload of a NaN result unspecified, and the
-/// interpreter and the simulator evaluate floats on different paths
-/// (scalar and lane-vector). Their images agree on a NaN-making kernel
-/// only because every float result is canonicalised in `vt_isa::exec`.
+/// Rust leaves the payload of a NaN result unspecified. The scalar and
+/// lane-vector evaluators agree on a NaN-making kernel, and every result
+/// below is the one canonical NaN, only because every float result is
+/// canonicalised in `vt_isa::exec`.
 #[test]
 fn nan_payloads_match_interpreter_under_every_architecture() {
     let k = nan_kernel(32);
@@ -183,4 +186,70 @@ fn ctas_all_complete() {
             w.name
         );
     }
+}
+
+/// A one-warp kernel whose lane 0 accesses `space` at byte `lane0`, lane
+/// 5 at `lane5` and every other lane at 0, with a load or a store.
+fn faulting_access(space: MemSpace, store: bool, lane0: u32, lane5: u32) -> Kernel {
+    let mut b = KernelBuilder::new("fault");
+    b.alloc_global(4);
+    b.alloc_shared(4);
+    let (addr, p) = (b.reg(), b.reg());
+    b.set_eq(addr, Operand::Sreg(Sreg::Tid), Operand::Imm(0));
+    b.mul(addr, Operand::Reg(addr), Operand::Imm(lane0));
+    b.set_eq(p, Operand::Sreg(Sreg::Tid), Operand::Imm(5));
+    b.mad(
+        addr,
+        Operand::Reg(p),
+        Operand::Imm(lane5),
+        Operand::Reg(addr),
+    );
+    let at = Operand::Reg(addr);
+    match (space, store) {
+        (MemSpace::Global, false) => b.ld_global(p, at, 0),
+        (MemSpace::Global, true) => b.st_global(at, 0, Operand::Imm(1)),
+        (MemSpace::Shared, false) => b.ld_shared(p, at, 0),
+        (MemSpace::Shared, true) => b.st_shared(at, 0, Operand::Imm(1)),
+    }
+    b.exit();
+    b.build(1, 32).unwrap()
+}
+
+/// The trap `kernel` reports on the interpreter, required to be the one
+/// it reports on the simulator under every architecture.
+fn trap(kernel: &Kernel) -> ExecError {
+    let reference = match Interpreter::new(kernel).unwrap().run() {
+        Err(IsaError::Exec(e)) => e,
+        other => panic!("expected a trap, got {other:?}"),
+    };
+    for arch in all_archs() {
+        let got = Gpu::new(small_config(arch)).run(kernel).err();
+        assert!(
+            matches!(&got, Some(SimError::Exec(e)) if *e == reference),
+            "interpreter traps {reference:?}, the simulator under {} {got:?}",
+            arch.label()
+        );
+    }
+    reference
+}
+
+/// Simultaneous faults in one instruction: every lane's alignment (and
+/// shared range, lane by lane) is checked before any global range, on
+/// both paths.
+#[test]
+fn traps_match_interpreter_under_every_architecture() {
+    const FAR: u32 = 1 << 26;
+    for store in [false, true] {
+        let k = faulting_access(MemSpace::Global, store, FAR, 2);
+        assert_eq!(trap(&k), ExecError::Unaligned { addr: 2 }, "store {store}");
+        let k = faulting_access(MemSpace::Shared, store, FAR, 2);
+        assert_eq!(
+            trap(&k),
+            ExecError::SharedOutOfRange { addr: FAR },
+            "store {store}"
+        );
+    }
+    // Control: lane 0 alone faults.
+    let k = faulting_access(MemSpace::Global, false, FAR, 0);
+    assert_eq!(trap(&k), ExecError::GlobalOutOfRange { addr: FAR });
 }

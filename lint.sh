@@ -68,15 +68,10 @@ echo "== vt-bench CLI exit-code contract (vtprof/vtdiff/vtbench/vtsweep/vttrace/
 cargo test -q -p vt-bench --test cli_contract
 
 # The paper's shape: all seventeen acceptance criteria at the CI scale,
-# with every simulated cell's image checked against the interpreter.
-echo "== vtfig --quick (every table and figure's acceptance criterion)"
-VTFIG_TMP="$(mktemp -d)"
-if ! cargo run -q --release -p vt-bench --bin vtfig -- --quick \
-  --out "$VTFIG_TMP" >/dev/null 2>"$VTFIG_TMP/stderr"; then
-  cat "$VTFIG_TMP/stderr" >&2
-  echo "lint: vtfig --quick failed" >&2
-  exit 1
-fi
+# with every simulated cell's image checked against the interpreter, and
+# every record byte-identical to its pinned digest.
+echo "== vtfig --quick (every acceptance criterion; records match tests/golden/vtfig-quick.txt)"
+tools/vtfig_quick.sh
 
 echo "== vtprof --annotate/--flame smoke (per-PC profile artifacts)"
 VTHOT_TMP="$(mktemp -d)"

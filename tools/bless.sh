@@ -16,17 +16,21 @@
 #
 #   golden        tests/golden/<kernel>.<arch>.json   full run stats
 #   metrics       tests/golden/*.prom                 Prometheus exposition
-#   model_golden  tests/golden/model.json             static model output
+#   model_golden  tests/golden/vtlint.model.json      static model output
 #   cpi           tests/golden/cpi.<kernel>.json      CPI stacks
 #   hotspots      tests/golden/hotspots.<kernel>.json per-PC profiles
 #   checkpoints   tests/golden/checkpoints.txt        checkpoint text digests
+#   swapping      tests/golden/swapping.json          stats + CPI where VT swaps
+#
+# and, through tools/vtfig_quick.sh --bless, tests/golden/vtfig-quick.txt
+# (one digest per `vtfig --quick` record).
 #
 # Review the resulting diff before committing: a bless is an assertion
 # that the new numbers are *correct*, not just current.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GOLDEN_TESTS=(golden metrics model_golden cpi hotspots checkpoints)
+GOLDEN_TESTS=(golden metrics model_golden cpi hotspots checkpoints swapping)
 
 do_golden=0
 do_api=0
@@ -55,6 +59,8 @@ if [[ $do_golden == 1 ]]; then
   for t in "${GOLDEN_TESTS[@]}"; do
     cargo test -q -p vt-tests --test "$t" >/dev/null
   done
+  tools/vtfig_quick.sh --bless
+  tools/vtfig_quick.sh
   echo "bless: goldens OK ($(git status --porcelain tests/golden | wc -l) file(s) changed)"
 fi
 

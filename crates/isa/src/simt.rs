@@ -169,6 +169,52 @@ impl SimtStack {
         self.entries.retain(|e| e.mask != 0);
         self.reconverge();
     }
+
+    /// Checks the invariants every sequence of [`SimtStack::branch`],
+    /// [`SimtStack::advance`], [`SimtStack::jump`] and [`SimtStack::exit`]
+    /// keeps, so a stack rebuilt by [`SimtStack::from_saved`] is one a run
+    /// can reach:
+    ///
+    /// * every entry has lanes;
+    /// * only the bottom entry lacks a reconvergence PC;
+    /// * a path entry reconverges at the PC of the entry below it, or,
+    ///   as the taken side of a divergent branch, where its fall-through
+    ///   sibling below it does;
+    /// * the top entry is not at its reconvergence PC: it would have
+    ///   popped. (An entry below the top may be: a branch at `p` that
+    ///   reconverges at `p + 1` pushes its fall-through side there.)
+    ///
+    /// # Errors
+    ///
+    /// Returns the index (bottom is 0) of the first entry that breaks one,
+    /// and which.
+    pub fn check(&self) -> Result<(), (usize, &'static str)> {
+        let top = self.entries.len().saturating_sub(1);
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.mask == 0 {
+                return Err((i, "has a SIMT mask of no lanes"));
+            }
+            let Some(below) = i.checked_sub(1).map(|b| self.entries[b]) else {
+                if e.rpc.is_some() {
+                    return Err((i, "is the bottom entry but has a reconvergence PC"));
+                }
+                continue;
+            };
+            let Some(rpc) = e.rpc else {
+                return Err((i, "is a path entry without a reconvergence PC"));
+            };
+            if rpc != below.pc && Some(rpc) != below.rpc {
+                return Err((
+                    i,
+                    "reconverges neither at the entry below it nor with its sibling",
+                ));
+            }
+            if i == top && rpc == e.pc {
+                return Err((i, "is the top entry but is at its reconvergence PC"));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -303,6 +349,65 @@ mod tests {
         assert_eq!(s.active_mask(), 0b1100);
         s.exit();
         assert!(s.is_done());
+    }
+
+    #[test]
+    fn check_refuses_what_no_run_writes() {
+        let mut s = SimtStack::new(0b1111);
+        s.branch(0b0011, 10, 20);
+        assert_eq!(s.check(), Ok(()));
+        let e = s.entries().to_vec();
+        let with = |i: usize, f: fn(&mut SimtEntry)| {
+            let mut e = e.clone();
+            f(&mut e[i]);
+            SimtStack::from_saved(e, 3).check().map_err(|(i, _)| i)
+        };
+        assert_eq!(with(2, |t| t.pc = 20), Err(2), "top at its rpc");
+        assert_eq!(with(1, |f| f.pc = 20), Ok(()), "a fall-through may be");
+        assert_eq!(with(2, |t| t.rpc = Some(7)), Err(2), "foreign rpc");
+        assert_eq!(with(1, |f| f.rpc = None), Err(1), "path without rpc");
+        assert_eq!(with(0, |b| b.rpc = Some(20)), Err(0), "bottom with rpc");
+        assert_eq!(with(1, |f| f.mask = 0), Err(1), "no lanes");
+    }
+
+    /// Random sequences of the four operations, from random masks, PCs and
+    /// reconvergence points (a loop back-edge's `p + 1` among them), keep
+    /// every invariant [`SimtStack::check`] states.
+    #[test]
+    fn every_operation_keeps_the_invariants() {
+        let mut r = vt_prng::Prng::new(0x51_37ac);
+        for case in 0..400 {
+            let mut s = SimtStack::new(r.next_u32() | 1);
+            for step in 0..200 {
+                if s.is_done() {
+                    break;
+                }
+                let pc = s.pc();
+                match r.gen_range(0..8) {
+                    0..=2 => s.advance(),
+                    3 => s.jump(r.gen_range(0..32) as usize),
+                    4 => s.exit(),
+                    _ => {
+                        let reconv = if r.gen_bool(0.3) {
+                            pc + 1
+                        } else {
+                            r.gen_range(0..32) as usize
+                        };
+                        s.branch(
+                            s.active_mask() & r.next_u32(),
+                            r.gen_range(0..32) as usize,
+                            reconv,
+                        );
+                    }
+                }
+                if let Err((i, why)) = s.check() {
+                    panic!(
+                        "case {case} step {step}: entry {i} {why}: {:?}",
+                        s.entries()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -117,37 +117,23 @@ impl WarpRt {
         }
         let regs = req_words(v, "regs", WARP_SIZE as usize * usize::from(regs_per_thread))
             .map_err(|e| format!("registers: {e}"))?;
-        let mut entries = Vec::new();
-        for (i, (pc, rpc, mask)) in field::<Vec<(usize, Option<usize>, u32)>>(v, "stack")?
+        let entries = field::<Vec<(usize, Option<usize>, u32)>>(v, "stack")?
             .into_iter()
-            .enumerate()
-        {
-            // A stack never holds an entry without lanes: issue would run
-            // an instruction on none.
-            if mask == 0 {
-                return Err(format!("field `stack`[{i}] has a SIMT mask of no lanes"));
-            }
-            // Only the bottom entry drains by exit alone; every path
-            // entry above it pops at its reconvergence PC. A bottom entry
-            // that could pop would let a jump or an advance empty the
-            // stack of a warp no exit has finished.
-            if rpc.is_some() != (i > 0) {
-                return Err(format!(
-                    "field `stack`[{i}] {} a reconvergence PC",
-                    if i == 0 {
-                        "is the bottom entry but has"
-                    } else {
-                        "is a path entry without"
-                    }
-                ));
-            }
-            entries.push(SimtEntry { pc, rpc, mask });
-        }
+            .map(|(pc, rpc, mask)| SimtEntry { pc, rpc, mask })
+            .collect();
+        // Only a stack some run could have written: issue never runs an
+        // instruction on no lanes, a jump or an advance never empties the
+        // stack of a warp no exit finished, and every path pops where its
+        // branch reconverges.
+        let stack = SimtStack::from_saved(entries, field(v, "stack_max_depth")?);
+        stack
+            .check()
+            .map_err(|(i, why)| format!("field `stack`[{i}] {why}"))?;
         Ok(WarpRt {
             cta_slot: field(v, "cta_slot")?,
             warp_in_cta: field(v, "warp_in_cta")?,
             first_tid: field(v, "first_tid")?,
-            stack: SimtStack::from_saved(entries, field(v, "stack_max_depth")?),
+            stack,
             scoreboard: field(v, "scoreboard")?,
             regs,
             regs_per_thread,

@@ -334,3 +334,38 @@ fn a_bottom_simt_entry_with_a_reconvergence_pc_is_refused() {
     );
     assert!(!resumes(&mutated));
 }
+
+/// A path entry on top of a SIMT stack that sits at its reconvergence
+/// PC would have popped; resumed, its lanes ran the code after the
+/// reconvergence point on their own, and `spmv` ended with another image
+/// than the interpreter's. Restore refuses such a stack with a
+/// diagnostic: `spmv` under VT, cut at a third of its run, with the top
+/// path entry of the first diverged warp moved to its reconvergence PC.
+#[test]
+fn a_top_simt_entry_at_its_reconvergence_pc_is_refused() {
+    let w = full_suite(&Scale::test())
+        .into_iter()
+        .find(|w| w.name == "spmv")
+        .expect("spmv is in the suite");
+    let cfg = config(&w.kernel);
+    let text = cut(&cfg, &w.kernel, run_cycles(&cfg, &w.kernel) / 3).to_text();
+    let resume =
+        |text: &str| Checkpoint::parse(text).and_then(|c| GpuSim::resume(&cfg, &w.kernel, &c));
+    assert!(resume(&text).is_ok());
+    // `"stack":[[20,null,mask],[pc,20,mask]]` becomes `[[…],[20,20,mask]]`.
+    let diverged = text
+        .match_indices("\"stack\":[[")
+        .map(|(at, key)| at + key.len() - 1)
+        .find(|&at| text[at..at + text[at..].find("]]").expect("a stack")].contains("],["))
+        .expect("a diverged warp at the cut");
+    let top = diverged + text[diverged..].find("],[").expect("a path entry") + "],[".len();
+    let comma = top + text[top..].find(',').expect("an entry");
+    assert_eq!(&text[comma..comma + 4], ",20,", "spmv reconverges at PC 20");
+    let mutated = format!("{}20{}", &text[..top], &text[comma..]);
+    let err = resume(&mutated).expect_err("a stack no run writes");
+    assert!(
+        err.to_string()
+            .contains("field `stack`[1] is the top entry but is at its reconvergence PC"),
+        "{err}"
+    );
+}

@@ -27,13 +27,11 @@ use vt_analysis::MemSite;
 use vt_core::{PcProfile, RunStats, StallReason};
 use vt_isa::{Instr, Program};
 use vt_json::{req, req_array, req_str, req_u64, Json};
+use vt_sim::STALL_REASONS;
 use vt_trace::Histogram;
 
 /// Profile record format version.
 pub const PROFILE_VERSION: u64 = 1;
-
-/// Number of stall reasons (mirrors `vt_sim::STALL_REASONS`).
-const REASONS: usize = 5;
 
 /// Round-trip latency summary of the loads/atomics issued at one PC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +78,7 @@ pub struct PcEntry {
     pub thread_instrs: u64,
     /// Stall SM-cycles blamed on this PC, in `CpiStack` reason order
     /// (memory, pipeline, barrier, swap, structural).
-    pub stalls: [u64; REASONS],
+    pub stalls: [u64; STALL_REASONS],
     /// Load/atomic round-trip latency, when any completed here.
     pub mem: Option<MemLatency>,
     /// Observed coalescing: `(accesses, total transactions, worst)`.
@@ -122,7 +120,7 @@ pub struct ProfileRecord {
     /// One entry per program instruction, indexed by PC.
     pub pcs: Vec<PcEntry>,
     /// Stall SM-cycles with no blamable instruction, in reason order.
-    pub unattributed: [u64; REASONS],
+    pub unattributed: [u64; STALL_REASONS],
 }
 
 impl ProfileRecord {
@@ -198,7 +196,8 @@ impl ProfileRecord {
                 self.cpi.buckets[0]
             ));
         }
-        for (i, reason) in stall_names().iter().enumerate() {
+        for r in StallReason::ALL {
+            let (i, reason) = (r.index(), r.name());
             let blamed: u64 = self.pcs.iter().map(|p| p.stalls[i]).sum();
             let total = blamed + self.unattributed[i];
             // Stall buckets sit at CpiRecord indices 1..=5.
@@ -238,10 +237,10 @@ impl ProfileRecord {
             (
                 "unattributed".into(),
                 Json::object(
-                    stall_names()
+                    StallReason::ALL
                         .iter()
                         .zip(self.unattributed)
-                        .map(|(&n, v)| (n.to_string(), Json::UInt(v)))
+                        .map(|(r, v)| (r.name().to_string(), Json::UInt(v)))
                         .collect(),
                 ),
             ),
@@ -264,9 +263,9 @@ impl ProfileRecord {
             ));
         }
         let una = req(j, "unattributed")?;
-        let mut unattributed = [0u64; REASONS];
-        for (slot, name) in unattributed.iter_mut().zip(stall_names()) {
-            *slot = req_u64(una, name)?;
+        let mut unattributed = [0u64; STALL_REASONS];
+        for (slot, r) in unattributed.iter_mut().zip(StallReason::ALL) {
+            *slot = req_u64(una, r.name())?;
         }
         let pcs = req_array(j, "pcs")?
             .iter()
@@ -297,14 +296,6 @@ impl ProfileRecord {
     }
 }
 
-fn stall_names() -> [&'static str; REASONS] {
-    let mut names = [""; REASONS];
-    for (n, r) in names.iter_mut().zip(StallReason::ALL) {
-        *n = r.name();
-    }
-    names
-}
-
 fn cpi_json(cpi: &CpiRecord) -> Json {
     let mut fields: Vec<(String, Json)> = cpi
         .named()
@@ -322,8 +313,8 @@ fn pc_json(p: &PcEntry) -> Json {
         ("warp_issues".into(), Json::UInt(p.warp_issues)),
         ("thread_instrs".into(), Json::UInt(p.thread_instrs)),
     ];
-    for (name, v) in stall_names().iter().zip(p.stalls) {
-        fields.push((name.to_string(), Json::UInt(v)));
+    for (r, v) in StallReason::ALL.iter().zip(p.stalls) {
+        fields.push((r.name().to_string(), Json::UInt(v)));
     }
     fields.push((
         "mem".into(),
@@ -363,9 +354,9 @@ fn pc_json(p: &PcEntry) -> Json {
 }
 
 fn pc_from_json(j: &Json) -> Result<PcEntry, String> {
-    let mut stalls = [0u64; REASONS];
-    for (slot, name) in stalls.iter_mut().zip(stall_names()) {
-        *slot = req_u64(j, name)?;
+    let mut stalls = [0u64; STALL_REASONS];
+    for (slot, r) in stalls.iter_mut().zip(StallReason::ALL) {
+        *slot = req_u64(j, r.name())?;
     }
     let mem = match req(j, "mem")? {
         Json::Null => None,
@@ -470,9 +461,9 @@ pub fn flame_collapsed(rec: &ProfileRecord, leaders: &[usize]) -> String {
             rec.kernel, leader, p.pc, mnemonic, total
         ));
     }
-    for (name, v) in stall_names().iter().zip(rec.unattributed) {
+    for (r, v) in StallReason::ALL.iter().zip(rec.unattributed) {
         if v > 0 {
-            out.push_str(&format!("{};unattributed;{} {}\n", rec.kernel, name, v));
+            out.push_str(&format!("{};unattributed;{} {}\n", rec.kernel, r.name(), v));
         }
     }
     out
@@ -487,8 +478,8 @@ pub fn flame_perfetto(rec: &ProfileRecord) -> Json {
         rec.pcs.iter().map(|p| (p.pc as u64, f(p))).collect()
     };
     tracks.push(("issued".to_string(), series(&|p| p.issued)));
-    for (i, name) in stall_names().iter().enumerate() {
-        tracks.push((name.to_string(), series(&|p| p.stalls[i])));
+    for r in StallReason::ALL {
+        tracks.push((r.name().to_string(), series(&|p| p.stalls[r.index()])));
     }
     tracks.push((
         "coalesce_lines_x100".to_string(),
@@ -601,11 +592,11 @@ pub fn annotate(rec: &ProfileRecord, sites: &[MemSite], width: usize) -> String 
     }
     let unattributed: u64 = rec.unattributed.iter().sum();
     if unattributed > 0 {
-        let parts: Vec<String> = stall_names()
+        let parts: Vec<String> = StallReason::ALL
             .iter()
             .zip(rec.unattributed)
             .filter(|&(_, v)| v > 0)
-            .map(|(n, v)| format!("{n} {v}"))
+            .map(|(r, v)| format!("{} {v}", r.name()))
             .collect();
         out.push_str(&format!(
             "unattributed stall SM-cycles (no blamable instruction): {}\n",
@@ -653,8 +644,9 @@ pub fn rank_deltas(old: &ProfileRecord, new: &ProfileRecord) -> Result<Vec<PcDel
         .zip(&new.pcs)
         .filter_map(|(o, n)| {
             let mut classes = vec![("issued", n.issued as i64 - o.issued as i64)];
-            for (i, name) in stall_names().iter().enumerate() {
-                classes.push((*name, n.stalls[i] as i64 - o.stalls[i] as i64));
+            for r in StallReason::ALL {
+                let i = r.index();
+                classes.push((r.name(), n.stalls[i] as i64 - o.stalls[i] as i64));
             }
             classes.retain(|&(_, d)| d != 0);
             if classes.is_empty() {

@@ -19,15 +19,15 @@
 //! * **Shared-memory races** ([`race`]) — pairs shared accesses within a
 //!   barrier interval and flags pairs two distinct lanes could aim at
 //!   the same word ([`Rule::SharedRace`]).
-//! * **Performance model** ([`occupancy`], [`memaccess`], [`model`]) —
-//!   the static occupancy and VT-benefit model: exact per-resource
-//!   resident-CTA bounds from the shared [`vt_isa::limits`] constants,
-//!   scheduling-vs-capacity limiter classification, per-architecture
-//!   residency predictions, coalescing-width and bank-conflict estimates
-//!   per memory access ([`Rule::UncoalescedGlobal`],
-//!   [`Rule::SmemBankConflict`]) and divergence nesting depth
-//!   ([`Rule::DeepDivergence`]). Cross-validated against the timing
-//!   simulator by the oracle tests in `tests/`.
+//! * **Performance model** ([`memaccess`], [`model`]) — the static
+//!   occupancy and VT-benefit model: exact per-resource resident-CTA
+//!   bounds and their limiter from [`vt_isa::limits`], per-architecture
+//!   residency predictions from each `vt_core::Architecture`'s admission
+//!   policy (the rule the simulator's dispatcher applies), coalescing-width
+//!   and bank-conflict estimates per memory access
+//!   ([`Rule::UncoalescedGlobal`], [`Rule::SmemBankConflict`]) and
+//!   divergence nesting depth ([`Rule::DeepDivergence`]). Cross-validated
+//!   against the timing simulator by the oracle tests in `tests/`.
 //!
 //! The `vtlint` binary drives all of this over `.vtasm` files or the
 //! built-in workload suite (`--model` selects the performance model).
@@ -41,7 +41,6 @@ pub mod diag;
 pub mod liveness;
 pub mod memaccess;
 pub mod model;
-pub mod occupancy;
 pub mod race;
 pub mod uniform;
 
@@ -52,7 +51,6 @@ pub use diag::{Diagnostic, Report, Rule, Severity};
 pub use liveness::Liveness;
 pub use memaccess::MemSite;
 pub use model::{model, ArchPrediction, KernelModel, ModelConfig};
-pub use occupancy::{standard_archs, ArchModel, OccupancyModel, ResidencyModel};
 pub use race::{classify, may_overlap, AddrClass, Base};
 pub use uniform::Uniformity;
 

@@ -15,10 +15,10 @@
 
 use crate::diag::Diagnostic;
 use crate::memaccess::{self, MemSite};
-use crate::occupancy::{standard_archs, OccupancyModel, ResidencyModel, SmLimits};
 use crate::{Cfg, Liveness, Reaching, Uniformity};
+use vt_core::Architecture;
 use vt_isa::op::MemSpace;
-use vt_isa::Kernel;
+use vt_isa::{Kernel, Occupancy, SmLimits};
 use vt_json::Json;
 
 /// Machine parameters of the model.
@@ -45,12 +45,10 @@ impl Default for ModelConfig {
 /// One architecture's predicted residency for the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchPrediction {
-    /// Architecture label (matches `vt_core::Architecture::label()`).
+    /// The architecture's `vt_core::Architecture::label()`.
     pub arch: &'static str,
-    /// Residency policy the prediction applied.
-    pub residency: ResidencyModel,
-    /// Resident-CTA bound per SM under that policy (before clamping by
-    /// the CTAs the grid actually assigns to an SM).
+    /// Resident-CTA bound per SM under the architecture's admission policy
+    /// (before clamping by the CTAs the grid actually assigns to an SM).
     pub resident_bound: u32,
 }
 
@@ -68,7 +66,7 @@ pub struct KernelModel {
     /// Shared-memory bytes per CTA.
     pub smem_bytes_per_cta: u32,
     /// The occupancy bounds and limiter classification.
-    pub occupancy: OccupancyModel,
+    pub occupancy: Occupancy,
     /// Predicted resident-CTA bound for each standard architecture.
     pub archs: Vec<ArchPrediction>,
     /// Every memory access site with its static estimates.
@@ -91,7 +89,7 @@ impl KernelModel {
     /// Predicted residency gain of the capacity-only policies over the
     /// baseline (1.0 = no gain).
     pub fn residency_gain(&self) -> f64 {
-        self.occupancy.vt_headroom()
+        self.occupancy.bounds.headroom()
     }
 
     /// Whether the model predicts Virtual Thread improves this kernel's
@@ -145,13 +143,12 @@ pub fn model(kernel: &Kernel, cfg: &ModelConfig) -> KernelModel {
     let liveness = Liveness::compute(program, &graph, num_regs);
     let uniformity = Uniformity::compute(program, &reaching, &reachable);
 
-    let occupancy = OccupancyModel::compute(&cfg.limits, kernel);
-    let archs = standard_archs()
+    let occupancy = cfg.limits.occupancy(kernel);
+    let archs = Architecture::standard()
         .iter()
         .map(|a| ArchPrediction {
-            arch: a.label,
-            residency: a.residency,
-            resident_bound: a.residency.resident_bound(&occupancy.bounds),
+            arch: a.label(),
+            resident_bound: a.admission().resident_bound(&occupancy.bounds),
         })
         .collect();
 

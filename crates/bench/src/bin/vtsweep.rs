@@ -30,7 +30,7 @@ use std::process::ExitCode;
 use std::rc::Rc;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-use vt_bench::{cli, standard_archs};
+use vt_bench::cli;
 use vt_core::{
     default_threads, Architecture, CancelToken, Checkpoint, GpuConfig, Pool, Progress, Report,
     RunBudget, RunRequest, RunStats, Session, SessionOutcome, SimError, StopReason, Truncation,
@@ -120,7 +120,7 @@ impl Opts {
 
 fn parse_archs(list: &str) -> Result<Vec<Architecture>, String> {
     if list == "all" {
-        return Ok(standard_archs());
+        return Ok(Architecture::standard().to_vec());
     }
     list.split(',').map(|a| cli::arch(a.trim())).collect()
 }
@@ -128,7 +128,7 @@ fn parse_archs(list: &str) -> Result<Vec<Architecture>, String> {
 fn parse_args() -> Result<Option<Opts>, String> {
     let mut o = Opts {
         kernels: Vec::new(),
-        archs: standard_archs(),
+        archs: Architecture::standard().to_vec(),
         scale: Scale::test(),
         sms: None,
         threads: default_threads(),

@@ -18,7 +18,6 @@
 //! (testable; `ExitCode` has no `PartialEq`) and `main` wraps it with
 //! `ExitCode::from`.
 
-use crate::standard_archs;
 use std::fmt::Display;
 use std::str::FromStr;
 use vt_core::Architecture;
@@ -69,7 +68,7 @@ where
 ///
 /// Returns a message naming an unknown label.
 pub fn arch(label: &str) -> Result<Architecture, String> {
-    standard_archs()
+    Architecture::standard()
         .into_iter()
         .find(|a| a.label() == label)
         .ok_or_else(|| format!("unknown architecture `{label}`"))

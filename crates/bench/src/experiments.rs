@@ -11,7 +11,7 @@
 //! only statistics, so what they produce does not depend on the worker
 //! count or on which other experiments ran alongside.
 
-use crate::{bar, geomean, standard_archs, Harness, Table};
+use crate::{bar, geomean, Harness, Table};
 use std::iter::once;
 use std::sync::OnceLock;
 use vt_core::{
@@ -461,8 +461,8 @@ fn tab02(h: &Harness, _: &Results) -> Reported {
             w.kernel.smem_bytes_per_cta().to_string(),
             report.barrier_intervals.to_string(),
             occ.limiter.to_string(),
-            occ.baseline_ctas.to_string(),
-            occ.capacity_ctas.to_string(),
+            occ.bounds.baseline().to_string(),
+            occ.bounds.capacity().to_string(),
         ]);
         rows.push(BenchmarkRow {
             name: w.name.to_string(),
@@ -478,8 +478,8 @@ fn tab02(h: &Harness, _: &Results) -> Reported {
             barrier_intervals: report.barrier_intervals,
             analysis_warnings: report.warning_count(),
             limiter: occ.limiter.to_string(),
-            baseline_ctas: occ.baseline_ctas,
-            vt_ctas: occ.capacity_ctas,
+            baseline_ctas: occ.bounds.baseline(),
+            vt_ctas: occ.bounds.capacity(),
         });
     }
     let human = format!("Table 2 — benchmark characteristics\n\n{}", t.render());
@@ -681,29 +681,30 @@ fn fig01(h: &Harness, _: &Results) -> Reported {
     let mut rows = Vec::new();
     for w in suite(&h.scale) {
         let occ = occupancy::analyze(&h.core, &w.kernel);
-        let smem = (occ.by_shared_memory != u32::MAX).then_some(occ.by_shared_memory);
+        let b = occ.bounds;
+        let smem = (b.by_shared_memory != u32::MAX).then_some(b.by_shared_memory);
         table.row(vec![
             w.name.to_string(),
-            occ.by_cta_slots.to_string(),
-            occ.by_warp_slots.to_string(),
-            occ.by_registers.to_string(),
+            b.by_cta_slots.to_string(),
+            b.by_warp_slots.to_string(),
+            b.by_registers.to_string(),
             smem.map_or_else(|| "-".to_string(), |v| v.to_string()),
-            occ.baseline_ctas.to_string(),
-            occ.capacity_ctas.to_string(),
+            b.baseline().to_string(),
+            b.capacity().to_string(),
             occ.limiter.to_string(),
-            format!("{:.1}x", occ.virtualization_headroom()),
+            format!("{:.1}x", b.headroom()),
         ]);
         rows.push(LimiterRow {
             name: w.name.to_string(),
-            by_cta_slots: occ.by_cta_slots,
-            by_warp_slots: occ.by_warp_slots,
-            by_registers: occ.by_registers,
+            by_cta_slots: b.by_cta_slots,
+            by_warp_slots: b.by_warp_slots,
+            by_registers: b.by_registers,
             by_shared_memory: smem,
-            baseline_ctas: occ.baseline_ctas,
-            capacity_ctas: occ.capacity_ctas,
+            baseline_ctas: b.baseline(),
+            capacity_ctas: b.capacity(),
             limiter: occ.limiter.to_string(),
             scheduling_limited: occ.limiter.is_scheduling(),
-            headroom: occ.virtualization_headroom(),
+            headroom: b.headroom(),
         });
     }
     let sched = rows.iter().filter(|r| r.scheduling_limited).count();
@@ -875,7 +876,7 @@ fn fig03(h: &Harness, res: &Results) -> Reported {
 // memory resident during a swap.
 
 fn fig04_cells(h: &Harness) -> Vec<Cell> {
-    grid(h, &[], &standard_archs())
+    grid(h, &[], &Architecture::standard())
 }
 
 record! { AlternativesRow {

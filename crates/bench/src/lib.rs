@@ -20,7 +20,7 @@ pub mod experiments;
 pub mod hotspot;
 pub mod record;
 
-use vt_core::{Architecture, CoreConfig, MemConfig};
+use vt_core::{CoreConfig, MemConfig};
 use vt_workloads::Scale;
 
 /// Common experiment context: problem scale and hardware configuration.
@@ -131,16 +131,6 @@ impl Table {
     }
 }
 
-/// The architecture set most figures compare.
-pub fn standard_archs() -> Vec<Architecture> {
-    vec![
-        Architecture::Baseline,
-        Architecture::virtual_thread(),
-        Architecture::Ideal,
-        Architecture::MemSwap(vt_core::MemSwapParams::default()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,9 +169,10 @@ mod tests {
         assert!(t.render().contains('x'));
     }
 
+    /// The figures compare the architectures in this order.
     #[test]
     fn standard_archs_are_the_paper_comparison() {
-        let archs = standard_archs();
+        let archs = vt_core::Architecture::standard();
         assert_eq!(archs.len(), 4);
         assert_eq!(archs[0].label(), "baseline");
         assert_eq!(archs[1].label(), "vt");

@@ -65,8 +65,8 @@ pub use session::{RunRequest, Session, SessionOutcome};
 
 // The analysis types figures are built from.
 pub use vt_sim::{
-    occupancy, CoreConfig, CpiStack, EmptyBreakdown, IdleBreakdown, Limiter, OccupancyAnalysis,
-    PcCounters, PcProfile, RunStats, SchedPolicy, SimError, StallReason, SwapTrigger,
+    occupancy, CoreConfig, CpiStack, EmptyBreakdown, IdleBreakdown, Limiter, Occupancy, PcCounters,
+    PcProfile, RunStats, SchedPolicy, SimError, StallReason, SwapTrigger,
 };
 
 // Execution control (budgets, cancellation, checkpoint/resume) and

@@ -21,9 +21,10 @@
 //! * [`simt::SimtStack`] — the immediate-post-dominator reconvergence stack,
 //! * [`interp::Interpreter`] — a timing-free reference interpreter used as a
 //!   functional oracle in tests,
-//! * [`limits::SmLimits`] — the per-SM scheduling/capacity limit constants
-//!   and the exact per-resource resident-CTA bounds they imply, shared by
-//!   the timing simulator and the static analyzer.
+//! * [`limits::SmLimits`] — the per-SM scheduling/capacity limit constants,
+//!   the exact per-resource resident-CTA bounds they imply and the
+//!   admission rule over them, shared by the timing simulator and the
+//!   static analyzer.
 //!
 //! # Example
 //!
@@ -78,7 +79,7 @@ pub use builder::KernelBuilder;
 pub use error::IsaError;
 pub use instr::Instr;
 pub use kernel::{Kernel, MAX_CTA_THREADS, MAX_GLOBAL_WORDS};
-pub use limits::{CtaBounds, Limiter, SmLimits};
+pub use limits::{AdmissionPolicy, CtaBounds, Limiter, Occupancy, SmLimits};
 pub use op::{AluOp, AtomOp, BranchIf, MemSpace, Operand, Reg, SfuOp, Sreg};
 pub use program::Program;
 pub use simt::{SimtEntry, SimtStack};

@@ -1,18 +1,22 @@
-//! Per-SM resource limits — the single source of truth for the
-//! scheduling and capacity constants everything else reasons about.
+//! Per-SM resource limits and the residency rule — the one place the
+//! scheduling and capacity constants, and what an SM does with them, are
+//! defined.
 //!
 //! The paper's whole argument lives in the gap between two limit
 //! families: the **scheduling limit** (CTA slots and warp slots — PCs,
 //! SIMT stacks, scoreboard entries) and the **capacity limit** (register
 //! file and shared memory). [`SmLimits`] names those four numbers once;
-//! the simulator's `CoreConfig` is built from it, the static analyzer's
-//! occupancy model consumes it, and tests compare both against the same
-//! bounds so the constants can never drift apart.
+//! the simulator's `CoreConfig` is built from it and the static
+//! analyzer's model takes it directly.
 //!
 //! [`SmLimits::bounds`] turns the limits plus one kernel's footprint into
 //! the exact per-resource resident-CTA bounds ([`CtaBounds`]), and
 //! [`CtaBounds::limiter`] classifies which resource binds first — the
 //! paper's Figure 1/2 motivation study as a pure function.
+//! [`AdmissionPolicy::resident_bound`] is the residency rule itself:
+//! Baseline admits a CTA while it fits under both limits, Virtual Thread
+//! under the capacity limit alone. The simulator's dispatcher admits by
+//! it and the static model predicts by it.
 
 use crate::kernel::Kernel;
 use crate::WARP_SIZE;
@@ -76,6 +80,15 @@ impl SmLimits {
             } else {
                 self.smem_bytes / kernel.smem_bytes_per_cta()
             },
+        }
+    }
+
+    /// The static occupancy of one kernel: its bounds and their limiter.
+    pub fn occupancy(&self, kernel: &Kernel) -> Occupancy {
+        let bounds = self.bounds(kernel);
+        Occupancy {
+            bounds,
+            limiter: bounds.limiter(),
         }
     }
 }
@@ -172,6 +185,56 @@ impl CtaBounds {
                 }
             }
             std::cmp::Ordering::Equal => Limiter::Balanced,
+        }
+    }
+
+    /// How many times more CTAs the capacity limit admits than the
+    /// baseline: the residency Virtual Thread can add (1.0 when it can add
+    /// none; 0.0 when not even the baseline admits one).
+    pub fn headroom(&self) -> f64 {
+        if self.baseline() == 0 {
+            return 0.0;
+        }
+        f64::from(self.capacity()) / f64::from(self.baseline())
+    }
+}
+
+/// Static occupancy of one kernel on one SM: what the motivation study
+/// (the paper's Figures 1–2) tabulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Occupancy {
+    /// The per-resource resident-CTA bounds.
+    pub bounds: CtaBounds,
+    /// The resource that binds first, [`CtaBounds::limiter`].
+    pub limiter: Limiter,
+}
+
+/// Which limits decide whether another CTA fits on an SM.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmissionPolicy {
+    /// Baseline hardware: respect both the scheduling limit (CTA and warp
+    /// slots) and the capacity limit (registers, shared memory).
+    SchedulingAndCapacity,
+    /// Virtual Thread / Ideal: respect only the capacity limit, with an
+    /// optional explicit cap on resident (virtual) CTAs per SM modelling
+    /// a finite context buffer (`None` = unbounded).
+    CapacityOnly {
+        /// Maximum resident CTAs per SM, if the context buffer bounds it.
+        max_resident_ctas: Option<u32>,
+    },
+}
+
+impl AdmissionPolicy {
+    /// Resident CTAs of one kernel an SM may hold under this policy. Every
+    /// resident CTA of a run has the kernel's footprint, so an SM holding
+    /// `n` of them admits another exactly when `n` is below this bound.
+    pub fn resident_bound(&self, bounds: &CtaBounds) -> u32 {
+        match *self {
+            AdmissionPolicy::SchedulingAndCapacity => bounds.baseline(),
+            AdmissionPolicy::CapacityOnly { max_resident_ctas } => {
+                let capacity = bounds.capacity();
+                max_resident_ctas.map_or(capacity, |cap| capacity.min(cap))
+            }
         }
     }
 }

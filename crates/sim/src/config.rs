@@ -1,7 +1,7 @@
 //! Simulator configuration: the SM core, the scheduling/capacity limits
 //! and the CTA residency policy.
 
-use vt_isa::{Kernel, SmLimits};
+use vt_isa::{AdmissionPolicy, Kernel, SmLimits};
 use vt_mem::MemConfig;
 
 /// Warp-scheduler policy.
@@ -113,21 +113,6 @@ impl CoreConfig {
     pub fn regfile_regs(&self) -> u32 {
         self.limits().regfile_regs()
     }
-}
-
-/// How the CTA dispatcher decides whether another CTA fits on an SM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Baseline hardware: respect both the scheduling limit (CTA and warp
-    /// slots) and the capacity limit (registers, shared memory).
-    SchedulingAndCapacity,
-    /// Virtual Thread / Ideal: respect only the capacity limit, with an
-    /// optional explicit cap on resident (virtual) CTAs per SM modelling
-    /// a finite context buffer (`None` = unbounded).
-    CapacityOnly {
-        /// Maximum resident CTAs per SM, if the context buffer bounds it.
-        max_resident_ctas: Option<u32>,
-    },
 }
 
 /// How many resident CTAs may be *active* (own warp-scheduler slots).

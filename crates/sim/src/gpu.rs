@@ -1,7 +1,7 @@
 //! The whole-GPU simulation: CTA dispatcher, SMs, memory system and the
 //! main clock loop.
 
-use crate::config::{check_launchable, AdmissionPolicy, LaunchError, SimConfig};
+use crate::config::{check_launchable, LaunchError, SimConfig};
 use crate::exec::{
     CancelToken, Checkpoint, Progress, ProgressHook, RunBudget, RunOutcome, StopReason, Truncation,
     CHECKPOINT_VERSION,
@@ -15,6 +15,7 @@ use std::fmt;
 use std::time::Instant;
 use vt_isa::error::ExecError;
 use vt_isa::kernel::MemImage;
+use vt_isa::AdmissionPolicy;
 use vt_isa::Kernel;
 use vt_json::{field, pack_words, req, req_array, req_words, FromJson, Json, ToJson};
 use vt_mem::MemSystem;
@@ -277,11 +278,7 @@ impl<'k> GpuSim<'k> {
         cancel: Option<&CancelToken>,
         mut progress: Option<ProgressHook<'_>>,
     ) -> Result<RunOutcome, SimError> {
-        let run = Run {
-            kernel: self.kernel,
-            core: &self.cfg.core,
-            res: &self.cfg.residency,
-        };
+        let run = Run::new(self.kernel, &self.cfg.core, &self.cfg.residency);
         let started = budget.deadline.map(|_| Instant::now());
         let cycle_limit = budget
             .max_cycles
@@ -710,17 +707,14 @@ fn dispatcher(
 }
 
 /// Whether empty SM-cycles with undispatched work should be attributed
-/// to the scheduling limit for this (config, kernel) pair. Under baseline
-/// admission the classification follows the static limiter; under
-/// `CapacityOnly` the scheduling structures are virtualised, so an empty
-/// SM can only be capacity-starved.
+/// to the scheduling limit for this (config, kernel) pair: only when the
+/// admission policy applies that limit and it binds before capacity.
+/// Under `CapacityOnly` the scheduling structures are virtualised, so an
+/// empty SM can only be capacity-starved (a full context buffer counts
+/// as capacity).
 fn scheduling_limited(cfg: &SimConfig, kernel: &Kernel) -> bool {
-    match cfg.residency.admission {
-        AdmissionPolicy::SchedulingAndCapacity => {
-            cfg.core.limits().bounds(kernel).limiter().is_scheduling()
-        }
-        AdmissionPolicy::CapacityOnly { .. } => false,
-    }
+    cfg.residency.admission == AdmissionPolicy::SchedulingAndCapacity
+        && cfg.core.limits().bounds(kernel).limiter().is_scheduling()
 }
 
 /// Convenience: build and run in one call.
@@ -735,9 +729,7 @@ pub fn simulate(cfg: &SimConfig, kernel: &Kernel) -> Result<RunResult, SimError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{
-        ActivePolicy, AdmissionPolicy, ResidencyConfig, SchedPolicy, SwapConfig, SwapTrigger,
-    };
+    use crate::config::{ActivePolicy, ResidencyConfig, SchedPolicy, SwapConfig, SwapTrigger};
     use vt_isa::interp::Interpreter;
     use vt_isa::op::{AtomOp, Operand, Sreg};
     use vt_isa::KernelBuilder;

@@ -6,7 +6,8 @@
 //! with latency classes, shared-memory bank conflicts, an in-order LD/ST
 //! unit ([`ldst::LdstUnit`]) feeding the `vt-mem` hierarchy, CTA barriers,
 //! and — the part the Virtual Thread paper modifies — the **CTA residency
-//! machinery**: admission ([`config::AdmissionPolicy`]), active-slot
+//! machinery**: admission ([`AdmissionPolicy`], defined with the limits
+//! in `vt_isa::limits`), active-slot
 //! management ([`config::ActivePolicy`]) and context switching
 //! ([`config::SwapConfig`]).
 //!
@@ -35,8 +36,8 @@ pub mod stats;
 pub mod warp;
 
 pub use config::{
-    check_launchable, ActivePolicy, AdmissionPolicy, CoreConfig, LaunchError, ResidencyConfig,
-    SchedPolicy, SimConfig, SwapConfig, SwapTrigger,
+    check_launchable, ActivePolicy, CoreConfig, LaunchError, ResidencyConfig, SchedPolicy,
+    SimConfig, SwapConfig, SwapTrigger,
 };
 pub use exec::{
     CancelToken, Checkpoint, Progress, ProgressHook, RunBudget, RunOutcome, StopReason, Truncation,
@@ -44,5 +45,6 @@ pub use exec::{
 pub use gpu::{simulate, GpuSim, RunResult, SimError};
 pub use hotspots::{PcCounters, PcProfile, StallReason, STALL_REASONS};
 pub use metrics::MetricsSampler;
-pub use occupancy::{analyze, Limiter, OccupancyAnalysis};
+pub use occupancy::{analyze, Limiter, Occupancy};
 pub use stats::{CpiStack, EmptyBreakdown, IdleBreakdown, RunStats};
+pub use vt_isa::AdmissionPolicy;

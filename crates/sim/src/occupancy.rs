@@ -1,100 +1,26 @@
-//! Static occupancy analysis: how many CTAs fit per SM and which resource
-//! binds — the paper's motivation study (its Figures 1–2).
+//! Static occupancy analysis on a simulator configuration: how many CTAs
+//! fit per SM and which resource binds — the paper's motivation study
+//! (its Figures 1–2).
 //!
-//! The bound arithmetic and the [`Limiter`] classification live in
-//! [`vt_isa::limits`] (the shared source of truth also used by the
-//! `vt-analysis` performance model); this module wraps them in the
-//! simulator-facing [`OccupancyAnalysis`] with its utilization helpers.
+//! The bounds, their [`Limiter`] and the [`Occupancy`] that carries both
+//! are defined in [`vt_isa::limits`], with the admission rule the
+//! simulator's dispatcher applies to the same bounds; this module reads
+//! them off a [`CoreConfig`].
 
 use crate::config::CoreConfig;
 use vt_isa::Kernel;
 
-pub use vt_isa::limits::{CtaBounds, Limiter};
-
-/// Static occupancy of one kernel on one SM configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OccupancyAnalysis {
-    /// CTAs allowed by the CTA-slot limit.
-    pub by_cta_slots: u32,
-    /// CTAs allowed by the warp-slot limit.
-    pub by_warp_slots: u32,
-    /// CTAs allowed by the register file.
-    pub by_registers: u32,
-    /// CTAs allowed by shared memory (`u32::MAX` when the kernel uses
-    /// none).
-    pub by_shared_memory: u32,
-    /// Resident CTAs under the baseline (min of all four).
-    pub baseline_ctas: u32,
-    /// Resident CTAs under a capacity-only policy (min of the two
-    /// capacity limits).
-    pub capacity_ctas: u32,
-    /// The binding resource class.
-    pub limiter: Limiter,
-}
-
-impl OccupancyAnalysis {
-    /// The per-resource bounds in their shared [`CtaBounds`] form.
-    pub fn bounds(&self) -> CtaBounds {
-        CtaBounds {
-            by_cta_slots: self.by_cta_slots,
-            by_warp_slots: self.by_warp_slots,
-            by_registers: self.by_registers,
-            by_shared_memory: self.by_shared_memory,
-        }
-    }
-
-    /// How many times more CTAs Virtual Thread can host than the baseline.
-    pub fn virtualization_headroom(&self) -> f64 {
-        if self.baseline_ctas == 0 {
-            return 0.0;
-        }
-        f64::from(self.capacity_ctas) / f64::from(self.baseline_ctas)
-    }
-
-    /// Fraction of the register file the baseline occupancy uses.
-    pub fn baseline_reg_utilization(&self) -> f64 {
-        if self.by_registers == 0 {
-            return 0.0;
-        }
-        f64::from(self.baseline_ctas) / f64::from(self.by_registers)
-    }
-
-    /// Fraction of shared memory the baseline occupancy uses (0 when the
-    /// kernel uses none).
-    pub fn baseline_smem_utilization(&self) -> f64 {
-        if self.by_shared_memory == u32::MAX || self.by_shared_memory == 0 {
-            return 0.0;
-        }
-        f64::from(self.baseline_ctas) / f64::from(self.by_shared_memory)
-    }
-
-    /// Fraction of thread slots the baseline occupancy uses.
-    pub fn baseline_thread_slot_utilization(&self) -> f64 {
-        if self.by_warp_slots == 0 {
-            return 0.0;
-        }
-        f64::from(self.baseline_ctas) / f64::from(self.by_warp_slots)
-    }
-}
+pub use vt_isa::limits::{CtaBounds, Limiter, Occupancy};
 
 /// Computes the static occupancy of `kernel` on `core`.
-pub fn analyze(core: &CoreConfig, kernel: &Kernel) -> OccupancyAnalysis {
-    let b = core.limits().bounds(kernel);
-    OccupancyAnalysis {
-        by_cta_slots: b.by_cta_slots,
-        by_warp_slots: b.by_warp_slots,
-        by_registers: b.by_registers,
-        by_shared_memory: b.by_shared_memory,
-        baseline_ctas: b.baseline(),
-        capacity_ctas: b.capacity(),
-        limiter: b.limiter(),
-    }
+pub fn analyze(core: &CoreConfig, kernel: &Kernel) -> Occupancy {
+    core.limits().occupancy(kernel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vt_isa::KernelBuilder;
+    use vt_isa::{AdmissionPolicy, KernelBuilder};
 
     fn kernel(threads: u32, regs: u16, smem: u32) -> Kernel {
         let mut b = KernelBuilder::new("k");
@@ -104,19 +30,23 @@ mod tests {
         b.build(1, threads).unwrap()
     }
 
+    fn capacity_only(max_resident_ctas: Option<u32>) -> AdmissionPolicy {
+        AdmissionPolicy::CapacityOnly { max_resident_ctas }
+    }
+
     #[test]
     fn small_ctas_are_cta_slot_limited() {
         let core = CoreConfig::default();
         // 64 threads, 16 regs, no smem: 8 CTA slots bind long before
         // 32768/1024 = 32 CTAs of registers.
         let a = analyze(&core, &kernel(64, 16, 0));
-        assert_eq!(a.by_cta_slots, 8);
-        assert_eq!(a.by_warp_slots, 24);
-        assert_eq!(a.by_registers, 32768 * 4 / (64 * 16 * 4));
-        assert_eq!(a.baseline_ctas, 8);
+        assert_eq!(a.bounds.by_cta_slots, 8);
+        assert_eq!(a.bounds.by_warp_slots, 24);
+        assert_eq!(a.bounds.by_registers, 32768 * 4 / (64 * 16 * 4));
+        assert_eq!(a.bounds.baseline(), 8);
         assert_eq!(a.limiter, Limiter::CtaSlots);
         assert!(a.limiter.is_scheduling());
-        assert!(a.virtualization_headroom() > 2.0);
+        assert!(a.bounds.headroom() > 2.0);
     }
 
     #[test]
@@ -125,9 +55,9 @@ mod tests {
         // 512 threads/CTA: 48/16 = 3 CTAs by warps; 8 CTA slots; regs
         // allow 4 (512*16 regs per CTA → 8192 regs → 32768/8192 = 4).
         let a = analyze(&core, &kernel(512, 16, 0));
-        assert_eq!(a.by_warp_slots, 3);
+        assert_eq!(a.bounds.by_warp_slots, 3);
         assert_eq!(a.limiter, Limiter::WarpSlots);
-        assert_eq!(a.baseline_ctas, 3);
+        assert_eq!(a.bounds.baseline(), 3);
     }
 
     #[test]
@@ -138,15 +68,14 @@ mod tests {
         let a = analyze(&core, &kernel(256, 42, 0));
         assert_eq!(a.limiter, Limiter::Registers);
         assert!(!a.limiter.is_scheduling());
-        assert_eq!(a.baseline_ctas, a.capacity_ctas, "VT cannot help");
-        assert!((a.virtualization_headroom() - 1.0).abs() < 1e-9);
+        assert_eq!(a.bounds.baseline(), a.bounds.capacity(), "VT cannot help");
     }
 
     #[test]
     fn smem_heavy_kernels_are_capacity_limited() {
         let core = CoreConfig::default();
         let a = analyze(&core, &kernel(128, 16, 16 * 1024));
-        assert_eq!(a.by_shared_memory, 3);
+        assert_eq!(a.bounds.by_shared_memory, 3);
         assert_eq!(a.limiter, Limiter::SharedMemory);
     }
 
@@ -156,28 +85,42 @@ mod tests {
         // 8 by CTA slots; choose regs so capacity also allows exactly 8:
         // 32768 regs / 8 = 4096 regs/CTA = 128 threads × 32 regs.
         let a = analyze(&core, &kernel(128, 32, 0));
-        assert_eq!(a.by_registers, 8);
+        assert_eq!(a.bounds.by_registers, 8);
         assert_eq!(a.limiter, Limiter::Balanced);
     }
 
     #[test]
-    fn analysis_agrees_with_shared_bounds() {
-        let core = CoreConfig::default();
-        let k = kernel(96, 24, 2048);
-        let a = analyze(&core, &k);
-        let b = core.limits().bounds(&k);
-        assert_eq!(a.bounds(), b);
-        assert_eq!(a.baseline_ctas, b.baseline());
-        assert_eq!(a.capacity_ctas, b.capacity());
-        assert_eq!(a.limiter, b.limiter());
+    fn residency_models_split_on_the_scheduling_limit() {
+        let b = analyze(&CoreConfig::default(), &kernel(64, 16, 0)).bounds;
+        let base = AdmissionPolicy::SchedulingAndCapacity.resident_bound(&b);
+        assert_eq!(base, 8);
+        assert_eq!(
+            capacity_only(None).resident_bound(&b),
+            32,
+            "128 KiB / (2 warps × 32 × 16 regs × 4 B)"
+        );
+        assert_eq!(b.headroom(), 4.0);
     }
 
     #[test]
-    fn utilization_fractions() {
+    fn context_buffer_cap_clamps_the_capacity_bound() {
+        let b = analyze(&CoreConfig::default(), &kernel(64, 16, 0)).bounds;
+        assert_eq!(capacity_only(Some(12)).resident_bound(&b), 12);
+        assert_eq!(capacity_only(Some(40)).resident_bound(&b), 32);
+    }
+
+    /// With no headroom, relaxing the scheduling limit admits nothing
+    /// more, whichever capacity resource binds.
+    #[test]
+    fn capacity_limited_kernels_have_no_headroom() {
         let core = CoreConfig::default();
-        let a = analyze(&core, &kernel(64, 16, 0));
-        assert!(a.baseline_reg_utilization() < 0.5, "registers mostly idle");
-        assert_eq!(a.baseline_smem_utilization(), 0.0);
-        assert!(a.baseline_thread_slot_utilization() <= 1.0);
+        for k in [kernel(256, 42, 0), kernel(128, 16, 16 * 1024)] {
+            let b = analyze(&core, &k).bounds;
+            assert_eq!(b.headroom(), 1.0);
+            assert_eq!(
+                capacity_only(None).resident_bound(&b),
+                AdmissionPolicy::SchedulingAndCapacity.resident_bound(&b)
+            );
+        }
     }
 }

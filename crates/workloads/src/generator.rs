@@ -238,7 +238,7 @@ mod tests {
         let occ_fat = occupancy::analyze(&core, &fat.build());
         assert!(occ_lean.limiter.is_scheduling());
         assert!(!occ_fat.limiter.is_scheduling());
-        assert!(occ_fat.by_registers < occ_lean.by_registers);
+        assert!(occ_fat.bounds.by_registers < occ_lean.bounds.by_registers);
     }
 
     #[test]

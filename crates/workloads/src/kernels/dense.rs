@@ -248,10 +248,7 @@ mod tests {
         Interpreter::new(&k).unwrap().run().unwrap();
         let occ = occupancy::analyze(&CoreConfig::default(), &k);
         assert_eq!(occ.limiter, Limiter::SharedMemory);
-        assert!(
-            (occ.virtualization_headroom() - 1.0).abs() < 1e-9,
-            "no VT headroom"
-        );
+        assert!((occ.bounds.headroom() - 1.0).abs() < 1e-9, "no VT headroom");
     }
 
     #[test]
@@ -269,6 +266,6 @@ mod tests {
         Interpreter::new(&k).unwrap().run().unwrap();
         let occ = occupancy::analyze(&CoreConfig::default(), &k);
         assert_eq!(occ.limiter, Limiter::CtaSlots);
-        assert!(occ.virtualization_headroom() >= 3.0);
+        assert!(occ.bounds.headroom() >= 3.0);
     }
 }

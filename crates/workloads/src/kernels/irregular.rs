@@ -212,7 +212,7 @@ mod tests {
         Interpreter::new(&k).unwrap().run().unwrap();
         let occ = occupancy::analyze(&CoreConfig::default(), &k);
         assert_eq!(occ.limiter, Limiter::CtaSlots);
-        assert!(occ.virtualization_headroom() > 2.0);
+        assert!(occ.bounds.headroom() > 2.0);
     }
 
     #[test]

@@ -223,8 +223,11 @@ mod tests {
         Interpreter::new(&k).unwrap().run().unwrap();
         let occ = occupancy::analyze(&CoreConfig::default(), &k);
         assert_eq!(occ.limiter, Limiter::CtaSlots);
-        assert_eq!(occ.baseline_ctas, 8, "8 single-warp CTAs");
-        assert!(occ.baseline_thread_slot_utilization() < 0.25);
+        assert_eq!(occ.bounds.baseline(), 8, "8 single-warp CTAs");
+        assert!(
+            4 * occ.bounds.baseline() < occ.bounds.by_warp_slots,
+            "under a quarter of the warp slots hold a warp"
+        );
     }
 
     #[test]

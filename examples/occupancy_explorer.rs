@@ -35,22 +35,23 @@ fn main() {
         }
         .build();
         let occ = occupancy::analyze(&core, &kernel);
-        let smem_col = if occ.by_shared_memory == u32::MAX {
+        let b = occ.bounds;
+        let smem_col = if b.by_shared_memory == u32::MAX {
             "-".to_string()
         } else {
-            occ.by_shared_memory.to_string()
+            b.by_shared_memory.to_string()
         };
         println!(
             "{:11} {:10} {:11} {:10} {:>5} {:9} {:9} {:14} {:.1}x",
             regs,
-            occ.by_cta_slots,
-            occ.by_warp_slots,
-            occ.by_registers,
+            b.by_cta_slots,
+            b.by_warp_slots,
+            b.by_registers,
             smem_col,
-            occ.baseline_ctas,
-            occ.capacity_ctas,
+            b.baseline(),
+            b.capacity(),
             occ.limiter.to_string(),
-            occ.virtualization_headroom()
+            b.headroom()
         );
     }
     println!(

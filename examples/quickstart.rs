@@ -53,7 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let occ = gpu.occupancy(&kernel);
     println!(
         "  occupancy: {} CTAs/SM under the baseline (limited by {}), {} under capacity-only",
-        occ.baseline_ctas, occ.limiter, occ.capacity_ctas
+        occ.bounds.baseline(),
+        occ.limiter,
+        occ.bounds.capacity()
     );
 
     // Run it on both architectures.

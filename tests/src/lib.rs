@@ -29,16 +29,6 @@ pub fn run(arch: Architecture, kernel: &Kernel) -> Report {
         .unwrap_or_else(|e| panic!("{} under {}: {e}", kernel.name(), arch.label()))
 }
 
-/// All four architectures under comparison.
-pub fn all_archs() -> [Architecture; 4] {
-    [
-        Architecture::Baseline,
-        Architecture::virtual_thread(),
-        Architecture::Ideal,
-        Architecture::MemSwap(vt_core::MemSwapParams::default()),
-    ]
-}
-
 pub mod golden {
     //! Exact-integer JSON snapshots of run statistics, shared by the
     //! golden-stats tests and anything else that wants a drift-sensitive

@@ -12,7 +12,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use vt_tests::all_archs;
+use vt_core::Architecture;
 use vt_tests::checkpoints::{cut, run_cycles, swap_config};
 use vt_workloads::{full_suite, Scale};
 
@@ -32,7 +32,7 @@ fn digests() -> String {
         .into_iter()
         .filter(|w| ["bfs", "hotspot", "nw", "sgemm"].contains(&w.name))
     {
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let cfg = swap_config(&w.kernel, arch, true);
             let at = run_cycles(&cfg, &w.kernel) / 2;
             let text = cut(&cfg, &w.kernel, at).to_text();

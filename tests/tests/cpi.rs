@@ -11,7 +11,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use vt_core::{Checkpoint, RunBudget, RunRequest, RunStats, Session, SessionOutcome};
+use vt_core::{Architecture, Checkpoint, RunBudget, RunRequest, RunStats, Session, SessionOutcome};
 use vt_json::Json;
 use vt_prng::Prng;
 use vt_tests::small_config;
@@ -77,7 +77,7 @@ fn conservation_holds_across_archs_workers_and_cuts() {
         };
         let kernel = p.build();
         let cut = u64::from(rng.gen_range(1..64));
-        for arch in vt_tests::all_archs() {
+        for arch in Architecture::standard() {
             let cfg = small_config(arch);
             let num_sms = u64::from(cfg.core.num_sms);
             let label = format!("{} under {}", p.name, arch.label());
@@ -132,7 +132,7 @@ fn suite_stacks_match_goldens() {
     let bless = std::env::var("VT_BLESS").is_ok_and(|v| !v.is_empty() && v != "0");
     for w in full_suite(&Scale::test()) {
         let mut fields = Vec::new();
-        for arch in vt_tests::all_archs() {
+        for arch in Architecture::standard() {
             let r = vt_tests::run(arch, &w.kernel);
             assert_conserved(&r.stats, 2, &format!("{} under {}", w.name, arch.label()));
             fields.push((arch.label().to_string(), r.stats.cpi_stack().to_json()));

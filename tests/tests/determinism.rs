@@ -2,15 +2,15 @@
 //! repeated runs must agree cycle-for-cycle, and the workload generators
 //! must be reproducible.
 
-use vt_core::{RunRequest, Session};
-use vt_tests::{all_archs, run, small_config};
+use vt_core::{Architecture, RunRequest, Session};
+use vt_tests::{run, small_config};
 use vt_trace::{to_chrome_json, RingSink};
 use vt_workloads::{suite, Scale, SyntheticParams};
 
 #[test]
 fn repeated_runs_are_cycle_identical() {
     for w in suite(&Scale::test()).into_iter().take(4) {
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let a = run(arch, &w.kernel);
             let b = run(arch, &w.kernel);
             assert_eq!(a.stats, b.stats, "{} under {}", w.name, arch.label());
@@ -44,7 +44,7 @@ fn traced_replays_are_byte_identical() {
     // and on the exported Chrome-trace JSON, byte for byte.
     let ws = suite(&Scale::test());
     for w in ws.iter().take(2) {
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let mut runs = (0..2).map(|_| {
                 let mut session =
                     Session::new(small_config(arch)).with_sink(RingSink::new(1 << 22));

@@ -17,7 +17,6 @@ use vt_core::{Architecture, GpuConfig, RunBudget, RunOutcome};
 use vt_isa::interp::Interpreter;
 use vt_isa::Kernel;
 use vt_sim::{GpuSim, RunResult, SimConfig};
-use vt_tests::all_archs;
 use vt_trace::NullSink;
 use vt_workloads::{full_suite, Scale, Workload};
 
@@ -84,7 +83,7 @@ fn one_cycle_slices(cfg: &SimConfig, kernel: &Kernel) -> RunResult {
 /// image.
 fn one_cycle_slices_equal_the_uninterrupted_run(name: &str) {
     let w = workload(&Scale::test(), name);
-    for arch in all_archs() {
+    for arch in Architecture::standard() {
         let label = format!("{name} under {}", arch.label());
         let cfg = shrunken(arch, &w.kernel);
         let want = uninterrupted(&cfg, &w.kernel);
@@ -133,7 +132,7 @@ fn paper_scale_images_match_the_interpreter_under_every_architecture() {
         let reference = Interpreter::new(&w.kernel)
             .and_then(|i| i.run())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let report = vt_core::Gpu::new(GpuConfig::with_arch(arch))
                 .run(&w.kernel)
                 .unwrap_or_else(|e| panic!("{name} under {}: {e}", arch.label()));

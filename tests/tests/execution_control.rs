@@ -377,11 +377,10 @@ fn truncation_errors_are_retryable_and_checkpoints_are_validated() {
 #[test]
 fn checkpoints_reencode_to_the_same_text() {
     use vt_sim::GpuSim;
-    use vt_tests::all_archs;
     use vt_tests::checkpoints::{cut, run_cycles, swap_config};
     let mut drift = Vec::new();
     for w in full_suite(&Scale::test()) {
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let cycles = run_cycles(&swap_config(&w.kernel, arch, false), &w.kernel);
             for observed in [false, true] {
                 let cfg = swap_config(&w.kernel, arch, observed);

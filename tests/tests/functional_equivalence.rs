@@ -13,7 +13,7 @@ use vt_isa::op::{MemSpace, Operand, SfuOp, Sreg};
 use vt_isa::{Kernel, KernelBuilder};
 use vt_sim::GpuSim;
 use vt_tests::checkpoints::swap_config;
-use vt_tests::{all_archs, run, small_config};
+use vt_tests::{run, small_config};
 use vt_workloads::{full_suite, Scale};
 
 /// Checked on two geometries: `small_config`, where no kernel swaps at
@@ -26,7 +26,7 @@ fn suite_matches_interpreter_under_every_architecture() {
             .unwrap_or_else(|e| panic!("{}: {e}", w.name))
             .run()
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let report = run(arch, &w.kernel);
             assert_eq!(
                 report.mem_image.as_words(),
@@ -108,7 +108,7 @@ fn nan_payloads_match_interpreter_under_every_architecture() {
         results.iter().all(|&w| w == 0x7FFF_FFFF),
         "every result is the canonical NaN"
     );
-    for arch in all_archs() {
+    for arch in Architecture::standard() {
         let report = run(arch, &k);
         assert_eq!(
             report.mem_image.as_words(),
@@ -222,7 +222,7 @@ fn trap(kernel: &Kernel) -> ExecError {
         Err(IsaError::Exec(e)) => e,
         other => panic!("expected a trap, got {other:?}"),
     };
-    for arch in all_archs() {
+    for arch in Architecture::standard() {
         let got = Gpu::new(small_config(arch)).run(kernel).err();
         assert!(
             matches!(&got, Some(SimError::Exec(e)) if *e == reference),

@@ -12,8 +12,9 @@
 
 use std::fs;
 use std::path::PathBuf;
+use vt_core::Architecture;
 use vt_tests::golden::report_json;
-use vt_tests::{all_archs, run};
+use vt_tests::run;
 use vt_workloads::{full_suite, Scale};
 
 fn golden_dir() -> PathBuf {
@@ -59,7 +60,7 @@ fn stats_match_golden_snapshots() {
 
     let mut failures = Vec::new();
     for w in full_suite(&Scale::test()) {
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let report = run(arch, &w.kernel);
             let got = report_json(&report).pretty() + "\n";
             let path = dir.join(format!("{}.{}.json", w.name, report.arch.label()));

@@ -8,8 +8,8 @@ use std::fs;
 use std::path::PathBuf;
 use vt_bench::hotspot::ProfileRecord;
 use vt_core::{
-    Checkpoint, CpiStack, PcProfile, Report, RunBudget, RunRequest, RunStats, Session,
-    SessionOutcome, StallReason,
+    Architecture, Checkpoint, CpiStack, PcProfile, Report, RunBudget, RunRequest, RunStats,
+    Session, SessionOutcome, StallReason,
 };
 use vt_isa::Kernel;
 use vt_json::ToJson;
@@ -72,7 +72,7 @@ fn run_profiled(kernel: &Kernel, cfg: vt_core::GpuConfig) -> Report {
 #[test]
 fn suite_per_pc_buckets_conserve_across_archs_and_workers() {
     for w in full_suite(&Scale::test()) {
-        for arch in vt_tests::all_archs() {
+        for arch in Architecture::standard() {
             let mut cfg = small_config(arch);
             cfg.core.profile = true;
             let label = format!("{} under {}", w.name, arch.label());
@@ -95,7 +95,7 @@ fn suite_per_pc_buckets_conserve_across_archs_and_workers() {
 fn conservation_survives_random_checkpoint_cuts() {
     let mut rng = Prng::new(0x907_5907_5907);
     for w in full_suite(&Scale::test()) {
-        let arch = vt_tests::all_archs()[rng.gen_range(0..4) as usize];
+        let arch = Architecture::standard()[rng.gen_range(0..4) as usize];
         let mut cfg = small_config(arch);
         cfg.core.profile = true;
         let label = format!("{} under {}", w.name, arch.label());
@@ -192,7 +192,7 @@ fn archetype_profiles_match_goldens() {
 #[test]
 fn profiling_never_perturbs_the_run() {
     for w in full_suite(&Scale::test()).into_iter().take(4) {
-        for arch in vt_tests::all_archs() {
+        for arch in Architecture::standard() {
             let label = format!("{} under {}", w.name, arch.label());
             let plain = vt_tests::run(arch, &w.kernel);
             assert!(

@@ -57,7 +57,7 @@ fn vt_respects_active_limit_while_exceeding_residency() {
     assert!(occ.avg_resident_warps() > base.stats.occupancy.avg_resident_warps() * 1.3);
     // And residency respects the capacity limit.
     let static_occ = occupancy::analyze(&core, &k);
-    assert!(occ.avg_resident_ctas() <= f64::from(static_occ.capacity_ctas) + 1e-9);
+    assert!(occ.avg_resident_ctas() <= f64::from(static_occ.bounds.capacity()) + 1e-9);
 }
 
 #[test]
@@ -163,7 +163,7 @@ fn idle_accounting_partitions_every_sm_cycle() {
     // (scheduling + capacity + drain, nothing else), so the derived
     // CPI stack inherits the conservation identity exactly.
     for w in full_suite(&Scale::test()) {
-        for arch in vt_tests::all_archs() {
+        for arch in Architecture::standard() {
             let r = run(arch, &w.kernel);
             assert_eq!(
                 r.stats.idle.total() + r.stats.issue_cycles,

@@ -8,7 +8,7 @@ use vt_core::{Architecture, Report, RunRequest, Session};
 use vt_isa::Kernel;
 use vt_sim::{GpuSim, RunBudget, RunResult, SimConfig};
 use vt_tests::checkpoints::swap_config;
-use vt_tests::{all_archs, run, small_config};
+use vt_tests::{run, small_config};
 use vt_trace::{
     to_chrome_json, to_chrome_json_with, validate, validate_metrics, NullSink, RingSink, SwapDir,
     TimedEvent, TraceEvent, TraceSink,
@@ -47,7 +47,7 @@ fn traces_validate_across_suite_and_architectures() {
         }
     }
     let k = latency_bound();
-    for arch in all_archs() {
+    for arch in Architecture::standard() {
         let (_, events) = run_traced(arch, &k);
         if let Err(issues) = validate(&events) {
             panic!("{}: {}", arch.label(), issues.join("; "));
@@ -59,7 +59,7 @@ fn traces_validate_across_suite_and_architectures() {
 fn tracing_does_not_perturb_the_simulation() {
     let ws = suite(&Scale::test());
     for w in ws.iter().take(4) {
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let untraced = run(arch, &w.kernel);
             let (traced, _) = run_traced(arch, &w.kernel);
             assert_eq!(
@@ -92,7 +92,7 @@ fn observers_never_perturb_in_any_combination() {
         .into_iter()
         .filter(|w| ["bfs", "hotspot", "nw", "sgemm"].contains(&w.name))
     {
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let label = format!("{} under {}", w.name, arch.label());
             let plain_cfg = swap_config(&w.kernel, arch, false);
             let plain = run_observed(&plain_cfg, &w.kernel, &mut NullSink);
@@ -135,7 +135,7 @@ fn observers_never_perturb_in_any_combination() {
 fn metrics_do_not_perturb_the_simulation() {
     let ws = suite(&Scale::test());
     for w in ws.iter().take(4) {
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let unmetered = run(arch, &w.kernel);
             let mut cfg = small_config(arch);
             cfg.core.metrics_window = Some(128);

@@ -85,7 +85,7 @@ fn two_hundred_random_kernels_lint_clean_and_complete_everywhere() {
             .cloned()
             .collect();
         assert!(errors.is_empty(), "case {case} ({p:?}): {errors:?}");
-        for arch in vt_tests::all_archs() {
+        for arch in Architecture::standard() {
             let report = run(arch, &kernel);
             assert_eq!(
                 report.stats.ctas_completed,

@@ -1,19 +1,15 @@
 //! Static-vs-dynamic oracle for the occupancy model.
 //!
-//! The static model (`vt_analysis::occupancy` / `vt_analysis::model`)
-//! predicts, per kernel × architecture, the peak number of resident
-//! CTAs an SM will host and whether Virtual Thread should improve
-//! throughput. This file cross-validates those predictions against the
-//! timing simulator:
+//! The static model (`vt_analysis::model`) predicts, per kernel ×
+//! architecture, the peak number of resident CTAs an SM will host and
+//! whether Virtual Thread should improve throughput. This file
+//! cross-validates those predictions against the timing simulator:
 //!
 //! * the static resident-CTA bound must equal the dynamically observed
 //!   peak residency (from the windowed `resident_ctas` metric series),
 //!   exactly, for every suite kernel × architecture;
 //! * the scheduling-limited classification must predict whether VT
 //!   improves measured IPC;
-//! * the per-architecture residency policies in `vt_analysis` must
-//!   agree with `vt_core::Architecture`'s lowering to the simulator's
-//!   admission policy, so the two tables cannot drift apart;
 //! * on random synthetic kernels, the whole pipeline never panics and
 //!   its bounds stay mutually consistent (property test).
 //!
@@ -24,10 +20,9 @@
 use vt_core::{Architecture, CoreConfig, GpuConfig, MemConfig, Report, RunRequest, Session};
 use vt_isa::SmLimits;
 use vt_prng::Prng;
-use vt_sim::AdmissionPolicy;
-use vt_workloads::{full_suite, suite, AccessPattern, Scale, SyntheticParams};
+use vt_workloads::{full_suite, AccessPattern, Scale, SyntheticParams};
 
-use vt_analysis::{analyze, model, standard_archs, ModelConfig, OccupancyModel, ResidencyModel};
+use vt_analysis::{analyze, model, ModelConfig};
 
 /// Shrunken limits under which every suite kernel still launches (the
 /// largest CTA needs 24 KiB of registers and 8 KiB of shared memory)
@@ -82,27 +77,22 @@ fn observed_peak_residency(report: &Report) -> u64 {
         .expect("at least one sealed window")
 }
 
-/// The analysis-side residency policy for a `vt_core` architecture,
-/// looked up by the shared label.
-fn analysis_policy(arch: &Architecture) -> ResidencyModel {
-    standard_archs()
-        .iter()
-        .find(|a| a.label == arch.label())
-        .unwrap_or_else(|| panic!("no ArchModel labelled {}", arch.label()))
-        .residency
-}
-
 /// **The oracle**: for every suite kernel × architecture, the static
-/// resident-CTA bound (grid-clamped) equals the dynamically observed
-/// peak residency. Exact equality — a one-CTA discrepancy means the
-/// static arithmetic and the admission check have drifted apart.
+/// model's resident-CTA bound (grid-clamped) equals the dynamically
+/// observed peak residency. Exact equality — a one-CTA discrepancy means
+/// the model and the dispatcher no longer admit by the same rule.
 #[test]
 fn static_bound_matches_observed_peak_residency() {
-    let limits = oracle_limits();
+    let cfg = ModelConfig {
+        limits: oracle_limits(),
+        ..ModelConfig::default()
+    };
     for w in full_suite(&oracle_scale()) {
-        let occ = OccupancyModel::compute(&limits, &w.kernel);
-        for arch in vt_tests::all_archs() {
-            let predicted = occ.predicted_peak(&analysis_policy(&arch), w.kernel.num_ctas());
+        let m = model(&w.kernel, &cfg);
+        assert_eq!(m.archs.len(), 4, "{}", w.name);
+        for (arch, p) in Architecture::standard().into_iter().zip(&m.archs) {
+            assert_eq!(p.arch, arch.label());
+            let predicted = p.resident_bound.min(w.kernel.num_ctas());
             let report = run_oracle(arch, &w.kernel);
             let observed = observed_peak_residency(&report);
             assert_eq!(
@@ -111,7 +101,7 @@ fn static_bound_matches_observed_peak_residency() {
                 "{} under {}: static bound vs observed peak (bounds {:?})",
                 w.name,
                 arch.label(),
-                occ.bounds,
+                m.occupancy.bounds,
             );
         }
     }
@@ -125,7 +115,7 @@ fn static_bound_matches_observed_peak_residency() {
 fn scheduling_classification_predicts_vt_ipc_gain() {
     let limits = oracle_limits();
     for w in full_suite(&oracle_scale()) {
-        let occ = OccupancyModel::compute(&limits, &w.kernel);
+        let occ = limits.occupancy(&w.kernel);
         let headroom = occ.bounds.capacity().min(w.kernel.num_ctas()) > occ.bounds.baseline();
         // Consistency of the classification itself: strictly binding
         // scheduling limit ⟺ capacity headroom exists at all.
@@ -219,35 +209,6 @@ fn static_limiter_predicts_dynamic_empty_bucket() {
     }
 }
 
-/// The static policy table and `vt_core::Architecture`'s lowering to
-/// the simulator agree variant-by-variant, so the mirrored
-/// `ResidencyModel` cannot drift from `AdmissionPolicy`.
-#[test]
-fn analysis_policies_agree_with_core_lowering() {
-    let core = CoreConfig::from_limits(oracle_limits());
-    let mem = MemConfig::default();
-    let kernel = &suite(&Scale::test())[0].kernel;
-    for arch in vt_tests::all_archs() {
-        let lowered = arch.residency_for(kernel, &core, &mem).admission;
-        let modelled = analysis_policy(&arch);
-        match (modelled, lowered) {
-            (ResidencyModel::SchedulingAndCapacity, AdmissionPolicy::SchedulingAndCapacity) => {}
-            (
-                ResidencyModel::CapacityOnly {
-                    max_resident_ctas: m,
-                },
-                AdmissionPolicy::CapacityOnly {
-                    max_resident_ctas: l,
-                },
-            ) => assert_eq!(m, l, "{}: context-buffer caps disagree", arch.label()),
-            (m, l) => panic!(
-                "{}: analysis models {m:?} but core lowers to {l:?}",
-                arch.label()
-            ),
-        }
-    }
-}
-
 /// Property test: the full static pipeline (lints and performance
 /// model) never panics on random synthetic kernels, and the model's
 /// bounds are mutually consistent.
@@ -299,18 +260,16 @@ fn model_never_panics_and_bounds_are_consistent_on_random_kernels() {
             m.residency_gain()
         );
 
-        // Per-arch predictions agree with the policies they cite, and
-        // the grid clamp holds.
+        // Every architecture admits at least what the baseline does and
+        // at most what capacity allows.
         for a in &m.archs {
-            assert_eq!(
-                a.resident_bound,
-                a.residency.resident_bound(b),
-                "{}",
-                p.name
+            assert!(
+                (baseline..=capacity).contains(&a.resident_bound),
+                "{} under {}: bound {}",
+                p.name,
+                a.arch,
+                a.resident_bound
             );
-            let peak = m.occupancy.predicted_peak(&a.residency, kernel.num_ctas());
-            assert!(peak <= a.resident_bound, "{}", p.name);
-            assert!(peak <= kernel.num_ctas(), "{}", p.name);
         }
 
         // The model's memory sites are a subset of the program's

@@ -10,7 +10,6 @@ use vt_core::{Architecture, GpuConfig, Report, RunRequest, Session};
 use vt_isa::interp::Interpreter;
 use vt_json::Json;
 use vt_prng::Prng;
-use vt_tests::all_archs;
 use vt_traces::{parse_file, parse_str, Trace};
 
 fn repo_root() -> PathBuf {
@@ -64,7 +63,7 @@ fn corpus_replay_is_functionally_identical_across_archs() {
     for (name, path) in corpus("traces") {
         let kernel = load(&path).lower().unwrap();
         let reference = Interpreter::new(&kernel).unwrap().run().unwrap();
-        for arch in all_archs() {
+        for arch in Architecture::standard() {
             let report = vt_tests::run(arch, &kernel);
             assert_eq!(
                 report.mem_image.as_words(),

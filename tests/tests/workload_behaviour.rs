@@ -30,7 +30,7 @@ fn histo_histogram_matches_cpu_reference_under_vt() {
 fn reduction_total_matches_cpu_reference_under_every_arch() {
     let s = tiny();
     let k = sync::reduction_like(&s);
-    for arch in vt_tests::all_archs() {
+    for arch in Architecture::standard() {
         let r = run(arch, &k);
         assert_eq!(
             r.mem_image.load(0),
@@ -49,7 +49,7 @@ fn hotbins_histogram_matches_cpu_reference_under_every_arch() {
     };
     let k = p.build();
     let bins = p.reference();
-    for arch in vt_tests::all_archs() {
+    for arch in Architecture::standard() {
         let r = run(arch, &k);
         assert_eq!(
             r.mem_image.load_words(0, bins.len()),

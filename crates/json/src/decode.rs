@@ -12,9 +12,8 @@
 //! register number) keeps its own wording and passes through unchanged.
 
 use crate::{pack_words, req, Json, ToJson};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash};
 
 /// Conversion from a [`Json`] value: the decode half of [`ToJson`].
 /// Implemented for the primitives, strings, options, vectors, arrays,
@@ -185,12 +184,13 @@ impl<T: FromJson, const N: usize> FromJson for [T; N] {
     }
 }
 
-/// A hash map is written as `[key, value]` pairs in ascending key order,
-/// so equal maps write equal text; a key written twice is refused.
-impl<K: FromJson + Eq + Hash, V: FromJson> FromJson for HashMap<K, V> {
-    fn from_json(v: &Json) -> Result<HashMap<K, V>, String> {
+/// A hash map, under any hasher, is written as `[key, value]` pairs in
+/// ascending key order, so equal maps write equal text; a key written
+/// twice is refused.
+impl<K: FromJson + Eq + Hash, V: FromJson, S: BuildHasher + Default> FromJson for HashMap<K, V, S> {
+    fn from_json(v: &Json) -> Result<HashMap<K, V, S>, String> {
         let pairs: Vec<(K, V)> = Vec::from_json(v)?;
-        let mut map = HashMap::with_capacity(pairs.len());
+        let mut map = HashMap::with_capacity_and_hasher(pairs.len(), S::default());
         for (i, (k, x)) in pairs.into_iter().enumerate() {
             if map.insert(k, x).is_some() {
                 return Err(format!("[{i}] repeats a key"));
@@ -310,9 +310,9 @@ impl Codec<Vec<u32>> for Words {
     }
 }
 
-/// A collection whose order means nothing beyond its elements' own order
-/// (a min-heap of unique keys, the writeback pipe): written in ascending
-/// order, so equal states write equal text, and read back in that order.
+/// A queue kept in ascending order of its elements (the response queues
+/// of unique keys, the writeback pipe): written in ascending order, so
+/// equal states write equal text, and read back in that order.
 pub struct Sorted;
 
 impl<T: ToJson + FromJson + Ord> Codec<VecDeque<T>> for Sorted {
@@ -326,19 +326,6 @@ impl<T: ToJson + FromJson + Ord> Codec<VecDeque<T>> for Sorted {
         let mut items: Vec<T> = Vec::from_json(v)?;
         items.sort_unstable();
         Ok(items.into())
-    }
-}
-
-impl<T: ToJson + FromJson + Ord> Codec<BinaryHeap<Reverse<T>>> for Sorted {
-    fn encode(v: &BinaryHeap<Reverse<T>>) -> Json {
-        let mut items: Vec<&T> = v.iter().map(|Reverse(x)| x).collect();
-        items.sort_unstable();
-        items.to_json()
-    }
-
-    fn decode(v: &Json) -> Result<BinaryHeap<Reverse<T>>, String> {
-        let items: Vec<T> = Vec::from_json(v)?;
-        Ok(items.into_iter().map(Reverse).collect())
     }
 }
 
@@ -515,10 +502,8 @@ mod tests {
         );
         let pipe: VecDeque<u64> = [5, 1, 3].into();
         assert_eq!(Sorted::encode(&pipe).compact(), "[1,3,5]");
-        let heap: BinaryHeap<Reverse<u64>> = [Reverse(4), Reverse(2)].into();
-        assert_eq!(Sorted::encode(&heap).compact(), "[2,4]");
-        let back: BinaryHeap<Reverse<u64>> = Sorted::decode(&parse("[4,2]")).unwrap();
-        assert_eq!(back.peek(), Some(&Reverse(2)));
+        let back: VecDeque<u64> = Sorted::decode(&parse("[4,2]")).unwrap();
+        assert_eq!(back, [2, 4]);
         assert_eq!(Words::encode(&vec![0, 0, 7]).compact(), r#""z2.00000007""#);
     }
 

@@ -745,8 +745,8 @@ impl<T: ToJson, const N: usize> ToJson for [T; N] {
 }
 
 /// `[key, value]` pairs in ascending key order, so equal maps write equal
-/// text.
-impl<K: ToJson + Ord, V: ToJson> ToJson for HashMap<K, V> {
+/// text whatever their hasher.
+impl<K: ToJson + Ord, V: ToJson, S> ToJson for HashMap<K, V, S> {
     fn to_json(&self) -> Json {
         let mut pairs: Vec<(&K, &V)> = self.iter().collect();
         pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));

@@ -34,17 +34,17 @@ impl<T> Icnt<T> {
         self.in_flight.push_back((now + self.latency, flits, item));
     }
 
-    /// Delivers the items whose latency has elapsed, respecting the flit
-    /// budget for cycle `now`. An item wider than the whole per-cycle
-    /// budget is delivered anyway and its excess flits are charged against
-    /// subsequent cycles. Call exactly once per cycle.
-    pub fn deliver(&mut self, now: u64) -> Vec<T> {
+    /// Appends to `out` the items whose latency has elapsed, respecting
+    /// the flit budget for cycle `now`. An item wider than the whole
+    /// per-cycle budget is delivered anyway and its excess flits are
+    /// charged against subsequent cycles. Call exactly once per cycle;
+    /// `out` is the caller's buffer, reused from cycle to cycle.
+    pub fn deliver(&mut self, now: u64, out: &mut Vec<T>) {
         let mut budget = self.flits_per_cycle;
         // Pay off occupancy carried over from previous deliveries.
         let pay = self.debt.min(budget);
         self.debt -= pay;
         budget -= pay;
-        let mut out = Vec::new();
         while budget > 0 {
             match self.in_flight.front() {
                 Some((ready, _, _)) if *ready <= now => {}
@@ -59,7 +59,6 @@ impl<T> Icnt<T> {
             }
             out.push(item);
         }
-        out
     }
 
     /// Items still traversing the channel.
@@ -99,14 +98,20 @@ impl_json!(Icnt<T> { latency: Count, flits_per_cycle: NonZero, debt, in_flight }
 mod tests {
     use super::*;
 
+    fn deliver<T>(c: &mut Icnt<T>, now: u64) -> Vec<T> {
+        let mut out = Vec::new();
+        c.deliver(now, &mut out);
+        out
+    }
+
     #[test]
     fn respects_latency() {
         let mut c: Icnt<u32> = Icnt::new(10, 4);
         c.push(0, 1, 42);
         for now in 0..10 {
-            assert!(c.deliver(now).is_empty(), "cycle {now}");
+            assert!(deliver(&mut c, now).is_empty(), "cycle {now}");
         }
-        assert_eq!(c.deliver(10), vec![42]);
+        assert_eq!(deliver(&mut c, 10), vec![42]);
         assert!(c.is_empty());
     }
 
@@ -116,9 +121,9 @@ mod tests {
         for i in 0..6 {
             c.push(0, 2, i);
         }
-        assert_eq!(c.deliver(0), vec![0, 1], "two 2-flit items per cycle");
-        assert_eq!(c.deliver(1), vec![2, 3]);
-        assert_eq!(c.deliver(2), vec![4, 5]);
+        assert_eq!(deliver(&mut c, 0), vec![0, 1], "two 2-flit items per cycle");
+        assert_eq!(deliver(&mut c, 1), vec![2, 3]);
+        assert_eq!(deliver(&mut c, 2), vec![4, 5]);
     }
 
     #[test]
@@ -129,9 +134,9 @@ mod tests {
         // The wide item goes through immediately, occupying the bus for
         // the following cycle too (10 = 4 + 6 debt; 6 > 4 so one more
         // full cycle of debt remains after cycle 1).
-        assert_eq!(c.deliver(0), vec![0]);
-        assert!(c.deliver(1).is_empty(), "bus still busy paying debt");
-        assert_eq!(c.deliver(2), vec![1], "2 debt flits paid, then item");
+        assert_eq!(deliver(&mut c, 0), vec![0]);
+        assert!(deliver(&mut c, 1).is_empty(), "bus still busy paying debt");
+        assert_eq!(deliver(&mut c, 2), vec![1], "2 debt flits paid, then item");
     }
 
     #[test]
@@ -139,7 +144,7 @@ mod tests {
         let mut c: Icnt<u32> = Icnt::new(2, 100);
         c.push(0, 1, 1);
         c.push(1, 1, 2);
-        assert_eq!(c.deliver(2), vec![1]);
-        assert_eq!(c.deliver(3), vec![2]);
+        assert_eq!(deliver(&mut c, 2), vec![1]);
+        assert_eq!(deliver(&mut c, 3), vec![2]);
     }
 }

@@ -6,6 +6,8 @@
 //!   instruction into 128-byte transactions,
 //! * [`cache`] — a set-associative, LRU, tags-only cache array used for
 //!   both L1D and the L2 slices,
+//! * [`collections`] — the integer hasher of every map on the memory side
+//!   and the ascending response queues,
 //! * [`mshr`] — miss-status holding registers with miss merging and finite
 //!   capacity (the structure whose exhaustion makes extra TLP stop
 //!   helping),
@@ -45,6 +47,7 @@
 
 pub mod cache;
 pub mod coalesce;
+pub mod collections;
 pub mod config;
 pub mod icnt;
 pub mod mshr;

@@ -7,7 +7,7 @@
 //! part of why the Virtual Thread results saturate in the sensitivity
 //! sweeps.
 
-use std::collections::HashMap;
+use crate::collections::IntMap;
 use vt_json::{impl_json, NonZero};
 
 /// Outcome of trying to record a miss.
@@ -25,7 +25,7 @@ pub enum MshrAlloc {
 /// A finite MSHR table tracking waiters of type `T` per in-flight line.
 #[derive(Debug, Clone)]
 pub struct Mshr<T> {
-    entries: HashMap<u64, Vec<T>>,
+    entries: IntMap<u64, Vec<T>>,
     max_entries: usize,
     max_merges: usize,
 }
@@ -43,7 +43,7 @@ impl<T> Mshr<T> {
             "degenerate MSHR geometry"
         );
         Mshr {
-            entries: HashMap::new(),
+            entries: IntMap::default(),
             max_entries: max_entries as usize,
             max_merges: max_merges as usize,
         }
@@ -76,6 +76,15 @@ impl<T> Mshr<T> {
         self.entries.contains_key(&line_addr)
     }
 
+    /// Whether [`Mshr::alloc`] on `line_addr` would stall: its line has
+    /// no merge slot left, or it has no line and the table is full.
+    pub(crate) fn refuses(&self, line_addr: u64) -> bool {
+        match self.entries.get(&line_addr) {
+            Some(waiters) => waiters.len() >= self.max_merges,
+            None => self.entries.len() >= self.max_entries,
+        }
+    }
+
     /// Lines currently in flight.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -90,11 +99,44 @@ impl<T> Mshr<T> {
     pub(crate) fn waiters(&self) -> impl Iterator<Item = &T> {
         self.entries.values().flatten()
     }
+
+    /// `(max_entries, max_merges)`.
+    pub(crate) fn capacities(&self) -> (u32, u32) {
+        // Both came from a `u32` or were checked to fit one.
+        (self.max_entries as u32, self.max_merges as u32)
+    }
+
+    /// Checks what `alloc` and a fill keep: every line has between one
+    /// and `max_merges` waiters, and there are at most `max_entries`
+    /// lines. A line without waiters would free an entry on its fill and
+    /// answer nobody, and an oversized table is one no run builds.
+    fn check(&self) -> Result<(), String> {
+        if u32::try_from(self.max_entries).is_err() || u32::try_from(self.max_merges).is_err() {
+            return Err("MSHR capacity out of range".to_string());
+        }
+        if self.entries.len() > self.max_entries {
+            return Err(format!(
+                "MSHR holds {} lines, but has {} entries",
+                self.entries.len(),
+                self.max_entries
+            ));
+        }
+        let mut lines = self.entries.iter();
+        match lines.find(|(_, w)| w.is_empty() || w.len() > self.max_merges) {
+            Some((line, w)) if w.is_empty() => Err(format!("MSHR line {line} has no waiters")),
+            Some((line, w)) => Err(format!(
+                "MSHR line {line} has {} waiters, but a line merges {}",
+                w.len(),
+                self.max_merges
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 // Lines are written sorted by address (a hash map's canonical order);
 // waiter order within a line (arrival order) is kept exactly.
-impl_json!(Mshr<T> { max_entries: NonZero, max_merges: NonZero, entries });
+impl_json!(Mshr<T> { max_entries: NonZero, max_merges: NonZero, entries } check Mshr::check);
 
 #[cfg(test)]
 mod tests {
@@ -133,6 +175,33 @@ mod tests {
         // Fill frees an entry.
         m.fill(2);
         assert_eq!(m.alloc(3, 0), MshrAlloc::NewMiss);
+    }
+
+    #[test]
+    fn refuses_answers_what_alloc_would_do() {
+        let mut m: Mshr<u32> = Mshr::new(2, 2);
+        for (line, waiter) in [(1, 0), (1, 1), (2, 2), (3, 3), (2, 4), (1, 5)] {
+            let refused = m.refuses(line);
+            assert_eq!(
+                refused,
+                m.alloc(line, waiter) == MshrAlloc::Stall,
+                "line {line}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_refuses_tables_no_run_builds() {
+        use vt_json::{FromJson, Json};
+        let refusal = |text: &str| Mshr::<u64>::from_json(&Json::parse(text).unwrap()).err();
+        let ok = r#"{"max_entries":2,"max_merges":2,"entries":[[7,[1,2]]]}"#;
+        assert_eq!(refusal(ok), None);
+        let empty = r#"{"max_entries":2,"max_merges":2,"entries":[[7,[]]]}"#;
+        assert!(refusal(empty).unwrap().contains("line 7 has no waiters"));
+        let merged = r#"{"max_entries":2,"max_merges":2,"entries":[[7,[1,2,3]]]}"#;
+        assert!(refusal(merged).unwrap().contains("line 7 has 3 waiters"));
+        let full = r#"{"max_entries":1,"max_merges":2,"entries":[[7,[1]],[8,[2]]]}"#;
+        assert!(refusal(full).unwrap().contains("holds 2 lines"));
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! interleaved across partitions by [`crate::config::MemConfig::partition_of`].
 
 use crate::cache::{Cache, Probe};
+use crate::collections::push_sorted;
 use crate::config::MemConfig;
+use crate::icnt::Icnt;
 use crate::mshr::{Mshr, MshrAlloc};
 use crate::stats::MemStats;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use vt_json::{impl_json, not_a, Count, FromJson, Json, NonZero, Sorted, ToJson};
 use vt_trace::{MemLevel, NullSink, TraceEvent, TraceSink};
 
@@ -89,19 +90,27 @@ pub struct PartResp {
 impl_json!(PartReq [sm, id, line_addr, kind]);
 impl_json!(PartResp [sm, id, line_addr, kind]);
 
+/// Flits for a fill response (header + 128 B data).
+const RESP_FLITS: u32 = 5;
+
 /// One L2-slice + DRAM-channel pair.
 #[derive(Debug)]
 pub struct Partition {
     l2: Cache,
     mshr: Mshr<PartReq>,
     in_q: VecDeque<PartReq>,
-    // (ready cycle, seq for stable ordering, response)
-    resp_heap: BinaryHeap<Reverse<(u64, u64, PartResp)>>,
+    /// (ready cycle, seq, response) in ascending order: L2 hits are due
+    /// a fixed latency after service and DRAM fills one cycle after
+    /// their read, so most inserts land at the back.
+    resps: VecDeque<(u64, u64, PartResp)>,
     pending_writebacks: VecDeque<u64>,
     dram: Dram,
     l2_hit_latency: u64,
     l2_ports: u32,
     seq: u64,
+    /// The lines DRAM finished reading this cycle (a buffer reused from
+    /// tick to tick, empty between ticks).
+    filled: Vec<u64>,
 }
 
 impl Partition {
@@ -111,12 +120,13 @@ impl Partition {
             l2: Cache::new(cfg.l2_sets(), cfg.l2_ways),
             mshr: Mshr::new(cfg.l2_mshr_entries, cfg.l2_mshr_merges),
             in_q: VecDeque::new(),
-            resp_heap: BinaryHeap::new(),
+            resps: VecDeque::new(),
             pending_writebacks: VecDeque::new(),
             dram: Dram::new(cfg),
             l2_hit_latency: u64::from(cfg.l2_hit_latency),
             l2_ports: cfg.l2_ports,
             seq: 0,
+            filled: Vec::new(),
         }
     }
 
@@ -127,13 +137,13 @@ impl Partition {
 
     fn schedule_resp(&mut self, ready: u64, resp: PartResp) {
         self.seq += 1;
-        self.resp_heap.push(Reverse((ready, self.seq, resp)));
+        push_sorted(&mut self.resps, (ready, self.seq, resp));
     }
 
-    /// Advances one cycle; returns responses ready to enter the
-    /// interconnect this cycle.
-    pub fn tick(&mut self, now: u64, stats: &mut MemStats) -> Vec<PartResp> {
-        self.tick_traced(now, stats, &mut NullSink)
+    /// Advances one cycle, pushing the responses whose latency elapsed
+    /// into the SM-bound interconnect `to_sm`.
+    pub fn tick(&mut self, now: u64, stats: &mut MemStats, to_sm: &mut Icnt<PartResp>) {
+        self.tick_traced(now, stats, to_sm, &mut NullSink);
     }
 
     /// [`Partition::tick`] with trace instrumentation; the `NullSink`
@@ -142,10 +152,13 @@ impl Partition {
         &mut self,
         now: u64,
         stats: &mut MemStats,
+        to_sm: &mut Icnt<PartResp>,
         sink: &mut S,
-    ) -> Vec<PartResp> {
+    ) {
         // 1. DRAM: finish in-service requests; fills release MSHR waiters.
-        for line in self.dram.tick(now, stats) {
+        let mut filled = std::mem::take(&mut self.filled);
+        self.dram.tick(now, stats, &mut filled);
+        for line in filled.drain(..) {
             let waiters = self.mshr.fill(line);
             let dirty = waiters.iter().any(|w| w.kind == ReqKind::Atomic);
             if let Some(ev) = self.l2.fill(line, now, dirty) {
@@ -177,6 +190,7 @@ impl Partition {
                 }
             }
         }
+        self.filled = filled;
 
         // 2. Retry queued dirty writebacks into the DRAM queue.
         while let Some(&line) = self.pending_writebacks.front() {
@@ -197,15 +211,13 @@ impl Partition {
         }
 
         // 4. Release responses whose latency elapsed.
-        let mut out = Vec::new();
-        while let Some(&Reverse((ready, _, resp))) = self.resp_heap.peek() {
+        while let Some(&(ready, _, resp)) = self.resps.front() {
             if ready > now {
                 break;
             }
-            self.resp_heap.pop();
-            out.push(resp);
+            self.resps.pop_front();
+            to_sm.push(now, RESP_FLITS, resp);
         }
-        out
     }
 
     /// Attempts to service one request; returns false on a resource stall.
@@ -312,35 +324,46 @@ impl Partition {
     /// Whether no request is anywhere in this partition.
     pub fn quiesced(&self) -> bool {
         self.in_q.is_empty()
-            && self.resp_heap.is_empty()
+            && self.resps.is_empty()
             && self.mshr.is_empty()
             && self.pending_writebacks.is_empty()
             && self.dram.quiesced()
     }
 
-    /// The SM every request or response held here names.
-    pub(crate) fn sms(&self) -> impl Iterator<Item = usize> + '_ {
+    /// `(sm, line, kind)` of every request or response held here.
+    pub(crate) fn held(&self) -> impl Iterator<Item = (usize, u64, ReqKind)> + '_ {
         self.in_q
             .iter()
             .chain(self.mshr.waiters())
-            .map(|r| r.sm)
-            .chain(self.resp_heap.iter().map(|Reverse((_, _, r))| r.sm))
+            .map(|r| (r.sm, r.line_addr, r.kind))
+            .chain(
+                self.resps
+                    .iter()
+                    .map(|(_, _, r)| (r.sm, r.line_addr, r.kind)),
+            )
+    }
+
+    /// The L2 MSHR table.
+    pub(crate) fn mshr(&self) -> &Mshr<PartReq> {
+        &self.mshr
     }
 }
 
-// The response heap is written in ascending `(ready, seq)` order; every
-// key is unique (`seq` increments per response), so re-pushing the list
-// reproduces the exact pop order.
+// The response queue is written in ascending `(ready, seq)` order, under
+// the name it had as a heap; every key is unique (`seq` increments per
+// response), so the read-back queue pops in the exact order.
 impl_json!(Partition {
     l2,
     mshr,
     in_q,
-    resp_heap: Sorted,
+    resps as "resp_heap": Sorted,
     pending_writebacks,
     dram,
     l2_hit_latency: Count,
     l2_ports,
     seq: Count,
+} derived {
+    filled: Vec::new(),
 });
 
 /// One GDDR channel with per-bank row-buffer state and an FR-FCFS-like
@@ -415,9 +438,10 @@ impl Dram {
         true
     }
 
-    /// Advances one cycle; returns line addresses of completed reads.
-    fn tick(&mut self, now: u64, stats: &mut MemStats) -> Vec<u64> {
-        let mut done = Vec::new();
+    /// Advances one cycle, appending to `done` the line addresses of the
+    /// reads that completed, in ascending order.
+    fn tick(&mut self, now: u64, stats: &mut MemStats, done: &mut Vec<u64>) {
+        let start = done.len();
         let mut i = 0;
         while i < self.in_service.len() {
             if self.in_service[i].0 <= now {
@@ -430,7 +454,7 @@ impl Dram {
             }
         }
         // Results must be deterministic regardless of swap_remove order.
-        done.sort_unstable();
+        done[start..].sort_unstable();
 
         // Issue at most one request per cycle, bandwidth-limited by the
         // burst occupancy of the data bus.
@@ -460,20 +484,28 @@ impl Dram {
                 self.in_service.push((finish, req));
             }
         }
-        done
     }
 
-    /// FR-FCFS-lite: the oldest row-hit request whose bank is free, else
-    /// the oldest request whose bank is free.
+    /// FR-FCFS-lite, in one pass: the oldest request whose bank is free
+    /// and has its row open, else the oldest request whose bank is free.
+    /// With no bank free there is nothing to pick.
     fn pick(&self, now: u64) -> Option<usize> {
-        let free = |req: &DramReq| self.banks[self.bank_of(req.line_addr)].busy_until <= now;
-        let hit = |req: &DramReq| {
-            self.banks[self.bank_of(req.line_addr)].open_row == Some(self.row_of(req.line_addr))
-        };
-        self.queue
-            .iter()
-            .position(|r| free(r) && hit(r))
-            .or_else(|| self.queue.iter().position(free))
+        if self.queue.is_empty() || self.banks.iter().all(|b| b.busy_until > now) {
+            return None;
+        }
+        let mut oldest_free = None;
+        for (i, req) in self.queue.iter().enumerate() {
+            let row = self.row_of(req.line_addr);
+            let bank = &self.banks[(row % self.banks.len() as u64) as usize];
+            if bank.busy_until > now {
+                continue;
+            }
+            if bank.open_row == Some(row) {
+                return Some(i);
+            }
+            oldest_free.get_or_insert(i);
+        }
+        oldest_free
     }
 
     fn quiesced(&self) -> bool {
@@ -520,14 +552,25 @@ mod tests {
         MemConfig::default()
     }
 
+    /// Ticks `p` through cycle `until - 1`, collecting each response with
+    /// the cycle it left the partition (a latency-0 interconnect wide
+    /// enough for all of them).
     fn drain(p: &mut Partition, stats: &mut MemStats, until: u64) -> Vec<(u64, PartResp)> {
-        let mut out = Vec::new();
+        let mut to_sm = Icnt::new(0, u32::MAX);
+        let (mut out, mut arrived) = (Vec::new(), Vec::new());
         for now in 0..until {
-            for r in p.tick(now, stats) {
-                out.push((now, r));
-            }
+            p.tick(now, stats, &mut to_sm);
+            to_sm.deliver(now, &mut arrived);
+            out.extend(arrived.drain(..).map(|r| (now, r)));
         }
         out
+    }
+
+    /// One DRAM cycle's completed reads.
+    fn dram_tick(d: &mut Dram, now: u64, stats: &mut MemStats) -> Vec<u64> {
+        let mut done = Vec::new();
+        d.tick(now, stats, &mut done);
+        done
     }
 
     #[test]
@@ -660,14 +703,14 @@ mod tests {
         let mut s = MemStats::default();
         assert!(d.try_push(0, false));
         assert!(d.try_push(1000, false)); // different bank+row
-        d.tick(0, &mut s);
+        dram_tick(&mut d, 0, &mut s);
         assert_eq!(s.dram_reads + s.dram_writes, 1, "one issue in cycle 0");
-        d.tick(1, &mut s);
+        dram_tick(&mut d, 1, &mut s);
         assert_eq!(
             s.dram_reads, 1,
             "second issue blocked until burst slot frees"
         );
-        d.tick(u64::from(c.dram_burst_cycles), &mut s);
+        dram_tick(&mut d, u64::from(c.dram_burst_cycles), &mut s);
         assert_eq!(s.dram_reads, 2);
     }
 
@@ -679,7 +722,7 @@ mod tests {
         // Open row 0 on bank 0.
         assert!(d.try_push(0, false));
         let mut now = 0;
-        while d.tick(now, &mut s).is_empty() {
+        while dram_tick(&mut d, now, &mut s).is_empty() {
             now += 1;
         }
         // Queue: first an older request to a DIFFERENT row of bank 0,
@@ -690,13 +733,54 @@ mod tests {
         let hits_before = s.dram_row_hits;
         loop {
             now += 1;
-            let done = d.tick(now, &mut s);
+            let done = dram_tick(&mut d, now, &mut s);
             if !done.is_empty() {
                 assert_eq!(done, vec![1], "the row hit finishes first");
                 break;
             }
         }
         assert_eq!(s.dram_row_hits, hits_before + 1);
+    }
+
+    /// The two-pass pick the one-pass [`Dram::pick`] replaced: the first
+    /// free row hit, else the first free request.
+    fn pick_two_pass(d: &Dram, now: u64) -> Option<usize> {
+        let free = |req: &DramReq| d.banks[d.bank_of(req.line_addr)].busy_until <= now;
+        let hit = |req: &DramReq| {
+            d.banks[d.bank_of(req.line_addr)].open_row == Some(d.row_of(req.line_addr))
+        };
+        d.queue
+            .iter()
+            .position(|r| free(r) && hit(r))
+            .or_else(|| d.queue.iter().position(free))
+    }
+
+    /// On random queues, open rows and bank busy times, the one-pass
+    /// pick picks what the two-pass one did.
+    #[test]
+    fn one_pass_pick_equals_the_two_pass_pick() {
+        let c = cfg();
+        let mut r = vt_prng::Prng::new(0xd2a3);
+        let lines_per_row = u64::from(c.dram_row_bytes / c.line_bytes);
+        for case in 0..2000 {
+            let mut d = Dram::new(&c);
+            let rows = u64::from(r.gen_range(1..3 * c.dram_banks));
+            let now = u64::from(r.gen_range(0..50));
+            for bank in &mut d.banks {
+                bank.open_row = r
+                    .gen_bool(0.7)
+                    .then(|| u64::from(r.gen_range(0..rows as u32)));
+                bank.busy_until = u64::from(r.gen_range(0..100));
+            }
+            for _ in 0..r.gen_range(0..c.dram_queue_depth + 1) {
+                let line = u64::from(r.gen_range(0..(rows * lines_per_row) as u32));
+                d.queue.push_back(DramReq {
+                    line_addr: line,
+                    write: r.gen_bool(0.2),
+                });
+            }
+            assert_eq!(d.pick(now), pick_two_pass(&d, now), "case {case}");
+        }
     }
 
     #[test]

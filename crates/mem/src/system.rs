@@ -15,15 +15,27 @@
 //! These two calls (and their `_traced` forms) are the only way into
 //! memory: an accepted request enters the SM→partition interconnect at
 //! once, so requests are injected in the order the SMs submit them.
+//!
+//! ## Queries for a stalled SM
+//!
+//! An SM whose next tick cannot change anything visits quietly instead
+//! (DESIGN.md §18). Three calls serve it, none of which moves a request:
+//! [`MemSystem::response_ready`] says whether its front has a response
+//! to pop this cycle (the input that wakes it),
+//! [`MemSystem::refuses_load`] whether its next load submission would be
+//! refused for want of an MSHR entry or merge slot (which only a
+//! response reaching its front can change), and
+//! [`MemSystem::count_refusal`] counts the refusal such a retry would
+//! have met.
 
 use crate::cache::{Cache, Probe};
+use crate::collections::{push_sorted, IntMap};
 use crate::config::MemConfig;
 use crate::icnt::Icnt;
 use crate::mshr::{Mshr, MshrAlloc};
 use crate::partition::{PartReq, PartResp, Partition};
 use crate::stats::MemStats;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::VecDeque;
 use vt_json::{field, impl_json, Count, Json, Sorted, ToJson};
 use vt_trace::{MemLevel, NullSink, TraceEvent, TraceSink};
 
@@ -56,8 +68,6 @@ impl Submit {
 const REQ_FLITS: u32 = 1;
 /// Flits for a store request (header + 128 B data).
 const STORE_FLITS: u32 = 5;
-/// Flits for a fill response (header + 128 B data).
-const RESP_FLITS: u32 = 5;
 
 /// One SM's private slice of the memory system: L1 cache, MSHRs and the
 /// ready-response queue.
@@ -69,12 +79,14 @@ struct SmFront {
     ports_used: u32,
     window_hits: u64,
     window_accesses: u64,
-    /// Min-heap of (ready_cycle, seq, id). `seq` is per-front and makes
-    /// pop order stable for same-cycle completions; entries of one front
-    /// are never compared against another's, so per-front numbering pops
-    /// in exactly the order a globally numbered heap would.
-    resps: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    submit_times: HashMap<u64, u64>,
+    /// (ready_cycle, seq, id) in ascending order: L1 hits are due a
+    /// fixed latency after submission and fills at once, so inserts land
+    /// at or near the back. `seq` is per-front and makes pop order stable
+    /// for same-cycle completions; entries of one front are never
+    /// compared against another's, so per-front numbering pops in
+    /// exactly the order a globally numbered queue would.
+    resps: VecDeque<(u64, u64, u64)>,
+    submit_times: IntMap<u64, u64>,
     seq: u64,
     /// Front-side counters (submit path and load completion); the
     /// aggregate is assembled by [`MemSystem::stats`].
@@ -92,8 +104,8 @@ impl SmFront {
             ports_used: 0,
             window_hits: 0,
             window_accesses: 0,
-            resps: BinaryHeap::new(),
-            submit_times: HashMap::new(),
+            resps: VecDeque::new(),
+            submit_times: IntMap::default(),
             seq: 0,
             stats: MemStats::default(),
             l1_ports: cfg.l1_ports,
@@ -147,7 +159,7 @@ impl SmFront {
                     self.stats.l1_hits += 1;
                     self.seq += 1;
                     let ready = now + self.l1_hit_latency;
-                    self.resps.push(Reverse((ready, self.seq, id)));
+                    push_sorted(&mut self.resps, (ready, self.seq, id));
                     self.stats.loads_completed += 1;
                     self.stats.load_latency_sum += self.l1_hit_latency;
                     self.stats.load_latency.record(self.l1_hit_latency);
@@ -212,9 +224,9 @@ impl SmFront {
     /// Pops one completed load/atomic id ready at or before `now`; see
     /// [`MemSystem::pop_response_traced`].
     fn pop<S: TraceSink>(&mut self, now: u64, sink: &mut S) -> Option<u64> {
-        match self.resps.peek() {
-            Some(&Reverse((ready, _, _))) if ready <= now => {
-                let Reverse((_, _, id)) = self.resps.pop().expect("peeked");
+        match self.resps.front() {
+            Some(&(ready, _, _)) if ready <= now => {
+                let (_, _, id) = self.resps.pop_front().expect("peeked");
                 if S::ENABLED {
                     sink.emit(
                         now,
@@ -253,9 +265,9 @@ impl SmFront {
     }
 }
 
-// The response heap is written in ascending `(ready, seq, id)` order (each
-// key unique per front), so re-pushing reproduces the exact pop order;
-// `submit_times` is written sorted by request id.
+// The response queue is written in ascending `(ready, seq, id)` order
+// (each key unique per front), so the read-back queue pops in the exact
+// order; `submit_times` is written sorted by request id.
 impl_json!(SmFront {
     sm_id,
     cache,
@@ -283,6 +295,10 @@ pub struct MemSystem {
     stats: MemStats,
     cfg: MemConfig,
     now: u64,
+    /// Requests and responses the interconnect delivers in one cycle
+    /// (buffers reused from tick to tick, empty between ticks).
+    arrived: Vec<PartReq>,
+    returned: Vec<PartResp>,
 }
 
 impl MemSystem {
@@ -296,6 +312,8 @@ impl MemSystem {
             stats: MemStats::default(),
             cfg: cfg.clone(),
             now: 0,
+            arrived: Vec::new(),
+            returned: Vec::new(),
         }
     }
 
@@ -334,12 +352,11 @@ impl MemSystem {
         }
         // Partitions produce responses into the SM-bound network.
         for p in &mut self.partitions {
-            for resp in p.tick_traced(now, &mut self.stats, sink) {
-                self.to_sm.push(now, RESP_FLITS, resp);
-            }
+            p.tick_traced(now, &mut self.stats, &mut self.to_sm, sink);
         }
         // Requests arrive at partitions.
-        for req in self.to_mem.deliver(now) {
+        self.to_mem.deliver(now, &mut self.arrived);
+        for req in self.arrived.drain(..) {
             if S::ENABLED && req.kind != ReqKind::Store {
                 sink.emit(
                     now,
@@ -354,9 +371,12 @@ impl MemSystem {
             self.partitions[p].push(req);
         }
         // Responses arrive at L1s.
-        for resp in self.to_sm.deliver(now) {
+        let mut returned = std::mem::take(&mut self.returned);
+        self.to_sm.deliver(now, &mut returned);
+        for resp in returned.drain(..) {
             self.on_response(resp, now, sink);
         }
+        self.returned = returned;
     }
 
     fn on_response<S: TraceSink>(&mut self, resp: PartResp, now: u64, sink: &mut S) {
@@ -377,7 +397,7 @@ impl MemSystem {
                         );
                     }
                     front.seq += 1;
-                    front.resps.push(Reverse((now, front.seq, id)));
+                    push_sorted(&mut front.resps, (now, front.seq, id));
                     front.finish_load(id, now);
                 }
             }
@@ -393,7 +413,7 @@ impl MemSystem {
                     );
                 }
                 front.seq += 1;
-                front.resps.push(Reverse((now, front.seq, resp.id)));
+                push_sorted(&mut front.resps, (now, front.seq, resp.id));
                 front.finish_load(resp.id, now);
             }
             ReqKind::Store => {}
@@ -437,6 +457,29 @@ impl MemSystem {
     /// response closes the request's async span ([`TraceEvent::MemEnd`]).
     pub fn pop_response_traced<S: TraceSink>(&mut self, sm: usize, sink: &mut S) -> Option<u64> {
         self.fronts[sm].pop(self.now, sink)
+    }
+
+    /// Whether SM `sm` has a response to pop this cycle.
+    pub fn response_ready(&self, sm: usize) -> bool {
+        let front = self.fronts[sm].resps.front();
+        front.is_some_and(|&(ready, _, _)| ready <= self.now)
+    }
+
+    /// Whether SM `sm`'s next submission of a load of `line_addr`, made
+    /// first in a later cycle, would be refused for want of an MSHR entry
+    /// or merge slot: the line misses the L1 and the MSHRs cannot take
+    /// it. Only a response reaching the SM's front frees an entry or
+    /// fills a line, and every such response is also one to pop, so the
+    /// answer holds until [`MemSystem::response_ready`] says so.
+    pub fn refuses_load(&self, sm: usize, line_addr: u64) -> bool {
+        let front = &self.fronts[sm];
+        !front.cache.contains(line_addr) && front.mshr.refuses(line_addr)
+    }
+
+    /// Counts one L1 refusal for SM `sm`: what a retried submission that
+    /// [`MemSystem::refuses_load`] refuses would have counted.
+    pub fn count_refusal(&mut self, sm: usize) {
+        self.fronts[sm].stats.l1_stalls += 1;
     }
 
     /// Whether the entire hierarchy has no request in flight.
@@ -487,8 +530,10 @@ impl MemSystem {
 
     /// Rebuilds a hierarchy from its checkpoint ([`ToJson`]). `cfg`
     /// supplies the line-interleaving function and must be the config the
-    /// checkpoint was taken under; structural mismatches (partition count)
-    /// are rejected.
+    /// checkpoint was taken under; structural mismatches (partition count,
+    /// MSHR capacities) are rejected, and so is a load in flight below an
+    /// L1 that waits for no such line: its fill would free no entry and
+    /// answer nobody, yet make the line hit.
     ///
     /// # Errors
     ///
@@ -502,6 +547,8 @@ impl MemSystem {
             stats: field(v, "stats")?,
             cfg: cfg.clone(),
             now: field(v, "now")?,
+            arrived: Vec::new(),
+            returned: Vec::new(),
         };
         // Responses are routed to `fronts[sm]` by the SM each request
         // names, and a front names itself in its requests.
@@ -509,16 +556,22 @@ impl MemSystem {
         if let Some((i, f)) = mem.fronts.iter().enumerate().find(|(i, f)| f.sm_id != *i) {
             return Err(format!("front {i} names itself SM {}", f.sm_id));
         }
-        let requests = mem.to_mem.items().map(|r| r.sm);
-        let responses = mem.to_sm.items().map(|r| r.sm);
-        let held = mem.partitions.iter().flat_map(Partition::sms);
-        if let Some(sm) = requests
-            .chain(responses)
-            .chain(held)
-            .find(|&sm| sm >= num_sms)
-        {
+        let requests = mem.to_mem.items().map(|r| (r.sm, r.line_addr, r.kind));
+        let responses = mem.to_sm.items().map(|r| (r.sm, r.line_addr, r.kind));
+        let held = mem.partitions.iter().flat_map(Partition::held);
+        let below_l1: Vec<_> = requests.chain(responses).chain(held).collect();
+        if let Some((sm, ..)) = below_l1.iter().find(|&&(sm, ..)| sm >= num_sms) {
             return Err(format!(
                 "memory request names SM {sm}, but there are {num_sms}"
+            ));
+        }
+        if let Some((sm, line, _)) = below_l1
+            .iter()
+            .find(|&&(sm, line, kind)| kind == ReqKind::Load && !mem.fronts[sm].mshr.pending(line))
+        {
+            return Err(format!(
+                "memory: a load of line {line} is in flight for SM {sm}, \
+                 whose L1 has no miss pending on it"
             ));
         }
         if mem.partitions.len() != cfg.partitions as usize {
@@ -527,6 +580,17 @@ impl MemSystem {
                 mem.partitions.len(),
                 cfg.partitions
             ));
+        }
+        let l1 = (cfg.l1_mshr_entries, cfg.l1_mshr_merges);
+        let l2 = (cfg.l2_mshr_entries, cfg.l2_mshr_merges);
+        let tables = (mem.fronts.iter().map(|f| ("L1", f.mshr.capacities(), l1)))
+            .chain((mem.partitions.iter()).map(|p| ("L2", p.mshr().capacities(), l2)));
+        for (level, got, want) in tables {
+            if got != want {
+                return Err(format!(
+                    "{level} MSHRs of {got:?} (entries, merges), config has {want:?}"
+                ));
+            }
         }
         Ok(mem)
     }

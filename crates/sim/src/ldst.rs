@@ -7,6 +7,7 @@ use vt_isa::Reg;
 use vt_json::{
     decode_elem, elems, impl_json, not_a, Codec, Count, FromJson, Json, NonZero, ToJson,
 };
+use vt_mem::collections::IntMap;
 use vt_mem::{MemSystem, ReqKind, Submit};
 use vt_trace::{NullSink, TraceSink};
 
@@ -81,15 +82,15 @@ impl_json!(LoadGroup [token, warp_slot, warp_uid, dst: RegNum, remaining, missed
 /// written twice is refused.
 struct ByToken;
 
-impl Codec<HashMap<u64, LoadGroup>> for ByToken {
-    fn encode(groups: &HashMap<u64, LoadGroup>) -> Json {
+impl Codec<IntMap<u64, LoadGroup>> for ByToken {
+    fn encode(groups: &IntMap<u64, LoadGroup>) -> Json {
         let mut rows: Vec<&LoadGroup> = groups.values().collect();
         rows.sort_unstable_by_key(|g| g.token);
         rows.to_json()
     }
 
-    fn decode(v: &Json) -> Result<HashMap<u64, LoadGroup>, String> {
-        let mut groups = HashMap::new();
+    fn decode(v: &Json) -> Result<IntMap<u64, LoadGroup>, String> {
+        let mut groups = IntMap::default();
         for (i, g) in Vec::<LoadGroup>::from_json(v)?.into_iter().enumerate() {
             if groups.insert(g.token, g).is_some() {
                 return Err(format!("[{i}] repeats a token"));
@@ -155,8 +156,8 @@ pub struct LdstUnit {
     queue: VecDeque<MemWork>,
     depth: usize,
     smem_latency: u64,
-    groups: HashMap<u64, LoadGroup>,
-    req_to_group: HashMap<u64, u64>,
+    groups: IntMap<u64, LoadGroup>,
+    req_to_group: IntMap<u64, u64>,
     next_id: u64,
     sm_id: usize,
     /// Shared loads whose rounds finished, in ready order.
@@ -171,8 +172,8 @@ impl LdstUnit {
             queue: VecDeque::new(),
             depth: depth.max(1) as usize,
             smem_latency: u64::from(smem_latency),
-            groups: HashMap::new(),
-            req_to_group: HashMap::new(),
+            groups: IntMap::default(),
+            req_to_group: IntMap::default(),
             next_id: 0,
             sm_id,
             smem_inflight: VecDeque::new(),
@@ -187,6 +188,25 @@ impl LdstUnit {
     /// Queue occupancy.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The line the queue's head submits next, when the head is a global
+    /// load.
+    pub(crate) fn head_load(&self) -> Option<u64> {
+        match &self.queue.front()?.body {
+            MemWorkBody::Global {
+                lines,
+                submitted,
+                kind: ReqKind::Load,
+                ..
+            } => Some(lines[*submitted]),
+            _ => None,
+        }
+    }
+
+    /// The cycle the next shared-memory load finishes its latency.
+    pub(crate) fn smem_due(&self) -> Option<u64> {
+        self.smem_inflight.front().map(|load| load.ready)
     }
 
     fn fresh_id(&mut self) -> u64 {

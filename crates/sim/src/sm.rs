@@ -175,16 +175,25 @@ pub struct Run<'a> {
     /// Resident CTAs of the kernel per SM its admission policy allows
     /// (`vt_isa::limits`), worked out once so dispatch compares only.
     resident_bound: u32,
+    /// CTAs of the kernel that may hold an active slot at once: the
+    /// scheduling limit, or no bound. Every slot-holding CTA has the
+    /// kernel's warps, so this one number states both slot limits.
+    active_bound: u32,
 }
 
 impl<'a> Run<'a> {
     /// The run of `kernel` under `core` and `res`.
     pub fn new(kernel: &'a Kernel, core: &'a CoreConfig, res: &'a ResidencyConfig) -> Run<'a> {
+        let bounds = core.limits().bounds(kernel);
         Run {
             kernel,
             core,
             res,
-            resident_bound: res.admission.resident_bound(&core.limits().bounds(kernel)),
+            resident_bound: res.admission.resident_bound(&bounds),
+            active_bound: match res.active {
+                ActivePolicy::SchedulingLimit => bounds.scheduling(),
+                ActivePolicy::Unlimited => u32::MAX,
+            },
         }
     }
 }
@@ -309,6 +318,30 @@ pub struct Sm {
     /// No CTA mid-swap finishes before this cycle (`u64::MAX`: none
     /// swaps).
     swap_due: u64,
+    /// Set by a tick that found the SM's next ticks fixed: until it
+    /// expires, a visit only charges what that tick charged.
+    quiet: Option<Quiet>,
+    /// Visits that took the quiet path (read by tests).
+    quiet_visits: u64,
+}
+
+/// What a quiet visit charges (DESIGN.md §18). A tick that issued
+/// nothing records it when no warp is scoreboard-clear, no inactive CTA
+/// is ready and the LD/ST queue is empty or its head is a load the L1
+/// refuses for want of an MSHR entry or merge slot. The next tick that
+/// can then change anything is at `until`, the first writeback,
+/// shared-memory completion, swap completion or throttle boundary, or
+/// sooner when a response reaches the SM's L1 front or the dispatcher
+/// admits a CTA.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Quiet {
+    /// The first cycle whose tick may change something.
+    until: u64,
+    /// The idle class and blame the recording tick charged.
+    class: Option<(StallReason, Option<usize>)>,
+    /// Whether the LD/ST head is a refused load, which a tick retries
+    /// and the L1 counts as one `l1_stalls`.
+    refused: bool,
 }
 
 impl Sm {
@@ -356,6 +389,8 @@ impl Sm {
             active_stalls: [0; 2],
             ready_ctas: Vec::new(),
             swap_due: u64::MAX,
+            quiet: None,
+            quiet_visits: 0,
         }
     }
 
@@ -377,6 +412,7 @@ impl Sm {
     /// Panics if [`Sm::can_admit`] would return false.
     pub fn admit<S: TraceSink>(&mut self, cta_id: u32, ctx: &mut Ctx<'_, S>) {
         assert!(self.can_admit(ctx.run), "admit called without can_admit");
+        self.quiet = None;
         let (kernel, now) = (ctx.run.kernel, ctx.now);
         let wpc = kernel.warps_per_cta();
         let nthreads = kernel.threads_per_cta();
@@ -463,17 +499,6 @@ impl Sm {
         self.try_activate(ctx);
     }
 
-    fn active_slot_available(&self, wpc: u32, run: Run<'_>) -> bool {
-        let core = run.core;
-        match run.res.active {
-            ActivePolicy::Unlimited => true,
-            ActivePolicy::SchedulingLimit => {
-                self.slot_ctas < core.max_ctas_per_sm
-                    && self.slot_warps + wpc <= core.max_warps_per_sm
-            }
-        }
-    }
-
     /// Whether an inactive CTA could make forward progress if activated:
     /// the specification of membership in `ready_ctas`.
     fn cta_ready(&self, cta: &CtaRt) -> bool {
@@ -499,9 +524,8 @@ impl Sm {
     /// active slots are available.
     fn try_activate<S: TraceSink>(&mut self, ctx: &mut Ctx<'_, S>) {
         let (now, stats) = (ctx.now, &mut *ctx.stats);
-        let wpc = ctx.run.kernel.warps_per_cta();
         while let Some(&(_, slot)) = self.ready_ctas.first() {
-            if !self.active_slot_available(wpc, ctx.run) {
+            if self.slot_ctas >= ctx.run.active_bound {
                 return;
             }
             self.ready_ctas.remove(0);
@@ -777,7 +801,10 @@ impl Sm {
     /// counters and a ready-CTA set that every event keeps current, so a
     /// parked warp or CTA costs nothing until the event that unblocks it.
     /// This relies on `ctx.run` being the same on every tick of one SM,
-    /// as it is within a run: the engine builds it once.
+    /// as it is within a run: the engine builds it once. After a tick
+    /// that finds the SM's next ticks fixed ([`Quiet`]), visits until the
+    /// next timed input only charge what that tick charged, unless a
+    /// response is ready at the SM's L1 front.
     ///
     /// # Errors
     ///
@@ -792,6 +819,21 @@ impl Sm {
         if self.decoded.len() != kernel.program().len() {
             self.decoded = kernel.program().instrs().iter().map(Decoded::of).collect();
             self.rebuild_derived();
+        }
+        if let Some(quiet) = self.quiet {
+            if now < quiet.until && !ctx.mem.response_ready(self.id) {
+                if cfg!(debug_assertions) {
+                    self.check_quiet(quiet, ctx);
+                }
+                self.quiet_visits += 1;
+                if quiet.refused {
+                    ctx.mem.count_refusal(self.id);
+                }
+                self.charge_cycle(ctx.stats);
+                charge_idle(ctx.stats, quiet.class, attr);
+                return Ok(());
+            }
+            self.quiet = None;
         }
 
         // 1. Short-latency writebacks.
@@ -893,7 +935,88 @@ impl Sm {
         }
         let class = self.classify(stats.hotspots.is_some());
         charge_idle(stats, class, attr);
+        self.quiet = self
+            .quiet_wake(now, ctx.run, ctx.mem)
+            .map(|(until, refused)| Quiet {
+                until,
+                class,
+                refused,
+            });
         Ok(())
+    }
+
+    /// After a tick that issued nothing: when the next ticks are fixed
+    /// ([`Quiet`]), the first cycle whose tick may change something, and
+    /// whether the LD/ST head is a refused load.
+    fn quiet_wake(&self, now: u64, run: Run<'_>, mem: &MemSystem) -> Option<(u64, bool)> {
+        let mut masks = self.partitions.iter().flat_map(|p| &p.masks);
+        if !self.ready_ctas.is_empty() || masks.any(|word| word[CLEAR] != 0) {
+            return None;
+        }
+        let refused = match self.ldst.head_load() {
+            _ if self.ldst.queue_len() == 0 => false,
+            Some(line) if mem.refuses_load(self.id, line) => true,
+            _ => return None,
+        };
+        let throttled = run.res.swap.is_some_and(|s| s.throttle.is_some());
+        let until = [
+            self.writebacks.front().map(|&(ready, ..)| ready),
+            self.ldst.smem_due(),
+            Some(self.swap_due),
+            throttled.then_some(self.throttle_window_end),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .expect("swap_due is always there");
+        (until > now + 1).then_some((until, refused))
+    }
+
+    /// Debug cross-check, run on every quiet visit: what
+    /// [`Sm::quiet_wake`] found still holds, stated from the tick's
+    /// inputs. No warp can issue and no CTA waits to activate, every timed
+    /// input is still ahead, the LD/ST head is still the load the L1
+    /// refuses, no response is ready, and the cycle classifies as the
+    /// recording tick's did.
+    fn check_quiet<S>(&self, quiet: Quiet, ctx: &Ctx<'_, S>) {
+        let (id, now) = (self.id, ctx.now);
+        self.check_derived(now, ctx.run.kernel);
+        let mut masks = self.partitions.iter().flat_map(|p| &p.masks);
+        assert!(
+            masks.all(|word| word[CLEAR] == 0) && self.ready_ctas.is_empty(),
+            "SM {id} cycle {now}: a quiet SM has a warp or CTA to schedule"
+        );
+        let throttle = ctx.run.res.swap.and_then(|s| s.throttle);
+        let timers = [
+            ("writeback", self.writebacks.front().map(|wb| wb.0)),
+            ("shared load", self.ldst.smem_due()),
+            ("swap", Some(self.swap_due)),
+            (
+                "throttle window",
+                throttle.map(|_| self.throttle_window_end),
+            ),
+        ];
+        for (what, due) in timers {
+            assert!(
+                due.is_none_or(|t| t > now),
+                "SM {id} cycle {now}: a quiet SM has a {what} due"
+            );
+        }
+        let head = self.ldst.head_load();
+        let refused = head.is_some_and(|line| ctx.mem.refuses_load(id, line));
+        assert!(
+            quiet.refused == (self.ldst.queue_len() > 0) && quiet.refused == refused,
+            "SM {id} cycle {now}: a quiet SM's LD/ST head can move"
+        );
+        assert!(
+            !ctx.mem.response_ready(id),
+            "SM {id} cycle {now}: a quiet SM has a response to pop"
+        );
+        assert_eq!(
+            self.classify(ctx.stats.hotspots.is_some()),
+            quiet.class,
+            "SM {id} cycle {now}: a quiet SM's idle class moved"
+        );
     }
 
     // ----- derived state ----------------------------------------------------
@@ -932,6 +1055,7 @@ impl Sm {
             cta.warps_unblocked = 0;
         }
         self.active_stalls = [0; 2];
+        self.quiet = None;
         self.ready_ctas = self.ready_ctas_by_scan();
         self.swap_due = self
             .ctas
@@ -1782,9 +1906,17 @@ impl Sm {
         // The trigger counters follow a warp's `cta_slot`, occupancy and
         // the issue list a CTA's warp list, so the two must agree: each
         // slot on one resident CTA's list, naming that CTA, and every live
-        // warp on a list.
+        // warp on a list. Activation counts slot-holding CTAs only, so
+        // each resident CTA lists all of the kernel's warps.
         let mut owner = vec![None; warps.len()];
         for (slot, cta) in ctas.iter().enumerate().filter(|(_, c)| c.is_resident()) {
+            if cta.warps.len() != kernel.warps_per_cta() as usize {
+                return Err(format!(
+                    "CTA warp list: CTA slot {slot} lists {} warps, but a CTA has {}",
+                    cta.warps.len(),
+                    kernel.warps_per_cta()
+                ));
+            }
             for &w in &cta.warps {
                 if owner[w].replace(slot).is_some() || warps[w].cta_slot != slot {
                     return Err(format!(
@@ -1890,6 +2022,8 @@ impl Sm {
             active_stalls: [0; 2],
             ready_ctas: Vec::new(),
             swap_due: u64::MAX,
+            quiet: None,
+            quiet_visits: 0,
         };
         sm.reset_derived();
         Ok(sm)
@@ -2047,7 +2181,16 @@ mod tests {
 
     impl Rig {
         fn new(kernel: Kernel, core: CoreConfig, res: ResidencyConfig, profiled: bool) -> Rig {
-            let mem_cfg = MemConfig::default();
+            Rig::with_mem(kernel, core, res, profiled, MemConfig::default())
+        }
+
+        fn with_mem(
+            kernel: Kernel,
+            core: CoreConfig,
+            res: ResidencyConfig,
+            profiled: bool,
+            mem_cfg: MemConfig,
+        ) -> Rig {
             Rig {
                 mem: MemSystem::new(&mem_cfg, 1),
                 image: kernel.global_mem().clone(),
@@ -2099,7 +2242,8 @@ mod tests {
         }
 
         /// Runs the whole grid, dispatching like the engine (after the
-        /// tick, one CTA per cycle).
+        /// tick, one CTA per cycle), and returns its stats with the
+        /// memory system's.
         fn run(mut self) -> RunStats {
             loop {
                 let work_left = self.next_cta < self.kernel.num_ctas();
@@ -2113,6 +2257,7 @@ mod tests {
                 }
                 let drained = self.next_cta >= self.kernel.num_ctas();
                 if drained && self.sm.idle() && self.mem.quiesced() {
+                    self.stats.mem = self.mem.stats();
                     return self.stats;
                 }
                 assert!(self.now < 1_000_000, "rig run did not finish");
@@ -2130,10 +2275,20 @@ mod tests {
 
     impl Twins {
         fn new(kernel: Kernel, core: CoreConfig, res: ResidencyConfig) -> Twins {
-            let mut rebuilt = Rig::new(kernel.clone(), core.clone(), res, false);
+            Twins::with_mem(kernel, core, res, MemConfig::default())
+        }
+
+        fn with_mem(
+            kernel: Kernel,
+            core: CoreConfig,
+            res: ResidencyConfig,
+            mem_cfg: MemConfig,
+        ) -> Twins {
+            let rig = |k, c| Rig::with_mem(k, c, res, false, mem_cfg.clone());
+            let mut rebuilt = rig(kernel.clone(), core.clone());
             rebuilt.rebuilt = true;
             Twins {
-                kept: Rig::new(kernel, core, res, false),
+                kept: rig(kernel, core),
                 rebuilt,
             }
         }
@@ -2146,11 +2301,15 @@ mod tests {
         fn tick_with(&mut self, attr: EmptyAttr) {
             self.kept.tick_with(attr);
             self.rebuilt.tick_with(attr);
+            let cycle = self.kept.now - 1;
             assert_eq!(
-                self.kept.stats,
-                self.rebuilt.stats,
-                "cycle {}: the twins diverged",
-                self.kept.now - 1
+                self.kept.stats, self.rebuilt.stats,
+                "cycle {cycle}: the twins diverged"
+            );
+            assert_eq!(
+                self.kept.mem.stats(),
+                self.rebuilt.mem.stats(),
+                "cycle {cycle}: the twins' memory systems diverged"
             );
         }
 
@@ -2455,6 +2614,63 @@ mod tests {
                 assert!(t.now() < 100_000, "{scheduler:?}: did not finish");
             }
             assert_eq!(t.stats().warp_instrs, 80 * 3);
+        }
+    }
+
+    /// A gather that touches a line per thread, behind an L1 of two MSHR
+    /// entries: its loads wait on memory, and the LD/ST head is refused
+    /// for want of an entry most of the time. The SM that visits quietly
+    /// keeps step with its twin that ticks in full (the rebuilt twin
+    /// drops its quiet state with the rest of its derived state), memory
+    /// counters included, under every architecture's residency.
+    #[test]
+    fn memory_stalled_sm_visits_quietly_and_charges_like_a_tick() {
+        let mut b = KernelBuilder::new("gather");
+        let xs = b.alloc_global(8 * 64 * 32 + 32);
+        let (gid, off, v) = (b.reg(), b.reg(), b.reg());
+        b.global_thread_id(gid);
+        b.shl(off, Operand::Reg(gid), Operand::Imm(7));
+        b.ld_global(v, Operand::Reg(off), xs as i32);
+        b.add(v, Operand::Reg(v), Operand::Imm(1));
+        b.ld_global(v, Operand::Reg(off), xs as i32 + 4);
+        b.st_global(Operand::Reg(off), xs as i32, Operand::Reg(v));
+        b.exit();
+        let kernel = b.build(8, 64).unwrap();
+        let core = CoreConfig {
+            max_ctas_per_sm: 2,
+            ..CoreConfig::default()
+        };
+        let mem = MemConfig {
+            l1_mshr_entries: 2,
+            ..MemConfig::default()
+        };
+        let ideal = ResidencyConfig {
+            active: ActivePolicy::Unlimited,
+            swap: None,
+            ..vt_residency(0, None)
+        };
+        for res in [ResidencyConfig::baseline(), vt_residency(4, None), ideal] {
+            let mut t = Twins::with_mem(kernel.clone(), core.clone(), res, mem.clone());
+            let (mut next, mut refused) = (0, 0);
+            while t.stats().ctas_completed < 8 {
+                let (sm, ctx) = t.kept.split();
+                if next < 8 && sm.can_admit(ctx.run) {
+                    t.admit();
+                    next += 1;
+                }
+                t.tick();
+                refused += u64::from(t.sm().quiet.is_some_and(|q| q.refused));
+                assert!(t.now() < 200_000, "{res:?}: did not finish");
+            }
+            let visits = t.sm().quiet_visits;
+            assert!(
+                visits > t.now() / 20,
+                "{res:?}: {visits} quiet visits of {}",
+                t.now()
+            );
+            assert!(refused > 0, "{res:?}: no quiet visit found a refused head");
+            assert!(t.kept.mem.stats().l1_stalls > refused);
+            assert_eq!(t.rebuilt.sm.quiet_visits, 0);
         }
     }
 

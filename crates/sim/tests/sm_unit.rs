@@ -276,7 +276,11 @@ fn admission_respects_shared_memory_capacity() {
 /// against its definition per resource: on random footprints and SM
 /// limits, filling an SM never overfills a limit the policy respects, and
 /// stops only when one more CTA would (a warp-slot bound among them, the
-/// case `swap_config` builds).
+/// case `swap_config` builds). Activation, as the one bound `Run` works
+/// out from `CtaBounds::scheduling`, against its definition too: the
+/// CTAs holding an active slot fit the CTA and warp slots, and one more
+/// would not unless every resident CTA is active (no bound under
+/// `ActivePolicy::Unlimited`).
 #[test]
 fn admission_fills_to_the_first_respected_limit_and_no_further() {
     let mut r = vt_prng::Prng::new(0xad_0175);
@@ -296,8 +300,14 @@ fn admission_fills_to_the_first_respected_limit_and_no_further() {
                 max_resident_ctas: Some(r.gen_range(1..40)),
             },
         };
+        let active = if r.gen_bool(0.5) {
+            ActivePolicy::SchedulingLimit
+        } else {
+            ActivePolicy::Unlimited
+        };
         let mut rig = Rig::new(ResidencyConfig {
             admission: policy,
+            active,
             ..vt_residency()
         });
         rig.core.max_ctas_per_sm = r.gen_range(1..17);
@@ -333,6 +343,23 @@ fn admission_fills_to_the_first_respected_limit_and_no_further() {
                 now.3 + k.smem_bytes_per_cta()
             ),
             "case {case}: stopped at {admitted} CTAs with room for another under {policy:?}"
+        );
+
+        let wpc = k.warps_per_cta();
+        let activates = |ctas: u32| match active {
+            ActivePolicy::SchedulingLimit => {
+                ctas <= core.max_ctas_per_sm && ctas * wpc <= core.max_warps_per_sm
+            }
+            ActivePolicy::Unlimited => true,
+        };
+        let slots = sm.slot_ctas();
+        assert!(
+            activates(slots),
+            "case {case}: {slots} active CTAs under {active:?}"
+        );
+        assert!(
+            slots == admitted || !activates(slots + 1),
+            "case {case}: {slots} of {admitted} CTAs active with room for another"
         );
     }
 }

@@ -15,6 +15,7 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use vt_core::{Architecture, RunBudget, RunOutcome};
 use vt_isa::Kernel;
+use vt_json::Json;
 use vt_prng::Prng;
 use vt_sim::{Checkpoint, GpuSim, RunStats, SimConfig};
 use vt_tests::checkpoints::{cut, run_cycles, swap_config};
@@ -368,4 +369,106 @@ fn a_top_simt_entry_at_its_reconvergence_pc_is_refused() {
             .contains("field `stack`[1] is the top entry but is at its reconvergence PC"),
         "{err}"
     );
+}
+
+/// The value under `key` of the object `v`.
+fn at<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+    match v {
+        Json::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+        _ => panic!("`{key}`: not an object"),
+    }
+}
+
+/// The elements of the array `v`.
+fn items(v: &mut Json) -> &mut Vec<Json> {
+    match v {
+        Json::Array(items) => items,
+        _ => panic!("not an array"),
+    }
+}
+
+/// An edit of a checkpoint document, or of a part of one.
+type Edit<'a> = dyn Fn(&mut Json) + 'a;
+
+/// SM `sm`'s L1 MSHR table in checkpoint document `doc`.
+fn l1_mshr(doc: &mut Json, sm: usize) -> &mut Json {
+    at(&mut items(at(at(doc, "mem"), "fronts"))[sm], "mshr")
+}
+
+/// Memory state the quiet SM visit assumes no run builds, each refused
+/// with a diagnostic: an L1 MSHR line with no waiters (its fill would
+/// free an entry, answer nobody and leave a refused load head asleep),
+/// a table with more lines than entries or a line with more waiters than
+/// merge slots, MSHR capacities other than the config's, and loads in
+/// flight below an L1 that waits for no such line (a fill would make
+/// the line hit without a response). A resident CTA that lists fewer
+/// than the kernel's warps is refused too: activation counts
+/// slot-holding CTAs, each taken to hold the kernel's warps. `bfs` under
+/// VT, cut at half its run; every memory edit is to the L1 table with
+/// the most lines in flight.
+#[test]
+fn memory_and_residency_tables_no_run_builds_are_refused() {
+    let w = full_suite(&Scale::test())
+        .into_iter()
+        .find(|w| w.name == "bfs")
+        .expect("bfs is in the suite");
+    let cfg = config(&w.kernel);
+    let ckpt = cut(&cfg, &w.kernel, run_cycles(&cfg, &w.kernel) / 2);
+    let refusal = |edit: &Edit<'_>| -> String {
+        let mut doc = ckpt.json().clone();
+        edit(&mut doc);
+        match Checkpoint::parse(&doc.compact()).and_then(|c| GpuSim::resume(&cfg, &w.kernel, &c)) {
+            Ok(_) => "accepted".to_string(),
+            Err(e) => e.to_string(),
+        }
+    };
+    assert_eq!(refusal(&|_| {}), "accepted");
+    let mut doc = ckpt.json().clone();
+    let lines = |doc: &mut Json, sm| items(at(l1_mshr(doc, sm), "entries")).len();
+    let sm = (0..cfg.core.num_sms as usize)
+        .max_by_key(|&sm| lines(&mut doc, sm))
+        .expect("an SM");
+    assert!(
+        lines(&mut doc, sm) >= 2,
+        "bfs has under two L1 misses in flight at the cut"
+    );
+    let uint = |v: &Json| match v {
+        Json::UInt(n) => *n,
+        _ => panic!("not a count"),
+    };
+    let probes: [(&str, &Edit<'_>); 5] = [
+        ("has no waiters", &|m| {
+            items(&mut items(at(m, "entries"))[0])[1] = Json::Array(Vec::new());
+        }),
+        ("lines, but has", &|m| {
+            let lines = items(at(m, "entries")).len() as u64;
+            *at(m, "max_entries") = Json::UInt(lines - 1);
+        }),
+        ("waiters, but a line merges", &|m| {
+            let merges = uint(at(m, "max_merges")) as usize;
+            let waiters = items(&mut items(&mut items(at(m, "entries"))[0])[1]);
+            let id = waiters[0].clone();
+            waiters.resize(merges + 1, id);
+        }),
+        ("L1 MSHRs of", &|m| {
+            let merges = uint(at(m, "max_merges"));
+            *at(m, "max_merges") = Json::UInt(merges + 1);
+        }),
+        ("whose L1 has no miss pending on it", &|m| {
+            items(at(m, "entries")).clear();
+        }),
+    ];
+    for (diagnostic, edit) in probes {
+        let got = refusal(&|doc| edit(l1_mshr(doc, sm)));
+        assert!(got.contains(diagnostic), "want {diagnostic:?}, got {got:?}");
+    }
+    let short_cta = refusal(&|doc| {
+        let sm = at(&mut items(at(doc, "lanes"))[0], "sm");
+        let ctas = items(at(sm, "ctas"));
+        let resident = (0..ctas.len())
+            .find(|&i| !items(at(&mut ctas[i], "warps")).is_empty())
+            .expect("a resident CTA");
+        items(at(&mut ctas[resident], "warps")).pop();
+    });
+    assert!(short_cta.contains("warps, but a CTA has"), "{short_cta}");
 }

@@ -8,7 +8,11 @@
 //! every cycle, while the uninterrupted run maintains it incrementally;
 //! comparing the two compares "rebuilt from scratch" with "kept by
 //! events" on everything a run produces, under all four architectures
-//! (MemSwap's long swaps exercise the swap-completion timer). The second
+//! (MemSwap's long swaps exercise the swap-completion timer). A stalled SM
+//! visits quietly only after a tick of its own recorded that nothing can
+//! change, and a resumed SM starts awake, so the sliced run never takes a
+//! quiet visit while the uninterrupted one does: with two L1 MSHR entries
+//! per SM, most of them behind an LD/ST head the L1 refuses. The second
 //! half closes a gap the test-scale functional-equivalence suite leaves:
 //! at paper scale, where VT really swaps, the simulator's final image
 //! must still equal the interpreter's.
@@ -31,8 +35,9 @@ fn workload(scale: &Scale, name: &str) -> Workload {
 /// six-CTA test grids oversubscribe it and VT swaps; metrics and the
 /// per-PC profile on, so series and profile are compared too. The caches
 /// are shrunk as well: their tag arrays are most of a checkpoint, and
-/// this test takes one per simulated cycle.
-fn shrunken(arch: Architecture, kernel: &Kernel) -> SimConfig {
+/// this test takes one per simulated cycle. `l1_mshrs` shrinks the L1
+/// MSHR table too.
+fn shrunken(arch: Architecture, kernel: &Kernel, l1_mshrs: Option<u32>) -> SimConfig {
     let mut core = vt_core::CoreConfig {
         num_sms: 2,
         max_ctas_per_sm: 2,
@@ -41,11 +46,13 @@ fn shrunken(arch: Architecture, kernel: &Kernel) -> SimConfig {
         ..vt_core::CoreConfig::default()
     };
     core.max_warps_per_sm = core.max_ctas_per_sm * kernel.warps_per_cta();
+    let roomy = vt_core::MemConfig::default();
     let mem = vt_core::MemConfig {
         l1_bytes: 2 * 1024,
         partitions: 2,
         l2_slice_bytes: 8 * 1024,
-        ..vt_core::MemConfig::default()
+        l1_mshr_entries: l1_mshrs.unwrap_or(roomy.l1_mshr_entries),
+        ..roomy
     };
     SimConfig {
         residency: arch.residency_for(kernel, &core, &mem),
@@ -79,14 +86,20 @@ fn one_cycle_slices(cfg: &SimConfig, kernel: &Kernel) -> RunResult {
 }
 
 /// One suite kernel under every architecture: sliced ≡ uninterrupted on
-/// stats (which carry the series and the per-PC profile) and on the
-/// image.
-fn one_cycle_slices_equal_the_uninterrupted_run(name: &str) {
+/// stats (which carry the series, the per-PC profile and the memory
+/// counters) and on the image.
+fn one_cycle_slices_equal_the_uninterrupted_run(name: &str, l1_mshrs: Option<u32>) {
     let w = workload(&Scale::test(), name);
     for arch in Architecture::standard() {
         let label = format!("{name} under {}", arch.label());
-        let cfg = shrunken(arch, &w.kernel);
+        let cfg = shrunken(arch, &w.kernel, l1_mshrs);
         let want = uninterrupted(&cfg, &w.kernel);
+        if l1_mshrs.is_some() {
+            assert!(
+                want.stats.mem.l1_stalls > 0,
+                "{label}: the L1 never refused"
+            );
+        }
         let got = one_cycle_slices(&cfg, &w.kernel);
         if matches!(
             arch,
@@ -107,22 +120,27 @@ fn one_cycle_slices_equal_the_uninterrupted_run(name: &str) {
 
 #[test]
 fn sliced_histo_equals_uninterrupted() {
-    one_cycle_slices_equal_the_uninterrupted_run("histo"); // atomic histogram
+    one_cycle_slices_equal_the_uninterrupted_run("histo", None); // atomic histogram
 }
 
 #[test]
 fn sliced_nw_equals_uninterrupted() {
-    one_cycle_slices_equal_the_uninterrupted_run("nw"); // single-warp wavefront CTAs
+    one_cycle_slices_equal_the_uninterrupted_run("nw", None); // single-warp wavefront CTAs
 }
 
 #[test]
 fn sliced_stencil_equals_uninterrupted() {
-    one_cycle_slices_equal_the_uninterrupted_run("stencil"); // 3-D stencil
+    one_cycle_slices_equal_the_uninterrupted_run("stencil", None); // 3-D stencil
 }
 
 #[test]
 fn sliced_hotbins_equals_uninterrupted() {
-    one_cycle_slices_equal_the_uninterrupted_run("hotbins"); // zoo: contended atomics
+    one_cycle_slices_equal_the_uninterrupted_run("hotbins", None); // zoo: contended atomics
+}
+
+#[test]
+fn sliced_hotspot_with_two_l1_mshrs_equals_uninterrupted() {
+    one_cycle_slices_equal_the_uninterrupted_run("hotspot", Some(2)); // stencil rows behind full MSHRs
 }
 
 #[test]

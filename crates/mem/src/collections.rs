@@ -35,10 +35,6 @@ impl Hasher for IntHasher {
         self.0 = (product as u64) ^ (product >> 64) as u64;
     }
 
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
     fn finish(&self) -> u64 {
         self.0
     }

@@ -101,9 +101,8 @@ impl<T> Mshr<T> {
     }
 
     /// `(max_entries, max_merges)`.
-    pub(crate) fn capacities(&self) -> (u32, u32) {
-        // Both came from a `u32` or were checked to fit one.
-        (self.max_entries as u32, self.max_merges as u32)
+    pub(crate) fn capacities(&self) -> (usize, usize) {
+        (self.max_entries, self.max_merges)
     }
 
     /// Checks what `alloc` and a fill keep: every line has between one
@@ -111,9 +110,6 @@ impl<T> Mshr<T> {
     /// lines. A line without waiters would free an entry on its fill and
     /// answer nobody, and an oversized table is one no run builds.
     fn check(&self) -> Result<(), String> {
-        if u32::try_from(self.max_entries).is_err() || u32::try_from(self.max_merges).is_err() {
-            return Err("MSHR capacity out of range".to_string());
-        }
         if self.entries.len() > self.max_entries {
             return Err(format!(
                 "MSHR holds {} lines, but has {} entries",

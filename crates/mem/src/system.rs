@@ -581,8 +581,9 @@ impl MemSystem {
                 cfg.partitions
             ));
         }
-        let l1 = (cfg.l1_mshr_entries, cfg.l1_mshr_merges);
-        let l2 = (cfg.l2_mshr_entries, cfg.l2_mshr_merges);
+        let capacities = |entries: u32, merges: u32| (entries as usize, merges as usize);
+        let l1 = capacities(cfg.l1_mshr_entries, cfg.l1_mshr_merges);
+        let l2 = capacities(cfg.l2_mshr_entries, cfg.l2_mshr_merges);
         let tables = (mem.fronts.iter().map(|f| ("L1", f.mshr.capacities(), l1)))
             .chain((mem.partitions.iter()).map(|p| ("L2", p.mshr().capacities(), l2)));
         for (level, got, want) in tables {

@@ -60,7 +60,7 @@ change_bin=$(build "$change_rev" change)
 run() {
   local pair=$1 side=$2 bin=$3 out wall
   out=$(cd "$work/$side" && VT_PERF_COMMIT=$side "$bin" \
-    --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
+    --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>&1)
   echo "$out" >"$work/runs/$workload-$pair-$side.txt"
   wall=$(grep -o '"wall_s":{"value":[0-9.eE+-]*' <<<"$out" | head -n1 | sed 's/.*://')
   if [[ -z "$wall" ]] || ! grep -q '"correct":true' <<<"$out"; then

@@ -123,17 +123,17 @@ fn vtsweep_checkpoint_round_trips_through_a_file() {
     );
 
     let text = std::fs::read_to_string(&path).expect("checkpoint written");
-    assert!(text.starts_with("{\"version\":5,"), "{}", &text[..40]);
+    assert!(text.starts_with("{\"version\":6,"), "{}", &text[..40]);
     std::fs::write(
         &path,
-        text.replacen("{\"version\":5,", "{\"version\":4,", 1),
+        text.replacen("{\"version\":6,", "{\"version\":5,", 1),
     )
     .unwrap();
     let out = run("vtsweep", &[&cell[..], &["--resume", file]].concat());
-    assert_eq!(code(&out), 2, "a version 4 checkpoint must be refused");
+    assert_eq!(code(&out), 2, "a version 5 checkpoint must be refused");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("unsupported checkpoint version 4 (expected 5)"),
+        stderr.contains("unsupported checkpoint version 5 (expected 6)"),
         "{stderr}"
     );
     let _ = std::fs::remove_file(&path);

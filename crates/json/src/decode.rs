@@ -310,25 +310,6 @@ impl Codec<Vec<u32>> for Words {
     }
 }
 
-/// A queue kept in ascending order of its elements (the response queues
-/// of unique keys, the writeback pipe): written in ascending order, so
-/// equal states write equal text, and read back in that order.
-pub struct Sorted;
-
-impl<T: ToJson + FromJson + Ord> Codec<VecDeque<T>> for Sorted {
-    fn encode(v: &VecDeque<T>) -> Json {
-        let mut items: Vec<&T> = v.iter().collect();
-        items.sort_unstable();
-        items.to_json()
-    }
-
-    fn decode(v: &Json) -> Result<VecDeque<T>, String> {
-        let mut items: Vec<T> = Vec::from_json(v)?;
-        items.sort_unstable();
-        Ok(items.into())
-    }
-}
-
 /// Derives [`ToJson`] and [`FromJson`] for a struct from one list of its
 /// fields, in the order they are written.
 ///
@@ -337,7 +318,11 @@ impl<T: ToJson + FromJson + Ord> Codec<VecDeque<T>> for Sorted {
 /// its own type's conversions. `derived { field: expr, .. }` gives the
 /// fields that are not written their value on decode, and `check path`
 /// runs `path(&value)?` on every decoded value. A list of every field in
-/// square brackets writes them as an array instead.
+/// square brackets writes them as an array instead. A list led by `row`
+/// also implements [`Row`](crate::Row): the fields' cells in list order,
+/// each field's type (or codec) a [`Row`](crate::Row)
+/// ([`RowCodec`](crate::RowCodec)), so tables of the type can travel
+/// packed ([`Rows`](crate::Rows)).
 ///
 /// ```
 /// use vt_json::{impl_json, Count, FromJson, Json, ToJson};
@@ -360,11 +345,22 @@ impl<T: ToJson + FromJson + Ord> Codec<VecDeque<T>> for Sorted {
 /// ```
 #[macro_export]
 macro_rules! impl_json {
-    ($ty:ident $(<$g:ident>)? { $($field:ident $(as $key:literal)? $(: $codec:ident)?),+ $(,)? }
+    (row $ty:ident [ $($field:ident $(: $codec:ident)?),+ $(,)? ]) => {
+        $crate::impl_json!($ty [ $($field $(: $codec)?),+ ]);
+        $crate::__impl_row!($ty { $($field $(: $codec)?),+ } {});
+    };
+    (row $ty:ident { $($field:ident $(as $key:literal)? $(: $codec:ident)?),+ $(,)? }
         $(derived { $($d:ident: $de:expr),+ $(,)? })?
         $(check $check:path)?) => {
-        $crate::impl_to_json!($ty $(<$g>)? { $($field $(as $key)? $(: $codec)?),+ });
-        impl$(<$g: $crate::ToJson + $crate::FromJson>)? $crate::FromJson for $ty$(<$g>)? {
+        $crate::impl_json!($ty { $($field $(as $key)? $(: $codec)?),+ }
+            $(derived { $($d: $de),+ })? $(check $check)?);
+        $crate::__impl_row!($ty { $($field $(: $codec)?),+ } { $($($d: $de),+)? } $($check)?);
+    };
+    ($ty:ident $(<$g:ident $(: $bound:ident)?>)? { $($field:ident $(as $key:literal)? $(: $codec:ident)?),+ $(,)? }
+        $(derived { $($d:ident: $de:expr),+ $(,)? })?
+        $(check $check:path)?) => {
+        $crate::impl_to_json!($ty $(<$g $(: $bound)?>)? { $($field $(as $key)? $(: $codec)?),+ });
+        impl$(<$g: $crate::ToJson + $crate::FromJson $(+ $crate::$bound)?>)? $crate::FromJson for $ty$(<$g>)? {
             fn from_json(v: &$crate::Json) -> ::std::result::Result<Self, ::std::string::String> {
                 let value = $ty {
                     $($field: $crate::decode_field(
@@ -500,10 +496,6 @@ mod tests {
             <NonZero as Codec<u32>>::decode(&Json::UInt(0)).unwrap_err(),
             "is 0, not positive"
         );
-        let pipe: VecDeque<u64> = [5, 1, 3].into();
-        assert_eq!(Sorted::encode(&pipe).compact(), "[1,3,5]");
-        let back: VecDeque<u64> = Sorted::decode(&parse("[4,2]")).unwrap();
-        assert_eq!(back, [2, 4]);
         assert_eq!(Words::encode(&vec![0, 0, 7]).compact(), r#""z2.00000007""#);
     }
 

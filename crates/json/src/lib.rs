@@ -13,15 +13,20 @@
 //! this crate can emit (non-finite floats emit as `null`).
 //! Word arrays too large for one token per word (checkpoint memory
 //! images and register files) travel as packed strings ([`pack_words`],
-//! [`req_words`]).
+//! [`req_words`]), and so do tables of fixed-width integer rows (cache
+//! lines, requests in flight; [`Rows`], [`req_rows`]).
 #![forbid(unsafe_code)]
 
 mod decode;
+mod rows;
 mod words;
 
 pub use decode::{
-    decode_elem, decode_field, elems, field, not_a, Codec, Count, FromJson, NonZero, Sorted, Words,
+    decode_elem, decode_field, elems, field, not_a, Codec, Count, FromJson, NonZero, Words,
 };
+#[doc(hidden)]
+pub use rows::{codec_row_width, row_width};
+pub use rows::{req_rows, Cell, Row, RowCodec, RowReader, RowWriter, Rows, Sorted};
 pub use words::{pack_words, req_words};
 
 use std::collections::{HashMap, VecDeque};
@@ -771,8 +776,8 @@ impl<K: ToJson + Ord, V: ToJson, S> ToJson for HashMap<K, V, S> {
 /// ```
 #[macro_export]
 macro_rules! impl_to_json {
-    ($ty:ident $(<$g:ident>)? { $($field:ident $(as $key:literal)? $(: $codec:ident)?),+ $(,)? }) => {
-        impl$(<$g: $crate::ToJson>)? $crate::ToJson for $ty$(<$g>)? {
+    ($ty:ident $(<$g:ident $(: $bound:ident)?>)? { $($field:ident $(as $key:literal)? $(: $codec:ident)?),+ $(,)? }) => {
+        impl$(<$g: $crate::ToJson $(+ $crate::$bound)?>)? $crate::ToJson for $ty$(<$g>)? {
             fn to_json(&self) -> $crate::Json {
                 $crate::Json::Object(vec![
                     $(($crate::__json_key!($field $($key)?).to_string(),

@@ -15,18 +15,20 @@
 //! everything else as words, so its output is deterministic;
 //! [`req_words`] accepts any string of the grammar that decodes to the
 //! expected number of words and refuses everything else with a message.
-//! Both are table-driven: encoding looks up two digits per byte, decoding
-//! one digit value per character.
+//! Both work on a word's eight digits at once, as the bytes of one
+//! `u64`: encoding spreads the word's nibbles into bytes and adds the
+//! ASCII offsets, decoding checks all eight characters with byte-wise
+//! range tests and folds their nibbles back together.
 
 use crate::{req, Json};
 
 /// [`DIGIT`]'s value for a byte that is not a lowercase hex digit. Its
 /// high bit survives gathering a word's eight digits into one `u64`, so
 /// one test checks them all.
-const NOT_HEX: u8 = 0x80;
+pub(crate) const NOT_HEX: u8 = 0x80;
 
 /// The value of each byte as a lowercase hex digit, or [`NOT_HEX`].
-static DIGIT: [u8; 256] = {
+pub(crate) static DIGIT: [u8; 256] = {
     let mut t = [NOT_HEX; 256];
     let mut i = 0;
     while i < 16 {
@@ -37,18 +39,7 @@ static DIGIT: [u8; 256] = {
 };
 
 /// Lowercase hex digits by value.
-const HEX: &[u8; 16] = b"0123456789abcdef";
-
-/// The two hex digits of each byte value, most significant first.
-static HEX_PAIR: [[u8; 2]; 256] = {
-    let mut t = [[0u8; 2]; 256];
-    let mut i = 0;
-    while i < 256 {
-        t[i] = [HEX[i >> 4], HEX[i & 15]];
-        i += 1;
-    }
-    t
-};
+pub(crate) const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// Hex digits needed to write `n` (at least one).
 fn hex_digits(n: usize) -> usize {
@@ -64,39 +55,66 @@ fn run_at(words: &[u32]) -> usize {
     }
 }
 
+/// Each byte's low bit, and each byte's high bit.
+const LOW: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
 /// The eight hex digits of `w`, most significant first.
 fn hex8(w: u32) -> [u8; 8] {
-    let [a, b, c, d] = w.to_be_bytes().map(|x| HEX_PAIR[x as usize]);
-    [a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1]]
+    // One nibble per byte, the most significant in the top byte.
+    let x = u64::from(w);
+    let x = (x & 0xFFFF_0000) << 16 | (x & 0xFFFF);
+    let x = (x & 0x0000_FF00_0000_FF00) << 8 | (x & 0x0000_00FF_0000_00FF);
+    let x = (x & 0x00F0_00F0_00F0_00F0) << 4 | (x & 0x000F_000F_000F_000F);
+    // `0`..`9` is 0x30 up, `a`..`f` 0x27 further: a nibble of 10 or more
+    // carries into its byte's high bit when 0x76 is added.
+    let letters = ((x + 0x76 * LOW) >> 7) & LOW;
+    (x + 0x30 * LOW + 0x27 * letters).to_be_bytes()
 }
 
-/// Packs `words` into the grammar of the module documentation. The
-/// string is sized exactly before it is written.
+/// The word eight lowercase hex digits spell, most significant first, or
+/// `None` if one of them is not a lowercase hex digit.
+#[inline]
+fn word8(digits: &[u8; 8]) -> Option<u32> {
+    let x = u64::from_be_bytes(*digits);
+    if x & HIGH != 0 {
+        return None;
+    }
+    // Byte-wise range tests on bytes below 0x80: adding 0x80 - lo sets a
+    // byte's high bit iff it is at least lo, adding 0x7f - hi iff it is
+    // above hi, and neither carries into the next byte.
+    let at_least = |lo: u64| (x + (0x80 - lo) * LOW) & HIGH;
+    let above = |hi: u64| (x + (0x7f - hi) * LOW) & HIGH;
+    let digit = at_least(0x30) & !above(0x39);
+    let letter = at_least(0x61) & !above(0x66);
+    if digit | letter != HIGH {
+        return None;
+    }
+    // A letter's low nibble is its value less 9.
+    let v = (x & (0x0F * LOW)) + 9 * (letter >> 7);
+    let v = (v | (v >> 4)) & 0x00FF_00FF_00FF_00FF;
+    let v = (v | (v >> 8)) & 0x0000_FFFF_0000_FFFF;
+    Some(((v | (v >> 16)) & 0xFFFF_FFFF) as u32)
+}
+
+/// Packs `words` into the grammar of the module documentation, in one
+/// pass into a buffer that cannot outgrow eight bytes a word.
 pub fn pack_words(words: &[u32]) -> String {
-    let mut len = 0;
+    let mut out = Vec::with_capacity(8 * words.len());
     let mut i = 0;
     while i < words.len() {
         match run_at(&words[i..]) {
-            0 => (len, i) = (len + 8, i + 1),
-            n => (len, i) = (len + 2 + hex_digits(n), i + n),
-        }
-    }
-    let mut out = vec![0u8; len];
-    let (mut at, mut i) = (0, 0);
-    while i < words.len() {
-        match run_at(&words[i..]) {
             0 => {
-                out[at..at + 8].copy_from_slice(&hex8(words[i]));
-                (at, i) = (at + 8, i + 1);
+                out.extend_from_slice(&hex8(words[i]));
+                i += 1;
             }
             n => {
-                let digits = hex_digits(n);
-                out[at] = b'z';
-                for k in 0..digits {
-                    out[at + digits - k] = HEX[(n >> (4 * k)) & 15];
+                out.push(b'z');
+                for k in (0..hex_digits(n)).rev() {
+                    out.push(HEX[(n >> (4 * k)) & 15]);
                 }
-                out[at + digits + 1] = b'.';
-                (at, i) = (at + digits + 2, i + n);
+                out.push(b'.');
+                i += n;
             }
         }
     }
@@ -146,26 +164,16 @@ pub(crate) fn unpack_words(text: &str, len: usize) -> Result<Vec<u32>, String> {
             let Some(chunk) = bytes.get(pos..pos + 8) else {
                 return Err(format!("word at byte {pos} is truncated"));
             };
-            // One independent lookup per digit into the bytes of a u64,
-            // most significant digit in the top byte, then the nibbles
-            // folded pairwise into the word's bytes.
             let chunk: &[u8; 8] = chunk.try_into().expect("eight bytes");
-            let mut v = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                v |= u64::from(DIGIT[b as usize]) << (56 - 8 * i);
-            }
-            if v & 0x8080_8080_8080_8080 != 0 {
-                for (i, &b) in chunk.iter().enumerate() {
-                    digit(b, pos + i)?;
-                }
-            }
-            let v = (v | (v >> 4)) & 0x00FF_00FF_00FF_00FF;
-            let v = (v | (v >> 8)) & 0x0000_FFFF_0000_FFFF;
-            let v = (v | (v >> 16)) & 0xFFFF_FFFF;
+            let Some(v) = word8(chunk) else {
+                let bad = chunk.iter().position(|&b| DIGIT[b as usize] == NOT_HEX);
+                let i = bad.expect("a word that does not decode has a non-digit");
+                return Err(digit(chunk[i], pos + i).expect_err("not a digit"));
+            };
             if out.len() == len {
                 return Err(format!("more than the {len} words expected"));
             }
-            out.push(v as u32);
+            out.push(v);
             pos += 8;
         }
     }
@@ -217,6 +225,21 @@ mod tests {
         assert_eq!(pack_words(&[7, 0, 0, 0, 9]), "00000007z3.00000009");
         assert_eq!(pack_words(&[0; 17]), "z11.");
         assert_eq!(pack_words(&[0, 5, 0]), "000000000000000500000000");
+    }
+
+    #[test]
+    fn every_digit_and_no_other_byte_decodes() {
+        for w in [0, 1, 0x0123_4567, 0x89ab_cdef, 0xfedc_ba98, u32::MAX] {
+            assert_eq!(word8(&hex8(w)), Some(w), "{w:#x}");
+            assert_eq!(hex8(w), *format!("{w:08x}").as_bytes());
+        }
+        for b in 0..=255u8 {
+            let mut digits = *b"0123abcd";
+            digits[5] = b;
+            let want = (DIGIT[b as usize] != NOT_HEX)
+                .then(|| 0x0123_a0cd | u32::from(DIGIT[b as usize]) << 8);
+            assert_eq!(word8(&digits), want, "byte {b:#04x}");
+        }
     }
 
     #[test]

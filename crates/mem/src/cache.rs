@@ -1,6 +1,8 @@
 //! A tags-only set-associative cache array with LRU replacement.
 
-use vt_json::{impl_json, NonZero};
+use vt_json::{
+    decode_field, impl_json, impl_to_json, req_rows, Codec, FromJson, Json, NonZero, Rows,
+};
 
 /// Outcome of a cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +30,7 @@ struct Line {
     last_use: u64,
 }
 
-impl_json!(Line [tag, valid, dirty, last_use]);
+impl_json!(row Line [tag, valid, dirty, last_use]);
 
 /// Set-associative cache tag array. Data never lives here — the simulator
 /// is functional-at-issue — so this structure only answers hit/miss and
@@ -154,26 +156,29 @@ impl Cache {
     pub fn valid_lines(&self) -> usize {
         self.sets.iter().filter(|l| l.valid).count()
     }
-
-    /// Checks the decoded line table is exactly the geometry's.
-    fn check_geometry(&self) -> Result<(), String> {
-        let lines = self
-            .num_sets
-            .checked_mul(self.ways as u64)
-            .ok_or("cache geometry overflows")?;
-        if self.sets.len() as u64 != lines {
-            return Err(format!(
-                "cache has {} lines, expected {lines}",
-                self.sets.len()
-            ));
-        }
-        Ok(())
-    }
 }
 
-// Geometry and every line (including LRU state) as `[tag, valid, dirty,
-// last_use]` in array order, so the restored replacement state is exact.
-impl_json!(Cache { num_sets: NonZero, ways: NonZero, sets as "lines" } check Cache::check_geometry);
+// Geometry and every line (including LRU state) as a packed `tag, valid,
+// dirty, last_use` row in array order, so the restored replacement state
+// is exact.
+impl_to_json!(Cache { num_sets, ways, sets as "lines": Rows });
+
+/// The line table is read once the geometry is known, as exactly sets ×
+/// ways rows.
+impl FromJson for Cache {
+    fn from_json(v: &Json) -> Result<Cache, String> {
+        let num_sets: u64 = decode_field(v, "num_sets", <NonZero as Codec<u64>>::decode)?;
+        let ways: usize = decode_field(v, "ways", <NonZero as Codec<usize>>::decode)?;
+        let lines = (num_sets.checked_mul(ways as u64))
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or("cache geometry overflows")?;
+        Ok(Cache {
+            sets: req_rows(v, "lines", lines)?,
+            num_sets,
+            ways,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {

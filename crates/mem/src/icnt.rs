@@ -5,7 +5,7 @@
 //! Items are delivered in injection order (a single virtual channel).
 
 use std::collections::VecDeque;
-use vt_json::{impl_json, Count, NonZero};
+use vt_json::{impl_json, Count, NonZero, Rows};
 
 /// One direction of the interconnect carrying items of type `T`.
 #[derive(Debug, Clone)]
@@ -91,8 +91,14 @@ impl<T> Icnt<T> {
     }
 }
 
-// In-flight items keep their exact queue order.
-impl_json!(Icnt<T> { latency: Count, flits_per_cycle: NonZero, debt, in_flight } check Icnt::check_flits);
+// In-flight items keep their exact queue order, packed as `ready, flits,
+// item` rows.
+impl_json!(Icnt<T: Row> {
+    latency: Count,
+    flits_per_cycle: NonZero,
+    debt,
+    in_flight: Rows,
+} check Icnt::check_flits);
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@ use crate::icnt::Icnt;
 use crate::mshr::{Mshr, MshrAlloc};
 use crate::stats::MemStats;
 use std::collections::VecDeque;
-use vt_json::{impl_json, not_a, Count, FromJson, Json, NonZero, Sorted, ToJson};
+use vt_json::{impl_json, not_a, Cell, Count, FromJson, Json, NonZero, Rows, Sorted, ToJson};
 use vt_trace::{MemLevel, NullSink, TraceEvent, TraceSink};
 
 /// The kind of a memory request as seen below the SM.
@@ -59,6 +59,22 @@ impl FromJson for ReqKind {
     }
 }
 
+/// In a packed row a kind is one cell: 0 load, 1 store, 2 atomic.
+impl Cell for ReqKind {
+    fn to_cell(&self) -> Option<u64> {
+        Some(*self as u64)
+    }
+
+    fn from_cell(c: Option<u64>) -> Result<ReqKind, String> {
+        match c {
+            Some(0) => Ok(ReqKind::Load),
+            Some(1) => Ok(ReqKind::Store),
+            Some(2) => Ok(ReqKind::Atomic),
+            _ => Err(not_a("a request kind")),
+        }
+    }
+}
+
 /// A request routed to a partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartReq {
@@ -85,10 +101,11 @@ pub struct PartResp {
     pub kind: ReqKind,
 }
 
-// Both are checkpointed as `[sm, id, line_addr, kind]`; `MemSystem`
-// checks the SM against its fronts.
-impl_json!(PartReq [sm, id, line_addr, kind]);
-impl_json!(PartResp [sm, id, line_addr, kind]);
+// Both are checkpointed as `sm, id, line_addr, kind` rows (a request in
+// an L2 MSHR's waiter list as that array); `MemSystem` checks the SM
+// against its fronts.
+impl_json!(row PartReq [sm, id, line_addr, kind]);
+impl_json!(row PartResp [sm, id, line_addr, kind]);
 
 /// Flits for a fill response (header + 128 B data).
 const RESP_FLITS: u32 = 5;
@@ -355,9 +372,9 @@ impl Partition {
 impl_json!(Partition {
     l2,
     mshr,
-    in_q,
+    in_q: Rows,
     resps as "resp_heap": Sorted,
-    pending_writebacks,
+    pending_writebacks: Rows,
     dram,
     l2_hit_latency: Count,
     l2_ports,
@@ -387,7 +404,7 @@ struct DramReq {
     write: bool,
 }
 
-impl_json!(DramReq [line_addr, write]);
+impl_json!(row DramReq [line_addr, write]);
 
 #[derive(Debug, Clone, Copy)]
 struct DramBank {
@@ -395,7 +412,7 @@ struct DramBank {
     busy_until: u64,
 }
 
-impl_json!(DramBank [open_row, busy_until]);
+impl_json!(row DramBank [open_row, busy_until]);
 
 impl Dram {
     fn new(cfg: &MemConfig) -> Dram {
@@ -533,9 +550,9 @@ impl Dram {
 // before being handed out, so the order only needs to match what the
 // uninterrupted run had.
 impl_json!(Dram {
-    queue,
-    in_service,
-    banks,
+    queue: Rows,
+    in_service: Rows,
+    banks: Rows,
     next_issue_at,
     depth: NonZero,
     row_hit_latency: Count,

@@ -36,7 +36,7 @@ use crate::mshr::{Mshr, MshrAlloc};
 use crate::partition::{PartReq, PartResp, Partition};
 use crate::stats::MemStats;
 use std::collections::VecDeque;
-use vt_json::{field, impl_json, Count, Json, Sorted, ToJson};
+use vt_json::{field, impl_json, Count, Json, Rows, Sorted, ToJson};
 use vt_trace::{MemLevel, NullSink, TraceEvent, TraceSink};
 
 pub use crate::partition::ReqKind;
@@ -267,7 +267,7 @@ impl SmFront {
 
 // The response queue is written in ascending `(ready, seq, id)` order
 // (each key unique per front), so the read-back queue pops in the exact
-// order; `submit_times` is written sorted by request id.
+// order; `submit_times` is written as `id, cycle` rows sorted by id.
 impl_json!(SmFront {
     sm_id,
     cache,
@@ -276,7 +276,7 @@ impl_json!(SmFront {
     window_hits: Count,
     window_accesses: Count,
     resps: Sorted,
-    submit_times,
+    submit_times: Rows,
     seq: Count,
     stats,
     l1_ports,

@@ -1,7 +1,10 @@
 //! Per-CTA runtime state and the active/inactive phase machine.
 
 use crate::warp::Trigger;
-use vt_json::{decode_elem, elems, impl_json, req_words, FromJson, Json, ToJson, Words};
+use vt_json::{
+    decode_elem, decode_field, elems, field, impl_json, req_rows, req_words, Codec, FromJson, Json,
+    Row, RowReader, RowWriter, Rows, ToJson, Words,
+};
 
 /// Lifecycle phase of a resident CTA.
 ///
@@ -67,6 +70,38 @@ impl FromJson for CtaPhase {
             }),
             (Some("finished"), Json::Null) => Ok(CtaPhase::Finished),
             _ => Err(format!("unknown CTA phase {}", v.compact())),
+        }
+    }
+}
+
+/// In a packed row a phase is two cells: its tag (0 active, 1 inactive,
+/// 2 swapping out, 3 swapping in, 4 finished) and its payload
+/// (`has_context` or `done_at`, absent for the other two).
+impl Row for CtaPhase {
+    const WIDTH: usize = 2;
+
+    fn put(&self, w: &mut RowWriter) {
+        let (tag, payload) = match *self {
+            CtaPhase::Active => (0, None),
+            CtaPhase::Inactive { has_context } => (1, Some(u64::from(has_context))),
+            CtaPhase::SwappingOut { done_at } => (2, Some(done_at)),
+            CtaPhase::SwappingIn { done_at } => (3, Some(done_at)),
+            CtaPhase::Finished => (4, None),
+        };
+        w.cell(Some(tag));
+        w.cell(payload);
+    }
+
+    fn take(r: &mut RowReader<'_>) -> Result<CtaPhase, String> {
+        match (r.cell()?, r.cell()?) {
+            (Some(0), None) => Ok(CtaPhase::Active),
+            (Some(1), Some(c @ 0..=1)) => Ok(CtaPhase::Inactive {
+                has_context: c == 1,
+            }),
+            (Some(2), Some(done_at)) => Ok(CtaPhase::SwappingOut { done_at }),
+            (Some(3), Some(done_at)) => Ok(CtaPhase::SwappingIn { done_at }),
+            (Some(4), None) => Ok(CtaPhase::Finished),
+            (tag, payload) => Err(format!("unknown CTA phase {tag:?}, {payload:?}")),
         }
     }
 }
@@ -148,48 +183,143 @@ impl CtaRt {
         [mem_stalled && self.warps_unblocked == 0, mem_stalled]
     }
 
-    /// Rebuilds a CTA of a kernel with `smem_bytes` bytes of shared
+    /// A finished CTA slot: what [`crate::sm::Sm::admit`] pushes and
+    /// then overwrites, and what a checkpoint restores from the slot's
+    /// phase alone.
+    pub(crate) fn finished() -> CtaRt {
+        CtaRt {
+            cta_id: 0,
+            phase: CtaPhase::Finished,
+            warps: Vec::new(),
+            live_warps: 0,
+            barrier_arrived: 0,
+            smem: Vec::new(),
+            reg_bytes: 0,
+            smem_bytes: 0,
+            pending_loads: 0,
+            seq: 0,
+            inactive_since: 0,
+            warps_blocked_long: 0,
+            warps_unblocked: 0,
+        }
+    }
+
+    /// Rebuilds a CTA slot of a kernel with `smem_bytes` bytes of shared
     /// memory per CTA from its checkpoint ([`ToJson`]).
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed input, or a CTA holding shared
-    /// memory of another size.
+    /// Returns a message on malformed input, a CTA holding shared memory
+    /// of another size, or a finished slot that writes more than its
+    /// phase.
     pub fn restore(v: &Json, smem_bytes: u32) -> Result<CtaRt, String> {
-        let mut cta = CtaRt::from_json(v)?;
+        if v.get("phase").is_some() {
+            only_fields(v, &["phase"], "a finished CTA slot")?;
+            if field::<CtaPhase>(v, "phase")? != CtaPhase::Finished {
+                return Err(
+                    "field `phase`: only a finished CTA slot writes its phase alone".into(),
+                );
+            }
+            return Ok(CtaRt::finished());
+        }
+        let s: State = req_rows(v, "state", 1)?.pop().expect("one row");
+        if s.phase == CtaPhase::Finished {
+            return Err("field `state`: a finished CTA slot writes only its phase".into());
+        }
         // Every CTA slot holds what its kernel allocates: a shared-memory
         // access is bounded by the words held, and the words to decode are
         // bounded before they are allocated.
-        if cta.smem_bytes != smem_bytes {
+        if s.smem_bytes != smem_bytes {
             return Err(format!(
                 "field `smem_bytes`: a CTA holds {} bytes of shared memory, the kernel {smem_bytes}",
-                cta.smem_bytes
+                s.smem_bytes
             ));
         }
-        cta.smem = req_words(v, "smem", (smem_bytes as usize).div_ceil(4))?;
-        Ok(cta)
+        Ok(CtaRt {
+            cta_id: s.cta_id,
+            phase: s.phase,
+            warps: decode_field(v, "warps", <Rows as Codec<Vec<usize>>>::decode)?,
+            live_warps: s.live_warps,
+            barrier_arrived: s.barrier_arrived,
+            smem: req_words(v, "smem", (smem_bytes as usize).div_ceil(4))?,
+            reg_bytes: s.reg_bytes,
+            smem_bytes,
+            pending_loads: s.pending_loads,
+            seq: s.seq,
+            inactive_since: s.inactive_since,
+            warps_blocked_long: 0,
+            warps_unblocked: 0,
+        })
     }
 }
 
-// The phase machine, warp-slot list and functional shared-memory
-// contents; the trigger counters are derived, and `smem` is decoded by
-// `restore` once its length is checked.
-impl_json!(CtaRt {
+/// A resident CTA's scalar state, written as one packed row.
+struct State {
+    cta_id: u32,
+    phase: CtaPhase,
+    live_warps: u32,
+    barrier_arrived: u32,
+    reg_bytes: u32,
+    smem_bytes: u32,
+    pending_loads: u32,
+    seq: u64,
+    inactive_since: u64,
+}
+
+impl_json!(row State [
     cta_id,
     phase,
-    warps,
     live_warps,
     barrier_arrived,
-    smem: Words,
     reg_bytes,
     smem_bytes,
     pending_loads,
     seq,
     inactive_since,
-} derived {
-    warps_blocked_long: 0,
-    warps_unblocked: 0,
-});
+]);
+
+/// A resident CTA is written as its phase machine and counters (a
+/// [`State`] row), its warp-slot list (one row per slot) and its
+/// functional shared-memory contents (a word string); the trigger
+/// counters are derived. A finished slot writes only its phase, because
+/// admission overwrites the rest before anything reads it.
+impl ToJson for CtaRt {
+    fn to_json(&self) -> Json {
+        if !self.is_resident() {
+            return Json::Object(vec![("phase".into(), self.phase.to_json())]);
+        }
+        let state = State {
+            cta_id: self.cta_id,
+            phase: self.phase,
+            live_warps: self.live_warps,
+            barrier_arrived: self.barrier_arrived,
+            reg_bytes: self.reg_bytes,
+            smem_bytes: self.smem_bytes,
+            pending_loads: self.pending_loads,
+            seq: self.seq,
+            inactive_since: self.inactive_since,
+        };
+        Json::Object(vec![
+            ("state".into(), Rows::encode(&vec![state])),
+            ("warps".into(), Rows::encode(&self.warps)),
+            ("smem".into(), Words::encode(&self.smem)),
+        ])
+    }
+}
+
+/// Refuses an object `what` that writes a key other than `keys`.
+pub(crate) fn only_fields(v: &Json, keys: &[&str], what: &str) -> Result<(), String> {
+    let Json::Object(fields) = v else {
+        return Err(format!("{what} is not an object"));
+    };
+    match fields.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+        Some((k, _)) => Err(format!(
+            "field `{k}`: {what} writes only `{}`",
+            keys.join("`, `")
+        )),
+        None => Ok(()),
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -208,9 +208,15 @@ impl std::fmt::Debug for ProgressHook<'_> {
 /// version 5 packs the memory image, each warp's registers (in their
 /// register-major order) and each CTA's shared memory into word strings
 /// ([`vt_json::pack_words`]), drops the memory fronts' always-empty
-/// `outbox`, and writes compact text. Other versions are refused; a
-/// checkpoint is transient job state, so there is no migration.
-pub const CHECKPOINT_VERSION: u64 = 5;
+/// `outbox`, and writes compact text; version 6 writes only live state (a
+/// done warp its CTA slot and pending-load counts, a finished CTA slot
+/// its phase) and packs the integer tables — cache lines, the LD/ST
+/// unit's load groups, shared loads and request map, load submit times,
+/// interconnect packets, response queues, the DRAM queues and banks, the
+/// writeback pipe and every per-PC profile row — into row strings
+/// ([`vt_json::Rows`]). Other versions are refused; a checkpoint is
+/// transient job state, so there is no migration.
+pub const CHECKPOINT_VERSION: u64 = 6;
 
 /// A serialized simulator state: every SM (schedulers, SIMT stacks,
 /// scoreboards, CTA residency and swap state, LD/ST unit), the memory
@@ -326,21 +332,21 @@ mod tests {
             Checkpoint::parse("{\"version\": 999}"),
             Err(SimError::Checkpoint { .. })
         ));
-        match Checkpoint::parse("{\"version\": 4, \"cycle\": 0, \"kernel\": \"k\"}") {
+        match Checkpoint::parse("{\"version\": 5, \"cycle\": 0, \"kernel\": \"k\"}") {
             Err(SimError::Checkpoint { reason }) => {
-                assert_eq!(reason, "unsupported checkpoint version 4 (expected 5)");
+                assert_eq!(reason, "unsupported checkpoint version 5 (expected 6)");
             }
-            other => panic!("a version 4 checkpoint was not refused: {other:?}"),
+            other => panic!("a version 5 checkpoint was not refused: {other:?}"),
         }
-        // A v5 header alone: the missing fields are named.
-        match Checkpoint::parse("{\"version\": 5}") {
+        // A v6 header alone: the missing fields are named.
+        match Checkpoint::parse("{\"version\": 6}") {
             Err(SimError::Checkpoint { reason }) => {
                 assert_eq!(reason, "missing field `cycle`");
             }
             other => panic!("a header-only checkpoint was not refused: {other:?}"),
         }
         assert!(matches!(
-            Checkpoint::parse("{\"version\": 5, \"cycle\": 0}"),
+            Checkpoint::parse("{\"version\": 6, \"cycle\": 0}"),
             Err(SimError::Checkpoint { .. }),
         ));
     }

@@ -537,9 +537,13 @@ impl<'k> GpuSim<'k> {
             )));
         }
         let mut lanes = Vec::with_capacity(lane_docs.len());
-        for doc in lane_docs {
+        for (i, doc) in lane_docs.iter().enumerate() {
             let sm = Sm::restore(req(doc, "sm").map_err(bad)?, kernel, cfg.mem.line_bytes)
                 .map_err(bad)?;
+            // An SM submits to and drains the memory front of its own id.
+            if sm.id != i {
+                return Err(bad(format!("sm id: lane {i} holds SM {}", sm.id)));
+            }
             let stats: RunStats = field(doc, "stats").map_err(bad)?;
             stats.check_charged(cycle).map_err(bad)?;
             lanes.push(SmLane { sm, stats });
@@ -733,6 +737,7 @@ mod tests {
     use vt_isa::interp::Interpreter;
     use vt_isa::op::{AtomOp, Operand, Sreg};
     use vt_isa::KernelBuilder;
+    use vt_json::{Codec, Rows};
 
     /// out[gid] = xs[gid] * 3 + 1, streaming.
     fn streaming_kernel(ctas: u32, threads: u32) -> Kernel {
@@ -1439,6 +1444,43 @@ mod tests {
         &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
     }
 
+    /// Edits the packed table `v` as rows of `N` cells (an absent cell is
+    /// `None`), re-packing it afterwards.
+    fn rows<const N: usize>(v: &mut Json, edit: impl FnOnce(&mut Vec<[Option<u64>; N]>)) {
+        let mut rows: Vec<[Option<u64>; N]> = Rows::decode(v).expect("a packed table");
+        edit(&mut rows);
+        *v = Rows::encode(&rows);
+    }
+
+    /// Cells of a live warp's packed state row: its width and the
+    /// columns the cases edit.
+    const STATE: usize = 15;
+    const CTA_SLOT: usize = 0;
+    const WARP_IN_CTA: usize = 1;
+    const FIRST_TID: usize = 2;
+    const COUNT: usize = 8;
+    const REGS_PER_THREAD: usize = 9;
+
+    /// Edits the state row of warp slot `w` of the SM document `sm`.
+    fn state(sm: &mut Json, w: usize, edit: impl FnOnce(&mut [Option<u64>; STATE])) {
+        rows::<STATE>(field(item(field(sm, "warps"), w), "state"), |r| {
+            edit(&mut r[0])
+        });
+    }
+
+    /// Cells of a resident CTA's packed state row: its width and the
+    /// columns the cases edit.
+    const CTA_STATE: usize = 10;
+    const CTA_ID: usize = 0;
+    const SMEM_BYTES: usize = 6;
+
+    /// Edits the state row of CTA slot `c` of the SM document `sm`.
+    fn cta_state(sm: &mut Json, c: usize, edit: impl FnOnce(&mut [Option<u64>; CTA_STATE])) {
+        rows::<CTA_STATE>(field(item(field(sm, "ctas"), c), "state"), |r| {
+            edit(&mut r[0])
+        });
+    }
+
     /// `arr[i]`, mutably.
     fn item(arr: &mut Json, i: usize) -> &mut Json {
         let Json::Array(items) = arr else {
@@ -1485,18 +1527,20 @@ mod tests {
         assert!(resume(&early).is_ok() && resume(&late).is_ok());
 
         type Corrupt = fn(&mut Json);
-        let cases: [(&str, &Json, Corrupt); 26] = [
+        let cases: [(&str, &Json, Corrupt); 28] = [
             ("writeback", &early, |sm| {
-                *item(item(field(sm, "writebacks"), 0), 1) = Json::UInt(9999);
+                rows::<4>(field(sm, "writebacks"), |r| r[0][1] = Some(9999));
             }),
             ("sched_last", &early, |sm| {
                 *item(field(sm, "sched_last"), 0) = Json::UInt(9999);
             }),
             ("CTA warp list", &early, |sm| {
-                *item(field(item(field(sm, "ctas"), 0), "warps"), 0) = Json::UInt(9999);
+                rows::<1>(field(item(field(sm, "ctas"), 0), "warps"), |r| {
+                    r[0][0] = Some(9999)
+                });
             }),
             ("warp", &early, |sm| {
-                *field(item(field(sm, "warps"), 0), "cta_slot") = Json::UInt(9999);
+                state(sm, 0, |s| s[CTA_SLOT] = Some(9999));
             }),
             ("free warp list", &early, |sm| {
                 *field(sm, "free_warp_slots") = Json::Array(vec![Json::UInt(9999)]);
@@ -1505,16 +1549,16 @@ mod tests {
                 *field(sm, "free_cta_slots") = Json::Array(vec![Json::UInt(9999)]);
             }),
             ("LD/ST unit", &late, |sm| {
-                *item(item(field(field(sm, "ldst"), "groups"), 0), 1) = Json::UInt(9999);
+                rows::<8>(field(field(sm, "ldst"), "groups"), |r| r[0][1] = Some(9999));
             }),
             ("register", &early, |sm| {
-                *item(item(field(sm, "writebacks"), 0), 2) = Json::UInt(300);
+                rows::<4>(field(sm, "writebacks"), |r| r[0][2] = Some(300));
             }),
             ("register", &early, |sm| {
-                *item(item(field(sm, "writebacks"), 0), 2) = Json::UInt(65536 + 3);
+                rows::<4>(field(sm, "writebacks"), |r| r[0][2] = Some(65536 + 3));
             }),
             ("register", &late, |sm| {
-                *item(item(field(field(sm, "ldst"), "groups"), 0), 3) = Json::UInt(300);
+                rows::<8>(field(field(sm, "ldst"), "groups"), |r| r[0][3] = Some(300));
             }),
             // A zero `count` beside pending bits let a warp issue past its
             // hazards (the run diverged, finishing early).
@@ -1522,12 +1566,16 @@ mod tests {
                 let Json::Array(warps) = field(sm, "warps") else {
                     panic!("warps is not an array");
                 };
-                let board = warps
-                    .iter_mut()
-                    .map(|w| field(w, "scoreboard"))
-                    .find(|b| b.get("count").and_then(Json::as_u64) != Some(0))
+                let busy = |w: &Json| {
+                    let s: Vec<[Option<u64>; STATE]> =
+                        Rows::decode(w.get("state").unwrap()).unwrap();
+                    s[0][COUNT] != Some(0)
+                };
+                let w = warps
+                    .iter()
+                    .position(busy)
                     .expect("a warp with results in flight");
-                *field(board, "count") = Json::UInt(0);
+                state(sm, w, |s| s[COUNT] = Some(0));
             }),
             // Issue gathers all 32 lanes' frames: a short register file
             // used to panic on the first issue.
@@ -1536,9 +1584,12 @@ mod tests {
             }),
             // Consistent in itself, but not the kernel's frame width.
             ("registers", &early, |sm| {
+                let mut rpt = 0;
+                state(sm, 0, |s| {
+                    rpt = s[REGS_PER_THREAD].unwrap() + 1;
+                    s[REGS_PER_THREAD] = Some(rpt);
+                });
                 let warp = item(field(sm, "warps"), 0);
-                let rpt = field(warp, "regs_per_thread").as_u64().unwrap() + 1;
-                *field(warp, "regs_per_thread") = Json::UInt(rpt);
                 *field(warp, "regs") = Json::Str(pack_words(&vec![0; 32 * rpt as usize]));
             }),
             // Occupancy counters that disagree with the CTA table: each of
@@ -1569,32 +1620,43 @@ mod tests {
             // counters follow the warp, occupancy the list.
             ("CTA warp list", &early, |sm| {
                 let two_warps = field(item(field(sm, "ctas"), 0), "warps");
-                *two_warps = Json::Array(vec![Json::UInt(0), Json::UInt(0)]);
+                *two_warps = Rows::encode(&vec![0usize, 0]);
             }),
             // The first tick decodes every live warp's PC.
             ("pc", &early, |sm| {
                 let stack = field(item(field(sm, "warps"), 0), "stack");
-                *item(item(stack, 0), 0) = Json::UInt(9999);
+                rows::<3>(stack, |r| r[0][0] = Some(9999));
             }),
             // A warp's thread ids follow from its index in its CTA (a
             // shifted `first_tid` used to run other threads' work).
             ("warp identity", &early, |sm| {
-                let first_tid = field(item(field(sm, "warps"), 0), "first_tid");
-                *first_tid = Json::UInt(first_tid.as_u64().unwrap() + 32);
+                state(sm, 0, |s| s[FIRST_TID] = s[FIRST_TID].map(|t| t + 32));
             }),
             ("warp identity", &early, |sm| {
-                let warp = item(field(sm, "warps"), 0);
-                *field(warp, "warp_in_cta") = Json::UInt(2);
-                *field(warp, "first_tid") = Json::UInt(64);
+                state(sm, 0, |s| {
+                    s[WARP_IN_CTA] = Some(2);
+                    s[FIRST_TID] = Some(64);
+                });
+            }),
+            // An SM submits to and drains the memory front of its id: one
+            // naming another lane's front used to panic at the first
+            // response.
+            ("sm id", &early, |sm| {
+                *field(sm, "id") = Json::UInt(1);
+                *field(field(sm, "ldst"), "sm_id") = Json::UInt(1);
+            }),
+            ("sm id", &early, |sm| {
+                *field(field(sm, "ldst"), "sm_id") = Json::UInt(1);
             }),
             // A resident CTA the dispatcher has not handed out, or one
             // resident twice.
             ("cta_id", &early, |sm| {
-                *field(item(field(sm, "ctas"), 0), "cta_id") = Json::UInt(9999);
+                cta_state(sm, 0, |s| s[CTA_ID] = Some(9999));
             }),
             ("cta_id", &early, |sm| {
-                let other = field(item(field(sm, "ctas"), 1), "cta_id").clone();
-                *field(item(field(sm, "ctas"), 0), "cta_id") = other;
+                let mut other = None;
+                cta_state(sm, 1, |s| other = s[CTA_ID]);
+                cta_state(sm, 0, |s| s[CTA_ID] = other);
             }),
         ];
         for (what, base, corrupt) in cases {
@@ -1649,6 +1711,11 @@ mod tests {
         fn cta(doc: &mut Json) -> &mut Json {
             item(field(sm(doc), "ctas"), 0)
         }
+        fn smem_words(doc: &mut Json) -> usize {
+            let mut bytes = 0;
+            cta_state(sm(doc), 0, |s| bytes = s[SMEM_BYTES].unwrap_or(0));
+            bytes as usize / 4
+        }
         type Corrupt = fn(&mut Json, usize);
         let cases: [(&str, Corrupt); 14] = [
             ("field `image`: decoded", |doc, n| {
@@ -1684,11 +1751,11 @@ mod tests {
                 *field(doc, "image") = Json::Str("z0.".into());
             }),
             ("field `smem`: decoded", |doc, _| {
-                let short = vec![1; smem_words(cta(doc)) - 1];
+                let short = vec![1; smem_words(doc) - 1];
                 *field(cta(doc), "smem") = Json::Str(pack_words(&short));
             }),
             ("field `smem`: more than", |doc, _| {
-                let long = vec![1; smem_words(cta(doc)) + 1];
+                let long = vec![1; smem_words(doc) + 1];
                 *field(cta(doc), "smem") = Json::Str(pack_words(&long));
             }),
             ("field `smem`: byte 3 ('x')", |doc, _| {
@@ -1697,8 +1764,8 @@ mod tests {
             // Consistent in itself and with the occupancy counters, but not
             // the kernel's shared memory.
             ("field `smem_bytes`", |doc, _| {
-                let words = smem_words(cta(doc)) + 1;
-                *field(cta(doc), "smem_bytes") = Json::UInt(4 * words as u64);
+                let words = smem_words(doc) + 1;
+                cta_state(sm(doc), 0, |s| s[SMEM_BYTES] = Some(4 * words as u64));
                 *field(cta(doc), "smem") = Json::Str(pack_words(&vec![0; words]));
                 let total = field(sm(doc), "resident_smem_bytes");
                 *total = Json::UInt(total.as_u64().unwrap() + 4);
@@ -1707,9 +1774,6 @@ mod tests {
                 *field(item(field(sm(doc), "warps"), 0), "regs") = Json::Str("z100000.".into());
             }),
         ];
-        fn smem_words(cta: &mut Json) -> usize {
-            cta.get("smem_bytes").and_then(Json::as_u64).unwrap() as usize / 4
-        }
         for (what, corrupt) in cases {
             let mut doc = base.clone();
             corrupt(&mut doc, image_len);

@@ -30,7 +30,7 @@
 //! order, and it rides [`crate::stats::RunStats`] through
 //! checkpoint/resume.
 
-use vt_json::{decode_elem, impl_json, not_a, Codec, Count, FromJson, Json, ToJson};
+use vt_json::{impl_json, Count, Rows};
 use vt_trace::Histogram;
 
 /// Why a non-empty SM-cycle issued nothing — the stall half of the
@@ -165,7 +165,7 @@ impl PcCounters {
     }
 }
 
-impl_json!(PcCounters {
+impl_json!(row PcCounters {
     issued: Count,
     warp_issues: Count,
     thread_instrs: Count,
@@ -179,34 +179,6 @@ impl_json!(PcCounters {
     branches: Count,
     divergent: Count,
 });
-
-/// Untouched PCs are written as `null`, to keep checkpoints compact.
-struct Sparse;
-
-impl Codec<Vec<PcCounters>> for Sparse {
-    fn encode(pcs: &Vec<PcCounters>) -> Json {
-        Json::Array(
-            pcs.iter()
-                .map(|c| {
-                    if c.is_empty() {
-                        Json::Null
-                    } else {
-                        c.to_json()
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    fn decode(v: &Json) -> Result<Vec<PcCounters>, String> {
-        let pcs = v.as_array().ok_or_else(|| not_a("an array"))?;
-        let pc = |(i, x): (usize, &Json)| match x {
-            Json::Null => Ok(PcCounters::default()),
-            x => decode_elem(i, x, PcCounters::from_json),
-        };
-        pcs.iter().enumerate().map(pc).collect()
-    }
-}
 
 /// The per-PC hotspot profile of one run (or one SM lane of it): one
 /// [`PcCounters`] slot per program instruction, plus the stall cycles
@@ -340,14 +312,17 @@ impl PcProfile {
     }
 }
 
+// One packed `PcCounters` row per PC, the latency histogram's cells
+// inline.
 impl_json!(PcProfile {
-    pcs: Sparse,
+    pcs: Rows,
     unattributed: Count
 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vt_json::{FromJson, Json, ToJson};
 
     #[test]
     fn recording_lands_in_the_right_buckets() {
@@ -413,10 +388,13 @@ mod tests {
         p.record_mem_latency(3, 123);
         p.record_stall(None, StallReason::Structural);
         let j = p.to_json();
-        // Untouched PCs serialize as null.
-        let pcs = j.get("pcs").and_then(Json::as_array).unwrap();
-        assert!(matches!(pcs[0], Json::Null));
-        assert!(!matches!(pcs[3], Json::Null));
+        // One packed row per PC; an untouched PC's row is empty cells
+        // (zeros) but for its latency histogram's `min`.
+        let pcs = j.get("pcs").and_then(Json::as_str).unwrap();
+        let untouched = format!("{}ffffffffffffffff{};", ",".repeat(42), ",".repeat(8));
+        assert_eq!(pcs.split_inclusive(';').count(), 5);
+        assert_eq!(pcs.split_inclusive(';').next(), Some(untouched.as_str()));
+        assert_ne!(pcs.split_inclusive(';').nth(3), Some(untouched.as_str()));
         let back = PcProfile::from_json(&Json::parse(&j.compact()).unwrap()).unwrap();
         assert_eq!(back, p);
     }

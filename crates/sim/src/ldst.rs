@@ -5,7 +5,7 @@ use crate::scoreboard::RegNum;
 use std::collections::{HashMap, VecDeque};
 use vt_isa::Reg;
 use vt_json::{
-    decode_elem, elems, impl_json, not_a, Codec, Count, FromJson, Json, NonZero, ToJson,
+    decode_elem, elems, impl_json, not_a, Codec, Count, FromJson, Json, NonZero, Rows, ToJson,
 };
 use vt_mem::collections::IntMap;
 use vt_mem::{MemSystem, ReqKind, Submit};
@@ -76,22 +76,24 @@ pub struct LoadGroup {
     pub issued_at: u64,
 }
 
-impl_json!(LoadGroup [token, warp_slot, warp_uid, dst: RegNum, remaining, missed, pc, issued_at]);
+impl_json!(row LoadGroup [token, warp_slot, warp_uid, dst: RegNum, remaining, missed, pc, issued_at]);
 
-/// The load groups, written as [`LoadGroup`] rows in token order; a token
+/// The load groups, packed as [`LoadGroup`] rows in token order; a token
 /// written twice is refused.
 struct ByToken;
 
 impl Codec<IntMap<u64, LoadGroup>> for ByToken {
     fn encode(groups: &IntMap<u64, LoadGroup>) -> Json {
-        let mut rows: Vec<&LoadGroup> = groups.values().collect();
+        let mut rows: Vec<LoadGroup> = groups.values().copied().collect();
         rows.sort_unstable_by_key(|g| g.token);
-        rows.to_json()
+        Rows::encode(&rows)
     }
 
     fn decode(v: &Json) -> Result<IntMap<u64, LoadGroup>, String> {
+        let rows: Vec<LoadGroup> = Rows::decode(v)?;
         let mut groups = IntMap::default();
-        for (i, g) in Vec::<LoadGroup>::from_json(v)?.into_iter().enumerate() {
+        groups.reserve(rows.len());
+        for (i, g) in rows.into_iter().enumerate() {
             if groups.insert(g.token, g).is_some() {
                 return Err(format!("[{i}] repeats a token"));
             }
@@ -112,7 +114,7 @@ struct SmemLoad {
     issued_at: u64,
 }
 
-impl_json!(SmemLoad [ready, warp_slot, warp_uid, dst: RegNum, pc, issued_at]);
+impl_json!(row SmemLoad [ready, warp_slot, warp_uid, dst: RegNum, pc, issued_at]);
 
 /// Completion record returned to the SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,6 +204,11 @@ impl LdstUnit {
             } => Some(lines[*submitted]),
             _ => None,
         }
+    }
+
+    /// The SM this unit submits and drains responses as.
+    pub(crate) fn sm_id(&self) -> usize {
+        self.sm_id
     }
 
     /// The cycle the next shared-memory load finishes its latency.
@@ -296,23 +303,26 @@ impl LdstUnit {
     }
 
     /// Advances the unit one cycle against `mem`, which must have been
-    /// ticked to `now`; see [`LdstUnit::tick_traced`].
+    /// ticked to `now`, and returns its events; see
+    /// [`LdstUnit::tick_traced`].
     pub fn tick(&mut self, now: u64, mem: &mut MemSystem) -> Vec<LdstEvent> {
-        self.tick_traced(now, mem, &mut NullSink)
+        let mut out = Vec::new();
+        self.tick_traced(now, mem, &mut NullSink, &mut out);
+        out
     }
 
     /// Advances the unit one cycle: submits the front work's transactions
     /// to `mem` as this unit's SM, completes shared-memory accesses whose
-    /// latency elapsed and drains this SM's global responses. Returns
-    /// events for the SM to apply.
+    /// latency elapsed and drains this SM's global responses. Appends the
+    /// events for the SM to apply to `out`, the caller's buffer, reused
+    /// from tick to tick.
     pub fn tick_traced<S: TraceSink>(
         &mut self,
         now: u64,
         mem: &mut MemSystem,
         sink: &mut S,
-    ) -> Vec<LdstEvent> {
-        let mut out = Vec::new();
-
+        out: &mut Vec<LdstEvent>,
+    ) {
         // Shared accesses that finished their latency.
         while let Some(&load) = self.smem_inflight.front() {
             if load.ready > now {
@@ -411,7 +421,6 @@ impl LdstUnit {
                 }));
             }
         }
-        out
     }
 
     /// Whether nothing is queued or in flight in this unit (global
@@ -489,16 +498,16 @@ impl LdstUnit {
 }
 
 // The in-order queue and the shared-memory latency pipe keep their exact
-// order; the load-group tables are written sorted by token and request id.
+// order; the load-group tables are packed sorted by token and request id.
 impl_json!(LdstUnit {
     queue,
     depth: NonZero,
     smem_latency: Count,
     groups: ByToken,
-    req_to_group,
+    req_to_group: Rows,
     next_id: Count,
     sm_id,
-    smem_inflight,
+    smem_inflight: Rows,
 } check LdstUnit::check_outstanding);
 
 impl_json!(MemWork [warp_slot, warp_uid, body, pc, issued_at]);

@@ -1,7 +1,7 @@
 //! Per-warp register scoreboard.
 
 use vt_isa::{Instr, Reg};
-use vt_json::{impl_json, Codec, FromJson, Json, ToJson};
+use vt_json::{impl_json, Codec, FromJson, Json, RowCodec, RowReader, RowWriter, ToJson};
 
 /// Tracks which destination registers of a warp have results in flight.
 /// Issue is blocked on RAW and WAW hazards against pending registers.
@@ -41,6 +41,19 @@ impl Codec<Option<Reg>> for RegNum {
             Json::Null => Ok(None),
             n => reg_from_u64(u64::from_json(n)?).map(Some),
         }
+    }
+}
+
+/// In a packed row, the register number or the absent cell.
+impl RowCodec<Option<Reg>> for RegNum {
+    const WIDTH: usize = 1;
+
+    fn put(r: &Option<Reg>, w: &mut RowWriter) {
+        w.cell(r.map(|r| u64::from(r.0)));
+    }
+
+    fn take(r: &mut RowReader<'_>) -> Result<Option<Reg>, String> {
+        r.cell()?.map(reg_from_u64).transpose()
     }
 }
 
@@ -123,7 +136,7 @@ impl Scoreboard {
     }
 }
 
-impl_json!(Scoreboard { pending, count } check Scoreboard::check_count);
+impl_json!(row Scoreboard { pending, count } check Scoreboard::check_count);
 
 /// The registers `instr` touches (its destination and its register
 /// sources) as a scoreboard bit set, for [`Scoreboard::can_issue_uses`].

@@ -17,7 +17,7 @@ use vt_isa::kernel::MemImage;
 use vt_isa::op::MemSpace;
 use vt_isa::step::{step_warp, Access, AccessKind, Effect, WarpCtx};
 use vt_isa::{Instr, Kernel, Reg, WARP_SIZE};
-use vt_json::{decode_field, field, impl_to_json, req_array, Codec, Count, Json, Sorted};
+use vt_json::{decode_field, field, impl_to_json, req_array, Codec, Count, Json, Rows, Sorted};
 use vt_mem::coalesce::{coalesce, shared_bank_conflicts};
 use vt_mem::{MemSystem, ReqKind};
 use vt_trace::{SwapDir, TraceEvent, TraceSink};
@@ -323,6 +323,9 @@ pub struct Sm {
     quiet: Option<Quiet>,
     /// Visits that took the quiet path (read by tests).
     quiet_visits: u64,
+    /// The LD/ST unit's events of one tick (a buffer reused from tick to
+    /// tick, empty between ticks).
+    ldst_events: Vec<LdstEvent>,
 }
 
 /// What a quiet visit charges (DESIGN.md §18). A tick that issued
@@ -391,6 +394,7 @@ impl Sm {
             swap_due: u64::MAX,
             quiet: None,
             quiet_visits: 0,
+            ldst_events: Vec::new(),
         }
     }
 
@@ -419,21 +423,7 @@ impl Sm {
         let cta_slot = match self.free_cta_slots.pop() {
             Some(s) => s,
             None => {
-                self.ctas.push(CtaRt {
-                    cta_id: 0,
-                    phase: CtaPhase::Finished,
-                    warps: Vec::new(),
-                    live_warps: 0,
-                    barrier_arrived: 0,
-                    smem: Vec::new(),
-                    reg_bytes: 0,
-                    smem_bytes: 0,
-                    pending_loads: 0,
-                    seq: 0,
-                    inactive_since: 0,
-                    warps_blocked_long: 0,
-                    warps_unblocked: 0,
-                });
+                self.ctas.push(CtaRt::finished());
                 self.ctas.len() - 1
             }
         };
@@ -851,7 +841,9 @@ impl Sm {
         // 2. Memory events (shared latency, global responses, long-stall
         //    notifications). Events may outlive their CTA — a warp can
         //    exit with loads in flight — so uids filter stale records.
-        for event in self.ldst.tick_traced(now, ctx.mem, ctx.sink) {
+        let mut events = std::mem::take(&mut self.ldst_events);
+        self.ldst.tick_traced(now, ctx.mem, ctx.sink, &mut events);
+        for event in events.drain(..) {
             match event {
                 LdstEvent::Completed(c) => {
                     // Latency is observed per issue site, before the uid
@@ -895,6 +887,7 @@ impl Sm {
                 }
             }
         }
+        self.ldst_events = events;
 
         // 3. CTA residency: swap completions, trigger, activations.
         self.update_residency(ctx);
@@ -1894,7 +1887,8 @@ impl Sm {
             return Err("scheduler pointer table length mismatch".to_string());
         }
         let mut writebacks = VecDeque::new();
-        for (ready, wslot, reg, uid) in field::<Vec<(u64, usize, u64, u64)>>(v, "writebacks")? {
+        let rows = <Rows as Codec<Vec<(u64, usize, u64, u64)>>>::decode;
+        for (ready, wslot, reg, uid) in decode_field(v, "writebacks", rows)? {
             let wslot = warp_slot("writeback", wslot)?;
             writebacks.push_back((ready, wslot, reg_from_u64(reg)?.0, uid));
         }
@@ -1902,6 +1896,13 @@ impl Sm {
         let ldst: LdstUnit = field(v, "ldst")?;
         for s in ldst.warp_slots() {
             warp_slot("LD/ST unit", s)?;
+        }
+        let id: usize = field(v, "id")?;
+        if ldst.sm_id() != id {
+            return Err(format!(
+                "sm id: the LD/ST unit of SM {id} submits as SM {}",
+                ldst.sm_id()
+            ));
         }
         // The trigger counters follow a warp's `cta_slot`, occupancy and
         // the issue list a CTA's warp list, so the two must agree: each
@@ -1983,7 +1984,7 @@ impl Sm {
         let count = |key: &str| decode_field(v, key, <Count as Codec<u64>>::decode);
         let schedulers = sched_last.len();
         let mut sm = Sm {
-            id: field(v, "id")?,
+            id,
             line_bytes,
             ctas,
             free_cta_slots,
@@ -2024,6 +2025,7 @@ impl Sm {
             swap_due: u64::MAX,
             quiet: None,
             quiet_visits: 0,
+            ldst_events: Vec::new(),
         };
         sm.reset_derived();
         Ok(sm)
@@ -2039,8 +2041,9 @@ impl Sm {
 }
 
 // The complete SM state — CTA and warp tables (including freed slots
-// awaiting reuse), scheduler pointers, LD/ST unit, writeback pipe and
-// throttle state. The derived state and the issue list are not written.
+// awaiting reuse, written as what a later tick reads of them), scheduler
+// pointers, LD/ST unit, writeback pipe and throttle state. The derived
+// state and the issue list are not written.
 impl_to_json!(Sm {
     id,
     line_bytes,

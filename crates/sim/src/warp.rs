@@ -1,8 +1,11 @@
 //! Per-warp runtime state.
 
+use crate::cta::only_fields;
 use crate::scoreboard::Scoreboard;
 use vt_isa::{SimtEntry, SimtStack, WARP_SIZE};
-use vt_json::{decode_field, field, req_words, Codec, Count, Json, ToJson, Words};
+use vt_json::{
+    decode_field, field, impl_json, req_rows, req_words, Codec, Count, Json, Rows, ToJson, Words,
+};
 
 /// The runtime state of one warp resident on an SM.
 ///
@@ -100,24 +103,48 @@ impl WarpRt {
     }
 
     /// Rebuilds a warp of a kernel with `regs_per_thread` registers per
-    /// thread from its checkpoint ([`ToJson`]).
+    /// thread from its checkpoint ([`ToJson`]). A done warp is rebuilt
+    /// from what it writes, the rest as [`crate::sm::Sm::admit`]
+    /// overwrites it.
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed input, or a register frame of
-    /// another width.
+    /// Returns a message on malformed input, a register frame of another
+    /// width, or a done warp that writes more than [`DONE_FIELDS`].
     pub fn restore(v: &Json, regs_per_thread: u16) -> Result<WarpRt, String> {
+        if v.get("done").is_some() {
+            only_fields(v, &DONE_FIELDS, "a done warp")?;
+            if !field::<bool>(v, "done")? {
+                return Err("field `done`: a live warp writes its `state` row instead".into());
+            }
+            return Ok(WarpRt {
+                cta_slot: field(v, "cta_slot")?,
+                warp_in_cta: 0,
+                first_tid: 0,
+                stack: SimtStack::new(0),
+                scoreboard: Scoreboard::new(),
+                regs: Vec::new(),
+                regs_per_thread,
+                waiting_barrier: false,
+                barrier_since: 0,
+                pending_loads: field(v, "pending_loads")?,
+                long_pending_loads: field(v, "long_pending_loads")?,
+                done: true,
+                age: 0,
+            });
+        }
+        let s: State = req_rows(v, "state", 1)?.pop().expect("one row");
         // Issue indexes frames by the kernel's register numbers and reads
         // and writes every lane of a register.
-        let width: u64 = field(v, "regs_per_thread")?;
-        if width != u64::from(regs_per_thread) {
+        if s.regs_per_thread != regs_per_thread {
             return Err(format!(
-                "registers: a warp has {width} per thread, the kernel {regs_per_thread}"
+                "registers: a warp has {} per thread, the kernel {regs_per_thread}",
+                s.regs_per_thread
             ));
         }
         let regs = req_words(v, "regs", WARP_SIZE as usize * usize::from(regs_per_thread))
             .map_err(|e| format!("registers: {e}"))?;
-        let entries = field::<Vec<(usize, Option<usize>, u32)>>(v, "stack")?
+        let entries = decode_field(v, "stack", <Rows as Codec<Vec<Entry>>>::decode)?
             .into_iter()
             .map(|(pc, rpc, mask)| SimtEntry { pc, rpc, mask })
             .collect();
@@ -125,57 +152,105 @@ impl WarpRt {
         // instruction on no lanes, a jump or an advance never empties the
         // stack of a warp no exit finished, and every path pops where its
         // branch reconverges.
-        let stack = SimtStack::from_saved(entries, field(v, "stack_max_depth")?);
+        let stack = SimtStack::from_saved(entries, s.stack_max_depth);
         stack
             .check()
             .map_err(|(i, why)| format!("field `stack`[{i}] {why}"))?;
         Ok(WarpRt {
-            cta_slot: field(v, "cta_slot")?,
-            warp_in_cta: field(v, "warp_in_cta")?,
-            first_tid: field(v, "first_tid")?,
+            cta_slot: s.cta_slot,
+            warp_in_cta: s.warp_in_cta,
+            first_tid: s.first_tid,
             stack,
-            scoreboard: field(v, "scoreboard")?,
+            scoreboard: s.scoreboard,
             regs,
             regs_per_thread,
-            waiting_barrier: field(v, "waiting_barrier")?,
-            barrier_since: field(v, "barrier_since")?,
-            pending_loads: field(v, "pending_loads")?,
-            long_pending_loads: field(v, "long_pending_loads")?,
-            done: field(v, "done")?,
-            age: decode_field(v, "age", <Count as Codec<u64>>::decode)?,
+            waiting_barrier: s.waiting_barrier,
+            barrier_since: s.barrier_since,
+            pending_loads: s.pending_loads,
+            long_pending_loads: s.long_pending_loads,
+            done: false,
+            age: s.age,
         })
     }
 }
 
-/// The complete warp state — scheduling state (SIMT stack as `[pc, rpc,
-/// mask]` entries, scoreboard, barrier flags) and capacity state
-/// (register values) — for checkpointing.
+/// A SIMT stack entry as a packed row: `pc, rpc, mask`.
+type Entry = (usize, Option<usize>, u32);
+
+/// A live warp's scalar scheduling state, written as one packed row.
+struct State {
+    cta_slot: usize,
+    warp_in_cta: u32,
+    first_tid: u32,
+    stack_max_depth: usize,
+    scoreboard: Scoreboard,
+    regs_per_thread: u16,
+    waiting_barrier: bool,
+    barrier_since: u64,
+    pending_loads: u32,
+    long_pending_loads: u32,
+    age: u64,
+}
+
+impl_json!(row State [
+    cta_slot,
+    warp_in_cta,
+    first_tid,
+    stack_max_depth,
+    scoreboard,
+    regs_per_thread,
+    waiting_barrier,
+    barrier_since,
+    pending_loads,
+    long_pending_loads,
+    age: Count,
+]);
+
+/// What a done warp writes: a later tick still reads its CTA slot and
+/// its pending-load counts, because a warp can exit with loads in flight
+/// whose completions count both down. Its scoreboard is empty once
+/// restored, which changes nothing: a completion clears a register that
+/// is not pending as a no-op, and no done warp issues.
+pub(crate) const DONE_FIELDS: [&str; 4] =
+    ["cta_slot", "pending_loads", "long_pending_loads", "done"];
+
+/// A live warp is written as its scheduling state — a [`State`] row
+/// (scoreboard, barrier flags, load counts) and the SIMT stack as `pc,
+/// rpc, mask` rows — and its capacity state, the register values as a
+/// word string; a done warp writes only [`DONE_FIELDS`].
 impl ToJson for WarpRt {
     fn to_json(&self) -> Json {
-        let stack: Vec<_> = self
-            .stack
-            .entries()
-            .iter()
+        if self.done {
+            return Json::Object(vec![
+                ("cta_slot".into(), self.cta_slot.to_json()),
+                ("pending_loads".into(), self.pending_loads.to_json()),
+                (
+                    "long_pending_loads".into(),
+                    self.long_pending_loads.to_json(),
+                ),
+                ("done".into(), true.to_json()),
+            ]);
+        }
+        let state = State {
+            cta_slot: self.cta_slot,
+            warp_in_cta: self.warp_in_cta,
+            first_tid: self.first_tid,
+            stack_max_depth: self.stack.max_depth(),
+            scoreboard: self.scoreboard.clone(),
+            regs_per_thread: self.regs_per_thread,
+            waiting_barrier: self.waiting_barrier,
+            barrier_since: self.barrier_since,
+            pending_loads: self.pending_loads,
+            long_pending_loads: self.long_pending_loads,
+            age: self.age,
+        };
+        let stack: Vec<Entry> = (self.stack.entries().iter())
             .map(|e| (e.pc, e.rpc, e.mask))
             .collect();
         Json::Object(vec![
-            ("cta_slot".into(), self.cta_slot.to_json()),
-            ("warp_in_cta".into(), self.warp_in_cta.to_json()),
-            ("first_tid".into(), self.first_tid.to_json()),
-            ("stack".into(), stack.to_json()),
-            ("stack_max_depth".into(), self.stack.max_depth().to_json()),
-            ("scoreboard".into(), self.scoreboard.to_json()),
+            ("state".into(), Rows::encode(&vec![state])),
+            ("stack".into(), Rows::encode(&stack)),
             ("regs".into(), Words::encode(&self.regs)),
-            ("regs_per_thread".into(), self.regs_per_thread.to_json()),
-            ("waiting_barrier".into(), self.waiting_barrier.to_json()),
-            ("barrier_since".into(), self.barrier_since.to_json()),
-            ("pending_loads".into(), self.pending_loads.to_json()),
-            (
-                "long_pending_loads".into(),
-                self.long_pending_loads.to_json(),
-            ),
-            ("done".into(), self.done.to_json()),
-            ("age".into(), self.age.to_json()),
         ])
     }
 }

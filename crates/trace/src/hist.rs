@@ -114,8 +114,9 @@ impl Histogram {
 }
 
 // Counters are bounded; `min` is `u64::MAX` while empty, so it keeps the
-// full range.
-impl_json!(Histogram {
+// full range. As a packed row (a per-PC latency histogram in a profile),
+// the same fields in the same order.
+impl_json!(row Histogram {
     buckets: Count,
     count: Count,
     sum: Count,

@@ -1,10 +1,12 @@
 //! Seeded fuzzing of the one boundary a whole simulator state crosses:
 //! checkpoint text.
 //!
-//! A v5 cut of a kernel that is swapping under Virtual Thread is mutated
+//! A v6 cut of a kernel that is swapping under Virtual Thread is mutated
 //! in three ways: truncated at a random byte, one byte of a packed word
-//! string (`image`, `regs`, `smem`) replaced, or one numeric token
-//! replaced with 0, its successor or `u64::MAX`. Each case goes through
+//! string (`image`, `regs`, `smem`) or packed row table (cache lines,
+//! requests and responses in flight, load groups, per-PC counters, …)
+//! replaced, or one numeric token replaced with 0, its successor or
+//! `u64::MAX`. Each case goes through
 //! `Checkpoint::parse` → `GpuSim::resume` → execution under a cycle
 //! budget. Every case must be refused with an `Err` or run with
 //! conserving statistics (every SM-cycle is an issue cycle or exactly one
@@ -28,11 +30,38 @@ fn config(kernel: &Kernel) -> SimConfig {
     swap_config(kernel, Architecture::virtual_thread(), true)
 }
 
-/// Byte spans of the text's numeric tokens and of its packed word
-/// strings' contents.
+/// The keys whose string values are packed word strings.
+const WORD_KEYS: [&str; 3] = ["image", "regs", "smem"];
+
+/// The keys whose string values are packed row tables.
+const ROW_KEYS: [&str; 18] = [
+    "lines",
+    "in_flight",
+    "in_q",
+    "resp_heap",
+    "pending_writebacks",
+    "queue",
+    "in_service",
+    "banks",
+    "resps",
+    "submit_times",
+    "groups",
+    "req_to_group",
+    "smem_inflight",
+    "writebacks",
+    "pcs",
+    "state",
+    "stack",
+    "warps",
+];
+
+/// Byte spans of the text's numeric tokens, of its packed strings'
+/// contents and of the integer cells of its packed row tables (an empty
+/// span is a zero cell).
 struct Tokens {
     numbers: Vec<(usize, usize)>,
     packed: Vec<(usize, usize)>,
+    cells: Vec<(usize, usize)>,
 }
 
 fn tokens(text: &str) -> Tokens {
@@ -40,6 +69,7 @@ fn tokens(text: &str) -> Tokens {
     let mut t = Tokens {
         numbers: Vec::new(),
         packed: Vec::new(),
+        cells: Vec::new(),
     };
     let mut i = 0;
     while i < bytes.len() {
@@ -50,10 +80,22 @@ fn tokens(text: &str) -> Tokens {
                 while bytes[i] != b'"' {
                     i += if bytes[i] == b'\\' { 2 } else { 1 };
                 }
-                let key = ["\"image\":", "\"regs\":", "\"smem\":"];
+                let key = |k: &&str| text[..start - 1].ends_with(&format!("\"{k}\":"));
+                let rows = ROW_KEYS.iter().any(key);
                 // An empty string has no byte to replace.
-                if i > start && key.iter().any(|k| text[..start - 1].ends_with(k)) {
+                if i > start && (rows || WORD_KEYS.iter().any(key)) {
                     t.packed.push((start, i));
+                }
+                if rows {
+                    let mut cell = start;
+                    for at in start..i {
+                        if matches!(bytes[at], b',' | b';') {
+                            if bytes[cell] != b'-' {
+                                t.cells.push((cell, at));
+                            }
+                            cell = at + 1;
+                        }
+                    }
                 }
                 i += 1;
             }
@@ -82,7 +124,7 @@ fn mutate(text: &str, tokens: &Tokens, r: &mut Prng) -> (String, String) {
         1 => {
             let (start, end) = *r.choose(&tokens.packed);
             let at = r.gen_range_usize(start..end);
-            let with = *r.choose(b"0123456789abcdefzA.\" \\");
+            let with = *r.choose(b"0123456789abcdefzA.\" \\,;-");
             let mut bytes = text.as_bytes().to_vec();
             bytes[at] = with;
             let desc = format!("packed byte {at} set to {:?}", char::from(with));
@@ -251,21 +293,30 @@ fn pinned_mutations_are_refused_or_conserve() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
-/// The integer tokens of `text`, sorted.
+/// The integer in `text[start..end]`: a decimal token, or a hex cell of
+/// a packed row (empty for zero).
+fn integer(text: &str, (start, end): (usize, usize), radix: u32) -> u64 {
+    match &text[start..end] {
+        "" => 0,
+        digits => u64::from_str_radix(digits, radix).expect("an integer"),
+    }
+}
+
+/// The integer tokens and packed row cells of `text`, sorted.
 fn integers(text: &str) -> Vec<u64> {
-    let mut ints: Vec<u64> = tokens(text)
-        .numbers
-        .iter()
-        .map(|&(start, end)| text[start..end].parse().expect("an integer token"))
-        .collect();
+    let t = tokens(text);
+    let numbers = t.numbers.iter().map(|&span| integer(text, span, 10));
+    let cells = t.cells.iter().map(|&span| integer(text, span, 16));
+    let mut ints: Vec<u64> = numbers.chain(cells).collect();
     ints.sort_unstable();
     ints
 }
 
-/// Decoding is exact: every number of a cut pushed past 2^32 (where it
-/// is below 2^62) is refused, or resumed and written back unchanged.
-/// Every token outside `mem` is tried, and a seeded eighth of those in
-/// it. A narrowing decode used to keep the low 32 bits (a `next_cta` of
+/// Decoding is exact: every number of a cut, and every integer cell of
+/// its packed row tables, pushed past 2^32 (where it is below 2^62) is
+/// refused, or resumed and written back unchanged. Every number outside
+/// `mem` is tried, and a seeded eighth of those in it and of the cells.
+/// A narrowing decode used to keep the low 32 bits (a `next_cta` of
 /// 2^32 + 1 resumed as 1 and ran more CTAs).
 #[test]
 fn widened_numbers_are_refused_or_kept_exactly() {
@@ -279,12 +330,19 @@ fn widened_numbers_are_refused_or_kept_exactly() {
     let mem = text.rfind(",\"mem\":").expect("mem")..text.rfind(",\"image\":").expect("image");
     let mut r = Prng::new(0x3e_c0de);
     let mut truncated = Vec::new();
-    for (start, end) in tokens(&text).numbers {
-        let old: u64 = text[start..end].parse().expect("an integer token");
-        if old >= 1 << 62 || (mem.contains(&start) && r.gen_range(0..8) != 0) {
+    let t = tokens(&text);
+    let numbers = t.numbers.into_iter().map(|span| (span, 10));
+    for ((start, end), radix) in numbers.chain(t.cells.into_iter().map(|span| (span, 16))) {
+        let old = integer(&text, (start, end), radix);
+        let sampled = radix == 16 || mem.contains(&start);
+        if old >= 1 << 62 || (sampled && r.gen_range(0..8) != 0) {
             continue;
         }
-        let mutated = format!("{}{}{}", &text[..start], old + (1 << 32), &text[end..]);
+        let new = match radix {
+            10 => (old + (1 << 32)).to_string(),
+            _ => format!("{:x}", old + (1 << 32)),
+        };
+        let mutated = format!("{}{new}{}", &text[..start], &text[end..]);
         let Ok(sim) = Checkpoint::parse(&mutated).and_then(|c| GpuSim::resume(&cfg, &w.kernel, &c))
         else {
             continue;
@@ -322,11 +380,12 @@ fn a_bottom_simt_entry_with_a_reconvergence_pc_is_refused() {
             .is_ok()
     };
     assert!(resumes(&text));
-    // `[pc,null,mask]` becomes `[pc,pc,mask]`: the entry pops at once.
-    let pc = text.find("\"stack\":[[").expect("a live warp") + "\"stack\":[[".len();
+    // The packed row `pc,-,mask;` becomes `pc,pc,mask;`: the entry pops
+    // at once.
+    let pc = text.find("\"stack\":\"").expect("a live warp") + "\"stack\":\"".len();
     let comma = pc + text[pc..].find(',').expect("an entry");
-    let rpc = comma + 1..comma + 1 + "null".len();
-    assert_eq!(&text[rpc.clone()], "null");
+    let rpc = comma + 1..comma + 1 + "-".len();
+    assert_eq!(&text[rpc.clone()], "-");
     let mutated = format!(
         "{}{}{}",
         &text[..rpc.start],
@@ -353,16 +412,22 @@ fn a_top_simt_entry_at_its_reconvergence_pc_is_refused() {
     let resume =
         |text: &str| Checkpoint::parse(text).and_then(|c| GpuSim::resume(&cfg, &w.kernel, &c));
     assert!(resume(&text).is_ok());
-    // `"stack":[[20,null,mask],[pc,20,mask]]` becomes `[[…],[20,20,mask]]`.
+    // `"stack":"14,-,mask;pc,14,mask;"` becomes `"14,-,mask;14,14,mask;"`
+    // (PC 20 is 0x14 in a packed row).
     let diverged = text
-        .match_indices("\"stack\":[[")
-        .map(|(at, key)| at + key.len() - 1)
-        .find(|&at| text[at..at + text[at..].find("]]").expect("a stack")].contains("],["))
+        .match_indices("\"stack\":\"")
+        .map(|(at, key)| at + key.len())
+        .find(|&at| {
+            text[at..at + text[at..].find('"').expect("a stack")]
+                .matches(';')
+                .count()
+                > 1
+        })
         .expect("a diverged warp at the cut");
-    let top = diverged + text[diverged..].find("],[").expect("a path entry") + "],[".len();
+    let top = diverged + text[diverged..].find(';').expect("a path entry") + ";".len();
     let comma = top + text[top..].find(',').expect("an entry");
-    assert_eq!(&text[comma..comma + 4], ",20,", "spmv reconverges at PC 20");
-    let mutated = format!("{}20{}", &text[..top], &text[comma..]);
+    assert_eq!(&text[comma..comma + 4], ",14,", "spmv reconverges at PC 20");
+    let mutated = format!("{}14{}", &text[..top], &text[comma..]);
     let err = resume(&mutated).expect_err("a stack no run writes");
     assert!(
         err.to_string()
@@ -464,11 +529,83 @@ fn memory_and_residency_tables_no_run_builds_are_refused() {
     }
     let short_cta = refusal(&|doc| {
         let sm = at(&mut items(at(doc, "lanes"))[0], "sm");
-        let ctas = items(at(sm, "ctas"));
-        let resident = (0..ctas.len())
-            .find(|&i| !items(at(&mut ctas[i], "warps")).is_empty())
+        let resident = items(at(sm, "ctas"))
+            .iter_mut()
+            .find(|c| c.get("warps").is_some())
             .expect("a resident CTA");
-        items(at(&mut ctas[resident], "warps")).pop();
+        let Json::Str(warps) = at(resident, "warps") else {
+            panic!("a CTA's warp list is not packed");
+        };
+        let last = warps[..warps.len() - 1].rfind(';').map_or(0, |i| i + 1);
+        warps.truncate(last);
     });
     assert!(short_cta.contains("warps, but a CTA has"), "{short_cta}");
+}
+
+/// Two v6 tables no run writes, each refused with a diagnostic: an L2
+/// line table one row short of its sets × ways (the line table is read
+/// only once the geometry is known, as exactly that many rows), and a
+/// done warp that carries registers or a SIMT stack (a done warp writes
+/// only its CTA slot and pending-load counts). `bfs` under VT, cut at
+/// nine tenths of its run, when its last CTAs have left done warps.
+#[test]
+fn a_short_line_table_and_a_done_warp_with_state_are_refused() {
+    let w = full_suite(&Scale::test())
+        .into_iter()
+        .find(|w| w.name == "bfs")
+        .expect("bfs is in the suite");
+    let cfg = config(&w.kernel);
+    let ckpt = cut(&cfg, &w.kernel, run_cycles(&cfg, &w.kernel) * 9 / 10);
+    let refusal = |edit: &Edit<'_>| -> String {
+        let mut doc = ckpt.json().clone();
+        edit(&mut doc);
+        match Checkpoint::parse(&doc.compact()).and_then(|c| GpuSim::resume(&cfg, &w.kernel, &c)) {
+            Ok(_) => "accepted".to_string(),
+            Err(e) => e.to_string(),
+        }
+    };
+    assert_eq!(refusal(&|_| {}), "accepted");
+    let short_l2 = refusal(&|doc| {
+        let l2 = at(&mut items(at(at(doc, "mem"), "partitions"))[0], "l2");
+        let Json::Str(lines) = at(l2, "lines") else {
+            panic!("the L2 lines are not packed");
+        };
+        let last = lines[..lines.len() - 1].rfind(';').map_or(0, |i| i + 1);
+        lines.truncate(last);
+    });
+    assert!(short_l2.contains("field `lines` has "), "{short_l2}");
+    assert!(short_l2.contains(" rows, expected "), "{short_l2}");
+    /// The first done warp of any SM.
+    fn done_warp(doc: &mut Json) -> &mut Json {
+        items(at(doc, "lanes"))
+            .iter_mut()
+            .flat_map(|lane| items(at(at(lane, "sm"), "warps")).iter_mut())
+            .find(|w| w.get("done").is_some())
+            .expect("a done warp at the cut")
+    }
+    let frame = 32 * w.kernel.regs_per_thread() as usize;
+    let with_regs = refusal(&|doc| {
+        let Json::Object(fields) = done_warp(doc) else {
+            panic!("a warp is an object");
+        };
+        fields.push((
+            "regs".into(),
+            Json::Str(vt_json::pack_words(&vec![0; frame])),
+        ));
+    });
+    assert!(
+        with_regs.contains("field `regs`: a done warp writes only"),
+        "{with_regs}"
+    );
+    let with_stack = refusal(&|doc| {
+        let Json::Object(fields) = done_warp(doc) else {
+            panic!("a warp is an object");
+        };
+        let entry = Json::Array(vec![Json::UInt(0), Json::Null, Json::UInt(1)]);
+        fields.push(("stack".into(), Json::Array(vec![entry])));
+    });
+    assert!(
+        with_stack.contains("field `stack`: a done warp writes only"),
+        "{with_stack}"
+    );
 }

@@ -4,6 +4,10 @@
 #
 #   tools/bless.sh            re-bless all golden snapshots + tools/api.txt
 #   tools/bless.sh --golden   golden snapshots only (tests/golden/*)
+#   tools/bless.sh --golden NAME...
+#                             only the named golden tests (names below,
+#                             `vtfig-quick` for the vtfig records); every
+#                             other golden file is left as it is
 #   tools/bless.sh --api      public API surface only (tools/api.txt)
 #   tools/bless.sh --bench    re-record the perf baseline (BENCH_0.json);
 #                             NOT part of the default: it moves the
@@ -30,14 +34,33 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GOLDEN_TESTS=(golden metrics model_golden cpi hotspots checkpoints swapping)
+ALL_GOLDEN_TESTS=(golden metrics model_golden cpi hotspots checkpoints swapping)
+GOLDEN_TESTS=("${ALL_GOLDEN_TESTS[@]}")
 
 do_golden=0
 do_api=0
 do_bench=0
+do_vtfig=1
 case "${1:-}" in
 "") do_golden=1 do_api=1 ;;
---golden) do_golden=1 ;;
+--golden)
+  do_golden=1
+  if [[ $# -gt 1 ]]; then
+    names=("${@:2}")
+    GOLDEN_TESTS=()
+    do_vtfig=0
+    for name in "${names[@]}"; do
+      if [[ $name == vtfig-quick ]]; then
+        do_vtfig=1
+      elif [[ " ${ALL_GOLDEN_TESTS[*]} " == *" $name "* ]]; then
+        GOLDEN_TESTS+=("$name")
+      else
+        echo "bless.sh: unknown golden test \`$name\` (try --help)" >&2
+        exit 2
+      fi
+    done
+  fi
+  ;;
 --api) do_api=1 ;;
 --bench) do_bench=1 ;;
 -h | --help)
@@ -49,6 +72,10 @@ case "${1:-}" in
   exit 2
   ;;
 esac
+if [[ $do_golden == 0 && $# -gt 1 ]]; then
+  echo "bless.sh: only --golden takes names" >&2
+  exit 2
+fi
 
 if [[ $do_golden == 1 ]]; then
   for t in "${GOLDEN_TESTS[@]}"; do
@@ -59,8 +86,10 @@ if [[ $do_golden == 1 ]]; then
   for t in "${GOLDEN_TESTS[@]}"; do
     cargo test -q -p vt-tests --test "$t" >/dev/null
   done
-  tools/vtfig_quick.sh --bless
-  tools/vtfig_quick.sh
+  if [[ $do_vtfig == 1 ]]; then
+    tools/vtfig_quick.sh --bless
+    tools/vtfig_quick.sh
+  fi
   echo "bless: goldens OK ($(git status --porcelain tests/golden | wc -l) file(s) changed)"
 fi
 

@@ -322,7 +322,8 @@ impl Codec<Vec<u32>> for Words {
 /// also implements [`Row`](crate::Row): the fields' cells in list order,
 /// each field's type (or codec) a [`Row`](crate::Row)
 /// ([`RowCodec`](crate::RowCodec)), so tables of the type can travel
-/// packed ([`Rows`](crate::Rows)).
+/// packed ([`Rows`](crate::Rows)). A generic parameter may name one
+/// more bound its fields need, as in `Icnt<T: Row>`.
 ///
 /// ```
 /// use vt_json::{impl_json, Count, FromJson, Json, ToJson};

@@ -142,11 +142,6 @@ impl PcCounters {
         self.stalls.iter().sum()
     }
 
-    /// Whether nothing was ever recorded against this PC.
-    pub fn is_empty(&self) -> bool {
-        *self == PcCounters::default()
-    }
-
     fn merge(&mut self, o: &PcCounters) {
         self.issued += o.issued;
         self.warp_issues += o.warp_issues;

@@ -17,7 +17,8 @@
 //!
 //! Every value has one spelling, so a table decodes to the rows it was
 //! written from and nothing else does. A row type lists its cells with
-//! `impl_json!(row ...)` (the [`Row`] trait); the [`Rows`] and [`Sorted`]
+//! `impl_json!(row ...)`, or with `impl_row!` when it has no JSON form
+//! (the [`Row`] trait); the [`Rows`] and [`Sorted`]
 //! codecs write a `Vec`, `VecDeque` or map of rows packed, and
 //! [`req_rows`] reads a table whose row count the owner knows. Decoding
 //! reads cells straight into rows, refuses the first malformation with a
@@ -25,7 +26,7 @@
 //! text holds (each row takes at least one byte per cell).
 
 use crate::words::{DIGIT, HEX, NOT_HEX};
-use crate::{not_a, req, Codec, Count, Json, NonZero};
+use crate::{not_a, req, Codec, Count, Json};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 
@@ -488,23 +489,6 @@ impl<const N: usize> RowCodec<[u64; N]> for Count {
     }
 }
 
-impl<T: Row + Default + PartialEq> RowCodec<T> for NonZero {
-    const WIDTH: usize = T::WIDTH;
-
-    fn put(v: &T, w: &mut RowWriter) {
-        v.put(w);
-    }
-
-    fn take(r: &mut RowReader<'_>) -> Result<T, String> {
-        let (row, at) = (r.row, r.cell);
-        let x = T::take(r)?;
-        if x == T::default() {
-            return Err(format!("[{row}][{at}] is 0, not positive"));
-        }
-        Ok(x)
-    }
-}
-
 /// The width of the field `field` selects, for the row macro.
 #[doc(hidden)]
 pub const fn row_width<S, T: Row>(_field: fn(&S) -> &T) -> usize {
@@ -548,6 +532,18 @@ macro_rules! __row_take {
     };
     ($r:expr, $codec:ident) => {
         <$codec as $crate::RowCodec<_>>::take($r)
+    };
+}
+
+/// Implements [`Row`] alone for a struct that only travels packed, from
+/// a field list like [`impl_json!`]'s square-bracket form: the fields'
+/// cells in list order, each field's type (or codec) a [`Row`]
+/// ([`RowCodec`]). No JSON value of the struct is written or read, so its
+/// fields need no JSON conversions of their own.
+#[macro_export]
+macro_rules! impl_row {
+    ($ty:ident [ $($field:ident $(: $codec:ident)?),+ $(,)? ]) => {
+        $crate::__impl_row!($ty { $($field $(: $codec)?),+ } {});
     };
 }
 

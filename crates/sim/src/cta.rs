@@ -2,8 +2,8 @@
 
 use crate::warp::Trigger;
 use vt_json::{
-    decode_elem, decode_field, elems, field, impl_json, req_rows, req_words, Codec, FromJson, Json,
-    Row, RowReader, RowWriter, Rows, ToJson, Words,
+    decode_field, field, impl_row, req_rows, req_words, Codec, Json, Row, RowReader, RowWriter,
+    Rows, ToJson, Words,
 };
 
 /// Lifecycle phase of a resident CTA.
@@ -35,43 +35,6 @@ pub enum CtaPhase {
     },
     /// All warps exited; the slot is reusable.
     Finished,
-}
-
-/// A phase is checkpointed as a `[tag, payload]` pair.
-impl ToJson for CtaPhase {
-    fn to_json(&self) -> Json {
-        let (tag, payload) = match *self {
-            CtaPhase::Active => ("active", Json::Null),
-            CtaPhase::Inactive { has_context } => ("inactive", has_context.to_json()),
-            CtaPhase::SwappingOut { done_at } => ("swapping_out", done_at.to_json()),
-            CtaPhase::SwappingIn { done_at } => ("swapping_in", done_at.to_json()),
-            CtaPhase::Finished => ("finished", Json::Null),
-        };
-        (tag, payload).to_json()
-    }
-}
-
-impl FromJson for CtaPhase {
-    fn from_json(v: &Json) -> Result<CtaPhase, String> {
-        let [tag, payload] = elems(v, 2)? else {
-            unreachable!("two elements")
-        };
-        let done_at = || decode_elem(1, payload, u64::from_json);
-        match (tag.as_str(), payload) {
-            (Some("active"), Json::Null) => Ok(CtaPhase::Active),
-            (Some("inactive"), _) => Ok(CtaPhase::Inactive {
-                has_context: decode_elem(1, payload, bool::from_json)?,
-            }),
-            (Some("swapping_out"), _) => Ok(CtaPhase::SwappingOut {
-                done_at: done_at()?,
-            }),
-            (Some("swapping_in"), _) => Ok(CtaPhase::SwappingIn {
-                done_at: done_at()?,
-            }),
-            (Some("finished"), Json::Null) => Ok(CtaPhase::Finished),
-            _ => Err(format!("unknown CTA phase {}", v.compact())),
-        }
-    }
 }
 
 /// In a packed row a phase is two cells: its tag (0 active, 1 inactive,
@@ -185,7 +148,7 @@ impl CtaRt {
 
     /// A finished CTA slot: what [`crate::sm::Sm::admit`] pushes and
     /// then overwrites, and what a checkpoint restores from the slot's
-    /// phase alone.
+    /// `finished` marker.
     pub(crate) fn finished() -> CtaRt {
         CtaRt {
             cta_id: 0,
@@ -211,20 +174,20 @@ impl CtaRt {
     ///
     /// Returns a message on malformed input, a CTA holding shared memory
     /// of another size, or a finished slot that writes more than its
-    /// phase.
+    /// `finished` marker.
     pub fn restore(v: &Json, smem_bytes: u32) -> Result<CtaRt, String> {
-        if v.get("phase").is_some() {
-            only_fields(v, &["phase"], "a finished CTA slot")?;
-            if field::<CtaPhase>(v, "phase")? != CtaPhase::Finished {
+        if v.get("finished").is_some() {
+            only_fields(v, &["finished"], "a finished CTA slot")?;
+            if !field::<bool>(v, "finished")? {
                 return Err(
-                    "field `phase`: only a finished CTA slot writes its phase alone".into(),
+                    "field `finished`: a resident CTA writes its `state` row instead".into(),
                 );
             }
             return Ok(CtaRt::finished());
         }
         let s: State = req_rows(v, "state", 1)?.pop().expect("one row");
         if s.phase == CtaPhase::Finished {
-            return Err("field `state`: a finished CTA slot writes only its phase".into());
+            return Err("field `state`: a finished CTA slot writes only `finished`".into());
         }
         // Every CTA slot holds what its kernel allocates: a shared-memory
         // access is bounded by the words held, and the words to decode are
@@ -266,7 +229,7 @@ struct State {
     inactive_since: u64,
 }
 
-impl_json!(row State [
+impl_row!(State [
     cta_id,
     phase,
     live_warps,
@@ -281,12 +244,12 @@ impl_json!(row State [
 /// A resident CTA is written as its phase machine and counters (a
 /// [`State`] row), its warp-slot list (one row per slot) and its
 /// functional shared-memory contents (a word string); the trigger
-/// counters are derived. A finished slot writes only its phase, because
-/// admission overwrites the rest before anything reads it.
+/// counters are derived. A finished slot writes only `{"finished":true}`,
+/// because admission overwrites the rest before anything reads it.
 impl ToJson for CtaRt {
     fn to_json(&self) -> Json {
         if !self.is_resident() {
-            return Json::Object(vec![("phase".into(), self.phase.to_json())]);
+            return Json::Object(vec![("finished".into(), true.to_json())]);
         }
         let state = State {
             cta_id: self.cta_id,
@@ -366,5 +329,39 @@ mod tests {
         c.recount(Trigger::BlockedLong, Trigger::Unblocked);
         assert_eq!((c.warps_blocked_long, c.warps_unblocked), (0, 1));
         assert_eq!(c.stalls(), [false, false]);
+    }
+
+    #[test]
+    fn a_finished_slot_writes_only_its_marker() {
+        let text = cta(CtaPhase::Finished).to_json().compact();
+        assert_eq!(text, r#"{"finished":true}"#);
+        let restored = CtaRt::restore(&Json::parse(&text).unwrap(), 0).unwrap();
+        assert_eq!(restored.phase, CtaPhase::Finished);
+        assert!(restored.warps.is_empty() && restored.live_warps == 0);
+        let refused = |text: &str| CtaRt::restore(&Json::parse(text).unwrap(), 0).unwrap_err();
+        assert_eq!(
+            refused(r#"{"finished":true,"smem":""}"#),
+            "field `smem`: a finished CTA slot writes only `finished`"
+        );
+        assert_eq!(
+            refused(r#"{"finished":false}"#),
+            "field `finished`: a resident CTA writes its `state` row instead"
+        );
+        let state = State {
+            cta_id: 0,
+            phase: CtaPhase::Finished,
+            live_warps: 0,
+            barrier_arrived: 0,
+            reg_bytes: 0,
+            smem_bytes: 0,
+            pending_loads: 0,
+            seq: 0,
+            inactive_since: 0,
+        };
+        let state = Json::Object(vec![("state".into(), Rows::encode(&vec![state]))]);
+        assert_eq!(
+            CtaRt::restore(&state, 0).unwrap_err(),
+            "field `state`: a finished CTA slot writes only `finished`"
+        );
     }
 }

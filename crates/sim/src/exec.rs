@@ -209,8 +209,8 @@ impl std::fmt::Debug for ProgressHook<'_> {
 /// register-major order) and each CTA's shared memory into word strings
 /// ([`vt_json::pack_words`]), drops the memory fronts' always-empty
 /// `outbox`, and writes compact text; version 6 writes only live state (a
-/// done warp its CTA slot and pending-load counts, a finished CTA slot
-/// its phase) and packs the integer tables — cache lines, the LD/ST
+/// done warp its CTA slot and pending-load counts, a finished CTA slot a
+/// `finished` marker) and packs the integer tables — cache lines, the LD/ST
 /// unit's load groups, shared loads and request map, load submit times,
 /// interconnect packets, response queues, the DRAM queues and banks, the
 /// writeback pipe and every per-PC profile row — into row strings
